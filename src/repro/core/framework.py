@@ -31,7 +31,6 @@ runs unchanged over the network.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -368,9 +367,7 @@ class FrameworkConfig:
     A config is immutable and reusable: sweeps derive variants with
     :meth:`replace` (``cfg.replace(seed=trial)``) instead of re-spelling
     ten keyword arguments per call, and the :mod:`repro.sched` scheduler
-    takes the same object to describe the shared oracle it serves.  The
-    legacy flat keyword signature of :func:`run_framework` survives as a
-    deprecation shim that builds one of these internally.
+    takes the same object to describe the shared oracle it serves.
 
     Attributes mirror the historical ``run_framework`` parameters; see
     that function's docstring for their semantics.
@@ -702,13 +699,6 @@ def configure_prepared_cache(max_entries: Optional[int]) -> None:
         _PREPARED.evictions += 1
 
 
-#: Legacy keyword parameters of :func:`run_framework`, in historical
-#: positional order — the deprecation shim maps them onto FrameworkConfig.
-_LEGACY_PARAMS = (
-    "parallelism", "dist_input", "computer", "k", "mode", "seed", "leader",
-    "semigroup", "prepared", "reuse_setup", "recorder",
-)
-
 def setup_network(
     network: Network, config: FrameworkConfig, rounds: RoundLedger
 ) -> PreparedNetwork:
@@ -781,9 +771,8 @@ def build_oracle(
 def run_framework(
     network: Network,
     algorithm: Callable[[CongestBatchOracle, np.random.Generator], object],
-    *legacy_args,
+    *,
     config: Optional[FrameworkConfig] = None,
-    **legacy_kwargs,
 ) -> FrameworkRun:
     """Evaluate f(x) = F(⊕_v x^{(v)}) per Theorem 8 / Corollary 9.
 
@@ -807,28 +796,12 @@ def run_framework(
             with ``distribute``/``convergecast``/``uncompute`` sub-spans
             per engine-mode batch).
 
-    The pre-config flat keyword/positional signature
-    (``run_framework(net, algo, parallelism=..., dist_input=..., ...)``)
-    still works as a thin shim that builds the config internally, but
-    emits a :class:`DeprecationWarning`; results are bit-identical either
-    way (the shim-equivalence tests pin this).
-
     Returns:
         a :class:`FrameworkRun` with the algorithm result, per-phase round
         ledger, and query ledger.
     """
-    if legacy_args or legacy_kwargs:
-        if config is not None:
-            raise TypeError(
-                "run_framework: pass either config=FrameworkConfig(...) or "
-                "the legacy flat parameters, not both"
-            )
-        config = _config_from_legacy(legacy_args, legacy_kwargs)
-    elif config is None:
-        raise TypeError(
-            "run_framework() needs config=FrameworkConfig(...) (or the "
-            "deprecated flat parallelism/dist_input/... parameters)"
-        )
+    if config is None:
+        raise TypeError("run_framework() needs config=FrameworkConfig(...)")
 
     rec = (
         config.recorder if config.recorder is not None else current_recorder()
@@ -869,39 +842,3 @@ def run_framework(
         mode=config.mode,
         wall_clock_us=wall_clock,
     )
-
-
-def _config_from_legacy(args: tuple, kwargs: dict) -> FrameworkConfig:
-    """Map the historical flat signature onto a FrameworkConfig."""
-    if len(args) > len(_LEGACY_PARAMS):
-        raise TypeError(
-            f"run_framework() takes at most {2 + len(_LEGACY_PARAMS)} "
-            f"positional arguments ({2 + len(args)} given)"
-        )
-    merged: Dict[str, object] = {}
-    for name, value in zip(_LEGACY_PARAMS, args):
-        merged[name] = value
-    for name, value in kwargs.items():
-        if name not in _LEGACY_PARAMS:
-            raise TypeError(
-                f"run_framework() got an unexpected keyword argument "
-                f"{name!r}"
-            )
-        if name in merged:
-            raise TypeError(
-                f"run_framework() got multiple values for argument {name!r}"
-            )
-        merged[name] = value
-    if "parallelism" not in merged:
-        raise TypeError(
-            "run_framework() missing required argument: 'parallelism' "
-            "(or pass config=FrameworkConfig(...))"
-        )
-    warnings.warn(
-        "run_framework(network, algorithm, parallelism=..., ...) is "
-        "deprecated; pass config=FrameworkConfig(parallelism=..., ...) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return FrameworkConfig(**merged)

@@ -25,10 +25,8 @@ An :class:`OperationStream` is a frozen, iterable batch of operations —
 what the load generator produces and what benches replay.  Both types
 are plain values: hashable, comparable, safe to log, safe to key on.
 
-The old positional signatures survive as ``DeprecationWarning`` shims on
-the accepting side (scheduler/daemon), with equivalence pinned by
-``tests/core/test_operation.py`` — the same migration pattern PR 5 used
-for ``run_framework``'s legacy arguments.
+Every accepting side (schedulers, daemon) takes an :class:`Operation`
+only; anything else is a ``TypeError``.
 """
 
 from __future__ import annotations

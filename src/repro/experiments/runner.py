@@ -20,18 +20,14 @@ through it:
   — run and evaluate reproduction criteria, serial or fanned across
   worker processes.
 
-The historical flat signatures (``verify_experiment("E7", quick, seed)``,
-``verify_all(quick=..., only=..., jobs=...)``) survive as thin
-deprecation shims that build a :class:`RunRequest` internally and warn;
-results are bit-identical either way.
+A flat call (``verify_experiment("E7", quick, seed)``) is a ``TypeError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import JSONLSink, MemorySink, MetricsSink, Recorder, install
 from . import ALL_EXPERIMENTS
@@ -213,15 +209,13 @@ class RunRequest:
         return targets[0]
 
 
-def _legacy_request(fn: str, **fields) -> RunRequest:
-    """Build a RunRequest from a deprecated flat call and warn once per site."""
-    warnings.warn(
-        f"{fn} with flat parameters is deprecated; pass a "
-        f"RunRequest(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return RunRequest(**fields)
+def _require_request(fn: str, request: Any) -> None:
+    """Reject a flat call: every entry point takes one RunRequest."""
+    if not isinstance(request, RunRequest):
+        raise TypeError(
+            f"{fn}() takes a RunRequest, got {type(request).__name__}; "
+            f"pass RunRequest(experiments=..., quick=..., seed=...)"
+        )
 
 
 @dataclass
@@ -235,29 +229,12 @@ class InstrumentedRun:
     jsonl_path: Optional[str]
 
 
-def run_experiment(
-    request: Union[RunRequest, str],
-    quick: Optional[bool] = None,
-    seed: Optional[int] = None,
-) -> Dict[str, object]:
+def run_experiment(request: RunRequest) -> Dict[str, object]:
     """Run the requested experiments; no criteria are evaluated.
 
-    Canonical form: ``run_experiment(RunRequest(...))`` returns
-    ``{experiment id: result object}`` in target order.  The flat form
-    ``run_experiment("E7", quick=..., seed=...)`` is a deprecation shim.
+    Returns ``{experiment id: result object}`` in target order.
     """
-    if not isinstance(request, RunRequest):
-        request = _legacy_request(
-            "run_experiment",
-            experiments=(request,),
-            quick=True if quick is None else quick,
-            seed=0 if seed is None else seed,
-        )
-    elif quick is not None or seed is not None:
-        raise TypeError(
-            "run_experiment: quick/seed ride on the RunRequest; "
-            "use request.replace(...)"
-        )
+    _require_request("run_experiment", request)
     return {
         name: ALL_EXPERIMENTS[name].run(quick=request.quick,
                                         seed=request.seed)
@@ -265,32 +242,16 @@ def run_experiment(
     }
 
 
-def run_instrumented(
-    request: Union[RunRequest, str],
-    quick: bool = True,
-    seed: int = 0,
-    jsonl_path: Optional[str] = None,
-    keep_events: bool = False,
-) -> InstrumentedRun:
+def run_instrumented(request: RunRequest) -> InstrumentedRun:
     """Run one experiment with the observability spine recording.
 
-    Canonical form: ``run_instrumented(RunRequest(experiments=("E7",),
+    Called as ``run_instrumented(RunRequest(experiments=("E7",),
     jsonl=..., keep_events=...))``.  The spine captures every engine
     round, fault, query batch, coalesce, and ledger charge the experiment
     triggers — however deep in the stack — in one metrics registry and
-    (with ``jsonl`` set) one ``repro-trace/1`` stream.  The flat form
-    ``run_instrumented("E7", quick, seed, jsonl_path, keep_events)`` is a
-    deprecation shim.
+    (with ``jsonl`` set) one ``repro-trace/1`` stream.
     """
-    if not isinstance(request, RunRequest):
-        request = _legacy_request(
-            "run_instrumented",
-            experiments=(request,),
-            quick=quick,
-            seed=seed,
-            jsonl=jsonl_path,
-            keep_events=keep_events,
-        )
+    _require_request("run_instrumented", request)
     experiment = request.single_target()
     metrics = MetricsSink()
     sinks: List[object] = [metrics]
@@ -326,31 +287,17 @@ def _check_criterion(experiment: str) -> None:
         )
 
 
-def verify_experiment(
-    request: Union[RunRequest, str],
-    quick: bool = True,
-    seed: int = 0,
-) -> Verdict:
+def verify_experiment(request: RunRequest) -> Verdict:
     """Run one experiment and evaluate its reproduction criterion.
 
-    Canonical form: ``verify_experiment(RunRequest(experiments=("E7",),
-    ...))``.  Both registries are validated *before* the (possibly
-    expensive) run: an experiment registered in ``ALL_EXPERIMENTS`` but
-    missing from ``CRITERIA`` — the exact drift a newly added E20 would
-    cause — is reported as such up front instead of surfacing as a bare
-    ``KeyError`` after minutes of sweep work.  The flat form
-    ``verify_experiment("E7", quick, seed)`` is a deprecation shim.
+    Called as ``verify_experiment(RunRequest(experiments=("E7",), ...))``.
+    Both registries are validated *before* the (possibly expensive) run:
+    an experiment registered in ``ALL_EXPERIMENTS`` but missing from
+    ``CRITERIA`` — the exact drift a newly added E20 would cause — is
+    reported as such up front instead of surfacing as a bare ``KeyError``
+    after minutes of sweep work.
     """
-    if not isinstance(request, RunRequest):
-        if request not in ALL_EXPERIMENTS:
-            raise KeyError(
-                f"unknown experiment {request!r}; "
-                f"available: {list(ALL_EXPERIMENTS)}"
-            )
-        request = _legacy_request(
-            "verify_experiment",
-            experiments=(request,), quick=quick, seed=seed,
-        )
+    _require_request("verify_experiment", request)
     experiment = request.single_target()
     _check_criterion(experiment)
     result = ALL_EXPERIMENTS[experiment].run(
@@ -399,34 +346,13 @@ def verify_sweep(request: RunRequest):
     )
 
 
-def verify_all(
-    request: Optional[RunRequest] = None,
-    quick: bool = True,
-    seed: int = 0,
-    only: Optional[List[str]] = None,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    checkpoint: Optional[str] = None,
-) -> List[Verdict]:
+def verify_all(request: RunRequest) -> List[Verdict]:
     """Run every requested experiment and check its reproduction criterion.
 
-    Canonical form: ``verify_all(RunRequest(...))`` — a thin list-valued
-    view over :func:`verify_sweep`.  The flat keyword form
-    (``verify_all(quick=..., only=..., jobs=...)``) is a deprecation
-    shim.  Failed or timed-out tasks come back as
+    A thin list-valued view over :func:`verify_sweep`.  Failed or
+    timed-out tasks come back as
     :class:`~repro.parallel.executor.TaskFailure` entries in their slots
     instead of killing the sweep.
     """
-    if request is None:
-        request = _legacy_request(
-            "verify_all",
-            experiments=tuple(only) if only is not None else (),
-            quick=quick,
-            seed=seed,
-            jobs=jobs,
-            timeout=timeout,
-            retries=retries,
-            checkpoint=checkpoint,
-        )
+    _require_request("verify_all", request)
     return verify_sweep(request).verdicts

@@ -1,46 +1,30 @@
 """Typed events carried by the observability spine.
 
-Every accounting mechanism in the repository speaks through these twelve
-event kinds (DESIGN.md §"Observability spine"):
+Every accounting mechanism in the repository speaks through the twelve
+event kinds below (DESIGN.md §"Observability spine"), one small frozen
+dataclass each.  The dataclass is the only place a kind's fields are
+stated: the recorder's emitters (``Recorder.round``,
+``Recorder.serve_request``, ...), the ``repro-trace/1`` record
+(:func:`to_json`) and its validator (:func:`repro.obs.jsonl.
+validate_jsonl`) are derived from :data:`EVENT_TYPES`.  Adding a kind
+means one dataclass here plus its counter rows in
+:data:`repro.obs.sinks.METRICS`.
 
-* ``round`` — one engine communication round (message count, payload bits),
-* ``deliver`` — one message delivered by the engine,
-* ``fault`` — one injected fault (drop / corrupt / delay / crash / recover),
-* ``query_batch`` — one application of the parallel oracle O^{⊗p},
-* ``charge`` — one :class:`~repro.core.cost.RoundLedger` phase charge,
-* ``span`` — begin/end of a named phase opened on the recorder,
-* ``coalesce`` — one :mod:`repro.sched` scheduler action: a physical
-  coalesced batch executed on the shared oracle (``memo="miss"``), a
-  submission served straight from the content-addressed result memo
-  (``memo="hit"``, zero rounds), or an LRU eviction from that memo
-  (``memo="evict"``),
-* ``serve.request`` — one request's admission verdict or completion in
-  the :mod:`repro.serve` daemon,
-* ``serve.batch`` — one physical batch executed by a daemon lane,
-* ``serve.drain`` — the daemon's shutdown handshake (what was flushed,
-  what was abandoned),
-* ``scenario`` — one wall-clock pricing of a run under a scenario's
-  :class:`~repro.core.cost.LinkCostModel` (PR 9's "Mind the Õ" layer):
-  which scenario, which link, the charged rounds, and what they cost in
-  microseconds once per-message latency and constant factors are paid,
-* ``sketch`` — one amplitude-sketch operation (:mod:`repro.apps.
-  sketches`): a physical ``insert``/``query``/``compose`` on a sketch,
-  or a sketch-lane memo edge (``memo="hit"`` for a query served without
-  touching the state, ``memo="invalidate"`` for entries dropped by a
-  write — the PR 10 write-path invalidation protocol).
+Field conventions, relied on by everything derived from the classes:
 
-Events are small frozen dataclasses.  Each carries a ``span`` string — the
-``/``-joined path of recorder spans open when it was emitted — so any sink
-can attribute costs to phases without coordinating with the emitters.
-
-:func:`to_json` maps an event onto the stable ``repro-trace/1`` JSONL
-record documented in :mod:`repro.obs.jsonl`.
+* ``span`` comes last: the ``/``-joined path of recorder spans open when
+  the event was emitted, stamped by the recorder, so any sink can
+  attribute costs to phases without coordinating with the emitters;
+* a field named in ``omit_default`` is left out of the JSONL record while
+  it holds its default, so streams that never set it stay byte-identical
+  to streams written before it existed;
+* a field typed ``Any`` is a free-form payload: :func:`to_json` coerces it
+  to JSON and the validator leaves it unchecked;
+* ``round_no`` is written as ``"round"``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar, Dict, Tuple
 
 #: The twelve event kinds, as they appear in JSONL ``type`` fields.
 ROUND = "round"
@@ -56,41 +40,42 @@ SERVE_DRAIN = "serve.drain"
 SCENARIO = "scenario"
 SKETCH = "sketch"
 
-EVENT_KINDS = (
-    ROUND, DELIVER, FAULT, QUERY_BATCH, CHARGE, SPAN, COALESCE,
-    SERVE_REQUEST, SERVE_BATCH, SERVE_DRAIN, SCENARIO, SKETCH,
-)
+
+class _Event:
+    """Class-level declarations shared by every event dataclass."""
+
+    kind: ClassVar[str]
+    #: Fields the JSONL record omits while they hold their default.
+    omit_default: ClassVar[Tuple[str, ...]] = ()
 
 
 @dataclass(frozen=True)
-class RoundEvent:
+class RoundEvent(_Event):
     """One engine communication round: its delivery count and bit volume.
 
     ``mode`` names the execution path that ran the round: ``""`` for the
     per-node loops (dense/active — indistinguishable by construction) or
     ``"vectorized"`` for the column-major bulk loop.  The mode is
-    advisory metadata: schedule-equivalence comparisons exclude it, and
-    the JSONL record omits it when empty so per-node traces are
-    byte-identical to pre-vectorization ones.
+    advisory metadata: schedule-equivalence comparisons exclude it.
 
     ``model`` names the communication model the round ran under —
-    ``""`` for the default CONGEST model (omitted from the JSONL record,
-    keeping pre-model traces byte-identical), else the model name
+    ``""`` for the default CONGEST model, else the model name
     (``"congest-clique"``, ``"local"``).
     """
 
     kind: ClassVar[str] = ROUND
+    omit_default: ClassVar[Tuple[str, ...]] = ("mode", "model")
 
     round_no: int
     messages: int
     bits: int
-    span: str = ""
     mode: str = ""
     model: str = ""
+    span: str = ""
 
 
 @dataclass(frozen=True)
-class DeliverEvent:
+class DeliverEvent(_Event):
     """One message delivered to a node at the start of a round."""
 
     kind: ClassVar[str] = DELIVER
@@ -104,7 +89,7 @@ class DeliverEvent:
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(_Event):
     """One injected fault.
 
     ``fault`` names the fault kind (``drop``, ``corrupt``, ``delay``,
@@ -123,7 +108,7 @@ class FaultEvent:
 
 
 @dataclass(frozen=True)
-class QueryBatchEvent:
+class QueryBatchEvent(_Event):
     """One metered application of the parallel oracle (Definition 1)."""
 
     kind: ClassVar[str] = QUERY_BATCH
@@ -134,24 +119,24 @@ class QueryBatchEvent:
 
 
 @dataclass(frozen=True)
-class ChargeEvent:
+class ChargeEvent(_Event):
     """One phase charge on a :class:`~repro.core.cost.RoundLedger`.
 
     ``model`` tags the communication model whose rounds were charged —
-    ``""`` for the default CONGEST model (omitted from the JSONL record)
-    so pre-model trace streams stay byte-identical.
+    ``""`` for the default CONGEST model.
     """
 
     kind: ClassVar[str] = CHARGE
+    omit_default: ClassVar[Tuple[str, ...]] = ("model",)
 
     phase: str
     rounds: int
-    span: str = ""
     model: str = ""
+    span: str = ""
 
 
 @dataclass(frozen=True)
-class SpanEvent:
+class SpanEvent(_Event):
     """Begin or end of a recorder span.
 
     ``span`` is the full path of the span itself (including ``name``), so
@@ -166,14 +151,16 @@ class SpanEvent:
 
 
 @dataclass(frozen=True)
-class CoalesceEvent:
-    """One scheduler coalescing action (:mod:`repro.sched`).
+class CoalesceEvent(_Event):
+    """One scheduler action (:mod:`repro.sched`).
 
     ``memo="miss"`` marks a physical coalesced batch — ``size`` queries
     from ``submissions`` caller submissions across ``callers`` distinct
     callers, executed for ``rounds`` network rounds.  ``memo="hit"``
     marks a submission answered from the content-addressed result memo
-    (``rounds == 0``, ``submissions == callers == 1``).
+    (``rounds == 0``, ``submissions == callers == 1``), ``"evict"`` an
+    LRU eviction from that memo, and ``"invalidate"`` the write path
+    dropping ``size`` stale memo entries.
     """
 
     kind: ClassVar[str] = COALESCE
@@ -187,7 +174,7 @@ class CoalesceEvent:
 
 
 @dataclass(frozen=True)
-class ServeRequestEvent:
+class ServeRequestEvent(_Event):
     """One request's life-cycle edge inside the serving daemon.
 
     ``status`` is one of ``"accepted"`` (admitted to the tenant queue),
@@ -206,7 +193,7 @@ class ServeRequestEvent:
 
 
 @dataclass(frozen=True)
-class ServeBatchEvent:
+class ServeBatchEvent(_Event):
     """One physical batch stepped to completion by a daemon lane."""
 
     kind: ClassVar[str] = SERVE_BATCH
@@ -219,7 +206,7 @@ class ServeBatchEvent:
 
 
 @dataclass(frozen=True)
-class ServeDrainEvent:
+class ServeDrainEvent(_Event):
     """The daemon's shutdown handshake.
 
     ``reason`` names the trigger (``"signal"``, ``"close"``); ``flushed``
@@ -236,7 +223,7 @@ class ServeDrainEvent:
 
 
 @dataclass(frozen=True)
-class ScenarioEvent:
+class ScenarioEvent(_Event):
     """One wall-clock pricing of a run under a scenario's link model.
 
     ``scenario`` names the declared :class:`~repro.scenarios.Scenario`,
@@ -244,8 +231,7 @@ class ScenarioEvent:
     priced on, ``rounds`` the round count being re-denominated, and
     ``wall_clock_us`` the resulting microseconds.  The event is emitted
     *in addition to* the underlying round/charge stream — pricing is an
-    annotation, never a replacement, so scenario-free traces are
-    byte-identical to pre-scenario ones.
+    annotation, never a replacement.
     """
 
     kind: ClassVar[str] = SCENARIO
@@ -258,7 +244,7 @@ class ScenarioEvent:
 
 
 @dataclass(frozen=True)
-class SketchEvent:
+class SketchEvent(_Event):
     """One amplitude-sketch operation or sketch-lane memo edge.
 
     ``sketch`` names the sketch (lane), ``op`` the operation kind
@@ -268,17 +254,30 @@ class SketchEvent:
     ``memo`` is ``""`` for a physical state operation, ``"hit"`` for a
     query served from the lane memo without touching the state, or
     ``"invalidate"`` for the write-path protocol dropping stale entries.
-    The JSONL record omits ``memo`` when empty, keeping the common
-    physical-op records minimal.
     """
 
     kind: ClassVar[str] = SKETCH
+    omit_default: ClassVar[Tuple[str, ...]] = ("memo",)
 
     sketch: str
     op: str
     count: int
     memo: str = ""  # "" | "hit" | "invalidate"
     span: str = ""
+
+
+#: Every event class; :data:`EVENT_KINDS` lists their kinds in this order.
+EVENT_TYPES = (
+    RoundEvent, DeliverEvent, FaultEvent, QueryBatchEvent, ChargeEvent,
+    SpanEvent, CoalesceEvent, ServeRequestEvent, ServeBatchEvent,
+    ServeDrainEvent, ScenarioEvent, SketchEvent,
+)
+EVENT_KINDS = tuple(cls.kind for cls in EVENT_TYPES)
+
+
+def json_key(field: str) -> str:
+    """The JSONL key a field is written under."""
+    return "round" if field == "round_no" else field
 
 
 def _jsonable(value: Any) -> Any:
@@ -292,63 +291,40 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+def _layout(cls) -> Tuple[tuple, tuple]:
+    """(always-written, omittable) field specs of one event class."""
+    always = tuple(
+        (f.name, json_key(f.name), f.type is Any)
+        for f in fields(cls) if f.name not in cls.omit_default
+    )
+    omittable = tuple(
+        (f.name, json_key(f.name), f.default)
+        for f in fields(cls) if f.name in cls.omit_default
+    )
+    return always, omittable
+
+
+_LAYOUT: Dict[type, Tuple[tuple, tuple]] = {
+    cls: _layout(cls) for cls in EVENT_TYPES
+}
+
+
 def to_json(event: Any) -> Dict[str, Any]:
-    """The stable ``repro-trace/1`` JSONL record for one event."""
-    kind = event.kind
-    if kind == ROUND:
-        record = {"type": ROUND, "round": event.round_no,
-                  "messages": event.messages, "bits": event.bits,
-                  "span": event.span}
-        if event.mode:
-            record["mode"] = event.mode
-        if event.model:
-            record["model"] = event.model
-        return record
-    if kind == DELIVER:
-        return {"type": DELIVER, "round": event.round_no, "src": event.src,
-                "dst": event.dst, "bits": event.bits,
-                "value": _jsonable(event.value), "span": event.span}
-    if kind == FAULT:
-        return {"type": FAULT, "fault": event.fault, "round": event.round_no,
-                "src": event.src, "dst": event.dst, "bits": event.bits,
-                "value": _jsonable(event.value), "span": event.span}
-    if kind == QUERY_BATCH:
-        return {"type": QUERY_BATCH, "size": event.size,
-                "label": event.label, "span": event.span}
-    if kind == CHARGE:
-        record = {"type": CHARGE, "phase": event.phase,
-                  "rounds": event.rounds, "span": event.span}
-        if event.model:
-            record["model"] = event.model
-        return record
-    if kind == SPAN:
-        return {"type": SPAN, "name": event.name, "phase": event.phase,
-                "span": event.span}
-    if kind == COALESCE:
-        return {"type": COALESCE, "size": event.size,
-                "submissions": event.submissions, "callers": event.callers,
-                "rounds": event.rounds, "memo": event.memo,
-                "span": event.span}
-    if kind == SERVE_REQUEST:
-        return {"type": SERVE_REQUEST, "tenant": event.tenant,
-                "queries": event.queries, "status": event.status,
-                "wait_ms": event.wait_ms, "span": event.span}
-    if kind == SERVE_BATCH:
-        return {"type": SERVE_BATCH, "lane": event.lane, "size": event.size,
-                "tenants": event.tenants, "rounds": event.rounds,
-                "span": event.span}
-    if kind == SERVE_DRAIN:
-        return {"type": SERVE_DRAIN, "reason": event.reason,
-                "flushed": event.flushed, "abandoned": event.abandoned,
-                "span": event.span}
-    if kind == SCENARIO:
-        return {"type": SCENARIO, "scenario": event.scenario,
-                "link": event.link, "rounds": event.rounds,
-                "wall_clock_us": event.wall_clock_us, "span": event.span}
-    if kind == SKETCH:
-        record = {"type": SKETCH, "sketch": event.sketch, "op": event.op,
-                  "count": event.count, "span": event.span}
-        if event.memo:
-            record["memo"] = event.memo
-        return record
-    raise ValueError(f"unknown event kind {kind!r}")
+    """The stable ``repro-trace/1`` JSONL record for one event.
+
+    The always-present fields come first, in declaration order, then any
+    omittable field that differs from its default.
+    """
+    layout = _LAYOUT.get(type(event))
+    if layout is None:
+        raise ValueError(f"unknown event type {type(event).__name__!r}")
+    always, omittable = layout
+    record = {"type": event.kind}
+    for name, key, payload in always:
+        value = getattr(event, name)
+        record[key] = _jsonable(value) if payload else value
+    for name, key, default in omittable:
+        value = getattr(event, name)
+        if value != default:
+            record[key] = value
+    return record

@@ -5,94 +5,41 @@ One record per line.  The first line is a header::
     {"type": "meta", "schema": "repro-trace/1"}
 
 and every subsequent line is one event record as produced by
-:func:`repro.obs.events.to_json` — its ``type`` is one of the twelve
-event kinds and its remaining fields are fixed per type (``_REQUIRED``).
-The CI ``trace-smoke`` and ``serve-smoke`` jobs round-trip real
-experiments through this schema with :func:`validate_jsonl`.
-
-The ``serve.*`` record types (``serve.request``, ``serve.batch``,
-``serve.drain``) were added by the serving daemon (PR 6).  They are a
-pure extension: every pre-existing record type is unchanged, so older
-``repro-trace/1`` streams still validate.
-
-The optional ``model`` field on ``round`` and ``charge`` records was
-added by the communication-model layer (PR 8), following the precedent
-of ``round``'s optional ``mode`` (PR 7): omitted under the default
-CONGEST model, so pre-model streams are byte-identical and still
-validate; present (and type-checked) for non-default models.
-
-The ``scenario`` record type (PR 9) prices charged rounds in wall-clock
-microseconds under a scenario's link model — the same pure-extension
-discipline: emitted only when a scenario is declared, so scenario-free
-streams are byte-identical to pre-scenario ones and still validate.
-
-The ``sketch`` record type (PR 10) carries amplitude-sketch operations
-(insert/query/compose) and sketch-lane memo edges; its optional ``memo``
-field (``"hit"`` / ``"invalidate"``) is omitted for physical state
-operations.  ``coalesce`` records additionally admit
-``memo="invalidate"`` for the write-path memo protocol.  Pure extension
-again: sketch-free streams are byte-identical to pre-sketch ones.
+:func:`repro.obs.events.to_json`: its ``type`` is one of the twelve event
+kinds and its remaining fields are the event dataclass's fields, so the
+schema below is derived from :data:`repro.obs.events.EVENT_TYPES`.  A new
+kind or a new omittable field is a pure extension: streams that never
+use it are byte-identical to, and validate exactly like, streams written
+before it existed.  The CI ``trace-smoke`` and ``serve-smoke`` jobs
+round-trip real experiments through this schema with
+:func:`validate_jsonl`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable
+from dataclasses import fields
+from typing import Any, Dict, Iterable
 
-from .events import (
-    CHARGE,
-    COALESCE,
-    DELIVER,
-    EVENT_KINDS,
-    FAULT,
-    QUERY_BATCH,
-    ROUND,
-    SCENARIO,
-    SERVE_BATCH,
-    SERVE_DRAIN,
-    SERVE_REQUEST,
-    SKETCH,
-    SPAN,
-    to_json,
-)
+from .events import EVENT_KINDS, EVENT_TYPES, json_key, to_json
 from .sinks import Sink
 
 SCHEMA = "repro-trace/1"
 
-#: required field -> type (or tuple of types), per record type ("value"
-#: is unconstrained).  ``wait_ms`` admits int because JSON has one number
-#: type and a whole-millisecond latency serializes without a fraction.
-_REQUIRED = {
-    ROUND: {"round": int, "messages": int, "bits": int, "span": str},
-    DELIVER: {"round": int, "src": int, "dst": int, "bits": int, "span": str},
-    FAULT: {"fault": str, "round": int, "src": int, "dst": int, "bits": int,
-            "span": str},
-    QUERY_BATCH: {"size": int, "label": str, "span": str},
-    CHARGE: {"phase": str, "rounds": int, "span": str},
-    SPAN: {"name": str, "phase": str, "span": str},
-    COALESCE: {"size": int, "submissions": int, "callers": int,
-               "rounds": int, "memo": str, "span": str},
-    SERVE_REQUEST: {"tenant": str, "queries": int, "status": str,
-                    "wait_ms": (int, float), "span": str},
-    SERVE_BATCH: {"lane": str, "size": int, "tenants": int, "rounds": int,
-                  "span": str},
-    SERVE_DRAIN: {"reason": str, "flushed": int, "abandoned": int,
-                  "span": str},
-    SCENARIO: {"scenario": str, "link": str, "rounds": int,
-               "wall_clock_us": (int, float), "span": str},
-    SKETCH: {"sketch": str, "op": str, "count": int, "span": str},
-}
+#: JSON types a declared field type admits.  JSON has one number type,
+#: so a float field also takes a whole number (a whole-millisecond
+#: latency serializes without a fraction); bool never passes as a number.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
-#: optional field -> type, per record type.  Optional fields are omitted
-#: from the record when they hold their default (so pre-extension streams
-#: stay byte-identical and older validators keep passing), but when
-#: present they must type-check.  ``mode`` (PR 7) marks vectorized
-#: rounds; ``model`` (PR 8) names a non-default communication model on
-#: round/charge records.
-_OPTIONAL = {
-    ROUND: {"mode": str, "model": str},
-    CHARGE: {"model": str},
-    SKETCH: {"memo": str},
+#: record type -> {key: (field type, required)}.  ``Any`` payloads are
+#: unconstrained; omittable fields may be absent but must type-check
+#: when present.
+_FIELDS = {
+    cls.kind: {
+        json_key(f.name): (f.type, f.name not in cls.omit_default)
+        for f in fields(cls) if f.type is not Any
+    }
+    for cls in EVENT_TYPES
 }
 
 
@@ -186,27 +133,21 @@ def validate_jsonl(path: str) -> Dict[str, int]:
                 continue
             if rtype not in EVENT_KINDS:
                 raise ValueError(f"{path}:{lineno}: unknown type {rtype!r}")
-            for field, ftype in _REQUIRED[rtype].items():
-                if field not in record:
+            for key, (ftype, required) in _FIELDS[rtype].items():
+                if key not in record:
+                    if not required:
+                        continue
                     raise ValueError(
-                        f"{path}:{lineno}: {rtype} record missing {field!r}"
+                        f"{path}:{lineno}: {rtype} record missing {key!r}"
                     )
-                value = record[field]
-                # bool is an int subclass; trace integers are never bools.
-                if not isinstance(value, ftype) or isinstance(value, bool):
-                    expected = (
-                        "/".join(t.__name__ for t in ftype)
-                        if isinstance(ftype, tuple) else ftype.__name__
-                    )
+                value = record[key]
+                if (
+                    not isinstance(value, _JSON_TYPES[ftype])
+                    or isinstance(value, bool)
+                ):
                     raise ValueError(
-                        f"{path}:{lineno}: field {field!r} should be "
-                        f"{expected}, got {value!r}"
-                    )
-            for field, ftype in _OPTIONAL.get(rtype, {}).items():
-                if field in record and not isinstance(record[field], ftype):
-                    raise ValueError(
-                        f"{path}:{lineno}: optional field {field!r} should "
-                        f"be {ftype.__name__}, got {record[field]!r}"
+                        f"{path}:{lineno}: field {key!r} should be "
+                        f"{ftype.__name__}, got {value!r}"
                     )
             counts[rtype] = counts.get(rtype, 0) + 1
     if counts.get("meta") != 1:

@@ -20,26 +20,22 @@ thread-safe; the engine itself is single-threaded.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Any, Iterable, List, Optional
+from dataclasses import MISSING, fields
+from typing import Iterable, List, Optional
 
-from .events import (
-    ChargeEvent,
-    CoalesceEvent,
-    DeliverEvent,
-    FaultEvent,
-    QueryBatchEvent,
-    RoundEvent,
-    ScenarioEvent,
-    ServeBatchEvent,
-    ServeDrainEvent,
-    ServeRequestEvent,
-    SketchEvent,
-    SpanEvent,
-)
+from .events import EVENT_TYPES, SpanEvent
 
 
 class Recorder:
-    """Dispatches typed events to sinks, tracking a span (phase) stack."""
+    """Dispatches typed events to sinks, tracking a span (phase) stack.
+
+    Besides :meth:`emit` and :meth:`span`, every event class other than
+    :class:`~repro.obs.events.SpanEvent` gets an emitter named after its
+    kind (``serve.request`` -> ``serve_request``) that takes the event's
+    fields in declaration order, minus ``span``, and stamps the current
+    span path: ``rec.round(round_no, messages, bits, mode="", model="")``,
+    ``rec.deliver(round_no, src, dst, bits, value=None)``, and so on.
+    """
 
     #: Emitters skip event construction entirely when this is False.
     active = True
@@ -79,82 +75,6 @@ class Recorder:
         for sink in self.sinks:
             sink.handle(event)
 
-    def round(
-        self,
-        round_no: int,
-        messages: int,
-        bits: int,
-        mode: str = "",
-        model: str = "",
-    ) -> None:
-        self.emit(
-            RoundEvent(round_no, messages, bits, self._span_path, mode, model)
-        )
-
-    def deliver(
-        self, round_no: int, src: int, dst: int, bits: int, value: Any = None
-    ) -> None:
-        self.emit(DeliverEvent(round_no, src, dst, bits, value, self._span_path))
-
-    def fault(
-        self,
-        fault: str,
-        round_no: int,
-        src: int,
-        dst: int,
-        bits: int = 0,
-        value: Any = None,
-    ) -> None:
-        self.emit(FaultEvent(fault, round_no, src, dst, bits, value, self._span_path))
-
-    def query_batch(self, size: int, label: str = "") -> None:
-        self.emit(QueryBatchEvent(size, label, self._span_path))
-
-    def charge(self, phase: str, rounds: int, model: str = "") -> None:
-        self.emit(ChargeEvent(phase, rounds, self._span_path, model))
-
-    def coalesce(
-        self,
-        size: int,
-        submissions: int,
-        callers: int,
-        rounds: int,
-        memo: str = "miss",
-    ) -> None:
-        self.emit(
-            CoalesceEvent(size, submissions, callers, rounds, memo,
-                          self._span_path)
-        )
-
-    def serve_request(
-        self, tenant: str, queries: int, status: str, wait_ms: float = 0.0
-    ) -> None:
-        self.emit(
-            ServeRequestEvent(tenant, queries, status, wait_ms,
-                              self._span_path)
-        )
-
-    def serve_batch(
-        self, lane: str, size: int, tenants: int, rounds: int
-    ) -> None:
-        self.emit(ServeBatchEvent(lane, size, tenants, rounds, self._span_path))
-
-    def serve_drain(self, reason: str, flushed: int, abandoned: int) -> None:
-        self.emit(ServeDrainEvent(reason, flushed, abandoned, self._span_path))
-
-    def scenario(
-        self, scenario: str, link: str, rounds: int, wall_clock_us: float
-    ) -> None:
-        self.emit(
-            ScenarioEvent(scenario, link, rounds, wall_clock_us,
-                          self._span_path)
-        )
-
-    def sketch(
-        self, sketch: str, op: str, count: int, memo: str = ""
-    ) -> None:
-        self.emit(SketchEvent(sketch, op, count, memo, self._span_path))
-
     # -- spans ----------------------------------------------------------
 
     @property
@@ -176,56 +96,52 @@ class Recorder:
             self._span_path = "/".join(self._span_stack)
 
 
+def _add_emitter(cls) -> None:
+    """Compile and attach the :class:`Recorder` method emitting ``cls``.
+
+    Generated source, like the ``__init__`` of a dataclass, so the hot
+    path is one positional constructor call with the real signature.
+    """
+    name = cls.kind.replace(".", "_")
+    params, args, namespace = ["self"], [], {"_cls": cls}
+    for f in fields(cls)[:-1]:  # every field but the trailing span
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_{f.name}"] = f.default
+            params.append(f"{f.name}=_{f.name}")
+        args.append(f.name)
+    exec(
+        f"def {name}({', '.join(params)}):\n"
+        f"    self.emit(_cls({', '.join(args)}, self._span_path))\n",
+        namespace,
+    )
+    method = namespace[name]
+    method.__qualname__ = f"Recorder.{name}"
+    method.__doc__ = f"Emit one :class:`{cls.__name__}` at the open span."
+    setattr(Recorder, name, method)
+
+
+for _cls in EVENT_TYPES:
+    if _cls is not SpanEvent:
+        _add_emitter(_cls)
+del _cls
+
+
 class NullRecorder(Recorder):
-    """The disabled bus: every operation is a no-op.
+    """The disabled bus: no sinks, a no-op :meth:`emit`, inert spans.
 
     Emitters should still guard on :attr:`active` so the disabled path
-    never constructs event objects; these overrides are the backstop for
-    call sites that don't.
+    never constructs event objects; the inherited emitters stay callable
+    as a backstop for call sites that don't, their events dropped here.
     """
 
     active = False
-
-    def __init__(self):
-        super().__init__()
 
     def add_sink(self, sink) -> None:  # pragma: no cover - defensive
         raise ValueError("cannot attach sinks to the null recorder")
 
     def emit(self, event) -> None:
-        pass
-
-    def round(self, round_no, messages, bits, mode="", model="") -> None:
-        pass
-
-    def deliver(self, round_no, src, dst, bits, value=None) -> None:
-        pass
-
-    def fault(self, fault, round_no, src, dst, bits=0, value=None) -> None:
-        pass
-
-    def query_batch(self, size, label="") -> None:
-        pass
-
-    def charge(self, phase, rounds, model="") -> None:
-        pass
-
-    def coalesce(self, size, submissions, callers, rounds, memo="miss") -> None:
-        pass
-
-    def serve_request(self, tenant, queries, status, wait_ms=0.0) -> None:
-        pass
-
-    def serve_batch(self, lane, size, tenants, rounds) -> None:
-        pass
-
-    def serve_drain(self, reason, flushed, abandoned) -> None:
-        pass
-
-    def scenario(self, scenario, link, rounds, wall_clock_us) -> None:
-        pass
-
-    def sketch(self, sketch, op, count, memo="") -> None:
         pass
 
     def span(self, name: str):

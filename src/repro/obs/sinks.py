@@ -14,12 +14,15 @@ writer in :mod:`repro.obs.jsonl` next to its schema validator.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import copy
+import operator
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .events import (
     CHARGE,
     COALESCE,
     DELIVER,
+    EVENT_KINDS,
     FAULT,
     QUERY_BATCH,
     ROUND,
@@ -55,233 +58,198 @@ class MemorySink(Sink):
         return [e for e in self.events if e.kind == kind]
 
 
+class Metric(NamedTuple):
+    """One :class:`MetricsSink` counter, folded from one event kind.
+
+    ``fold`` says how an event updates the counter and how two sinks'
+    counters combine:
+
+    * ``sum`` adds ``value`` (shards add);
+    * ``max`` keeps the largest ``value`` seen (shards take the max);
+    * ``sum_by`` adds ``value`` under ``key`` in a dict (shards add per
+      key);
+    * ``first_by`` keeps the first ``value`` seen per ``key`` (the
+      earlier shard wins);
+    * ``unique`` appends ``value`` to a list once, in first-seen order.
+
+    ``value`` names an event field, or is the constant ``1`` to count
+    events; ``key`` names a field, or a tuple of fields for a tuple key
+    (snapshotted as ``"a,b"``, since JSON objects key on strings only);
+    ``when`` is a Python condition on the event ``e`` that gates the row.
+    """
+
+    name: str
+    kind: str
+    fold: str
+    value: Union[str, int] = 1
+    key: Union[str, Tuple[str, ...], None] = None
+    when: Optional[str] = None
+
+
+#: A physical coalesced batch: every coalesce edge but a memo hit,
+#: eviction or invalidation.
+_BATCH = "e.memo not in ('hit', 'evict', 'invalidate')"
+
+#: Every MetricsSink counter, in snapshot order.
+METRICS = (
+    # Round numbers restart per engine run: the highest seen, not a sum.
+    Metric("engine_rounds", ROUND, "max", "round_no"),
+    Metric("vectorized_rounds", ROUND, "sum", when="e.mode == 'vectorized'"),
+    # Only non-default communication models are tagged, hence counted.
+    Metric("rounds_by_model", ROUND, "sum_by", key="model", when="e.model"),
+    Metric("charged_by_model", CHARGE, "sum_by", "rounds", "model", "e.model"),
+    Metric("messages", DELIVER, "sum"),
+    Metric("bits", DELIVER, "sum", "bits"),
+    Metric("edge_bits", DELIVER, "sum_by", "bits", ("src", "dst")),
+    Metric("fault_counts", FAULT, "sum_by", key="fault"),
+    Metric("query_batches", QUERY_BATCH, "sum"),
+    Metric("total_queries", QUERY_BATCH, "sum", "size"),
+    Metric("batches_by_label", QUERY_BATCH, "sum_by", key="label"),
+    Metric("charge_events", CHARGE, "sum"),
+    Metric("charges_by_phase", CHARGE, "sum_by", "rounds", "phase"),
+    # The span each phase was first charged under.
+    Metric("phase_span", CHARGE, "first_by", "span", "phase"),
+    Metric("charged_by_span", CHARGE, "sum_by", "rounds", "span"),
+    Metric("span_names", SPAN, "unique", "span", when="e.phase == 'begin'"),
+    Metric("coalesced_batches", COALESCE, "sum", when=_BATCH),
+    Metric("coalesced_queries", COALESCE, "sum", "size", when=_BATCH),
+    Metric("coalesced_submissions", COALESCE, "sum", "submissions",
+           when=_BATCH),
+    Metric("coalesce_rounds", COALESCE, "sum", "rounds", when=_BATCH),
+    Metric("memo_hits", COALESCE, "sum", when="e.memo == 'hit'"),
+    Metric("memo_evictions", COALESCE, "sum", when="e.memo == 'evict'"),
+    Metric("serve_requests", SERVE_REQUEST, "sum_by", key="status"),
+    Metric("serve_queries", SERVE_REQUEST, "sum", "queries",
+           when="e.status == 'accepted'"),
+    Metric("serve_batches", SERVE_BATCH, "sum"),
+    Metric("serve_batch_rounds", SERVE_BATCH, "sum", "rounds"),
+    Metric("serve_drains", SERVE_DRAIN, "sum"),
+    Metric("scenario_events", SCENARIO, "sum"),
+    # Wall-clock microseconds per link model name.
+    Metric("wall_clock_by_link", SCENARIO, "sum_by", "wall_clock_us", "link"),
+    # Physical sketch operations by op, summing payload widths; a memo
+    # edge never touches the sketch state, so it counts in sketch_memo.
+    Metric("sketch_ops", SKETCH, "sum_by", "count", "op", "not e.memo"),
+    Metric("sketch_memo", SKETCH, "sum_by", key="memo", when="e.memo"),
+    # Memo entries dropped by write-path invalidation.
+    Metric("memo_invalidations", COALESCE, "sum", "size",
+           when="e.memo == 'invalidate'"),
+)
+
+
+def _merge_sum_by(mine: dict, theirs: dict) -> dict:
+    for key, value in theirs.items():
+        mine[key] = mine.get(key, 0) + value
+    return mine
+
+
+def _merge_first_by(mine: dict, theirs: dict) -> dict:
+    for key, value in theirs.items():
+        mine.setdefault(key, value)
+    return mine
+
+
+def _merge_unique(mine: list, theirs: list) -> list:
+    for value in theirs:
+        if value not in mine:
+            mine.append(value)
+    return mine
+
+
+class _Fold(NamedTuple):
+    """How a fold starts, combines shards, and takes one event."""
+
+    empty: type  # the counter's initial value
+    merge: Any  # (mine, theirs) -> combined, may update ``mine`` in place
+    update: str  # one event's update, as source over ``self`` and ``e``
+
+
+_FOLDS = {
+    "sum": _Fold(int, operator.add, "self.{name} += {value}"),
+    "max": _Fold(int, max, "if {value} > self.{name}: self.{name} = {value}"),
+    "sum_by": _Fold(
+        dict, _merge_sum_by,
+        "d = self.{name}; k = {key}; d[k] = d.get(k, 0) + {value}",
+    ),
+    "first_by": _Fold(
+        dict, _merge_first_by, "self.{name}.setdefault({key}, {value})"
+    ),
+    "unique": _Fold(
+        list, _merge_unique,
+        "if {value} not in self.{name}: self.{name}.append({value})",
+    ),
+}
+
+
+def _field(spec: Union[str, int, Tuple[str, ...], None]) -> str:
+    """Source for a row's value or key, read off the event ``e``."""
+    if isinstance(spec, tuple):
+        return "(" + ", ".join(f"e.{name}" for name in spec) + ")"
+    return f"e.{spec}" if isinstance(spec, str) else repr(spec)
+
+
+def _compile_handler(kind: str):
+    """One straight-line function applying every ``kind`` row to an event.
+
+    Generated source, so handling an event costs one call rather than a
+    call per counter.
+    """
+    body = []
+    for m in METRICS:
+        if m.kind != kind:
+            continue
+        update = _FOLDS[m.fold].update.format(
+            name=m.name, value=_field(m.value), key=_field(m.key)
+        )
+        body.append(f"if {m.when}:\n        {update}" if m.when else update)
+    namespace: Dict[str, Any] = {}
+    exec(
+        "def handle(self, e):\n"
+        + "".join(f"    {line}\n" for line in body or ["pass"]),
+        namespace,
+    )
+    return namespace["handle"]
+
+
+_HANDLERS = {kind: _compile_handler(kind) for kind in EVENT_KINDS}
+
+
 class MetricsSink(Sink):
     """Aggregating counters: the one-pass metrics registry.
 
     Accumulates everything ``python -m repro trace`` reports — engine
     round/message/bit totals, per-edge bit volume, fault counts by kind,
     query-batch counts, and per-phase round charges (with the span each
-    phase was first charged under) — without retaining the events.
+    phase was first charged under) — without retaining the events.  Each
+    counter is one :data:`METRICS` row and an attribute of the same name.
     """
 
     def __init__(self):
-        self.engine_rounds = 0
-        self.vectorized_rounds = 0
-        #: rounds executed under a *non-default* communication model,
-        #: keyed by model name (``"congest-clique"``, ``"local"``);
-        #: default-CONGEST rounds carry no model tag and are not counted
-        #: here (they are the pre-model baseline).
-        self.rounds_by_model: Dict[str, int] = {}
-        #: ledger rounds charged under a non-default model, per model.
-        self.charged_by_model: Dict[str, int] = {}
-        self.messages = 0
-        self.bits = 0
-        self.edge_bits: Dict[Tuple[int, int], int] = {}
-        self.fault_counts: Dict[str, int] = {}
-        self.query_batches = 0
-        self.total_queries = 0
-        self.batches_by_label: Dict[str, int] = {}
-        self.charge_events = 0
-        self.charges_by_phase: Dict[str, int] = {}
-        self.phase_span: Dict[str, str] = {}
-        self.charged_by_span: Dict[str, int] = {}
-        self.span_names: List[str] = []
-        self.coalesced_batches = 0
-        self.coalesced_queries = 0
-        self.coalesced_submissions = 0
-        self.coalesce_rounds = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_evictions = 0
-        self.serve_requests: Dict[str, int] = {}  # status -> count
-        self.serve_queries = 0
-        self.serve_batches = 0
-        self.serve_batch_rounds = 0
-        self.serve_drains = 0
-        self.scenario_events = 0
-        #: accumulated wall-clock microseconds per link model name.
-        self.wall_clock_by_link: Dict[str, float] = {}
-        #: physical sketch operations by op kind (insert/query/compose),
-        #: summing payload widths.  Memo-edge sketch events (``memo``
-        #: non-empty) are *not* counted here — a memo-hit query never
-        #: touches the state — they land in ``sketch_memo`` instead.
-        self.sketch_ops: Dict[str, int] = {}
-        #: sketch-lane memo edges by outcome ("hit"/"invalidate").
-        self.sketch_memo: Dict[str, int] = {}
-        #: memo entries dropped by write-path invalidation (``coalesce``
-        #: events with ``memo="invalidate"``, sized by entries dropped).
-        self.memo_invalidations = 0
+        for m in METRICS:
+            setattr(self, m.name, _FOLDS[m.fold].empty())
 
     def handle(self, event) -> None:
-        kind = event.kind
-        if kind == DELIVER:
-            self.messages += 1
-            self.bits += event.bits
-            edge = (event.src, event.dst)
-            self.edge_bits[edge] = self.edge_bits.get(edge, 0) + event.bits
-        elif kind == ROUND:
-            if event.round_no > self.engine_rounds:
-                self.engine_rounds = event.round_no
-            # getattr: tolerate pre-vectorization RoundEvents replayed
-            # from old traces (no ``mode`` field).
-            if getattr(event, "mode", "") == "vectorized":
-                self.vectorized_rounds += 1
-            # Same tolerance for pre-model events (no ``model`` field).
-            model = getattr(event, "model", "")
-            if model:
-                self.rounds_by_model[model] = (
-                    self.rounds_by_model.get(model, 0) + 1
-                )
-        elif kind == CHARGE:
-            self.charge_events += 1
-            model = getattr(event, "model", "")
-            if model:
-                self.charged_by_model[model] = (
-                    self.charged_by_model.get(model, 0) + event.rounds
-                )
-            self.charges_by_phase[event.phase] = (
-                self.charges_by_phase.get(event.phase, 0) + event.rounds
-            )
-            self.phase_span.setdefault(event.phase, event.span)
-            self.charged_by_span[event.span] = (
-                self.charged_by_span.get(event.span, 0) + event.rounds
-            )
-        elif kind == QUERY_BATCH:
-            self.query_batches += 1
-            self.total_queries += event.size
-            self.batches_by_label[event.label] = (
-                self.batches_by_label.get(event.label, 0) + 1
-            )
-        elif kind == FAULT:
-            self.fault_counts[event.fault] = (
-                self.fault_counts.get(event.fault, 0) + 1
-            )
-        elif kind == SPAN:
-            if event.phase == "begin" and event.span not in self.span_names:
-                self.span_names.append(event.span)
-        elif kind == COALESCE:
-            if event.memo == "hit":
-                self.memo_hits += 1
-            elif event.memo == "evict":
-                self.memo_evictions += 1
-            elif event.memo == "invalidate":
-                self.memo_invalidations += event.size
-            else:
-                self.memo_misses += 1
-                self.coalesced_batches += 1
-                self.coalesced_queries += event.size
-                self.coalesced_submissions += event.submissions
-                self.coalesce_rounds += event.rounds
-        elif kind == SERVE_REQUEST:
-            self.serve_requests[event.status] = (
-                self.serve_requests.get(event.status, 0) + 1
-            )
-            if event.status == "accepted":
-                self.serve_queries += event.queries
-        elif kind == SERVE_BATCH:
-            self.serve_batches += 1
-            self.serve_batch_rounds += event.rounds
-        elif kind == SERVE_DRAIN:
-            self.serve_drains += 1
-        elif kind == SCENARIO:
-            self.scenario_events += 1
-            self.wall_clock_by_link[event.link] = (
-                self.wall_clock_by_link.get(event.link, 0.0)
-                + event.wall_clock_us
-            )
-        elif kind == SKETCH:
-            if event.memo:
-                self.sketch_memo[event.memo] = (
-                    self.sketch_memo.get(event.memo, 0) + 1
-                )
-            else:
-                self.sketch_ops[event.op] = (
-                    self.sketch_ops.get(event.op, 0) + event.count
-                )
+        _HANDLERS[event.kind](self, event)
 
     # -- cross-process merge --------------------------------------------
 
     def merge(self, other: "MetricsSink") -> "MetricsSink":
         """Fold another sink's counters into this one, in place.
 
-        The invariant: merging equals handling.  After
-        ``a.merge(b)``, ``a`` holds exactly what it would hold had it
-        handled ``b``'s event stream after its own — counters sum,
-        per-key dicts sum per key, ``engine_rounds`` takes the max
-        (``handle`` tracks the highest round number seen, and round
-        counters restart per engine run), first-span attribution keeps
-        the earlier sink's answer, and span names append in order
-        without duplicates.  This is what stitches per-task
+        The invariant: merging equals handling.  After ``a.merge(b)``,
+        ``a`` holds exactly what it would hold had it handled ``b``'s
+        event stream after its own; each row's fold says how (see
+        :class:`Metric`).  This is what stitches per-task
         :class:`MetricsSink` shards from parallel sweep workers into
         the single registry a one-process run would have produced.
 
         Returns ``self`` so merges chain/reduce.
         """
-        self.engine_rounds = max(self.engine_rounds, other.engine_rounds)
-        # Unlike the high-water engine_rounds, fast-path rounds are a
-        # plain event count, so shards sum.
-        self.vectorized_rounds += other.vectorized_rounds
-        for model, count in other.rounds_by_model.items():
-            self.rounds_by_model[model] = (
-                self.rounds_by_model.get(model, 0) + count
+        for m in METRICS:
+            merged = _FOLDS[m.fold].merge(
+                getattr(self, m.name), getattr(other, m.name)
             )
-        for model, rounds in other.charged_by_model.items():
-            self.charged_by_model[model] = (
-                self.charged_by_model.get(model, 0) + rounds
-            )
-        self.messages += other.messages
-        self.bits += other.bits
-        for edge, bits in other.edge_bits.items():
-            self.edge_bits[edge] = self.edge_bits.get(edge, 0) + bits
-        for fault, count in other.fault_counts.items():
-            self.fault_counts[fault] = self.fault_counts.get(fault, 0) + count
-        self.query_batches += other.query_batches
-        self.total_queries += other.total_queries
-        for label, count in other.batches_by_label.items():
-            self.batches_by_label[label] = (
-                self.batches_by_label.get(label, 0) + count
-            )
-        self.charge_events += other.charge_events
-        for phase, rounds in other.charges_by_phase.items():
-            self.charges_by_phase[phase] = (
-                self.charges_by_phase.get(phase, 0) + rounds
-            )
-        for phase, span in other.phase_span.items():
-            self.phase_span.setdefault(phase, span)
-        for span, rounds in other.charged_by_span.items():
-            self.charged_by_span[span] = (
-                self.charged_by_span.get(span, 0) + rounds
-            )
-        for name in other.span_names:
-            if name not in self.span_names:
-                self.span_names.append(name)
-        self.coalesced_batches += other.coalesced_batches
-        self.coalesced_queries += other.coalesced_queries
-        self.coalesced_submissions += other.coalesced_submissions
-        self.coalesce_rounds += other.coalesce_rounds
-        self.memo_hits += other.memo_hits
-        self.memo_misses += other.memo_misses
-        self.memo_evictions += other.memo_evictions
-        for status, count in other.serve_requests.items():
-            self.serve_requests[status] = (
-                self.serve_requests.get(status, 0) + count
-            )
-        self.serve_queries += other.serve_queries
-        self.serve_batches += other.serve_batches
-        self.serve_batch_rounds += other.serve_batch_rounds
-        self.serve_drains += other.serve_drains
-        self.scenario_events += other.scenario_events
-        for link, us in other.wall_clock_by_link.items():
-            self.wall_clock_by_link[link] = (
-                self.wall_clock_by_link.get(link, 0.0) + us
-            )
-        for op, count in other.sketch_ops.items():
-            self.sketch_ops[op] = self.sketch_ops.get(op, 0) + count
-        for outcome, count in other.sketch_memo.items():
-            self.sketch_memo[outcome] = (
-                self.sketch_memo.get(outcome, 0) + count
-            )
-        self.memo_invalidations += other.memo_invalidations
+            setattr(self, m.name, merged)
         return self
 
     # -- checkpoint serialization ---------------------------------------
@@ -290,100 +258,35 @@ class MetricsSink(Sink):
         """Lossless JSON-safe snapshot of every counter.
 
         Unlike :meth:`summary` (a human-facing digest), this round-trips
-        through :meth:`from_state` exactly; edge keys are rendered as
+        through :meth:`from_state` exactly; tuple keys are rendered as
         ``"src,dst"`` strings because JSON objects cannot key on tuples.
         """
-        return {
-            "engine_rounds": self.engine_rounds,
-            "vectorized_rounds": self.vectorized_rounds,
-            "rounds_by_model": dict(self.rounds_by_model),
-            "charged_by_model": dict(self.charged_by_model),
-            "messages": self.messages,
-            "bits": self.bits,
-            "edge_bits": {
-                f"{src},{dst}": bits
-                for (src, dst), bits in self.edge_bits.items()
-            },
-            "fault_counts": dict(self.fault_counts),
-            "query_batches": self.query_batches,
-            "total_queries": self.total_queries,
-            "batches_by_label": dict(self.batches_by_label),
-            "charge_events": self.charge_events,
-            "charges_by_phase": dict(self.charges_by_phase),
-            "phase_span": dict(self.phase_span),
-            "charged_by_span": dict(self.charged_by_span),
-            "span_names": list(self.span_names),
-            "coalesced_batches": self.coalesced_batches,
-            "coalesced_queries": self.coalesced_queries,
-            "coalesced_submissions": self.coalesced_submissions,
-            "coalesce_rounds": self.coalesce_rounds,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_evictions": self.memo_evictions,
-            "serve_requests": dict(self.serve_requests),
-            "serve_queries": self.serve_queries,
-            "serve_batches": self.serve_batches,
-            "serve_batch_rounds": self.serve_batch_rounds,
-            "serve_drains": self.serve_drains,
-            "scenario_events": self.scenario_events,
-            "wall_clock_by_link": dict(self.wall_clock_by_link),
-            "sketch_ops": dict(self.sketch_ops),
-            "sketch_memo": dict(self.sketch_memo),
-            "memo_invalidations": self.memo_invalidations,
-        }
+        state = {}
+        for m in METRICS:
+            value = getattr(self, m.name)
+            if isinstance(m.key, tuple):
+                value = {",".join(map(str, k)): v for k, v in value.items()}
+            state[m.name] = copy.copy(value)
+        return state
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "MetricsSink":
-        """Rebuild a sink from a :meth:`to_state` snapshot."""
+        """Rebuild a sink from a :meth:`to_state` snapshot.
+
+        Counters missing from the snapshot (it predates them) start
+        empty; keys no counter claims (retired counters) are ignored.
+        """
         sink = cls()
-        sink.engine_rounds = state["engine_rounds"]
-        # Vectorized-round accounting arrived with the bulk engine
-        # (PR 7); default so earlier snapshots still load.
-        sink.vectorized_rounds = state.get("vectorized_rounds", 0)
-        # Per-model accounting arrived with the communication-model
-        # layer (PR 8); same backward-compat defaulting.
-        sink.rounds_by_model = dict(state.get("rounds_by_model", {}))
-        sink.charged_by_model = dict(state.get("charged_by_model", {}))
-        sink.messages = state["messages"]
-        sink.bits = state["bits"]
-        sink.edge_bits = {
-            tuple(int(part) for part in key.split(",")): bits
-            for key, bits in state["edge_bits"].items()
-        }
-        sink.fault_counts = dict(state["fault_counts"])
-        sink.query_batches = state["query_batches"]
-        sink.total_queries = state["total_queries"]
-        sink.batches_by_label = dict(state["batches_by_label"])
-        sink.charge_events = state["charge_events"]
-        sink.charges_by_phase = dict(state["charges_by_phase"])
-        sink.phase_span = dict(state["phase_span"])
-        sink.charged_by_span = dict(state["charged_by_span"])
-        sink.span_names = list(state["span_names"])
-        # Coalesce counters arrived after repro-checkpoint/1 shipped;
-        # default to zero so pre-scheduler snapshots still load.
-        sink.coalesced_batches = state.get("coalesced_batches", 0)
-        sink.coalesced_queries = state.get("coalesced_queries", 0)
-        sink.coalesced_submissions = state.get("coalesced_submissions", 0)
-        sink.coalesce_rounds = state.get("coalesce_rounds", 0)
-        sink.memo_hits = state.get("memo_hits", 0)
-        sink.memo_misses = state.get("memo_misses", 0)
-        # Memo eviction and serve counters arrived with the serving
-        # daemon (PR 6); same backward-compat defaulting.
-        sink.memo_evictions = state.get("memo_evictions", 0)
-        sink.serve_requests = dict(state.get("serve_requests", {}))
-        sink.serve_queries = state.get("serve_queries", 0)
-        sink.serve_batches = state.get("serve_batches", 0)
-        sink.serve_batch_rounds = state.get("serve_batch_rounds", 0)
-        sink.serve_drains = state.get("serve_drains", 0)
-        # Scenario counters arrived with the scenario matrix (PR 9);
-        # same backward-compat defaulting.
-        sink.scenario_events = state.get("scenario_events", 0)
-        sink.wall_clock_by_link = dict(state.get("wall_clock_by_link", {}))
-        # Sketch counters arrived with the sketch serving layer (PR 10);
-        # same backward-compat defaulting.
-        sink.sketch_ops = dict(state.get("sketch_ops", {}))
-        sink.sketch_memo = dict(state.get("sketch_memo", {}))
-        sink.memo_invalidations = state.get("memo_invalidations", 0)
+        for m in METRICS:
+            if m.name not in state:
+                continue
+            value = copy.copy(state[m.name])
+            if isinstance(m.key, tuple):
+                value = {
+                    tuple(int(part) for part in k.split(",")): v
+                    for k, v in value.items()
+                }
+            setattr(sink, m.name, value)
         return sink
 
     # -- derived --------------------------------------------------------
@@ -429,7 +332,6 @@ class MetricsSink(Sink):
             "coalesced_batches": self.coalesced_batches,
             "coalesced_queries": self.coalesced_queries,
             "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
             "memo_evictions": self.memo_evictions,
             "serve_requests": dict(self.serve_requests),
             "serve_batches": self.serve_batches,

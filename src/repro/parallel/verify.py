@@ -1,10 +1,11 @@
 """The parallel verification sweep: experiments fanned across workers.
 
-This is the executor's flagship consumer — ``verify_all(jobs=N)`` and
-``python -m repro verify --jobs N`` both land here.  Each experiment
-becomes one :class:`~repro.parallel.executor.Task`; every worker runs
-the *same* ``run(quick=quick, seed=seed)`` call the serial loop would,
-so the parallel sweep returns bit-identical
+This is the executor's flagship consumer —
+``verify_all(RunRequest(jobs=N))`` and ``python -m repro verify --jobs N``
+both land here.  Each experiment becomes one
+:class:`~repro.parallel.executor.Task`; every worker runs the *same*
+``run(quick=quick, seed=seed)`` call the serial loop would, so the
+parallel sweep returns bit-identical
 :class:`~repro.experiments.runner.Verdict` objects in the same order.
 Only the scheduling differs, never the computation.
 

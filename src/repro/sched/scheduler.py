@@ -41,7 +41,6 @@ under-filled batches.  The scheduler coalesces:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -285,38 +284,17 @@ class CoalescingScheduler:
             self._accounts[caller] = acct
         return acct
 
-    def submit(
-        self,
-        operation: Any,
-        indices: Optional[Sequence[int]] = None,
-        label: str = "",
-    ) -> Ticket:
-        """Enqueue one :class:`~repro.core.operation.Operation`.
-
-        The canonical form is ``submit(Operation.query(caller, indices))``.
-        The pre-PR 10 positional form ``submit(caller, indices, label=...)``
-        still works but raises a :class:`DeprecationWarning`; it builds
-        the identical Operation internally, so the two spellings are
-        equivalent by construction.
+    def submit(self, operation: Operation) -> Ticket:
+        """Enqueue one ``Operation.query(caller, indices, label)``.
 
         Meters the submission on the caller's ledger exactly as a serial
         ``oracle.query_batch(indices, label)`` would, then either serves
         it from the memo (zero rounds) or queues it for coalescing.
         """
         if not isinstance(operation, Operation):
-            warnings.warn(
-                "CoalescingScheduler.submit(caller, indices, label=...) is "
-                "deprecated; pass Operation.query(caller, indices, label)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            operation = Operation.query(
-                str(operation), tuple(indices or ()), label=label
-            )
-        elif indices is not None:
             raise TypeError(
-                "submit(Operation, ...) takes no separate indices; the "
-                "payload lives inside the Operation"
+                "CoalescingScheduler.submit takes a repro.core.Operation "
+                "(Operation.query(caller, indices, label))"
             )
         if operation.is_write or operation.items:
             raise ValueError(

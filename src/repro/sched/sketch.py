@@ -159,12 +159,7 @@ class SketchScheduler:
         return acct
 
     def submit(self, operation: Operation) -> Ticket:
-        """Enqueue one sketch operation (insert or item query), FIFO.
-
-        Unlike the oracle scheduler there is no legacy positional form —
-        sketch lanes were born after the :class:`~repro.core.operation.
-        Operation` API and only speak it.
-        """
+        """Enqueue one sketch operation (insert or item query), FIFO."""
         if not isinstance(operation, Operation):
             raise TypeError(
                 "SketchScheduler.submit takes a repro.core.Operation "

@@ -209,6 +209,7 @@ def run_serve_session(
     )
     report: LoadReport = asyncio.run(run_load(service, spec))
     recorder.close()
+    sched_report = service.pool.acquire("default").scheduler.report()
     out: Dict[str, Any] = {
         "load": report.to_json(),
         "service": service.report(),
@@ -217,17 +218,15 @@ def run_serve_session(
             "serve_batches": metrics.serve_batches,
             "serve_batch_rounds": metrics.serve_batch_rounds,
             "serve_drains": metrics.serve_drains,
+            # The lane's own memo counters: one lookup per submission.
             "memo": {
-                "hits": metrics.memo_hits,
-                "misses": metrics.memo_misses,
-                "evictions": metrics.memo_evictions,
+                "hits": sched_report.memo_hits,
+                "misses": sched_report.memo_misses,
+                "evictions": sched_report.memo_evictions,
             },
         },
+        "amortized_rounds_per_query": sched_report.amortized_rounds_per_query,
     }
-    sched_report = service.pool.acquire("default").scheduler.report()
-    out["amortized_rounds_per_query"] = (
-        sched_report.amortized_rounds_per_query
-    )
     if jsonl is not None:
         out["trace"] = {"path": jsonl, "records": validate_jsonl(jsonl)}
     return out

@@ -48,9 +48,8 @@ class TestValidation:
         assert FrameworkConfig(parallelism=1).engine_schedule == "active"
 
     def test_legacy_shim_does_not_accept_it(self, network, di):
-        # The flat pre-config signature is frozen; new knobs are
-        # config-only so the shim never grows.
-        with pytest.raises(TypeError, match="engine_schedule"):
+        # There is no flat signature: the knob is config-only.
+        with pytest.raises(TypeError, match="unexpected keyword"):
             run_framework(
                 network, algorithm, parallelism=2, dist_input=di,
                 engine_schedule="vectorized",

@@ -1,4 +1,4 @@
-"""FrameworkConfig: validation, shim↔config equivalence, cache tripwire."""
+"""FrameworkConfig: validation, flat-call rejection, cache tripwire."""
 
 import dataclasses
 
@@ -65,36 +65,11 @@ class TestConfigValidation:
 
 
 class TestShimEquivalence:
-    """The legacy flat signature must be a pure spelling of config=."""
-
-    @pytest.mark.parametrize("mode", ["formula", "engine"])
-    def test_bit_identical_results(self, network, di, mode):
-        canonical = run_framework(
-            network, algorithm, config=FrameworkConfig(
-                parallelism=2, dist_input=di, mode=mode, seed=9,
-            ),
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run_framework(
-                network, algorithm, parallelism=2, dist_input=di,
-                mode=mode, seed=9,
-            )
-        assert legacy.result == canonical.result
-        assert legacy.rounds.by_phase() == canonical.rounds.by_phase()
-        assert (
-            legacy.query_ledger.signature()
-            == canonical.query_ledger.signature()
-        )
-        assert legacy.leader == canonical.leader
-
-    def test_positional_legacy_args_accepted(self, network, di):
-        with pytest.warns(DeprecationWarning):
-            run = run_framework(network, algorithm, 2, di)
-        assert run.query_ledger.batches == 2
+    """The flat pre-config signature is gone: only config= is accepted."""
 
     def test_config_plus_legacy_rejected(self, network, di):
         cfg = FrameworkConfig(parallelism=2, dist_input=di)
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             run_framework(network, algorithm, parallelism=2, config=cfg)
 
     def test_no_arguments_rejected(self, network):
@@ -109,11 +84,11 @@ class TestShimEquivalence:
             )
 
     def test_duplicated_argument_rejected(self, network, di):
-        with pytest.raises(TypeError, match="multiple values"):
+        with pytest.raises(TypeError):
             run_framework(network, algorithm, 2, parallelism=2, dist_input=di)
 
     def test_missing_parallelism_rejected(self, network, di):
-        with pytest.raises(TypeError, match="parallelism"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             run_framework(network, algorithm, dist_input=di)
 
 

@@ -1,4 +1,4 @@
-"""Operation/OperationStream: validation, and legacy-shim equivalence."""
+"""Operation/OperationStream: validation, and positional-submit rejection."""
 
 import pytest
 
@@ -105,23 +105,14 @@ class TestOperationStream:
 
 
 class TestSchedulerShim:
-    """The legacy positional signature warns but stays equivalent."""
+    """The oracle lane takes an Operation and nothing else."""
 
     def make(self):
         return CoalescingScheduler(NET, CFG, memo=False)
 
-    def test_legacy_submit_warns_and_matches(self):
-        canonical = self.make()
-        t1 = canonical.submit(Operation.query("a", [0, 3, 5], label="x"))
-        canonical.drain()
-
-        legacy = self.make()
-        with pytest.warns(DeprecationWarning):
-            t2 = legacy.submit("a", [0, 3, 5], label="x")
-        legacy.drain()
-
-        assert canonical.result(t1) == legacy.result(t2)
-        assert t2.caller == "a"
+    def test_positional_submit_rejected(self):
+        with pytest.raises(TypeError):
+            self.make().submit("a", [0, 3, 5], label="x")
 
     def test_operation_plus_indices_is_an_error(self):
         sched = self.make()
@@ -140,7 +131,7 @@ class TestSchedulerShim:
 
 
 class TestDaemonShim:
-    def test_legacy_submit_warns_and_matches(self):
+    def test_positional_submit_rejected(self):
         import asyncio
 
         async def drive():
@@ -149,12 +140,10 @@ class TestDaemonShim:
                 flush_after_ms=1.0,
             )
             service.add_profile(NET, CFG)
+            with pytest.raises(TypeError):
+                service.submit("t", [1, 2])
             canonical = await service.submit(Operation.query("t", [1, 2]))
-            with pytest.warns(DeprecationWarning):
-                legacy_fut = service.submit("t", [1, 2])
-            legacy = await legacy_fut
             await service.drain()
-            return canonical, legacy
+            return canonical
 
-        canonical, legacy = asyncio.run(drive())
-        assert canonical.values == legacy.values
+        assert len(asyncio.run(drive()).values) == 2

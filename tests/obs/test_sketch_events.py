@@ -83,7 +83,7 @@ class TestMetricsSink:
                           memo="invalidate")
         )
         assert sink.memo_invalidations == 5
-        assert sink.memo_misses == 0
+        assert sink.coalesced_batches == 0
         assert sink.memo_evictions == 0
 
     def test_merge_sums_sketch_counters(self):

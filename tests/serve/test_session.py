@@ -47,3 +47,13 @@ def test_memo_off_session_reports_no_hits():
     assert out["metrics"]["memo"]["hits"] == 0
     assert out["metrics"]["memo"]["evictions"] == 0
     assert out["load"]["completed"] == 30
+
+
+def test_memo_block_counts_lookups_not_batches():
+    # Every submission looks the memo up once, so hits plus misses is the
+    # lane's submission count; a miss is not a physical batch.
+    out = run_serve_session(clients=300, tenants=4, seed=3)
+    memo = out["metrics"]["memo"]
+    lane = out["service"]["lanes"]["default"]["report"]
+    assert memo["hits"] + memo["misses"] == lane["submissions"] == 300
+    assert memo["misses"] > lane["physical_batches"]

@@ -36,4 +36,4 @@ class TestCriteria:
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
-            verify_experiment("E99")
+            verify_experiment(RunRequest(experiments=("E99",)))

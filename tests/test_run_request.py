@@ -1,4 +1,4 @@
-"""RunRequest: validation, target resolution, and runner shim equivalence."""
+"""RunRequest: validation, target resolution, and flat-call rejection."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import (
     RunRequest,
     run_experiment,
+    run_instrumented,
     verify_all,
     verify_experiment,
     verify_sweep,
@@ -54,36 +55,20 @@ class TestValidation:
             RunRequest(experiments=("E15", "E17")).single_target()
 
 
-class TestShimEquivalence:
-    """The legacy flat runner signatures must match RunRequest verbatim."""
+class TestFlatCallsRejected:
+    """Every entry point takes one RunRequest; a flat call is a TypeError."""
 
-    def test_verify_experiment_shim(self):
-        canonical = verify_experiment(RunRequest(experiments=("E15",)))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = verify_experiment("E15", quick=True, seed=0)
-        assert legacy == canonical
+    @pytest.mark.parametrize(
+        "entry", [run_experiment, run_instrumented, verify_experiment],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_flat_id_rejected(self, entry):
+        with pytest.raises(TypeError, match="takes a RunRequest"):
+            entry("E15")
 
-    def test_verify_all_shim(self):
-        canonical = verify_all(RunRequest(experiments=("E15", "E17")))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = verify_all(only=["E15", "E17"])
-        assert legacy == canonical
-
-    def test_run_experiment_shim(self):
-        canonical = run_experiment(RunRequest(experiments=("E15",)))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run_experiment("E15", quick=True, seed=0)
-        assert list(legacy) == list(canonical) == ["E15"]
-        assert type(legacy["E15"]) is type(canonical["E15"])
-
-    def test_request_plus_flat_params_rejected(self):
-        with pytest.raises(TypeError, match="ride on the RunRequest"):
-            run_experiment(RunRequest(experiments=("E15",)), quick=False)
-
-    def test_unknown_legacy_experiment_rejected(self):
-        # Validated against the registry before the shim warns.
-        with pytest.raises(KeyError):
-            verify_experiment("E99")
+    def test_verify_all_flat_keywords(self):
+        with pytest.raises(TypeError):
+            verify_all(quick=True, only=["E15"])
 
 
 class TestVerifySweep:
