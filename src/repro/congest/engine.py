@@ -12,25 +12,28 @@ reported ``rounds`` is the index of the last round in which any message was
 in flight or any program executed.
 
 Three scheduling strategies produce *identical* results (rounds, outputs,
-traffic statistics — the determinism property tests pin this down):
+traffic statistics — the determinism property tests pin this down, and
+``tests/congest/reference_loop.py`` keeps the textbook loop they are held
+to):
 
-* ``"dense"`` — the textbook loop: every non-halted node executes every
-  round, even with an empty inbox.
+* ``"active"`` (default) — a node executes a round only when it has
+  deliveries, sent messages in its previous executed round (it may be
+  mid-stream), has a due :meth:`~repro.congest.program.Context.
+  request_wakeup`, or is in the always-awake set: its program declares
+  :attr:`~repro.congest.program.NodeProgram.always_active`.  Programs
+  whose ``on_round`` is a pure no-op on silent rounds opt out by setting
+  ``always_active = False``; everything else runs every round
+  automatically.  On flooding/pipelining workloads where most nodes are
+  silent most rounds this removes the per-round O(n) scan entirely.
+* ``"dense"`` — every live node executes every round, in program order,
+  even with an empty inbox: the same per-node loop with every node in the
+  always-awake set, so the run list is that set and a round stays O(n).
 * ``"vectorized"`` — the bulk loop: for audited structured program
   families (BFS, multi-source BFS, the pipelined tree transfers) whole
   rounds execute as numpy array operations over a CSR adjacency
   (:mod:`repro.congest.vectorized`), removing per-node Python dispatch
-  entirely; anything unsupported transparently falls back to the active
-  loop, and fault-armed engine subclasses veto the bypass.
-* ``"active"`` (default) — the hot-path loop: a node executes a round only
-  when it has deliveries, sent messages in its previous executed round
-  (it may be mid-stream), has a due :meth:`~repro.congest.program.Context.
-  request_wakeup`, or its program declares
-  :attr:`~repro.congest.program.NodeProgram.always_active`.  Programs whose
-  ``on_round`` is a pure no-op on silent rounds opt in by setting
-  ``always_active = False``; everything else keeps dense semantics
-  automatically.  On flooding/pipelining workloads where most nodes are
-  silent most rounds this removes the per-round O(n) scan entirely.
+  entirely; anything unsupported, and any engine with a fault channel,
+  transparently falls back to the per-node loop.
 
 Round accounting and CONGEST semantics are unchanged by the scheduler: a
 skipped node is exactly a node whose execution would have been a no-op.
@@ -45,6 +48,13 @@ is structural, and the hypothesis pinning in
 stepper is what lets one event loop interleave many in-flight executions
 (the :mod:`repro.serve` daemon) and is the seam for live tracing and
 cooperative timeouts.
+
+Faults are not a variant of the loop but an object it calls: an engine
+with a fault channel (:class:`repro.faults.FaultyEngine` sets one) hands
+every round's in-flight messages to the channel, which may drop, corrupt
+or hold them back, and skips the nodes the channel reports down.  Without
+one the loop pays a single ``is not None`` check per round and per
+executed node.
 """
 
 from __future__ import annotations
@@ -195,16 +205,17 @@ class Engine:
         #: Number of halted nodes, so :meth:`_all_halted` is O(1) instead
         #: of an O(n) per-round scan.
         self._halted_count = 0
-        #: Dense-loop execution order of each node; the active scheduler
-        #: sorts its candidate set by this so message ordering (and hence
-        #: results) match the dense loop exactly.
+        #: Program order of each node; the active scheduler sorts its
+        #: candidate set by this so message ordering (and hence results)
+        #: match running every node every round exactly.
         self._order: Dict[int, int] = {v: i for i, v in enumerate(programs)}
-        #: Insertion-ordered set of non-halted nodes whose programs demand
-        #: execution every round (``always_active``); pruned on halt.
+        #: Insertion-ordered set of non-halted nodes that execute every
+        #: round: those whose programs are ``always_active``, or every node
+        #: under ``"dense"``; pruned on halt.
         self._always_on: Dict[int, None] = {
             v: None
             for v, p in programs.items()
-            if getattr(p, "always_active", True)
+            if schedule == "dense" or getattr(p, "always_active", True)
         }
         #: Communication-model seam, cached once: the token stamped on
         #: round events ("" for the default CONGEST model, so default
@@ -222,14 +233,20 @@ class Engine:
         self._inbox_touched: List[int] = []
         #: Re-entrancy latch: True while a :meth:`steps` generator is live.
         self._running = False
+        #: The finished run's result; a later :meth:`steps` returns it
+        #: without executing anything.
+        self._result: Optional[RunResult] = None
+        #: The fault channel messages and nodes pass through, or None for
+        #: a perfect network (see :class:`repro.faults.FaultyEngine`).
+        self._channel = None
         #: Rounds executed on the vectorized fast path (0 unless
         #: ``schedule="vectorized"`` actually engaged; surfaced through
         #: the obs spine as the ``vectorized_rounds`` metric).
         self.vectorized_rounds = 0
         #: Why a vectorized run fell back to the per-node path (None
         #: when it did not): a program-mix reason from
-        #: :func:`repro.congest.vectorized.build_vectorized` or the
-        #: engine-subclass veto from :meth:`_vectorized_ok`.
+        #: :func:`repro.congest.vectorized.build_vectorized`, the model's,
+        #: or ``"fault-channel"``.
         self.vectorized_fallback: Optional[str] = None
 
     @property
@@ -263,117 +280,52 @@ class Engine:
         the round number just completed; the generator's ``return`` value
         (``StopIteration.value``) is the :class:`RunResult`.  Contexts
         mutate as rounds execute, so a second generator may only be
-        created once the first has finished (re-running a *completed*
-        engine remains the historical no-op); interleaving two live
-        generators over one engine would corrupt the round state and is
-        rejected.
+        created once the first has finished; it then returns the finished
+        result without executing a round or emitting an event.
+        Interleaving two live generators over one engine would corrupt the
+        round state and is rejected.
         """
         if self._running:
             raise RuntimeError(
                 "engine already mid-run; build a fresh Engine per execution"
             )
         self._running = True
-        if self.schedule == "dense":
-            return self._finishing(self._dense_steps())
-        if self.schedule == "vectorized":
-            return self._finishing(self._vectorized_steps())
-        return self._finishing(self._active_steps())
+        return self._finishing()
 
-    def _finishing(self, gen: Iterator[int]) -> Iterator[int]:
-        """Clear the re-entrancy latch when a round generator completes."""
-        result = yield from gen
+    def _finishing(self) -> Iterator[int]:
+        """Run the round loop once, keep its result, clear the latch."""
+        if self._result is None:
+            if self.schedule == "vectorized":
+                self._result = yield from self._vectorized_steps()
+            else:
+                self._result = yield from self._node_steps()
         self._running = False
-        return result
+        return self._result
 
     def stepper(self) -> "EngineStepper":
         """A re-entrant handle that advances this engine one round at a time."""
         return EngineStepper(self)
 
     # ------------------------------------------------------------------
-    # dense loop (reference semantics)
+    # per-node loop
     # ------------------------------------------------------------------
 
-    def _dense_steps(self) -> Iterator[int]:
-        """The reference loop: every non-halted node runs every round."""
-        stats = TrafficStats()
-        in_flight: List[Message] = []
+    def _node_steps(self) -> Iterator[int]:
+        """The per-node loop: execute only nodes that can make progress.
 
-        # Round 0: local initialization, no communication charged.
-        for v, program in self.programs.items():
-            ctx = self.contexts[v]
-            program.on_start(ctx)
-            if ctx.halted:
-                self._note_halt(v)
-            in_flight.extend(ctx._drain_outbox(0))
-
-        rounds = 0
-        while True:
-            if (
-                not in_flight
-                and not self._channel_pending()
-                and (self._all_halted() or self.stop_on_quiescence)
-            ):
-                break
-            if rounds >= self.max_rounds:
-                raise RoundLimitExceeded(self.max_rounds)
-            rounds += 1
-            self._begin_round(rounds)
-
-            delivered = self._transmit(in_flight, rounds)
-            self._canonicalize(delivered)
-            inboxes: Dict[int, List[Message]] = {}
-            bits = 0
-            for msg in delivered:
-                inboxes.setdefault(msg.dst, []).append(msg)
-                bits += msg.bits
-                self._on_deliver(msg, rounds)
-            if self._router is not None:
-                bits += self._router.extra_bits(delivered)
-            stats.record_round(len(delivered), bits)
-            if self._recording:
-                self.recorder.round(
-                    rounds, len(delivered), bits, model=self._model_token
-                )
-            in_flight = []
-
-            for v, program in self.programs.items():
-                ctx = self.contexts[v]
-                if ctx.halted:
-                    # Messages to halted nodes are dropped; well-formed
-                    # algorithms never rely on them.
-                    continue
-                if not self._node_active(v, rounds):
-                    # A crashed node neither executes nor receives; its
-                    # inbox for this round is lost.
-                    continue
-                ctx.round = rounds
-                program.on_round(ctx, Inbox(inboxes.get(v)))
-                if ctx.halted:
-                    self._note_halt(v)
-                in_flight.extend(ctx._drain_outbox(rounds))
-            yield rounds
-
-        outputs = {v: self.contexts[v].output for v in self.network.nodes()}
-        return RunResult(rounds=rounds, outputs=outputs, stats=stats)
-
-    # ------------------------------------------------------------------
-    # active-set loop (hot path)
-    # ------------------------------------------------------------------
-
-    def _active_steps(self) -> Iterator[int]:
-        """The hot-path loop: execute only nodes that can make progress.
-
-        A node executes in round r iff at least one of:
+        A node executes in round r iff it is live (not halted, not down in
+        the fault channel) and at least one of:
 
         * a message was delivered to it at the start of round r,
         * it sent messages in the previous round it executed (streaming
           programs keep pushing until their queues drain),
         * it requested a wakeup for a round <= r,
-        * its program is ``always_active`` (the conservative default).
+        * it is in the always-awake set (its program is ``always_active``,
+          the conservative default, or the schedule is ``"dense"``).
 
-        Nodes run in dense-loop order, so the in-flight message order —
-        and therefore every downstream observation — is bit-identical to
-        :meth:`_run_dense`.
+        Nodes run in program order, so the in-flight message order — and
+        therefore every downstream observation — is bit-identical to
+        running every node every round.
         """
         stats = TrafficStats()
         in_flight: List[Message] = []
@@ -383,6 +335,10 @@ class Engine:
         always_on = self._always_on
         inbox_buf = self._inbox_buf
         touched = self._inbox_touched
+        channel = self._channel
+        # Under "dense" the always-awake set already holds every live node
+        # in program order, so it is the run list as it stands.
+        sparse = self.schedule != "dense"
         #: nodes that sent last round ("pending sends" — may be mid-stream)
         carry: set = set()
         #: (due_round, node) min-heap of requested wakeups
@@ -406,14 +362,13 @@ class Engine:
         while True:
             if (
                 not in_flight
-                and not self._channel_pending()
+                and (channel is None or not channel.pending())
                 and (self._all_halted() or self.stop_on_quiescence)
             ):
                 break
             if rounds >= self.max_rounds:
                 raise RoundLimitExceeded(self.max_rounds)
             rounds += 1
-            self._begin_round(rounds)
 
             # Reset the inbox buffer from the previous round (clear only
             # the touched lists; the dict itself persists).
@@ -421,7 +376,10 @@ class Engine:
                 inbox_buf[v].clear()
             touched.clear()
 
-            delivered = self._transmit(in_flight, rounds)
+            delivered = in_flight
+            if channel is not None:
+                channel.begin_round(rounds)
+                delivered = channel.transmit(in_flight, rounds)
             self._canonicalize(delivered)
             bits = 0
             for msg in delivered:
@@ -443,11 +401,11 @@ class Engine:
                 )
             in_flight = []
 
-            # Build this round's execution set in dense-loop order.
+            # Build this round's execution set in program order.
             due: List[int] = []
             while wake_heap and wake_heap[0][0] <= rounds:
                 due.append(heapq.heappop(wake_heap)[1])
-            if carry or due or len(touched) > 0:
+            if sparse and (carry or due or touched):
                 cand = set(touched)
                 cand.update(carry)
                 cand.update(due)
@@ -463,7 +421,7 @@ class Engine:
                     # Messages to halted nodes are dropped; well-formed
                     # algorithms never rely on them.
                     continue
-                if not self._node_active(v, rounds):
+                if channel is not None and channel.is_down(v, rounds):
                     # A crashed node neither executes nor receives; its
                     # inbox for this round is lost.
                     continue
@@ -492,13 +450,12 @@ class Engine:
     def _vectorized_steps(self) -> Iterator[int]:
         """Whole-network rounds as array ops (see :mod:`.vectorized`).
 
-        Engages only when (a) this engine's fault/observation seam hooks
-        are the perfect-network base implementations (a fault-armed
-        subclass must see every message individually) and (b) the
+        Engages only when (a) the engine has no fault channel (the channel
+        must see every message and node individually) and (b) the
         program dict is an audited homogeneous family with a bulk port.
-        Anything else silently falls back to the active-set loop,
-        recording the reason on :attr:`vectorized_fallback` — results
-        are bit-identical either way, only wall time differs.
+        Anything else silently falls back to the per-node loop, recording
+        the reason on :attr:`vectorized_fallback` — results are
+        bit-identical either way, only wall time differs.
         """
         vp = None
         if not self.network.model.csr_port:
@@ -509,8 +466,8 @@ class Engine:
             self.vectorized_fallback = (
                 f"model-{self.network.model.name}-lacks-csr-port"
             )
-        elif not self._vectorized_ok():
-            self.vectorized_fallback = "engine-overrides-round-hooks"
+        elif self._channel is not None:
+            self.vectorized_fallback = "fault-channel"
         else:
             from .vectorized import build_vectorized
 
@@ -518,7 +475,7 @@ class Engine:
             if vp is None:
                 self.vectorized_fallback = reason
         if vp is None:
-            result = yield from self._active_steps()
+            result = yield from self._node_steps()
             return result
 
         stats = TrafficStats()
@@ -544,7 +501,6 @@ class Engine:
             if rounds >= self.max_rounds:
                 raise RoundLimitExceeded(self.max_rounds)
             rounds += 1
-            self._begin_round(rounds)
 
             count = len(in_flight)
             bits = count * vp.bits_per_message
@@ -580,23 +536,6 @@ class Engine:
             rounds=rounds, outputs=vp.outputs(rounds), stats=stats
         )
 
-    def _vectorized_ok(self) -> bool:
-        """Whether the fast path may bypass the per-message seam hooks.
-
-        True only when every fault/observation hook is the base
-        perfect-network implementation; :class:`repro.faults.
-        FaultyEngine` (or any subclass customizing the seam) fails this
-        identity check and takes the per-node fallback automatically.
-        """
-        cls = type(self)
-        return (
-            cls._begin_round is Engine._begin_round
-            and cls._transmit is Engine._transmit
-            and cls._channel_pending is Engine._channel_pending
-            and cls._node_active is Engine._node_active
-            and cls._on_deliver is Engine._on_deliver
-        )
-
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
@@ -607,8 +546,8 @@ class Engine:
         Senders already appear in program order (each node's sends are
         appended as it executes); the stable sort additionally orders
         each sender's block by destination, which is the order the
-        vectorized loop produces natively.  Applied *after*
-        :meth:`_transmit` so fault models consume their per-message
+        vectorized loop produces natively.  Applied *after* the fault
+        channel's ``transmit`` so fault models consume their per-message
         randomness in unsorted send order (streams stay compatible),
         and stably, so a delayed message released this round still lands
         ahead of a fresh same-edge one.  Per-node inbox contents are
@@ -629,39 +568,17 @@ class Engine:
         # network.n, not len(self.contexts): every node has a program
         # (validated at construction), and touching ``contexts`` here
         # would force the lazy per-node build the vectorized path avoids.
-        return self._halted_count >= self.network.n
+        if self._halted_count >= self.network.n:
+            return True
+        # Crash-stopped nodes never halt on their own; the channel counts
+        # them as (involuntarily) finished.
+        return self._channel is not None and self._channel.crash_stopped(
+            self.contexts
+        )
 
     # ------------------------------------------------------------------
-    # fault-injection / observation seam
+    # observation seam
     # ------------------------------------------------------------------
-    # The base implementations describe a perfect synchronous network:
-    # every message sent in round r is delivered at the start of round
-    # r+1 and every node executes every round.  Traffic observation goes
-    # through the recorder (:mod:`repro.obs`) — :class:`~repro.congest.
-    # tracing.TracingEngine` is just an engine with a Trace-building sink
-    # attached.  Subclasses override these hooks to inject channel and
-    # node faults (:class:`repro.faults.FaultyEngine`) without touching
-    # the round loop, so every existing NodeProgram runs unmodified
-    # under faults.
-
-    def _begin_round(self, round_no: int) -> None:
-        """Hook called at the top of every communication round."""
-
-    def _transmit(self, messages: List[Message], round_no: int) -> List[Message]:
-        """The channel: decide which in-flight messages arrive this round.
-
-        May drop, corrupt, or hold back messages; held messages must be
-        reported via :meth:`_channel_pending` until released.
-        """
-        return messages
-
-    def _channel_pending(self) -> bool:
-        """Whether the channel still holds undelivered (delayed) messages."""
-        return False
-
-    def _node_active(self, v: int, round_no: int) -> bool:
-        """Whether node ``v`` executes this round (``False`` = crashed)."""
-        return True
 
     def _on_deliver(self, msg: Message, round_no: int) -> None:
         """Observation hook invoked for every delivered message.

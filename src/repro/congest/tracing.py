@@ -1,7 +1,7 @@
 """Execution tracing for the CONGEST engine.
 
 Production distributed systems ship with observability; this module adds
-it to the simulator.  A :class:`TracingEngine` records every message as a
+it to the simulator.  A :class:`Trace` holds every message of a run as a
 :class:`TraceEvent` and can render a per-edge timeline — which is also the
 clearest way to *see* the paper's pipelining arguments (Lemma 7, Theorem 8):
 chunks marching down a path one round apart instead of in D-round waves.
@@ -11,12 +11,11 @@ record drops, corruptions, delays, crashes, and recoveries as first-class
 trace events next to ordinary deliveries; timelines mark them with
 distinct symbols so a lossy run's retransmissions are visible at a glance.
 
-Since the observability spine (:mod:`repro.obs`) landed, tracing is a
-*sink*: the engine emits ``deliver``/``fault`` events on its recorder and
+Tracing is a *sink* on the observability spine (:mod:`repro.obs`): the
+engine emits ``deliver``/``fault`` events on its recorder and
 :class:`TraceSink` rebuilds the :class:`Trace` from them.
-:class:`TracingEngine` is a thin shim — an :class:`~repro.congest.engine.
-Engine` constructed with a :class:`TraceSink` attached — kept for its
-established API.
+:func:`traced_recorder` attaches one to a fork of a recorder, which is how
+:func:`run_traced` and :class:`repro.faults.FaultyEngine` trace a run.
 """
 
 from __future__ import annotations
@@ -160,9 +159,9 @@ class TraceSink(Sink):
     """Rebuilds a :class:`Trace` from spine ``deliver``/``fault`` events.
 
     The in-memory Trace-compatible sink: attach it to any recorder and
-    every engine delivery and injected fault lands in ``self.trace``
-    exactly as :class:`TracingEngine` has always recorded them.  Other
-    event kinds (rounds, query batches, charges, spans) are ignored.
+    every engine delivery and injected fault lands in ``self.trace``, in
+    emission order.  Other event kinds (rounds, query batches, charges,
+    spans) are ignored.
     """
 
     def __init__(self, trace: Optional[Trace] = None):
@@ -193,22 +192,18 @@ class TraceSink(Sink):
             )
 
 
-class TracingEngine(Engine):
-    """An :class:`Engine` that records every delivered message.
+def traced_recorder(
+    recorder: Optional[Recorder] = None,
+) -> Tuple[Recorder, Trace]:
+    """Fork ``recorder`` (default: the ambient one) with a :class:`TraceSink`.
 
-    A thin shim over the observability spine: construction attaches a
-    :class:`TraceSink` to the engine's recorder (forking the passed or
-    ambient recorder so any other installed sinks keep receiving events),
-    and ``self.trace`` is that sink's trace.
-    :class:`repro.faults.FaultyEngine` extends this class; its fault
-    events flow through the same bus into the same trace.
+    The fork feeds every sink of the given recorder as well, so installed
+    sinks keep receiving events; the returned :class:`Trace` fills as an
+    engine built on the fork runs.
     """
-
-    def __init__(self, *args, recorder: Optional[Recorder] = None, **kwargs):
-        base = recorder if recorder is not None else current_recorder()
-        sink = TraceSink()
-        super().__init__(*args, recorder=base.fork(sink), **kwargs)
-        self.trace = sink.trace
+    base = recorder if recorder is not None else current_recorder()
+    sink = TraceSink()
+    return base.fork(sink), sink.trace
 
 
 def run_traced(
@@ -220,13 +215,13 @@ def run_traced(
     recorder: Optional[Recorder] = None,
 ) -> Tuple[RunResult, Trace]:
     """Run programs under tracing; return (result, trace)."""
-    engine = TracingEngine(
+    traced, trace = traced_recorder(recorder)
+    engine = Engine(
         network,
         programs,
         seed=seed,
         max_rounds=max_rounds,
         stop_on_quiescence=stop_on_quiescence,
-        recorder=recorder,
+        recorder=traced,
     )
-    result = engine.run()
-    return result, engine.trace
+    return engine.run(), trace

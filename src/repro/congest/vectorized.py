@@ -24,10 +24,10 @@ per-node programs.
 
 Only audited program families vectorize; :func:`build_vectorized` returns
 ``(None, reason)`` for anything else and the engine silently falls back
-to the active-set loop, recording the reason.  Mixed program dicts, tree
-transfers with unregistered combine callables, and fault-armed engines
-(:class:`repro.faults.FaultyEngine` vetoes via ``_vectorized_ok``) all
-take the fallback.
+to the per-node loop, recording the reason.  Mixed program dicts, tree
+transfers with unregistered combine callables, and engines with a fault
+channel (:class:`repro.faults.FaultyEngine`; reason ``"fault-channel"``)
+all take the fallback.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """The fault-injecting CONGEST engine.
 
-:class:`FaultyEngine` extends the tracing engine through the fault seam
-declared on :class:`repro.congest.engine.Engine`, so every existing
-:class:`~repro.congest.program.NodeProgram` runs unmodified under
-channel faults (drop / burst / corruption / delay) and node faults
-(crash-stop / crash-recovery).  Fault events are emitted on the engine's
-recorder (:mod:`repro.obs`) — the same bus deliveries ride — so they land
-in the run's :class:`~repro.congest.tracing.Trace` as first-class events
-(timelines show drops and retries next to ordinary deliveries) *and* in
-any other sink the ambient recorder carries (JSONL, metrics).
+:class:`FaultyEngine` is an :class:`~repro.congest.engine.Engine` with a
+fault channel attached: every round, the engine's per-node loop hands
+the in-flight messages to the channel, which applies channel faults
+(drop / burst / corruption / delay) and node faults (crash-stop /
+crash-recovery), so every existing
+:class:`~repro.congest.program.NodeProgram` runs unmodified under them.
+Fault events are emitted on the engine's recorder (:mod:`repro.obs`) —
+the same bus deliveries ride — so they land in the run's
+:class:`~repro.congest.tracing.Trace` as first-class events (timelines
+show drops and retries next to ordinary deliveries) *and* in any other
+sink the ambient recorder carries (JSONL, metrics).
 
 With the default :class:`~repro.faults.models.NoFaults` channel and no
 crash schedule, a run is byte-for-byte identical (rounds, outputs,
@@ -23,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..congest.engine import RunResult
+from ..congest.engine import Engine, RunResult
 from ..congest.messages import Message
 from ..congest.network import Network
 from ..congest.program import NodeProgram
@@ -35,8 +37,9 @@ from ..congest.tracing import (
     DROP,
     RECOVER,
     Trace,
-    TracingEngine,
+    traced_recorder,
 )
+from ..obs.recorder import Recorder
 from .crash import CrashSchedule
 from .models import ChannelFaultModel, NoFaults
 
@@ -45,8 +48,15 @@ __all__ = ["FaultStats", "FaultyEngine", "run_with_faults"]
 
 @dataclass
 class FaultStats:
-    """Aggregate fault counters for one run."""
+    """Aggregate fault counters for one run.
 
+    Every message handed to the channel is counted once in ``attempted``
+    and, once a run has finished, once in exactly one of ``delivered``
+    (corrupted ones included), ``dropped`` or ``lost_to_down_nodes``;
+    ``delayed`` counts the hold-ups on the way.
+    """
+
+    attempted: int = 0
     delivered: int = 0
     dropped: int = 0
     corrupted: int = 0
@@ -56,11 +66,6 @@ class FaultStats:
     lost_to_down_nodes: int = 0
     per_round_drops: List[int] = field(default_factory=list)
 
-    @property
-    def attempted(self) -> int:
-        """Messages handed to the channel (delivered + dropped + delayed)."""
-        return self.delivered + self.dropped + self.delayed
-
     def loss_rate(self) -> float:
         """Observed fraction of attempted messages that were dropped."""
         if self.attempted == 0:
@@ -68,8 +73,123 @@ class FaultStats:
         return self.dropped / self.attempted
 
 
-class FaultyEngine(TracingEngine):
-    """A tracing engine with channel and node faults injected at the seam.
+class FaultChannel:
+    """The faulty network between two rounds of the engine's per-node loop.
+
+    Holds the channel fault model, the crash schedule and the run's
+    :class:`FaultStats`, and emits each fault on the recorder.  The
+    engine calls it at fixed points of every round: :meth:`begin_round`
+    and :meth:`transmit` before deliveries, :meth:`is_down` for each node
+    it would execute, and :meth:`pending` and :meth:`crash_stopped` in its
+    termination test.
+    """
+
+    def __init__(
+        self,
+        fault_model: ChannelFaultModel,
+        crash_schedule: Optional[CrashSchedule],
+        recorder: Recorder,
+    ):
+        self.fault_model = fault_model
+        self.crash_schedule = crash_schedule
+        self.recorder = recorder
+        self.stats = FaultStats()
+        self._round = 0
+
+    def begin_round(self, round_no: int) -> None:
+        """Advance the model's clock and apply this round's crashes/recoveries."""
+        self._round = round_no
+        self.fault_model.on_round(round_no)
+        if self.crash_schedule is None:
+            return
+        for node, kind in self.crash_schedule.transitions(round_no):
+            if kind == "crash":
+                self.stats.crashes += 1
+                event_kind = CRASH
+            else:
+                self.stats.recoveries += 1
+                event_kind = RECOVER
+            self.recorder.fault(event_kind, round_no, node, node)
+
+    def transmit(
+        self, messages: List[Message], round_no: int
+    ) -> List[Message]:
+        """The messages that arrive this round out of ``messages`` sent last round.
+
+        May drop, corrupt or hold back each message; held messages stay
+        reported by :meth:`pending` until released into a later round.
+        """
+        stats = self.stats
+        stats.attempted += len(messages)
+        delivered: List[Message] = list(self.fault_model.release(round_no))
+        drops_this_round = 0
+        for msg in messages:
+            verdict, replacement = self.fault_model.apply(msg, round_no)
+            if verdict == DELIVER:
+                delivered.append(msg)
+            elif verdict == CORRUPT:
+                stats.corrupted += 1
+                self._record_fault(CORRUPT, msg, round_no)
+                delivered.append(replacement)
+            elif verdict == DROP:
+                stats.dropped += 1
+                drops_this_round += 1
+                self._record_fault(DROP, msg, round_no)
+            elif verdict == DELAY:
+                stats.delayed += 1
+                self._record_fault(DELAY, msg, round_no)
+            else:  # pragma: no cover - defensive
+                raise ValueError(f"unknown fault verdict {verdict!r}")
+        stats.per_round_drops.append(drops_this_round)
+        # Messages addressed to a currently-down node are lost in transit.
+        if self.crash_schedule is not None:
+            kept: List[Message] = []
+            for msg in delivered:
+                if self.crash_schedule.is_down(msg.dst, round_no):
+                    stats.lost_to_down_nodes += 1
+                    self._record_fault(DROP, msg, round_no)
+                else:
+                    kept.append(msg)
+            delivered = kept
+        stats.delivered += len(delivered)
+        return delivered
+
+    def pending(self) -> bool:
+        """Whether the channel still holds undelivered (delayed) messages."""
+        return self.fault_model.pending()
+
+    def is_down(self, v: int, round_no: int) -> bool:
+        """Whether node ``v`` is crashed (neither executes nor receives)."""
+        return self.crash_schedule is not None and self.crash_schedule.is_down(
+            v, round_no
+        )
+
+    def crash_stopped(self, contexts) -> bool:
+        """Whether every node has halted or crash-stopped by now.
+
+        Crash-stopped nodes never halt on their own; without this a
+        single crash-stop fault would hang every run at the round limit.
+        """
+        if self.crash_schedule is None:
+            return False
+        return all(
+            ctx.halted or self.crash_schedule.is_forever_down(v, self._round)
+            for v, ctx in contexts.items()
+        )
+
+    def _record_fault(self, kind: str, msg: Message, round_no: int) -> None:
+        """Emit one channel-fault event on the spine (lands in the trace)."""
+        self.recorder.fault(kind, round_no, msg.src, msg.dst, msg.bits, msg.value)
+
+
+class FaultyEngine(Engine):
+    """An engine whose messages and nodes pass through a fault channel.
+
+    Its run is traced: ``self.trace`` fills from a :class:`~repro.congest.
+    tracing.TraceSink` on a fork of the passed or ambient recorder, and
+    ``self.fault_stats`` counts the injected faults.  A
+    ``schedule="vectorized"`` request falls back to the per-node loop
+    (reason ``"fault-channel"``), bit-identically.
 
     Args:
         network: the communication graph.
@@ -93,102 +213,14 @@ class FaultyEngine(TracingEngine):
         fault_seed: Optional[int] = None,
         **kwargs,
     ):
-        super().__init__(network, programs, **kwargs)
-        self.fault_model = fault_model or NoFaults()
-        self.crash_schedule = crash_schedule
+        recorder, self.trace = traced_recorder(kwargs.pop("recorder", None))
+        super().__init__(network, programs, recorder=recorder, **kwargs)
+        fault_model = fault_model or NoFaults()
         if fault_seed is None:
             fault_seed = kwargs.get("seed")
-        self.fault_model.bind(np.random.SeedSequence(fault_seed))
-        self.fault_stats = FaultStats()
-        self._current_round = 0
-
-    # -- seam overrides -------------------------------------------------
-
-    def _vectorized_ok(self) -> bool:
-        """Never bulk-execute: fault models and crash schedules consume
-        per-message randomness and per-node liveness through the seam
-        hooks, which the column-major fast path bypasses.  (The base
-        hook-identity check already fails for this class; this override
-        documents the veto explicitly and keeps it even if the seam
-        implementation details change.)  A ``schedule="vectorized"``
-        request falls back to the active-set loop, bit-identically."""
-        return False
-
-    def _begin_round(self, round_no: int) -> None:
-        self._current_round = round_no
-        self.fault_model.on_round(round_no)
-        if self.crash_schedule is None:
-            return
-        for node, kind in self.crash_schedule.transitions(round_no):
-            if kind == "crash":
-                self.fault_stats.crashes += 1
-                event_kind = CRASH
-            else:
-                self.fault_stats.recoveries += 1
-                event_kind = RECOVER
-            self.recorder.fault(event_kind, round_no, node, node)
-
-    def _transmit(
-        self, messages: List[Message], round_no: int
-    ) -> List[Message]:
-        delivered: List[Message] = list(self.fault_model.release(round_no))
-        drops_this_round = 0
-        for msg in messages:
-            verdict, replacement = self.fault_model.apply(msg, round_no)
-            if verdict == DELIVER:
-                delivered.append(msg)
-            elif verdict == CORRUPT:
-                self.fault_stats.corrupted += 1
-                self._record_fault(CORRUPT, msg, round_no)
-                delivered.append(replacement)
-            elif verdict == DROP:
-                self.fault_stats.dropped += 1
-                drops_this_round += 1
-                self._record_fault(DROP, msg, round_no)
-            elif verdict == DELAY:
-                self.fault_stats.delayed += 1
-                self._record_fault(DELAY, msg, round_no)
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown fault verdict {verdict!r}")
-        self.fault_stats.per_round_drops.append(drops_this_round)
-        # Messages addressed to a currently-down node are lost in transit.
-        if self.crash_schedule is not None:
-            kept: List[Message] = []
-            for msg in delivered:
-                if self.crash_schedule.is_down(msg.dst, round_no):
-                    self.fault_stats.lost_to_down_nodes += 1
-                    self._record_fault(DROP, msg, round_no)
-                else:
-                    kept.append(msg)
-            delivered = kept
-        self.fault_stats.delivered += len(delivered)
-        return delivered
-
-    def _channel_pending(self) -> bool:
-        return self.fault_model.pending()
-
-    def _node_active(self, v: int, round_no: int) -> bool:
-        if self.crash_schedule is None:
-            return True
-        return not self.crash_schedule.is_down(v, round_no)
-
-    def _all_halted(self) -> bool:
-        # Crash-stopped nodes will never halt on their own; without this,
-        # a single crash-stop fault would hang every run at the round
-        # limit.  They count as (involuntarily) finished.
-        if self.crash_schedule is None:
-            return super()._all_halted()
-        return all(
-            ctx.halted
-            or self.crash_schedule.is_forever_down(v, self._current_round)
-            for v, ctx in self.contexts.items()
-        )
-
-    # -- helpers --------------------------------------------------------
-
-    def _record_fault(self, kind: str, msg: Message, round_no: int) -> None:
-        """Emit one channel-fault event on the spine (lands in the trace)."""
-        self.recorder.fault(kind, round_no, msg.src, msg.dst, msg.bits, msg.value)
+        fault_model.bind(np.random.SeedSequence(fault_seed))
+        self._channel = FaultChannel(fault_model, crash_schedule, self.recorder)
+        self.fault_stats = self._channel.stats
 
 
 def run_with_faults(

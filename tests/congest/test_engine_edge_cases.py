@@ -3,11 +3,13 @@
 import pytest
 
 from repro.congest import topologies
+from repro.congest.algorithms.bfs import BFSEchoProgram
 from repro.congest.encoding import Field
 from repro.congest.engine import Engine, run_program
 from repro.congest.errors import BandwidthExceeded
 from repro.congest.network import Network
 from repro.congest.program import IdleProgram, NodeProgram, make_programs
+from repro.obs import MemorySink, Recorder
 
 
 class TestHaltedNodes:
@@ -93,6 +95,20 @@ class TestEngineLifecycle:
         second = engine.run()
         assert first.rounds == 0
         assert second.rounds == 0
+
+    def test_rerun_of_finished_engine_executes_nothing(self):
+        net = topologies.path(5)
+        sink = MemorySink()
+        engine = Engine(
+            net, {v: BFSEchoProgram(v, 0) for v in net.nodes()}, seed=0,
+            recorder=Recorder([sink]),
+        )
+        first = engine.run()
+        assert (first.rounds, first.stats.messages) == (8, 8)
+        emitted = len(sink.events)
+        assert engine.run() is first
+        assert not engine.stepper().step()
+        assert len(sink.events) == emitted
 
     def test_make_programs_covers_all_nodes(self, path8):
         programs = make_programs(path8.n, lambda v: IdleProgram())

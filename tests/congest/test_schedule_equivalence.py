@@ -22,6 +22,8 @@ from repro.congest.engine import Engine, run_program
 from repro.congest.errors import RoundLimitExceeded
 from repro.faults import BernoulliLoss, BoundedDelay, FaultyEngine
 
+from .reference_loop import reference_run
+
 
 def _make_network(draw):
     kind = draw(st.sampled_from(["grid", "cycle", "regular", "star", "tree"]))
@@ -92,6 +94,22 @@ class TestScheduleEquivalence:
                             **kwargs)
         _assert_identical(active, dense)
 
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_schedules_match_reference_loop(self, data):
+        net = _make_network(data.draw)
+        family = data.draw(st.sampled_from(["bfs", "multibfs", "leader"]))
+        seed = data.draw(st.integers(0, 100))
+        make, kwargs = _make_program_factory(data.draw, net, family)
+        reference = reference_run(Engine(net, make(), seed=seed, **kwargs))
+        for schedule in ("active", "dense"):
+            result = run_program(net, make(), seed=seed, schedule=schedule,
+                                 **kwargs)
+            _assert_identical(result, reference)
+
     def test_unknown_schedule_rejected(self):
         net = topologies.cycle(4)
         with pytest.raises(ValueError, match="schedule"):
@@ -127,6 +145,28 @@ class TestSafetyDefault:
                              stop_on_quiescence=True)
         # Every node must have executed on_round exactly `rounds` times.
         assert {p.executions for p in progs.values()} == {result.rounds}
+
+
+class SkippableRoundCounter(RoundCounter):
+    """The same counter on a program that may skip silent rounds."""
+
+    always_active = False
+
+
+class TestDenseSchedule:
+    def test_dense_executes_idle_nodes_every_round(self):
+        net = topologies.path(6)
+        executions = {}
+        for schedule in ("dense", "active"):
+            progs = {v: SkippableRoundCounter(v) for v in net.nodes()}
+            result = run_program(net, progs, seed=0, schedule=schedule,
+                                 stop_on_quiescence=True)
+            assert result.rounds == 6
+            executions[schedule] = [progs[v].executions for v in net.nodes()]
+        assert executions == {
+            "dense": [6, 6, 6, 6, 6, 6],
+            "active": [6, 6, 5, 4, 3, 2],
+        }
 
 
 class TestFaultyEngineEquivalence:

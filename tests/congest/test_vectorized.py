@@ -233,7 +233,7 @@ class TestFallbacks:
             runs.append((engine, engine.run()))
         (_, res_a), (b, res_b) = runs
         _assert_identical(res_a, res_b)
-        assert b.vectorized_fallback == "engine-overrides-round-hooks"
+        assert b.vectorized_fallback == "fault-channel"
         assert b.vectorized_rounds == 0
 
 

@@ -1,9 +1,12 @@
 """Tests for the fault-injecting engine: identity, determinism, tracing."""
 
+import copy
+
 import pytest
 
 from repro.congest import topologies
 from repro.congest.algorithms.bfs import BFSEchoProgram
+from repro.congest.algorithms.leader import BoundedMaxIdFloodProgram
 from repro.congest.encoding import Field
 from repro.congest.engine import run_program
 from repro.congest.errors import RoundLimitExceeded
@@ -12,6 +15,7 @@ from repro.congest.tracing import CRASH, DROP, RECOVER
 from repro.faults import (
     BernoulliLoss,
     BitCorruption,
+    BoundedDelay,
     CrashSchedule,
     CrashSpec,
     FaultyEngine,
@@ -186,6 +190,67 @@ class TestFaultTracing:
         )
         assert 0.0 < stats.loss_rate() < 1.0
         assert sum(stats.per_round_drops) == stats.dropped
+
+    @pytest.mark.parametrize(
+        "make_model, crash_schedule, handed",
+        [
+            (lambda: BoundedDelay(0.3, max_delay=2), None, 233),
+            (
+                lambda: BernoulliLoss(0.2),
+                CrashSchedule([CrashSpec(7, 2, 6)]),
+                211,
+            ),
+        ],
+        ids=["delay", "loss-and-crash-recovery"],
+    )
+    def test_attempted_counts_messages_handed_to_channel(
+        self, grid45, make_model, crash_schedule, handed
+    ):
+        # A delayed message is handed over once (not again on release),
+        # and one lost to a down node was handed over too.
+        model = make_model()
+        apply = model.apply
+        calls = []
+
+        def counting_apply(msg, round_no):
+            calls.append(msg)
+            return apply(msg, round_no)
+
+        model.apply = counting_apply
+        engine = FaultyEngine(
+            grid45,
+            {v: BoundedMaxIdFloodProgram(v, horizon=20) for v in grid45.nodes()},
+            fault_model=model,
+            crash_schedule=crash_schedule,
+            seed=1,
+            fault_seed=2,
+        )
+        engine.run()
+        stats = engine.fault_stats
+        assert len(calls) == handed
+        assert stats.attempted == handed
+        assert handed == (
+            stats.delivered + stats.dropped + stats.lost_to_down_nodes
+        )
+        assert stats.loss_rate() == stats.dropped / handed
+
+
+class TestFinishedEngine:
+    def test_rerun_leaves_fault_stats_and_trace(self, grid45):
+        engine = FaultyEngine(
+            grid45,
+            {v: BoundedMaxIdFloodProgram(v, horizon=20) for v in grid45.nodes()},
+            fault_model=BernoulliLoss(0.2),
+            crash_schedule=CrashSchedule([CrashSpec(7, 2, 6)]),
+            seed=1,
+            fault_seed=2,
+        )
+        first = engine.run()
+        stats = copy.deepcopy(engine.fault_stats)
+        events = list(engine.trace.events)
+        assert engine.run() is first
+        assert engine.fault_stats == stats
+        assert engine.trace.events == events
 
 
 class TestCrashFaults:

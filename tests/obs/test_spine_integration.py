@@ -11,7 +11,7 @@ import pytest
 from repro.congest import topologies
 from repro.congest.algorithms.bfs import BFSEchoProgram
 from repro.congest.engine import Engine
-from repro.congest.tracing import TraceSink, TracingEngine
+from repro.congest.tracing import TraceSink, run_traced
 from repro.core.cost import RoundLedger
 from repro.core.framework import (
     DistributedInput,
@@ -92,18 +92,16 @@ class TestTracingShim:
         Engine(
             grid45, _bfs_programs(grid45), seed=4, recorder=Recorder([sink])
         ).run()
-        engine = TracingEngine(grid45, _bfs_programs(grid45), seed=4)
-        engine.run()
-        assert engine.trace.events == sink.trace.events
+        _, trace = run_traced(grid45, _bfs_programs(grid45), seed=4)
+        assert trace.events == sink.trace.events
 
     def test_tracing_engine_forwards_to_ambient_sinks(self, grid45):
         """The shim forks: ambient sinks keep seeing the engine's events."""
         ambient = MemorySink()
         with install(Recorder([ambient])):
-            engine = TracingEngine(grid45, _bfs_programs(grid45), seed=4)
-            engine.run()
+            _, trace = run_traced(grid45, _bfs_programs(grid45), seed=4)
         assert len(ambient.events_of_kind("deliver")) == len(
-            engine.trace.deliveries()
+            trace.deliveries()
         )
 
     def test_faulty_run_identical_under_null_recorder(self, grid45):
