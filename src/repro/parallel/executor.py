@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Dict, List, Optional
 
+from ..obs.recorder import NULL_RECORDER, install
+
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "Task",
@@ -95,9 +97,18 @@ def _mp_context():
 
 
 def _worker(conn, fn, kwargs) -> None:
-    """Child-process entry: run the task, ship one (status, payload) pair."""
+    """Child-process entry: run the task, ship one (status, payload) pair.
+
+    The task runs under the null recorder.  A forked child inherits the
+    parent's ambient recorder, whose file sinks share the parent's
+    buffers and file offsets: events a worker emitted there were either
+    lost with its buffer at exit or written into the parent's trace,
+    depending on how many it emitted.  Tasks that trace install their
+    own recorder (the parallel verify shards do).
+    """
     try:
-        result = fn(**kwargs)
+        with install(NULL_RECORDER):
+            result = fn(**kwargs)
         conn.send(("ok", result))
     except BaseException:
         conn.send(("err", traceback.format_exc()))

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.obs import JSONLSink, Recorder, current_recorder, install, validate_jsonl
 from repro.parallel import Task, TaskFailure, load_checkpoint, run_parallel
 
 
@@ -42,6 +43,14 @@ def _logged_fail_once(log, marker, key, value):
             pass
         raise RuntimeError("first attempt fails")
     return value
+
+
+def _chatty(events):
+    """Emits ``events`` round events on whatever recorder is ambient."""
+    rec = current_recorder()
+    for r in range(events):
+        rec.round(r + 1, 0, 0)
+    return events
 
 
 def _executions(log):
@@ -200,3 +209,21 @@ class TestCheckpointResume:
         assert run_parallel(
             tasks, jobs=1, checkpoint=ckpt, encode=encode, decode=decode
         ) == [42]
+
+
+class TestWorkerRecorder:
+    def test_worker_events_stay_out_of_the_parents_trace(self, tmp_path):
+        # A forked worker used to run under the parent's ambient recorder,
+        # whose file sink shares the parent's buffer and file offset: a
+        # worker emitting enough events to flush wrote them (and a second
+        # copy of the parent's header and earlier events) into the
+        # parent's trace.
+        path = str(tmp_path / "parent.jsonl")
+        sink = JSONLSink(path)
+        with install(Recorder([sink])) as rec:
+            for r in range(3):
+                rec.round(r + 1, 1, 8)
+            tasks = [Task(key="chatty", fn=_chatty, kwargs={"events": 5000})]
+            assert run_parallel(tasks, jobs=1) == [5000]
+        sink.close()
+        assert validate_jsonl(path) == {"meta": 1, "round": 3}
