@@ -204,6 +204,29 @@ def build_upcast_programs(
     }
 
 
+def build_downcast_programs(
+    network: Network,
+    tree: BFSResult,
+    values: Sequence[int],
+    domain: int,
+) -> Dict[int, DowncastProgram]:
+    """Instantiate one :class:`DowncastProgram` per node for a broadcast
+    of ``values`` from the tree root."""
+    children = tree.children()
+    length = len(values)
+    return {
+        v: DowncastProgram(
+            v,
+            tree.parent.get(v),
+            children.get(v, []),
+            list(values) if v == tree.root else None,
+            domain,
+            length,
+        )
+        for v in network.nodes()
+    }
+
+
 def upcast_steps(
     network: Network,
     tree: BFSResult,
@@ -266,19 +289,7 @@ def downcast_steps(
     ``schedule`` selects the engine's execution strategy (see
     :class:`~repro.congest.engine.Engine`).
     """
-    children = tree.children()
-    length = len(values)
-    programs = {
-        v: DowncastProgram(
-            v,
-            tree.parent.get(v),
-            children.get(v, []),
-            list(values) if v == tree.root else None,
-            domain,
-            length,
-        )
-        for v in network.nodes()
-    }
+    programs = build_downcast_programs(network, tree, values, domain)
     stepper = Engine(network, programs, seed=seed, schedule=schedule).stepper()
     while stepper.step():
         yield stepper.rounds

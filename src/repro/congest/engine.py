@@ -246,7 +246,7 @@ class Engine:
         #: Why a vectorized run fell back to the per-node path (None
         #: when it did not): a program-mix reason from
         #: :func:`repro.congest.vectorized.build_vectorized`, the model's,
-        #: or ``"fault-channel"``.
+        #: ``"fault-channel"`` or ``"message-exceeds-bandwidth"``.
         self.vectorized_fallback: Optional[str] = None
 
     @property
@@ -451,29 +451,31 @@ class Engine:
         """Whole-network rounds as array ops (see :mod:`.vectorized`).
 
         Engages only when (a) the engine has no fault channel (the channel
-        must see every message and node individually) and (b) the
-        program dict is an audited homogeneous family with a bulk port.
-        Anything else silently falls back to the per-node loop, recording
-        the reason on :attr:`vectorized_fallback` — results are
-        bit-identical either way, only wall time differs.
+        must see every message and node individually), (b) the program
+        dict is an audited homogeneous family with a bulk port, and (c)
+        that family's messages fit the network's bandwidth.  Anything else
+        silently falls back to the per-node loop, recording the reason on
+        :attr:`vectorized_fallback` — results are bit-identical either
+        way, only wall time differs.  Under (c) the per-node loop then
+        raises :class:`~repro.congest.errors.MessageTooLargeError` at the
+        first send, as it always has.
         """
         vp = None
-        if not self.network.model.csr_port:
+        network = self.network
+        if not network.model.csr_port:
             # The bulk loop assumes physical-edge delivery with uniform
             # per-message bits; models that route over logical links
             # (CLIQUE) or meter differently (LOCAL's unbounded messages)
             # take the per-node path.
-            self.vectorized_fallback = (
-                f"model-{self.network.model.name}-lacks-csr-port"
-            )
+            self.vectorized_fallback = f"model-{network.model.name}-lacks-csr-port"
         elif self._channel is not None:
             self.vectorized_fallback = "fault-channel"
         else:
             from .vectorized import build_vectorized
 
-            vp, reason = build_vectorized(self)
-            if vp is None:
-                self.vectorized_fallback = reason
+            vp, self.vectorized_fallback = build_vectorized(self)
+            if vp is not None and vp.bits_per_message > network.bandwidth:
+                vp, self.vectorized_fallback = None, "message-exceeds-bandwidth"
         if vp is None:
             result = yield from self._node_steps()
             return result
@@ -487,6 +489,7 @@ class Engine:
 
         # Round 0: local initialization, no communication charged.
         in_flight, halts = vp.start()
+        vp.check_domains(in_flight, order_arr)
         if halts.any():
             for v in np.nonzero(halts)[0]:
                 self._note_halt(int(v))
@@ -525,6 +528,7 @@ class Engine:
                 )
 
             in_flight, halts = vp.step_all(vp.state, in_flight, active, rounds)
+            vp.check_domains(in_flight, order_arr)
             if halts.any():
                 for v in np.nonzero(halts)[0]:
                     self._note_halt(int(v))

@@ -20,14 +20,18 @@ most one message per edge per round (the CONGEST discipline the per-node
 engine enforces via ``DuplicateSend``), so a round's traffic is an
 :class:`EdgeMessages` — a sorted array of directed-edge ids plus two
 payload-field columns, mirroring the ``(Field, Field)`` payloads of the
-per-node programs.
+per-node programs.  Each port keeps those two Field domains: they fix
+``bits_per_message``, and :meth:`VectorizedProgram.check_domains` holds
+every round's outgoing columns to them, raising the error ``Field``
+raises on the per-node path.
 
 Only audited program families vectorize; :func:`build_vectorized` returns
 ``(None, reason)`` for anything else and the engine silently falls back
 to the per-node loop, recording the reason.  Mixed program dicts, tree
-transfers with unregistered combine callables, and engines with a fault
-channel (:class:`repro.faults.FaultyEngine`; reason ``"fault-channel"``)
-all take the fallback.
+transfers with unregistered combine callables, families whose messages
+exceed the bandwidth (reason ``"message-exceeds-bandwidth"``) and engines
+with a fault channel (:class:`repro.faults.FaultyEngine`; reason
+``"fault-channel"``) all take the fallback.
 """
 
 from __future__ import annotations
@@ -118,14 +122,16 @@ class VectorizedProgram:
     of the per-node instance attributes; tests introspect it and the
     engine passes it back into ``step_all`` (the arrays are mutated in
     place).
+
+    ``domains`` are the two payload ``Field`` domains of the family's
+    per-node messages; ``bits_per_message`` is derived from them by the
+    same ``payload_bits`` the per-node path charges.
     """
 
-    #: Constant payload size of this family's messages, from the same
-    #: ``payload_bits`` the per-node path charges.
-    bits_per_message: int = 0
-
-    def __init__(self, csr: CSRAdjacency):
+    def __init__(self, csr: CSRAdjacency, domains: Tuple[int, int]):
         self.csr = csr
+        self.domains = domains
+        self.bits_per_message = payload_bits(tuple(Field(0, d) for d in domains))
         self.state: Dict[str, np.ndarray] = {}
 
     def start(self) -> Tuple[EdgeMessages, np.ndarray]:
@@ -142,6 +148,29 @@ class VectorizedProgram:
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
         raise NotImplementedError
+
+    def check_domains(self, msgs: EdgeMessages, order: np.ndarray) -> None:
+        """Raise the per-node path's ``Field`` error for an out-of-range value.
+
+        On the per-node path a sender builds each payload from two
+        ``Field`` objects, which reject a value outside their domain while
+        that node executes.  Here the round's outgoing columns are checked
+        instead; on a violation the Fields are rebuilt in canonical
+        ``(program order, dst)`` message order (``order`` maps node to
+        program index), so the first offending message raises the same
+        ``ValueError`` in the same round.
+        """
+        if not len(msgs):
+            return
+        a, b = msgs.a, msgs.b
+        da, db = self.domains
+        if a.min() >= 0 and b.min() >= 0 and a.max() < da and b.max() < db:
+            return
+        src = self.csr.src[msgs.edges]
+        dst = self.csr.indices[msgs.edges]
+        for i in np.lexsort((dst, order[src])):
+            Field(int(a[i]), da)
+            Field(int(b[i]), db)
 
     # -- shared helpers -------------------------------------------------
 
@@ -164,12 +193,9 @@ class VectorizedBFSEcho(VectorizedProgram):
     """Bulk port of :class:`BFSEchoProgram` (BFS + echo termination)."""
 
     def __init__(self, csr: CSRAdjacency, root: int, n_domain: int):
-        super().__init__(csr)
+        super().__init__(csr, (4, 2 * n_domain))
         self.root = root
         n = csr.n
-        self.bits_per_message = payload_bits(
-            (Field(0, 4), Field(0, 2 * n_domain))
-        )
         self.state = {
             "dist": np.full(n, -1, dtype=np.int64),
             "parent": np.full(n, -1, dtype=np.int64),
@@ -318,13 +344,10 @@ class VectorizedMultiSourceBFS(VectorizedProgram):
     """
 
     def __init__(self, csr: CSRAdjacency, sources, n_domain: int):
-        super().__init__(csr)
+        super().__init__(csr, (n_domain, 2 * n_domain))
         self.sources = list(sources)
         self.rank = {s: i for i, s in enumerate(self.sources)}
         S = len(self.sources)
-        self.bits_per_message = payload_bits(
-            (Field(0, n_domain), Field(0, 2 * n_domain))
-        )
         self.state = {
             "best": np.full((csr.n, S), _INF, dtype=np.int64),
             "pending": np.zeros((csr.num_directed_edges, S), dtype=bool),
@@ -419,12 +442,9 @@ class _TreeTransfer(VectorizedProgram):
         length: int,
         domain: int,
     ):
-        super().__init__(csr)
+        super().__init__(csr, (max(length, 1), domain))
         self.length = length
         self.domain = domain
-        self.bits_per_message = payload_bits(
-            (Field(0, max(length, 1)), Field(0, domain))
-        )
         self.parent = parent
         self.root = int(np.nonzero(parent == -1)[0][0])
         # Tree edges, both directions, as CSR edge ids: edge e is a

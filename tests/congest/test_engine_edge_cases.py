@@ -1,15 +1,43 @@
 """Engine edge cases and failure injection."""
 
+import dataclasses
+from functools import partial
+
 import pytest
 
 from repro.congest import topologies
-from repro.congest.algorithms.bfs import BFSEchoProgram
+from repro.congest.algorithms.aggregate import (
+    build_downcast_programs,
+    build_upcast_programs,
+)
+from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
 from repro.congest.encoding import Field
-from repro.congest.engine import Engine, run_program
+from repro.congest.engine import SCHEDULES, Engine, run_program
 from repro.congest.errors import BandwidthExceeded
 from repro.congest.network import Network
 from repro.congest.program import IdleProgram, NodeProgram, make_programs
+from repro.core.semigroup import combine_sum
 from repro.obs import MemorySink, Recorder
+
+
+def _violation(net, programs, schedule):
+    """(error type, message, rounds completed, events) of a failing run.
+
+    Round events lose their advisory ``mode`` tag, the one field that
+    names the loop that ran them.
+    """
+    sink = MemorySink()
+    stepper = Engine(
+        net, programs, seed=0, schedule=schedule, recorder=Recorder([sink])
+    ).stepper()
+    with pytest.raises(Exception) as info:
+        while stepper.step():
+            pass
+    events = [
+        dataclasses.replace(e, mode="") if hasattr(e, "mode") else e
+        for e in sink.events
+    ]
+    return type(info.value), str(info.value), stepper.rounds, events
 
 
 class TestHaltedNodes:
@@ -60,17 +88,38 @@ class TestFailureInjection:
         with pytest.raises(RuntimeError, match="node 3"):
             run_program(path8, {v: Crashes() for v in path8.nodes()})
 
-    def test_bfs_on_starved_bandwidth_raises_model_violation(self):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_bfs_on_starved_bandwidth_raises_model_violation(self, schedule):
         """Protocols must fail loudly, not silently truncate, when the
-        bandwidth cannot carry their messages."""
-        from repro.congest.algorithms.bfs import BFSEchoProgram
-
+        bandwidth cannot carry their messages — on every round loop."""
         import networkx as nx
 
         net = Network(nx.path_graph(6), bandwidth=2)  # too small for (tag, dist)
-        programs = {v: BFSEchoProgram(v, 0) for v in net.nodes()}
+        make = partial(make_programs, net.n, BFSEchoProgram, 0)
         with pytest.raises(BandwidthExceeded):
-            run_program(net, programs)
+            run_program(net, make(), schedule=schedule)
+        assert _violation(net, make(), schedule) == _violation(
+            net, make(), "active"
+        )
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_upcast_value_outside_domain_raises(self, schedule):
+        net = topologies.grid(3, 3)
+        tree = bfs_with_echo(net, 0)
+        values = {v: [3, 1] for v in net.nodes()}
+        make = partial(build_upcast_programs, net, tree, values, combine_sum, 8)
+        got = _violation(net, make(), schedule)
+        assert got[:2] == (ValueError, "value 9 outside domain [0, 8)")
+        assert got == _violation(net, make(), "active")
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_downcast_value_outside_domain_raises(self, schedule):
+        net = topologies.grid(3, 3)
+        tree = bfs_with_echo(net, 0)
+        make = partial(build_downcast_programs, net, tree, [5, 1, 9], 8)
+        got = _violation(net, make(), schedule)
+        assert got[:3] == (ValueError, "value 9 outside domain [0, 8)", 1)
+        assert got == _violation(net, make(), "active")
 
     def test_mid_protocol_violation_detected(self, path8):
         class GoodThenGreedy(NodeProgram):
