@@ -139,14 +139,14 @@ class CliqueAPSPResult:
 def broadcast_apsp(
     graph: Network,
     seed: Optional[int] = None,
-    schedule: str = "active",
 ) -> CliqueAPSPResult:
     """Solve APSP on ``graph`` by row-broadcast over a CONGEST-CLIQUE.
 
     The *input* is ``graph``'s topology; the *communication* network is
     a fresh ``topologies.clique(graph.n)`` — n² logical O(log n) links.
     Every message goes through the clique model's admission check, so
-    this doubles as an end-to-end test of the PR 8 model seam.
+    this doubles as an end-to-end test of the PR 8 model seam.  The
+    clique model has no CSR port, so the engine runs it per node.
     """
     n = graph.n
     if n < 2:
@@ -157,8 +157,7 @@ def broadcast_apsp(
     }
     max_degree = max(graph.degree(v) for v in range(n))
     run = run_program(
-        comm, programs, seed=seed, schedule=schedule,
-        max_rounds=max(max_degree + 8, 16),
+        comm, programs, seed=seed, max_rounds=max(max_degree + 8, 16),
     )
     distances = tuple(run.output_of(v) for v in range(n))
     return CliqueAPSPResult(

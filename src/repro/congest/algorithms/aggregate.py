@@ -23,6 +23,12 @@ Each transfer also exists as a *round generator* (:func:`upcast_steps`,
 ``StopIteration``.  The blocking functions drive the same generators, so
 the stepwise path — which the :mod:`repro.serve` daemon interleaves on an
 event loop — is bit-identical to the monolithic one by construction.
+
+None of them chooses a round loop: the engine runs both transfers on its
+bulk loop (:mod:`repro.congest.vectorized`) and falls back per node by
+itself.  Tests that compare loops build the programs with
+:func:`build_upcast_programs` / :func:`build_downcast_programs` and pin
+``Engine(schedule=...)``.
 """
 
 from __future__ import annotations
@@ -234,19 +240,16 @@ def upcast_steps(
     combine: Callable[[int, int], int],
     domain: int,
     seed: Optional[int] = None,
-    schedule: str = "active",
 ) -> Iterator[int]:
     """Stepwise convergecast: yields each engine round number as it runs.
 
     The generator's return value is ``(combined vector at the root,
     measured rounds)`` — the same tuple :func:`pipelined_upcast` returns.
-    ``schedule`` selects the engine's execution strategy;
-    ``"vectorized"`` bulk-executes the whole convergecast column-major
-    (bit-identical, falling back per-node if the combine has no
-    registered ufunc).
+    The engine runs it on its bulk loop when ``combine`` is in the
+    vectorized combine table, per node otherwise; both are bit-identical.
     """
     programs = build_upcast_programs(network, tree, values, combine, domain)
-    stepper = Engine(network, programs, seed=seed, schedule=schedule).stepper()
+    stepper = Engine(network, programs, seed=seed).stepper()
     while stepper.step():
         yield stepper.rounds
     result = stepper.result
@@ -260,18 +263,13 @@ def pipelined_upcast(
     combine: Callable[[int, int], int],
     domain: int,
     seed: Optional[int] = None,
-    schedule: str = "active",
 ) -> Tuple[Tuple[int, ...], int]:
     """Coordinatewise ⊕ of per-node t-vectors, collected at the tree root.
 
     Returns:
         (combined vector at the root, measured rounds).
     """
-    return drive(
-        upcast_steps(
-            network, tree, values, combine, domain, seed=seed, schedule=schedule
-        )
-    )
+    return drive(upcast_steps(network, tree, values, combine, domain, seed=seed))
 
 
 def downcast_steps(
@@ -280,17 +278,14 @@ def downcast_steps(
     values: Sequence[int],
     domain: int,
     seed: Optional[int] = None,
-    schedule: str = "active",
 ) -> Iterator[int]:
     """Stepwise broadcast: yields each engine round number as it runs.
 
     The generator's return value is ``(per-node received vectors,
     measured rounds)`` — the same tuple :func:`pipelined_downcast` returns.
-    ``schedule`` selects the engine's execution strategy (see
-    :class:`~repro.congest.engine.Engine`).
     """
     programs = build_downcast_programs(network, tree, values, domain)
-    stepper = Engine(network, programs, seed=seed, schedule=schedule).stepper()
+    stepper = Engine(network, programs, seed=seed).stepper()
     while stepper.step():
         yield stepper.rounds
     result = stepper.result
@@ -304,16 +299,13 @@ def pipelined_downcast(
     values: Sequence[int],
     domain: int,
     seed: Optional[int] = None,
-    schedule: str = "active",
 ) -> Tuple[Dict[int, Tuple[int, ...]], int]:
     """Broadcast a t-vector from the tree root to every node.
 
     Returns:
         (per-node received vectors, measured rounds).
     """
-    return drive(
-        downcast_steps(network, tree, values, domain, seed=seed, schedule=schedule)
-    )
+    return drive(downcast_steps(network, tree, values, domain, seed=seed))
 
 
 def aggregate_single(
@@ -323,7 +315,6 @@ def aggregate_single(
     combine: Callable[[int, int], int],
     domain: int,
     seed: Optional[int] = None,
-    schedule: str = "active",
 ) -> Tuple[int, int]:
     """Convergecast a single bounded value per node to the root.
 
@@ -332,7 +323,7 @@ def aggregate_single(
     """
     vectors = {v: [values[v]] for v in network.nodes()}
     combined, rounds = pipelined_upcast(
-        network, tree, vectors, combine, domain, seed=seed, schedule=schedule
+        network, tree, vectors, combine, domain, seed=seed
     )
     return combined[0], rounds
 

@@ -1,7 +1,7 @@
 """CSR adjacency: the column-major view of a :class:`Network`.
 
-The vectorized engine schedule (``Engine(schedule="vectorized")``) executes
-whole rounds as numpy array operations.  Its substrate is the standard
+The vectorized engine schedule (the engine's default) executes whole
+rounds as numpy array operations.  Its substrate is the standard
 compressed-sparse-row adjacency: ``indices[indptr[v]:indptr[v+1]]`` are the
 (sorted) neighbors of ``v``, and every *directed* edge ``v -> u`` has an
 edge id ``e`` in that slice.  ``rev[e]`` is the id of the reverse edge

@@ -14,12 +14,24 @@ in flight or any program executed.
 Three scheduling strategies produce *identical* results (rounds, outputs,
 traffic statistics — the determinism property tests pin this down, and
 ``tests/congest/reference_loop.py`` keeps the textbook loop they are held
-to):
+to).  The engine chooses its loop: nothing above it selects one, and
+``"active"`` and ``"dense"`` exist as pins for tests and the engine and
+obs benches that compare loops.
 
-* ``"active"`` (default) — a node executes a round only when it has
-  deliveries, sent messages in its previous executed round (it may be
-  mid-stream), has a due :meth:`~repro.congest.program.Context.
-  request_wakeup`, or is in the always-awake set: its program declares
+* ``"vectorized"`` (default) — the bulk loop: for audited structured
+  program families (BFS, multi-source BFS, the pipelined tree transfers)
+  whole rounds execute as numpy array operations over a CSR adjacency
+  (:mod:`repro.congest.vectorized`), removing per-node Python dispatch
+  entirely.  It holds messages to the per-node loop's rules: a family
+  whose messages exceed the bandwidth never starts on it, and payload
+  values are checked against their ``Field`` domains every round.
+  Anything unsupported, any model without a CSR port and any engine with
+  a fault channel runs the ``"active"`` per-node loop instead, recording
+  the reason on :attr:`Engine.vectorized_fallback`.
+* ``"active"`` — a node executes a round only when it has deliveries,
+  sent messages in its previous executed round (it may be mid-stream),
+  has a due :meth:`~repro.congest.program.Context.request_wakeup`, or is
+  in the always-awake set: its program declares
   :attr:`~repro.congest.program.NodeProgram.always_active`.  Programs
   whose ``on_round`` is a pure no-op on silent rounds opt out by setting
   ``always_active = False``; everything else runs every round
@@ -28,12 +40,6 @@ to):
 * ``"dense"`` — every live node executes every round, in program order,
   even with an empty inbox: the same per-node loop with every node in the
   always-awake set, so the run list is that set and a round stays O(n).
-* ``"vectorized"`` — the bulk loop: for audited structured program
-  families (BFS, multi-source BFS, the pipelined tree transfers) whole
-  rounds execute as numpy array operations over a CSR adjacency
-  (:mod:`repro.congest.vectorized`), removing per-node Python dispatch
-  entirely; anything unsupported, and any engine with a fault channel,
-  transparently falls back to the per-node loop.
 
 Round accounting and CONGEST semantics are unchanged by the scheduler: a
 skipped node is exactly a node whose execution would have been a no-op.
@@ -79,10 +85,11 @@ DEFAULT_MAX_ROUNDS_FLOOR = 10_000
 #: Shared immutable inbox handed to nodes executing a silent round.
 _EMPTY_INBOX = Inbox()
 
-#: Recognized scheduling strategies.  ``"vectorized"`` executes whole
-#: rounds as numpy array ops over a CSR adjacency for audited program
-#: families (:mod:`repro.congest.vectorized`) and transparently falls
-#: back to ``"active"`` for everything else.
+#: Recognized scheduling strategies.  ``"vectorized"``, the default,
+#: executes whole rounds as numpy array ops over a CSR adjacency for
+#: audited program families (:mod:`repro.congest.vectorized`) and
+#: transparently falls back to ``"active"`` for everything else;
+#: ``"active"`` and ``"dense"`` pin a per-node loop for comparisons.
 SCHEDULES = ("active", "dense", "vectorized")
 
 
@@ -145,11 +152,12 @@ class Engine:
             share randomness — the model has no shared coins).
         max_rounds: execution budget; exceeded budgets raise
             :class:`RoundLimitExceeded`.
-        schedule: ``"active"`` (default, skip provably idle nodes),
-            ``"dense"`` (execute every node every round), or
-            ``"vectorized"`` (whole rounds as numpy array ops for
-            audited program families, per-node fallback otherwise).
-            Results are identical; only wall time differs.
+        schedule: ``"vectorized"`` (default: whole rounds as numpy
+            array ops for audited program families, the ``"active"``
+            loop otherwise), ``"active"`` (skip provably idle nodes) or
+            ``"dense"`` (execute every node every round).  Results are
+            identical; only wall time differs, so callers leave it at
+            the default and tests and benches pin the others.
         recorder: observability spine bus (:mod:`repro.obs`).  Defaults
             to the ambient :func:`~repro.obs.current_recorder`, which is
             the null recorder unless one is installed; recording never
@@ -163,7 +171,7 @@ class Engine:
         seed: Optional[int] = None,
         max_rounds: Optional[int] = None,
         stop_on_quiescence: bool = False,
-        schedule: str = "active",
+        schedule: str = "vectorized",
         recorder: Optional[Recorder] = None,
     ):
         missing = set(network.nodes()) - set(programs)
@@ -239,12 +247,13 @@ class Engine:
         #: The fault channel messages and nodes pass through, or None for
         #: a perfect network (see :class:`repro.faults.FaultyEngine`).
         self._channel = None
-        #: Rounds executed on the vectorized fast path (0 unless
-        #: ``schedule="vectorized"`` actually engaged; surfaced through
-        #: the obs spine as the ``vectorized_rounds`` metric).
+        #: Rounds executed on the vectorized fast path (0 unless the bulk
+        #: loop actually engaged; surfaced through the obs spine as the
+        #: ``vectorized_rounds`` metric).
         self.vectorized_rounds = 0
         #: Why a vectorized run fell back to the per-node path (None
-        #: when it did not): a program-mix reason from
+        #: when it did not, or under a pinned per-node schedule): a
+        #: program-mix reason from
         #: :func:`repro.congest.vectorized.build_vectorized`, the model's,
         #: ``"fault-channel"`` or ``"message-exceeds-bandwidth"``.
         self.vectorized_fallback: Optional[str] = None
@@ -661,7 +670,7 @@ def run_program(
     seed: Optional[int] = None,
     max_rounds: Optional[int] = None,
     stop_on_quiescence: bool = False,
-    schedule: str = "active",
+    schedule: str = "vectorized",
     recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """Convenience wrapper: build an engine and run it."""

@@ -1,7 +1,7 @@
 """Column-major bulk execution of structured node programs.
 
-``Engine(schedule="vectorized")`` dispatches whole rounds as numpy array
-operations instead of one Python call per node: a
+The engine's default schedule, ``"vectorized"``, dispatches whole rounds
+as numpy array operations instead of one Python call per node: a
 :class:`VectorizedProgram` holds the *entire network's* program state as
 arrays indexed by node (and by directed edge, via the
 :class:`~repro.congest.csr.CSRAdjacency`), and ``step_all`` advances every
@@ -28,15 +28,17 @@ raises on the per-node path.
 Only audited program families vectorize; :func:`build_vectorized` returns
 ``(None, reason)`` for anything else and the engine silently falls back
 to the per-node loop, recording the reason.  Mixed program dicts, tree
-transfers with unregistered combine callables, families whose messages
-exceed the bandwidth (reason ``"message-exceeds-bandwidth"``) and engines
-with a fault channel (:class:`repro.faults.FaultyEngine`; reason
-``"fault-channel"``) all take the fallback.
+transfers whose combine has no ufunc in the fixed combine table, families
+whose messages exceed the bandwidth (reason
+``"message-exceeds-bandwidth"``) and engines with a fault channel
+(:class:`repro.faults.FaultyEngine`; reason ``"fault-channel"``) all take
+the fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -529,7 +531,7 @@ class VectorizedUpcast(_TreeTransfer):
         edges, a, b, src, dst = self._deliverable(inbox, active_mask)
         if edges.shape[0]:
             # Coordinatewise combine; ufunc.at is unordered, which is
-            # exact for the registered commutative/associative combines.
+            # exact for the table's commutative/associative combines.
             self.ufunc.at(state["acc"], (dst, a), b)
             np.add.at(state["received_count"], (dst, a), 1)
         return self._push_all()
@@ -611,45 +613,31 @@ class VectorizedDowncast(_TreeTransfer):
 
 
 # ----------------------------------------------------------------------
-# combine registry (for the tree transfers)
+# combine table (for the tree transfers)
 # ----------------------------------------------------------------------
 
-#: Per-callable (identity-keyed) map to the equivalent numpy ufunc; only
-#: commutative/associative combines belong here — ``ufunc.at`` applies
-#: same-target updates in unspecified order.
-_COMBINE_UFUNCS: Dict[Any, np.ufunc] = {max: np.maximum, min: np.minimum}
 
+@lru_cache(maxsize=None)
+def _combine_ufuncs() -> Dict[Callable[[int, int], int], np.ufunc]:
+    """Scalar combine callable -> its bulk ufunc, keyed by identity.
 
-def register_vectorized_combine(fn: Callable[[int, int], int], ufunc: np.ufunc) -> None:
-    """Declare ``ufunc`` as the bulk equivalent of the scalar ``fn``.
-
-    Only commutative and associative combines are sound to register.
-    Unregistered combines do not error — tree transfers using them just
-    fall back to the per-node path.
+    Built on first use because :mod:`repro.core` imports this package.
+    Every entry is commutative and associative, as ``ufunc.at`` (which
+    applies same-target updates in unspecified order) requires; a tree
+    transfer with any other combine falls back to the per-node loop.
     """
-    _COMBINE_UFUNCS[fn] = ufunc
+    from ..core import semigroup as sg
 
-
-def _register_semigroup_combines() -> None:
-    # Lazy: repro.core imports repro.congest, so this module (loaded
-    # lazily by Engine.steps) must not import core at module import time
-    # in arbitrary orders.  All six library semigroups are commutative
-    # and associative.
-    try:
-        from ..core import semigroup as sg
-    except ImportError:  # pragma: no cover - core always present in-tree
-        return
-    pairs = [
-        (getattr(sg, "combine_sum", None), np.add),
-        (getattr(sg, "combine_xor", None), np.bitwise_xor),
-        (getattr(sg, "combine_max", None), np.maximum),
-        (getattr(sg, "combine_min", None), np.minimum),
-        (getattr(sg, "combine_and", None), np.bitwise_and),
-        (getattr(sg, "combine_or", None), np.bitwise_or),
-    ]
-    for fn, uf in pairs:
-        if fn is not None:
-            _COMBINE_UFUNCS.setdefault(fn, uf)
+    return {
+        max: np.maximum,
+        min: np.minimum,
+        sg.combine_sum: np.add,
+        sg.combine_xor: np.bitwise_xor,
+        sg.combine_max: np.maximum,
+        sg.combine_min: np.minimum,
+        sg.combine_and: np.bitwise_and,
+        sg.combine_or: np.bitwise_or,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -677,9 +665,8 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
 
     Returns ``(program, None)`` on success or ``(None, reason)`` when the
     programs are not a supported homogeneous family — the engine then
-    falls back to the active-set schedule.
+    falls back to the per-node loop.
     """
-    _register_semigroup_combines()
     programs = engine.programs
     network = engine.network
     first = programs[next(iter(programs))]
@@ -687,6 +674,9 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
     if len(kinds) != 1:
         return None, "mixed-program-types"
     kind = kinds.pop()
+    if kind not in (BFSEchoProgram, MultiSourceBFSProgram, UpcastProgram,
+                    DowncastProgram):
+        return None, f"unsupported-program-{kind.__name__}"
     csr = csr_for(network)
 
     if kind is BFSEchoProgram:
@@ -711,7 +701,7 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
         lengths = {p.length for p in programs.values()}
         if len(combines) != 1 or len(domains) != 1 or len(lengths) != 1:
             return None, "upcast-params-disagree"
-        ufunc = _COMBINE_UFUNCS.get(combines.pop())
+        ufunc = _combine_ufuncs().get(combines.pop())
         if ufunc is None:
             return None, "upcast-combine-unregistered"
         length = lengths.pop()
@@ -724,27 +714,24 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
             None,
         )
 
-    if kind is DowncastProgram:
-        parent = _tree_arrays_from_programs(programs)
-        if parent is None:
-            return None, "downcast-tree-malformed"
-        domains = {p.domain for p in programs.values()}
-        lengths = {p.length for p in programs.values()}
-        if len(domains) != 1 or len(lengths) != 1:
-            return None, "downcast-params-disagree"
-        length = lengths.pop()
-        root = int(np.nonzero(parent == -1)[0][0])
-        root_vals = programs[root].received
-        if length and any(x is None for x in root_vals):
-            return None, "downcast-root-values-missing"
-        values = (
-            np.asarray(root_vals, dtype=np.int64)
-            if length
-            else np.empty(0, dtype=np.int64)
-        )
-        return (
-            VectorizedDowncast(csr, parent, length, domains.pop(), values),
-            None,
-        )
-
-    return None, f"unsupported-program-{kind.__name__}"
+    parent = _tree_arrays_from_programs(programs)
+    if parent is None:
+        return None, "downcast-tree-malformed"
+    domains = {p.domain for p in programs.values()}
+    lengths = {p.length for p in programs.values()}
+    if len(domains) != 1 or len(lengths) != 1:
+        return None, "downcast-params-disagree"
+    length = lengths.pop()
+    root = int(np.nonzero(parent == -1)[0][0])
+    root_vals = programs[root].received
+    if length and any(x is None for x in root_vals):
+        return None, "downcast-root-values-missing"
+    values = (
+        np.asarray(root_vals, dtype=np.int64)
+        if length
+        else np.empty(0, dtype=np.int64)
+    )
+    return (
+        VectorizedDowncast(csr, parent, length, domains.pop(), values),
+        None,
+    )

@@ -46,7 +46,6 @@ from ..congest.algorithms.aggregate import (
 from ..congest.algorithms.bfs import BFSResult, bfs_with_echo
 from ..congest.algorithms.leader import elect_leader
 from ..congest.csr import CSRAdjacency, csr_for, invalidate_csr
-from ..congest.engine import SCHEDULES
 from ..congest.errors import CongestError
 from ..congest.models import CommModel, resolve_model
 from ..congest.network import Network
@@ -121,15 +120,9 @@ class CongestBatchOracle:
         seed: Optional[int] = None,
         semigroup: Optional[Semigroup] = None,
         recorder: Optional[Recorder] = None,
-        engine_schedule: str = "active",
     ):
         if mode not in ("formula", "engine"):
             raise ValueError(f"unknown mode {mode!r}")
-        if engine_schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown engine_schedule {engine_schedule!r}; "
-                f"expected one of {SCHEDULES}"
-            )
         if dist_input is None and computer is None:
             raise ValueError("need either a DistributedInput or a ValueComputer")
         self.network = network
@@ -144,11 +137,6 @@ class CongestBatchOracle:
         self.computer = computer
         self._k = k if k is not None else dist_input.k
         self._seed = seed
-        #: Engine scheduling strategy for every per-batch protocol run
-        #: (downcast / upcast / uncompute).  ``"vectorized"`` bulk-executes
-        #: each of those protocols column-major; they are bit-identical to
-        #: the per-node schedules, so charges and values are unchanged.
-        self.engine_schedule = engine_schedule
         self._cache: Dict[int, int] = {}
         self._cache_vectors: Dict[int, Dict[int, int]] = {}
         self._full: Optional[List[int]] = (
@@ -213,7 +201,7 @@ class CongestBatchOracle:
         with self.recorder.span("distribute"):
             gen = downcast_steps(
                 self.network, self.tree, indices, domain=max(self._k, 2),
-                seed=self._seed, schedule=self.engine_schedule,
+                seed=self._seed,
             )
             down_rounds = None
             while down_rounds is None:
@@ -319,7 +307,6 @@ class CongestBatchOracle:
                 combine=semigroup.combine,
                 domain=domain,
                 seed=self._seed,
-                schedule=self.engine_schedule,
             )
             combined = None
             while combined is None:
@@ -339,7 +326,6 @@ class CongestBatchOracle:
                 list(combined),
                 domain=domain,
                 seed=self._seed,
-                schedule=self.engine_schedule,
             )
             down_rounds = None
             while down_rounds is None:
@@ -370,7 +356,10 @@ class FrameworkConfig:
     takes the same object to describe the shared oracle it serves.
 
     Attributes mirror the historical ``run_framework`` parameters; see
-    that function's docstring for their semantics.
+    that function's docstring for their semantics.  No attribute picks
+    the engine's round loop: engine-mode batches run their distribute,
+    convergecast and uncompute protocols on the engine's default loop,
+    which is bit-identical to the per-node ones in values and charges.
     """
 
     parallelism: int
@@ -384,11 +373,6 @@ class FrameworkConfig:
     prepared: Optional["PreparedNetwork"] = None
     reuse_setup: bool = True
     recorder: Optional[Recorder] = None
-    #: Engine scheduling strategy for engine-mode batch protocols:
-    #: ``"active"`` (default), ``"dense"``, or ``"vectorized"``
-    #: (column-major bulk rounds; bit-identical results and charges).
-    #: Ignored in formula mode, which runs no engine rounds.
-    engine_schedule: str = "active"
     #: Communication model this run is declared for: a
     #: :class:`~repro.congest.models.CommModel` instance, a registered
     #: model name (``"congest"``, ``"congest-clique"``, ``"local"``), or
@@ -414,11 +398,6 @@ class FrameworkConfig:
             )
         if self.mode not in ("formula", "engine"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.engine_schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown engine_schedule {self.engine_schedule!r}; "
-                f"expected one of {SCHEDULES}"
-            )
         if self.comm_model is not None:
             # Normalize (and validate) once, under frozen semantics.
             object.__setattr__(
@@ -489,8 +468,8 @@ class PreparedNetwork:
     topology_fingerprint: Optional[str] = None
     #: Column-major adjacency of the same topology, shared with the
     #: vectorized engine's CSR cache (PR 7).  Attached by
-    #: :class:`PreparedCache` so engine-mode batches under
-    #: ``engine_schedule="vectorized"`` never rebuild adjacency; ``None``
+    #: :class:`PreparedCache` so engine-mode batches, which run on the
+    #: engine's bulk loop, never rebuild adjacency; ``None``
     #: for hand-built PreparedNetworks (the engine then builds/caches its
     #: own).  Carries no round charges — CSR is a simulator-side layout,
     #: not a protocol.
@@ -764,7 +743,6 @@ def build_oracle(
         seed=config.seed,
         semigroup=config.semigroup,
         recorder=recorder,
-        engine_schedule=config.engine_schedule,
     )
 
 

@@ -187,9 +187,9 @@ class FaultyEngine(Engine):
 
     Its run is traced: ``self.trace`` fills from a :class:`~repro.congest.
     tracing.TraceSink` on a fork of the passed or ambient recorder, and
-    ``self.fault_stats`` counts the injected faults.  A
-    ``schedule="vectorized"`` request falls back to the per-node loop
-    (reason ``"fault-channel"``), bit-identically.
+    ``self.fault_stats`` counts the injected faults.  It always runs the
+    per-node loop: under the default ``schedule="vectorized"`` the engine
+    falls back with reason ``"fault-channel"``, bit-identically.
 
     Args:
         network: the communication graph.

@@ -44,7 +44,11 @@ class _BareEngine(Engine):
 
 def _flood(net: Network, engine_cls=Engine, recorder=None) -> RunResult:
     programs = {v: BFSEchoProgram(v, 0) for v in net.nodes()}
-    engine = engine_cls(net, programs, seed=1, recorder=recorder)
+    # Pinned to the per-node loop: its per-delivery seam is what the
+    # budget guards, and the default bulk loop never calls it.
+    engine = engine_cls(
+        net, programs, seed=1, schedule="active", recorder=recorder
+    )
     return engine.run()
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.apsp import (
+    AdjacencyBroadcastProgram,
     apsp_duel,
     broadcast_apsp,
     classical_apsp_bound,
@@ -11,6 +12,7 @@ from repro.apps.apsp import (
     verify_distances,
 )
 from repro.congest import topologies
+from repro.congest.engine import run_program
 from repro.congest.errors import CongestError
 
 
@@ -61,11 +63,27 @@ class TestBroadcastHarness:
 
     def test_schedules_agree(self):
         graph = topologies.petersen()
-        active = broadcast_apsp(graph, seed=0, schedule="active")
-        dense = broadcast_apsp(graph, seed=0, schedule="dense")
-        assert active.distances == dense.distances
+        comm = topologies.clique(graph.n)
+        active, dense = (
+            run_program(
+                comm,
+                {
+                    v: AdjacencyBroadcastProgram(graph.neighbors(v))
+                    for v in range(graph.n)
+                },
+                seed=0, schedule=schedule, max_rounds=16,
+            )
+            for schedule in ("active", "dense")
+        )
+        assert active.outputs == dense.outputs
         assert active.rounds == dense.rounds
-        assert active.bits == dense.bits
+        assert active.stats.bits == dense.stats.bits
+        # broadcast_apsp runs the same programs on the engine's default.
+        default = broadcast_apsp(graph, seed=0)
+        assert default.distances == tuple(
+            active.output_of(v) for v in range(graph.n)
+        )
+        assert (default.rounds, default.bits) == (active.rounds, active.stats.bits)
 
 
 class TestDuel:

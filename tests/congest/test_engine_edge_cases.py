@@ -30,7 +30,7 @@ def _violation(net, programs, schedule):
     stepper = Engine(
         net, programs, seed=0, schedule=schedule, recorder=Recorder([sink])
     ).stepper()
-    with pytest.raises(Exception) as info:
+    with pytest.raises((BandwidthExceeded, ValueError)) as info:
         while stepper.step():
             pass
     events = [

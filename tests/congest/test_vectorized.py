@@ -1,28 +1,33 @@
 """The vectorized (column-major) engine schedule: fast path and fallbacks.
 
-``Engine(schedule="vectorized")`` must be observationally identical to the
-per-node schedules on the audited program families, and must fall back —
-with a recorded reason, still producing identical results — on anything
-it cannot bulk-execute.  The property-based twin of this file is
-``tests/property/test_prop_vectorized.py``.
+``Engine(schedule="vectorized")``, the default, must be observationally
+identical to the per-node schedules on the audited program families, and
+must fall back — with a recorded reason, still producing identical
+results — on anything it cannot bulk-execute.  The property-based twin of
+this file is ``tests/property/test_prop_vectorized.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.congest import topologies
 from repro.congest.algorithms.aggregate import (
     aggregate_single,
+    build_downcast_programs,
     build_upcast_programs,
-    pipelined_downcast,
-    pipelined_upcast,
 )
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
 from repro.congest.algorithms.leader import MaxIdFloodProgram
 from repro.congest.algorithms.multibfs import MultiSourceBFSProgram
 from repro.congest.engine import Engine
-from repro.congest.vectorized import build_vectorized, register_vectorized_combine
-from repro.core.semigroup import combine_max, combine_sum, combine_xor
+from repro.congest.vectorized import build_vectorized
+from repro.core.semigroup import (
+    combine_and,
+    combine_max,
+    combine_min,
+    combine_or,
+    combine_sum,
+    combine_xor,
+)
 
 
 def _assert_identical(res_a, res_b):
@@ -34,6 +39,20 @@ def _assert_identical(res_a, res_b):
 def _run(net, programs, schedule, **kwargs):
     engine = Engine(net, programs, seed=3, schedule=schedule, **kwargs)
     return engine, engine.run()
+
+
+def _upcast(net, tree, values, combine, domain, schedule, seed=None):
+    """``pipelined_upcast``'s result, on a pinned round loop."""
+    programs = build_upcast_programs(net, tree, values, combine, domain)
+    result = Engine(net, programs, seed=seed, schedule=schedule).run()
+    return tuple(result.outputs[tree.root]), result.rounds
+
+
+def _downcast(net, tree, payload, domain, schedule, seed=None):
+    """``pipelined_downcast``'s result, on a pinned round loop."""
+    programs = build_downcast_programs(net, tree, payload, domain)
+    result = Engine(net, programs, seed=seed, schedule=schedule).run()
+    return {v: tuple(result.outputs[v]) for v in net.nodes()}, result.rounds
 
 
 class TestFastPath:
@@ -98,25 +117,36 @@ class TestFastPath:
                 expected ^= v & 3 if v < 3 else 0
         else:
             values = {v: [v] for v in net.nodes()}
-        active = pipelined_upcast(
-            net, tree, values, combine, domain=1 << 16, schedule="active"
-        )
-        vec = pipelined_upcast(
-            net, tree, values, combine, domain=1 << 16, schedule="vectorized"
-        )
+        active = _upcast(net, tree, values, combine, 1 << 16, "active")
+        vec = _upcast(net, tree, values, combine, 1 << 16, "vectorized")
         assert active == vec
         assert vec[0] == (expected,)
+
+    @pytest.mark.parametrize(
+        "combine",
+        [max, min, combine_sum, combine_xor, combine_max, combine_min,
+         combine_and, combine_or],
+        ids=["max", "min", "sum", "xor", "semigroup-max", "semigroup-min",
+             "and", "or"],
+    )
+    def test_combine_table_runs_on_the_bulk_loop(self, combine):
+        net = topologies.grid(3, 4)
+        tree = bfs_with_echo(net, 0)
+        values = {v: [v % 4 + 1, v % 3] for v in net.nodes()}
+        programs = build_upcast_programs(net, tree, values, combine, 1 << 8)
+        engine = Engine(net, programs, seed=0)
+        result = engine.run()
+        assert engine.vectorized_fallback is None
+        assert (tuple(result.outputs[tree.root]), result.rounds) == _upcast(
+            net, tree, values, combine, 1 << 8, "active"
+        )
 
     def test_downcast_identical(self):
         net = topologies.balanced_tree(2, 3)
         tree = bfs_with_echo(net, 0)
         payload = [5, 1, 4, 1]
-        active = pipelined_downcast(
-            net, tree, payload, domain=8, schedule="active"
-        )
-        vec = pipelined_downcast(
-            net, tree, payload, domain=8, schedule="vectorized"
-        )
+        active = _downcast(net, tree, payload, 8, "active")
+        vec = _downcast(net, tree, payload, 8, "vectorized")
         assert active == vec
         assert all(got == tuple(payload) for got in vec[0].values())
 
@@ -124,13 +154,12 @@ class TestFastPath:
         net = topologies.star(9)
         tree = bfs_with_echo(net, 0)
         values = {v: v for v in net.nodes()}
-        active = aggregate_single(
-            net, tree, values, combine_sum, domain=1 << 12, schedule="active"
+        (combined,), rounds = _upcast(
+            net, tree, {v: [x] for v, x in values.items()}, combine_sum,
+            1 << 12, "active",
         )
-        vec = aggregate_single(
-            net, tree, values, combine_sum, domain=1 << 12,
-            schedule="vectorized",
-        )
+        active = (combined, rounds)
+        vec = aggregate_single(net, tree, values, combine_sum, domain=1 << 12)
         assert active == vec
 
 
@@ -197,9 +226,7 @@ class TestFallbacks:
         engine = Engine(net, programs, seed=0, schedule="vectorized")
         vec = engine.run()
         assert engine.vectorized_fallback == "upcast-combine-unregistered"
-        active = pipelined_upcast(
-            net, tree, values, anon, domain=8, seed=0, schedule="active"
-        )
+        active = _upcast(net, tree, values, anon, 8, "active", seed=0)
         assert (tuple(vec.outputs[tree.root]), vec.rounds) == active
 
     def test_upcast_params_disagree(self):
@@ -237,25 +264,54 @@ class TestFallbacks:
         assert b.vectorized_rounds == 0
 
 
-class TestCombineRegistry:
-    def test_register_custom_combine(self):
-        def combine_gcd(a, b):
-            import math
-            return math.gcd(a, b)
+class TestDefaultSchedule:
+    """With no ``schedule`` argument the engine chooses its loop."""
 
-        register_vectorized_combine(combine_gcd, np.gcd)
+    @pytest.mark.parametrize(
+        "family", ["bfs-echo", "multibfs", "upcast", "downcast"]
+    )
+    def test_audited_families_run_on_the_bulk_loop(self, family):
         net = topologies.grid(3, 4)
         tree = bfs_with_echo(net, 0)
-        values = {v: [(v + 1) * 6] for v in net.nodes()}
-        programs = build_upcast_programs(
-            net, tree, values, combine_gcd, domain=1 << 10
-        )
-        engine = Engine(net, programs, seed=0, schedule="vectorized")
-        vec = engine.run()
+        kwargs = {}
+        if family == "bfs-echo":
+            programs = {v: BFSEchoProgram(v, 0) for v in net.nodes()}
+        elif family == "multibfs":
+            programs = {
+                v: MultiSourceBFSProgram(v, [0, 5]) for v in net.nodes()
+            }
+            kwargs["stop_on_quiescence"] = True
+        elif family == "upcast":
+            values = {v: [v, 1] for v in net.nodes()}
+            programs = build_upcast_programs(net, tree, values, combine_sum, 128)
+        else:
+            programs = build_downcast_programs(net, tree, [3, 1, 2], 4)
+        engine = Engine(net, programs, seed=0, **kwargs)
+        result = engine.run()
         assert engine.vectorized_fallback is None
-        active = pipelined_upcast(
-            net, tree, values, combine_gcd, domain=1 << 10, seed=0,
-            schedule="active",
+        assert result.rounds > 0
+        assert engine.vectorized_rounds == result.rounds
+
+    def test_unaudited_program_falls_back(self):
+        net = topologies.cycle(9)
+        engine = Engine(
+            net, {v: MaxIdFloodProgram(v) for v in net.nodes()}, seed=0,
+            stop_on_quiescence=True,
         )
-        assert (tuple(vec.outputs[tree.root]), vec.rounds) == active
-        assert vec.outputs[tree.root] == (6,)
+        result = engine.run()
+        assert engine.vectorized_fallback == (
+            "unsupported-program-MaxIdFloodProgram"
+        )
+        assert result.rounds > 0 and engine.vectorized_rounds == 0
+
+    def test_faulty_engine_falls_back(self):
+        from repro.faults import FaultyEngine, NoFaults
+
+        net = topologies.grid(3, 3)
+        engine = FaultyEngine(
+            net, {v: BFSEchoProgram(v, 0) for v in net.nodes()},
+            fault_model=NoFaults(), seed=0,
+        )
+        result = engine.run()
+        assert engine.vectorized_fallback == "fault-channel"
+        assert result.rounds > 0 and engine.vectorized_rounds == 0

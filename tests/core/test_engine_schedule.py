@@ -1,9 +1,10 @@
-"""FrameworkConfig.engine_schedule: validation, threading, equivalence.
+"""The framework has no round-loop option: the engine chooses its loop.
 
-PR 7 lets a framework run ask its engine-mode protocols (BFS setup,
-upcast convergecast, downcast broadcast) to execute column-major.  The
-knob must validate, reach the oracle, and — being an oracle-checked
-optimization — leave every measured quantity bit-identical.
+PR 7 let a framework run ask its engine-mode protocols to execute
+column-major through ``FrameworkConfig.engine_schedule``.  The engine now
+runs them on its bulk loop by default, so the option is gone: passing it
+is a ``TypeError``, every engine-mode round runs on the bulk loop, and
+every measured quantity keeps the value the per-node loop produced.
 """
 
 import pytest
@@ -13,11 +14,31 @@ from repro.core.framework import (
     DistributedInput,
     FrameworkConfig,
     invalidate_prepared,
+    prepare_network,
     run_framework,
 )
 from repro.core.semigroup import sum_semigroup
+from repro.obs import MetricsSink, Recorder
 
 K = 12
+
+#: Written by the per-node (``"active"``) loop before the engine's
+#: default became the bulk loop, on the fixtures below.
+PINNED = {
+    "formula": (
+        [18, 18, 18, 18], 56,
+        {"setup:leader-election": 6, "setup:bfs-tree": 12,
+         "batch:a": 19, "batch:b": 19},
+        2,
+    ),
+    "engine": (
+        [18, 18, 18, 18], 74,
+        {"setup:leader-election": 6, "setup:bfs-tree": 12,
+         "index-distribute": 12, "value-upcast": 16,
+         "value-uncompute": 16, "index-uncompute": 12},
+        2,
+    ),
+}
 
 
 @pytest.fixture
@@ -41,11 +62,8 @@ def algorithm(oracle, _rng):
 
 class TestValidation:
     def test_config_rejects_unknown_schedule(self):
-        with pytest.raises(ValueError, match="engine_schedule"):
-            FrameworkConfig(parallelism=1, engine_schedule="eager")
-
-    def test_default_is_active(self):
-        assert FrameworkConfig(parallelism=1).engine_schedule == "active"
+        with pytest.raises(TypeError, match="engine_schedule"):
+            FrameworkConfig(parallelism=1, engine_schedule="vectorized")
 
     def test_legacy_shim_does_not_accept_it(self, network, di):
         # There is no flat signature: the knob is config-only.
@@ -60,22 +78,31 @@ class TestEquivalence:
     @pytest.mark.parametrize("mode", ["formula", "engine"])
     def test_vectorized_run_is_bit_identical(self, network, di, mode):
         invalidate_prepared()
-        runs = {}
-        for schedule in ("active", "vectorized"):
-            config = FrameworkConfig(
-                parallelism=3, dist_input=di, seed=1, mode=mode,
-                engine_schedule=schedule,
-            )
-            runs[schedule] = run_framework(network, algorithm, config=config)
-        a, v = runs["active"], runs["vectorized"]
-        assert a.result == v.result
-        assert a.total_rounds == v.total_rounds
-        assert a.rounds.by_phase() == v.rounds.by_phase()
-        assert a.batches == v.batches
+        config = FrameworkConfig(
+            parallelism=3, dist_input=di, seed=1, mode=mode,
+        )
+        run = run_framework(network, algorithm, config=config)
+        assert (
+            run.result, run.total_rounds, run.rounds.by_phase(), run.batches
+        ) == PINNED[mode]
         invalidate_prepared()
 
-    def test_replace_builds_vectorized_variant(self, di):
-        base = FrameworkConfig(parallelism=2, dist_input=di)
-        variant = base.replace(engine_schedule="vectorized")
-        assert variant.engine_schedule == "vectorized"
-        assert base.engine_schedule == "active"
+    def test_engine_batches_run_every_round_on_the_bulk_loop(
+        self, network, di
+    ):
+        invalidate_prepared()
+        # Warm the setup cache so only the batches' protocols emit rounds.
+        prepare_network(network, seed=1)
+        sink = MetricsSink()
+        config = FrameworkConfig(
+            parallelism=3, dist_input=di, seed=1, mode="engine",
+            recorder=Recorder([sink]),
+        )
+        phases = run_framework(network, algorithm, config=config).rounds.by_phase()
+        engine_rounds = sum(
+            phases[p]
+            for p in ("index-distribute", "value-upcast", "value-uncompute")
+        )
+        assert engine_rounds == 44
+        assert sink.vectorized_rounds == engine_rounds
+        invalidate_prepared()

@@ -9,14 +9,15 @@ is the one sanctioned difference and is excluded by construction.
 """
 
 import dataclasses
+from functools import partial
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest import topologies
 from repro.congest.algorithms.aggregate import (
-    pipelined_downcast,
-    pipelined_upcast,
+    build_downcast_programs,
+    build_upcast_programs,
 )
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
 from repro.congest.algorithms.multibfs import MultiSourceBFSProgram
@@ -71,6 +72,12 @@ def _assert_identical(res_a, res_b):
     assert res_a.rounds == res_b.rounds
     assert res_a.outputs == res_b.outputs
     assert res_a.stats == res_b.stats
+
+
+def _transfer(net, programs, schedule):
+    """Rounds and per-node outputs of a tree transfer on a pinned loop."""
+    result = Engine(net, programs, schedule=schedule).run()
+    return result.outputs, result.rounds
 
 
 def _strip_mode(events):
@@ -145,18 +152,12 @@ class TestVectorizedEquivalence:
             ]
             for v in net.nodes()
         }
-        up_active = pipelined_upcast(
-            net, tree, values, combine, domain, schedule="active"
-        )
-        up_vec = pipelined_upcast(
-            net, tree, values, combine, domain, schedule="vectorized"
-        )
+        up = partial(build_upcast_programs, net, tree, values, combine, domain)
+        up_active = _transfer(net, up(), "active")
+        up_vec = _transfer(net, up(), "vectorized")
         assert up_active == up_vec
         payload = [data.draw(st.integers(0, 255)) for _ in range(length)]
-        down_active = pipelined_downcast(
-            net, tree, payload, domain, schedule="active"
-        )
-        down_vec = pipelined_downcast(
-            net, tree, payload, domain, schedule="vectorized"
-        )
+        down = partial(build_downcast_programs, net, tree, payload, domain)
+        down_active = _transfer(net, down(), "active")
+        down_vec = _transfer(net, down(), "vectorized")
         assert down_active == down_vec
