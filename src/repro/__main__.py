@@ -20,6 +20,8 @@ Usage::
                                          # ... checkpointing completed
                                          # experiments so a killed sweep
                                          # resumes where it stopped
+    python -m repro report --full        # run and judge every claim,
+                                         # regenerate EXPERIMENTS.md
     python -m repro serve --clients 1000 --tenants 4 --jsonl serve.jsonl
                                          # run the multi-tenant serving
                                          # daemon against a deterministic
@@ -34,6 +36,23 @@ import sys
 import time
 
 from .experiments import ALL_EXPERIMENTS
+
+
+def _print_verdicts(verdicts) -> int:
+    """Print one line per verdict; return how many failed."""
+    from .parallel import TaskFailure
+
+    failed = 0
+    for verdict in verdicts:
+        if isinstance(verdict, TaskFailure):
+            failed += 1
+            print(f"{verdict.key:>4}  ERROR  {verdict}")
+        else:
+            status = "ok" if verdict.passed else "FAIL"
+            if not verdict.passed:
+                failed += 1
+            print(f"{verdict.experiment:>4}  {status:<5} {verdict.detail}")
+    return failed
 
 
 def main(argv=None) -> int:
@@ -170,6 +189,17 @@ def main(argv=None) -> int:
         help="run instrumented and merge every worker's trace shard "
         "into one repro-trace/1 stream at PATH",
     )
+    report_parser = sub.add_parser(
+        "report",
+        help="run every experiment, judge its reproduction claim and "
+        "write the paper-bound-vs-measured report (exit 1 when a claim "
+        "fails)",
+    )
+    report_parser.add_argument("--full", action="store_true",
+                               help="full (non-quick) sweeps")
+    report_parser.add_argument("--seed", type=int, default=0)
+    report_parser.add_argument("--out", default="EXPERIMENTS.md",
+                               metavar="PATH", help="report path")
     trace_parser = sub.add_parser(
         "trace",
         help="run one experiment under the observability spine and print "
@@ -262,7 +292,6 @@ def main(argv=None) -> int:
     if args.command == "verify":
         from .experiments.runner import RunRequest, verify_sweep
         from .obs.jsonl import validate_jsonl
-        from .parallel import TaskFailure
 
         request = RunRequest(
             experiments=tuple(args.only) if args.only is not None else (),
@@ -285,16 +314,7 @@ def main(argv=None) -> int:
             return 2
         start = time.time()
         sweep = verify_sweep(request)
-        failed = 0
-        for verdict in sweep.verdicts:
-            if isinstance(verdict, TaskFailure):
-                failed += 1
-                print(f"{verdict.key:>4}  ERROR  {verdict}")
-            else:
-                status = "ok" if verdict.passed else "FAIL"
-                if not verdict.passed:
-                    failed += 1
-                print(f"{verdict.experiment:>4}  {status:<5} {verdict.detail}")
+        failed = _print_verdicts(sweep.verdicts)
         if args.jsonl is not None and sweep.jsonl_path is not None:
             counts = validate_jsonl(sweep.jsonl_path)
             total = sum(counts.values())
@@ -304,6 +324,17 @@ def main(argv=None) -> int:
             f"({n - failed}/{n} criteria ok, jobs={args.jobs}, "
             f"{time.time() - start:.1f}s)"
         )
+        return 1 if failed else 0
+
+    if args.command == "report":
+        from .experiments.runner import RunRequest, report
+
+        verdicts = report(
+            RunRequest(quick=not args.full, seed=args.seed), args.out
+        )
+        failed = _print_verdicts(verdicts)
+        print(f"(wrote {args.out}: {len(verdicts) - failed}/{len(verdicts)} "
+              f"criteria ok)")
         return 1 if failed else 0
 
     if args.command == "trace":

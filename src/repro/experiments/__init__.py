@@ -2,9 +2,10 @@
 
 Each module exposes ``run(quick=True, seed=0)`` returning a result object
 with a formatted :class:`~repro.analysis.report.ExperimentTable` plus the
-key fitted quantities the reproduction criteria check.  ``quick=True``
-keeps each experiment under ~a minute; ``quick=False`` is the full sweep
-used to regenerate EXPERIMENTS.md.
+key fitted quantities its claim checks; the claims are declared once, in
+:data:`repro.experiments.runner.CLAIMS`.  ``quick=True`` keeps each
+experiment under ~a minute; ``quick=False`` is the full sweep that
+``python -m repro report --full`` writes to EXPERIMENTS.md.
 """
 
 from . import (

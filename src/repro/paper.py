@@ -1,16 +1,16 @@
 """Paper-to-code index: where each result of the paper lives.
 
 A reproduction repository should be navigable by the paper's own
-numbering.  ``where_is("Lemma 10")`` returns the implementing objects,
-the experiment that measures the result, and its tests; the registry is
-itself tested (every referenced object must import and resolve).
+numbering.  ``where_is("Lemma 10")`` returns the implementing objects and
+the experiments that measure the result; the registry is itself tested
+(every referenced object must import and resolve).
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,21 @@ class ResultEntry:
     result: str
     statement: str
     implementations: Tuple[str, ...]
-    experiment: Optional[str] = None
     notes: str = ""
+
+    @property
+    def experiments(self) -> Tuple[str, ...]:
+        """The experiments whose claims measure this result, E1 first.
+
+        Derived from :data:`repro.experiments.runner.CLAIMS`, imported here
+        rather than at module level: ``import repro`` loads this module, and
+        must not load every experiment module with it.
+        """
+        from .experiments.runner import CLAIMS
+
+        return tuple(
+            name for name, claim in CLAIMS.items() if self.result in claim.results
+        )
 
 
 REGISTRY: Dict[str, ResultEntry] = {
@@ -38,7 +51,6 @@ REGISTRY: Dict[str, ResultEntry] = {
             "find-all in O(√(kt/p)+t)",
             ("repro.queries.grover.find_one", "repro.queries.grover.find_all",
              "repro.queries.grover.find_one_split"),
-            experiment="E1",
         ),
         ResultEntry(
             "Lemma 3",
@@ -46,7 +58,6 @@ REGISTRY: Dict[str, ResultEntry] = {
             "multiplicity ℓ",
             ("repro.queries.minimum.find_minimum",
              "repro.queries.minimum.find_maximum"),
-            experiment="E2",
         ),
         ResultEntry(
             "Lemma 5",
@@ -55,14 +66,12 @@ REGISTRY: Dict[str, ResultEntry] = {
             ("repro.queries.element_distinctness.find_collision",
              "repro.queries.element_distinctness.walk_parameters",
              "repro.queries.johnson.check_walk_parameters"),
-            experiment="E3",
         ),
         ResultEntry(
             "Lemma 6",
             "parallel mean estimation, Õ(σ/(√p·ε)) batches",
             ("repro.queries.mean_estimation.estimate_mean",
              "repro.queries.mean_estimation.batch_count"),
-            experiment="E4",
         ),
         ResultEntry(
             "Lemma 7",
@@ -71,7 +80,6 @@ REGISTRY: Dict[str, ResultEntry] = {
              "repro.core.state_transfer.collect_register",
              "repro.quantum.distributed.share_register",
              "repro.quantum.distributed.unshare_register"),
-            experiment="E5",
         ),
         ResultEntry(
             "Theorem 8",
@@ -80,20 +88,17 @@ REGISTRY: Dict[str, ResultEntry] = {
             ("repro.core.framework.run_framework",
              "repro.core.framework.CongestBatchOracle",
              "repro.core.cost.CostModel.batch_rounds"),
-            experiment="E6",
         ),
         ResultEntry(
             "Corollary 9",
             "framework with on-the-fly value computation (+α(p) per batch)",
             ("repro.core.framework.ValueComputer",
              "repro.apps.eccentricity.EccentricityComputer"),
-            experiment="E6",
         ),
         ResultEntry(
             "Lemma 10",
             "meeting scheduling in Õ((√(kD)+D)⌈log k/log n⌉)",
             ("repro.apps.meeting.schedule_meeting",),
-            experiment="E7",
         ),
         ResultEntry(
             "Lemma 11",
@@ -102,33 +107,28 @@ REGISTRY: Dict[str, ResultEntry] = {
             ("repro.lowerbounds.reductions.build_meeting_gadget",
              "repro.lowerbounds.disjointness.classical_congest_lower_bound",
              "repro.lowerbounds.disjointness.quantum_line_lower_bound"),
-            experiment="E15",
         ),
         ResultEntry(
             "Lemma 12",
             "element distinctness in distributed vector, "
             "Õ((k^{2/3}D^{1/3}+D)(⌈log N/log n⌉+⌈log k/log n⌉))",
             ("repro.apps.element_distinctness.distinctness_distributed_vector",),
-            experiment="E8",
         ),
         ResultEntry(
             "Lemma 13",
             "ED-vector lower bounds via disjointness",
             ("repro.lowerbounds.reductions.build_ed_vector_gadget",),
-            experiment="E15",
         ),
         ResultEntry(
             "Corollary 14",
             "element distinctness between nodes, Õ(n^{2/3}D^{1/3}+D)",
             ("repro.apps.element_distinctness.distinctness_between_nodes",),
-            experiment="E8",
         ),
         ResultEntry(
             "Lemma 15",
             "ED-between-nodes lower bound on the two-star gadget",
             ("repro.lowerbounds.reductions.build_ed_nodes_gadget",
              "repro.congest.topologies.two_stars"),
-            experiment="E15",
         ),
         ResultEntry(
             "Problem 16",
@@ -141,7 +141,6 @@ REGISTRY: Dict[str, ResultEntry] = {
             "distributed DJ solved exactly in O(D⌈log k/log n⌉)",
             ("repro.apps.deutsch_jozsa.solve_distributed_dj",
              "repro.quantum.distributed.distributed_deutsch_jozsa_exact"),
-            experiment="E9",
         ),
         ResultEntry(
             "Theorem 18",
@@ -149,7 +148,6 @@ REGISTRY: Dict[str, ResultEntry] = {
             ("repro.lowerbounds.reductions.build_dj_gadget",
              "repro.lowerbounds.rank_certificate.certify_dj_lower_bound",
              "repro.baselines.streaming.classical_deutsch_jozsa"),
-            experiment="E9",
             notes="fooling certificate is log₂k, the full Ω(k) is cited",
         ),
         ResultEntry(
@@ -157,20 +155,17 @@ REGISTRY: Dict[str, ResultEntry] = {
             "eccentricities of |S| nodes in O(|S|+D) classical rounds",
             ("repro.congest.algorithms.multibfs.eccentricities_of_sources",
              "repro.congest.algorithms.multibfs.multi_source_bfs"),
-            experiment="E10",
         ),
         ResultEntry(
             "Lemma 21",
             "diameter and radius in O(√(nD)) [recovers LM18]",
             ("repro.apps.eccentricity.compute_diameter",
              "repro.apps.eccentricity.compute_radius"),
-            experiment="E10",
         ),
         ResultEntry(
             "Lemma 22",
             "ε-additive average eccentricity in Õ(D^{3/2}/ε)",
             ("repro.apps.eccentricity.estimate_average_eccentricity",),
-            experiment="E11",
         ),
         ResultEntry(
             "Lemma 23",
@@ -178,7 +173,6 @@ REGISTRY: Dict[str, ResultEntry] = {
             ("repro.apps.cycles.detect_cycle",
              "repro.apps.cycles.light_cycle_scan",
              "repro.apps.cycles.heavy_cycle_search"),
-            experiment="E12",
         ),
         ResultEntry(
             "Lemma 24",
@@ -186,54 +180,46 @@ REGISTRY: Dict[str, ResultEntry] = {
             "substituted by MPX ball carving (DESIGN.md §2)",
             ("repro.congest.algorithms.clustering.build_clustering",
              "repro.congest.algorithms.clustering.verify_clustering"),
-            experiment="E12",
         ),
         ResultEntry(
             "Lemma 25",
             "diameter-independent cycle detection via clustering",
             ("repro.apps.cycles.detect_cycle_clustered",),
-            experiment="E12",
         ),
         ResultEntry(
             "Corollary 26",
             "girth in Õ((1/μ)(g + (gn)^{1/2−1/Θ(g)}))",
             ("repro.apps.girth.compute_girth",
              "repro.apps.triangles.detect_triangle_quantum"),
-            experiment="E13",
         ),
         ResultEntry(
             "Lemma 27",
             "amplitude amplification iterate in O(R + D) rounds",
             ("repro.apps.amplitude_apps.iterate_rounds",
              "repro.quantum.amplitude.amplification_iterate"),
-            experiment="E14",
         ),
         ResultEntry(
             "Corollary 28",
             "amplitude amplification, O((R+D)·(1/√p)·log(1/δ))",
             ("repro.apps.amplitude_apps.amplify",
              "repro.quantum.amplitude.amplify"),
-            experiment="E14",
         ),
         ResultEntry(
             "Lemma 29",
             "distributed phase estimation, O((R/ε)log(1/δ) + D)",
             ("repro.apps.amplitude_apps.estimate_phase_distributed",
              "repro.quantum.phase_estimation.estimate_phase_boosted"),
-            experiment="E14",
         ),
         ResultEntry(
             "Corollary 30",
             "distributed amplitude estimation, O((R+D)·(√p_max/ε)·log(1/δ))",
             ("repro.apps.amplitude_apps.estimate_amplitude_distributed",
              "repro.quantum.amplitude.estimate_amplitude"),
-            experiment="E14",
         ),
         ResultEntry(
             "Remark (even cycles)",
             "exact C_k detection, k=4,6,8,10, in O(n^{1/2−1/(2k+2)})",
             ("repro.apps.even_cycles.detect_even_cycle",),
-            experiment="E16",
         ),
         ResultEntry(
             "Remark (boosting)",
@@ -253,18 +239,6 @@ def where_is(result: str) -> ResultEntry:
             f"unknown result {result!r}; known: {sorted(REGISTRY)}"
         )
     return REGISTRY[key]
-
-
-def resolve(dotted: str):
-    """Import the object behind a dotted registry path."""
-    module_path, _, attr = dotted.rpartition(".")
-    obj = importlib.import_module(module_path) if not attr else None
-    if attr:
-        module = importlib.import_module(module_path)
-        obj = getattr(module, attr)
-        # Method references like CostModel.batch_rounds: resolve one level.
-        return obj
-    return obj
 
 
 def verify_registry() -> List[str]:

@@ -70,13 +70,13 @@ def _verify_task(
 
     Module-level so it pickles under the ``spawn`` start method.  The
     un-instrumented branch calls the exact function the serial
-    ``verify_all`` loop calls — that is what makes parallel verdicts
-    bit-identical to serial ones by construction.
+    ``verify_all`` loop calls, and the instrumented one judges through
+    the same :func:`~repro.experiments.runner.judge` — that is what makes
+    parallel verdicts bit-identical to serial ones by construction.
     """
     from ..experiments.runner import (
-        CRITERIA,
         RunRequest,
-        Verdict,
+        judge,
         run_instrumented,
         verify_experiment,
     )
@@ -89,9 +89,8 @@ def _verify_task(
             shard=None,
         )
     run = run_instrumented(request.replace(jsonl=shard_path))
-    passed, detail = CRITERIA[experiment](run.result)
     return _TaskPayload(
-        verdict=Verdict(experiment=experiment, passed=passed, detail=detail),
+        verdict=judge(experiment, run.result),
         metrics=run.metrics,
         shard=shard_path,
     )

@@ -29,7 +29,7 @@ class TestReadmeTour:
         from repro.paper import where_is
 
         entry = where_is("Lemma 10")
-        assert entry.experiment == "E7"
+        assert entry.experiments == ("E7",)
 
     def test_cli_entry_documented_behaviour(self, capsys):
         from repro.__main__ import main

@@ -1,5 +1,10 @@
 """Tests for the paper-to-code registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
@@ -23,8 +28,8 @@ class TestRegistry:
 
     def test_experiments_exist(self):
         for entry in REGISTRY.values():
-            if entry.experiment is not None:
-                assert entry.experiment in ALL_EXPERIMENTS
+            for experiment in entry.experiments:
+                assert experiment in ALL_EXPERIMENTS
 
     def test_where_is_lookup(self):
         entry = where_is("Theorem 8")
@@ -39,12 +44,35 @@ class TestRegistry:
 
     def test_every_experiment_covered_by_some_result(self):
         covered = {
-            entry.experiment
+            experiment
             for entry in REGISTRY.values()
-            if entry.experiment is not None
+            for experiment in entry.experiments
         }
-        # E16/E17 come from remarks/subroutines also present in the index.
+        # E16-E18 come from remarks/subroutines also present in the index;
+        # E19 and E21-E23 test claims beyond the paper's numbered results.
         for experiment in ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8",
                            "E9", "E10", "E11", "E12", "E13", "E14", "E15",
-                           "E16"]:
+                           "E16", "E17", "E18", "E20"]:
             assert experiment in covered
+
+    def test_claims_name_registry_results(self):
+        from repro.experiments.runner import CLAIMS
+
+        for claim in CLAIMS.values():
+            for result in claim.results:
+                assert result in REGISTRY, result
+        assert where_is("Remark (boosting)").experiments == ("E18",)
+        assert where_is("Lemma 21").experiments == ("E10", "E20")
+
+    def test_import_repro_leaves_experiments_unloaded(self):
+        # repro.paper derives ResultEntry.experiments lazily; importing
+        # the experiment package on `import repro` would put every
+        # experiment module on every caller's start-up path.
+        code = (
+            "import sys, repro; "
+            "assert 'repro.experiments' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('repro.exp'))"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
