@@ -3,10 +3,13 @@
 The paper notes "leader election can be done in O(D) in the CONGEST model,
 so if no leader is provided, we can for example take the node with the
 largest identifier."  This module implements exactly that: every node
-floods the largest identifier it has seen, forwarding only improvements,
-and the flood quiesces after ecc(argmax) ≤ D rounds.  Termination
-detection in a deployed system adds O(D); callers charge it via the
-returned round count when they need a self-terminating protocol.
+floods the largest identifier it has seen, forwarding only improvements.
+The largest id reaches a node at distance d in round d, and for n > 1 the
+flood quiesces after ecc(argmax) + 1 ≤ D + 1 rounds: the last round
+delivers the redundant echo of the final improvement (a single node
+takes 0 rounds).  Termination detection in a deployed system adds O(D);
+callers charge it via the returned round count when they need a
+self-terminating protocol.
 """
 
 from __future__ import annotations
@@ -28,7 +31,11 @@ class LeaderResult:
 
 
 class MaxIdFloodProgram(NodeProgram):
-    """Flood the largest identifier seen; quiesces in ecc(argmax) rounds."""
+    """Flood the largest identifier seen; quiesces in ecc(argmax) + 1 rounds.
+
+    The extra round (for n > 1) delivers the echo of the last improvement,
+    which changes nothing.
+    """
 
     # Forwards only improvements, which can only arrive as messages; a
     # silent round is a no-op, so the engine may skip it.

@@ -19,15 +19,17 @@ to).  The engine chooses its loop: nothing above it selects one, and
 obs benches that compare loops.
 
 * ``"vectorized"`` (default) — the bulk loop: for audited structured
-  program families (BFS, multi-source BFS, the pipelined tree transfers)
-  whole rounds execute as numpy array operations over a CSR adjacency
-  (:mod:`repro.congest.vectorized`), removing per-node Python dispatch
-  entirely.  It holds messages to the per-node loop's rules: a family
-  whose messages exceed the bandwidth never starts on it, and payload
-  values are checked against their ``Field`` domains every round.
-  Anything unsupported, any model without a CSR port and any engine with
-  a fault channel runs the ``"active"`` per-node loop instead, recording
-  the reason on :attr:`Engine.vectorized_fallback`.
+  program families (BFS, multi-source BFS, the max-id flood of leader
+  election, the pipelined tree transfers) whole rounds execute as numpy
+  array operations over a CSR adjacency (:mod:`repro.congest.vectorized`),
+  removing per-node Python dispatch entirely.  It holds messages to the
+  per-node loop's rules: a family whose messages exceed the bandwidth
+  never starts on it, and payload values are checked against their
+  ``Field`` domains every round.  Its ``deliver`` events carry what the
+  per-node loop's do: the bare int of a one-field payload, the pair of a
+  two-field one.  Anything unsupported, any model without a CSR port and
+  any engine with a fault channel runs the ``"active"`` per-node loop
+  instead, recording the reason on :attr:`Engine.vectorized_fallback`.
 * ``"active"`` — a node executes a round only when it has deliveries,
   sent messages in its previous executed round (it may be mid-stream),
   has a due :meth:`~repro.congest.program.Context.request_wakeup`, or is
@@ -491,6 +493,7 @@ class Engine:
 
         stats = TrafficStats()
         csr = vp.csr
+        one_field = len(vp.domains) == 1
         order_arr = np.empty(self.network.n, dtype=np.int64)
         for v, i in self._order.items():
             order_arr[v] = i
@@ -518,16 +521,19 @@ class Engine:
             bits = count * vp.bits_per_message
             if self._recording:
                 # Deliver events in the canonical (program order, dst)
-                # order the per-node loops emit.
+                # order the per-node loops emit, each carrying what the
+                # per-node ``Message.value`` would: the bare int of a
+                # one-field payload, the pair of a two-field one.
                 src = csr.src[in_flight.edges]
                 dst = csr.indices[in_flight.edges]
+                a, b = in_flight.a, in_flight.b
                 for i in np.lexsort((dst, order_arr[src])):
                     self.recorder.deliver(
                         rounds,
                         int(src[i]),
                         int(dst[i]),
                         vp.bits_per_message,
-                        (int(in_flight.a[i]), int(in_flight.b[i])),
+                        int(a[i]) if one_field else (int(a[i]), int(b[i])),
                     )
             stats.record_round(count, bits)
             if self._recording:

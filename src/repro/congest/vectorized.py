@@ -18,19 +18,23 @@ than merely computing the same final answer.
 Messages here live on directed edges: every supported program sends at
 most one message per edge per round (the CONGEST discipline the per-node
 engine enforces via ``DuplicateSend``), so a round's traffic is an
-:class:`EdgeMessages` — a sorted array of directed-edge ids plus two
-payload-field columns, mirroring the ``(Field, Field)`` payloads of the
-per-node programs.  Each port keeps those two Field domains: they fix
-``bits_per_message``, and :meth:`VectorizedProgram.check_domains` holds
-every round's outgoing columns to them, raising the error ``Field``
-raises on the per-node path.
+:class:`EdgeMessages` — a sorted array of directed-edge ids plus one
+column per payload field, mirroring the per-node programs' payloads: a
+bare ``Field`` (the max-id flood) or a ``(Field, Field)`` pair (every
+other port).  Each port keeps its Field domains, one or two of them:
+they fix the payload arity and ``bits_per_message``, and
+:meth:`VectorizedProgram.check_domains` holds every round's outgoing
+columns to them, raising the error ``Field`` raises on the per-node path.
 
-Only audited program families vectorize; :func:`build_vectorized` returns
-``(None, reason)`` for anything else and the engine silently falls back
-to the per-node loop, recording the reason.  Mixed program dicts, tree
-transfers whose combine has no ufunc in the fixed combine table, families
-whose messages exceed the bandwidth (reason
-``"message-exceeds-bandwidth"``) and engines with a fault channel
+Only audited program families vectorize — five of them: BFS-with-echo,
+multi-source BFS, the max-id flood of leader election, and the pipelined
+upcast and downcast.  The audit matches exact program types, so a
+subclass (``BoundedMaxIdFloodProgram``, for one) is not audited.
+:func:`build_vectorized` returns ``(None, reason)`` for anything else and
+the engine silently falls back to the per-node loop, recording the
+reason.  Mixed program dicts, tree transfers whose combine has no ufunc
+in the fixed combine table, families whose messages exceed the bandwidth
+(reason ``"message-exceeds-bandwidth"``) and engines with a fault channel
 (:class:`repro.faults.FaultyEngine`; reason ``"fault-channel"``) all take
 the fallback.
 """
@@ -45,6 +49,7 @@ import numpy as np
 
 from .algorithms.bfs import ECHO, NACK, TOKEN, TOKEN_NACK, BFSEchoProgram
 from .algorithms.aggregate import DowncastProgram, UpcastProgram
+from .algorithms.leader import MaxIdFloodProgram
 from .algorithms.multibfs import MultiSourceBFSProgram
 from .csr import CSRAdjacency, csr_for
 from .encoding import Field, payload_bits
@@ -59,14 +64,15 @@ class EdgeMessages:
     """One round of traffic: per-directed-edge payload columns.
 
     ``edges[i]`` is a directed edge id into the CSR (src ``csr.src[e]``,
-    dst ``csr.indices[e]``), sorted ascending; ``a``/``b`` are the two
-    payload fields of message ``i`` (every supported program family uses
-    two-field payloads — tag/value, source/dist, or index/value).
+    dst ``csr.indices[e]``), sorted ascending; ``a``/``b`` are the payload
+    fields of message ``i`` — tag/value, source/dist, or index/value for
+    the two-field families, and ``a`` alone (``b`` is None) for the
+    one-field max-id flood.
     """
 
     edges: np.ndarray
     a: np.ndarray
-    b: np.ndarray
+    b: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return int(self.edges.shape[0])
@@ -125,12 +131,14 @@ class VectorizedProgram:
     engine passes it back into ``step_all`` (the arrays are mutated in
     place).
 
-    ``domains`` are the two payload ``Field`` domains of the family's
-    per-node messages; ``bits_per_message`` is derived from them by the
-    same ``payload_bits`` the per-node path charges.
+    ``domains`` are the payload ``Field`` domains of the family's
+    per-node messages, one per field: a 1-tuple for a bare ``Field``
+    payload, a 2-tuple for a ``(Field, Field)`` pair.  Their length is
+    the payload arity, and ``bits_per_message`` is derived from them by
+    the same ``payload_bits`` the per-node path charges.
     """
 
-    def __init__(self, csr: CSRAdjacency, domains: Tuple[int, int]):
+    def __init__(self, csr: CSRAdjacency, domains: Tuple[int, ...]):
         self.csr = csr
         self.domains = domains
         self.bits_per_message = payload_bits(tuple(Field(0, d) for d in domains))
@@ -154,25 +162,24 @@ class VectorizedProgram:
     def check_domains(self, msgs: EdgeMessages, order: np.ndarray) -> None:
         """Raise the per-node path's ``Field`` error for an out-of-range value.
 
-        On the per-node path a sender builds each payload from two
-        ``Field`` objects, which reject a value outside their domain while
-        that node executes.  Here the round's outgoing columns are checked
-        instead; on a violation the Fields are rebuilt in canonical
-        ``(program order, dst)`` message order (``order`` maps node to
-        program index), so the first offending message raises the same
-        ``ValueError`` in the same round.
+        On the per-node path a sender builds each payload from one
+        ``Field`` per domain, which rejects a value outside its domain
+        while that node executes.  Here the round's outgoing columns (one
+        per domain) are checked instead; on a violation the Fields are
+        rebuilt in canonical ``(program order, dst)`` message order
+        (``order`` maps node to program index), so the first offending
+        message raises the same ``ValueError`` in the same round.
         """
         if not len(msgs):
             return
-        a, b = msgs.a, msgs.b
-        da, db = self.domains
-        if a.min() >= 0 and b.min() >= 0 and a.max() < da and b.max() < db:
+        checks = list(zip((msgs.a, msgs.b), self.domains))
+        if all(col.min() >= 0 and col.max() < d for col, d in checks):
             return
         src = self.csr.src[msgs.edges]
         dst = self.csr.indices[msgs.edges]
         for i in np.lexsort((dst, order[src])):
-            Field(int(a[i]), da)
-            Field(int(b[i]), db)
+            for col, d in checks:
+                Field(int(col[i]), d)
 
     # -- shared helpers -------------------------------------------------
 
@@ -434,6 +441,45 @@ class VectorizedMultiSourceBFS(VectorizedProgram):
         return result
 
 
+class VectorizedMaxIdFlood(VectorizedProgram):
+    """Bulk port of :class:`MaxIdFloodProgram` (max-id leader election).
+
+    ``best`` starts at each program's own id and goes out on every
+    out-edge at start; each round folds the deliveries into ``best`` with
+    a per-node maximum, and exactly the nodes that improved re-send their
+    new ``best`` on every out-edge.  No node ever halts (the run ends at
+    quiescence), so every message is deliverable.  The payload is the
+    bare ``Field(best, n)``: one field.
+    """
+
+    def __init__(self, csr: CSRAdjacency, best: np.ndarray, n_domain: int):
+        super().__init__(csr, (n_domain,))
+        self.state = {"best": best}
+
+    def _send(self, edges: np.ndarray) -> EdgeMessages:
+        # Callers pass edge ids in ascending order (all edges, or the
+        # out-edges of ascending nodes), which is the canonical order.
+        best = self.state["best"]
+        return EdgeMessages(edges=edges, a=best[self.csr.src[edges]])
+
+    def start(self) -> Tuple[EdgeMessages, np.ndarray]:
+        edges = np.arange(self.csr.num_directed_edges, dtype=np.int64)
+        return self._send(edges), np.zeros(self.csr.n, dtype=bool)
+
+    def step_all(self, state, inbox, active_mask, round_no):
+        best = state["best"]
+        before = best.copy()
+        np.maximum.at(best, self.csr.indices[inbox.edges], inbox.a)
+        improved = np.flatnonzero(best > before)
+        out = self._send(_node_out_edges(self.csr, improved))
+        return out, np.zeros(self.csr.n, dtype=bool)
+
+    def outputs(self, rounds: int) -> Dict[int, Any]:
+        # ``on_start`` already sets ``ctx.output``, so every node has an
+        # output even after zero rounds.
+        return dict(enumerate(self.state["best"].tolist()))
+
+
 class _TreeTransfer(VectorizedProgram):
     """Shared structure of the pipelined tree transfers (up/downcast)."""
 
@@ -674,10 +720,17 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
     if len(kinds) != 1:
         return None, "mixed-program-types"
     kind = kinds.pop()
-    if kind not in (BFSEchoProgram, MultiSourceBFSProgram, UpcastProgram,
-                    DowncastProgram):
+    if kind not in (BFSEchoProgram, MultiSourceBFSProgram, MaxIdFloodProgram,
+                    UpcastProgram, DowncastProgram):
         return None, f"unsupported-program-{kind.__name__}"
     csr = csr_for(network)
+
+    if kind is MaxIdFloodProgram:
+        best = np.fromiter(
+            (programs[v].best for v in network.nodes()),
+            dtype=np.int64, count=network.n,
+        )
+        return VectorizedMaxIdFlood(csr, best, network.n), None
 
     if kind is BFSEchoProgram:
         roots = {p.root for p in programs.values()}

@@ -11,9 +11,10 @@ from repro.congest.algorithms.aggregate import (
     build_upcast_programs,
 )
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
+from repro.congest.algorithms.leader import MaxIdFloodProgram
 from repro.congest.encoding import Field
 from repro.congest.engine import SCHEDULES, Engine, run_program
-from repro.congest.errors import BandwidthExceeded
+from repro.congest.errors import BandwidthExceeded, MessageTooLargeError
 from repro.congest.network import Network
 from repro.congest.program import IdleProgram, NodeProgram, make_programs
 from repro.core.semigroup import combine_sum
@@ -98,6 +99,20 @@ class TestFailureInjection:
         make = partial(make_programs, net.n, BFSEchoProgram, 0)
         with pytest.raises(BandwidthExceeded):
             run_program(net, make(), schedule=schedule)
+        assert _violation(net, make(), schedule) == _violation(
+            net, make(), "active"
+        )
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_flood_on_starved_bandwidth_raises_model_violation(self, schedule):
+        """The one-field flood is held to the bandwidth like the
+        two-field families: ``Field(id, 6)`` is 3 bits."""
+        import networkx as nx
+
+        net = Network(nx.path_graph(6), bandwidth=2)
+        make = partial(make_programs, net.n, MaxIdFloodProgram)
+        with pytest.raises(MessageTooLargeError):
+            run_program(net, make(), schedule=schedule, stop_on_quiescence=True)
         assert _violation(net, make(), schedule) == _violation(
             net, make(), "active"
         )

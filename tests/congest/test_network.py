@@ -1,6 +1,10 @@
 """Unit tests for the Network topology wrapper."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -75,6 +79,13 @@ class TestMetrics:
             nx.single_source_shortest_path_length(net.graph, 0)
         )
 
+    @pytest.mark.parametrize("source", [-1, 12])
+    def test_distances_from_out_of_range_source_raises(self, source):
+        # The same error as CompleteNetwork's closed form, not networkx's.
+        for net in (topologies.grid(3, 4), topologies.complete(12)):
+            with pytest.raises(CongestError, match="out of range"):
+                net.distances_from(source)
+
     def test_neighbors_sorted(self):
         net = topologies.petersen()
         for v in net.nodes():
@@ -84,6 +95,25 @@ class TestMetrics:
         net = topologies.star(7)
         assert net.degree(0) == 6
         assert net.degree(3) == 1
+
+
+class TestDependencies:
+    def test_election_and_ground_truth_leave_scipy_unloaded(self):
+        # scipy is a test-only dependency: loading its sparse graph
+        # routines would add tens of MiB to every process that elects a
+        # leader or reads a diameter.
+        code = (
+            "import sys; "
+            "from repro.congest import topologies; "
+            "from repro.congest.algorithms.leader import elect_leader; "
+            "net = topologies.diameter_controlled(300, 6, seed=0); "
+            "elect_leader(net, seed=0); net.eccentricities; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestWords:

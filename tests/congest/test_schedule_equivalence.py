@@ -4,7 +4,9 @@ The engine's ``schedule="active"`` mode skips nodes whose round would be a
 provable no-op.  These tests pin the contract down: for every library
 program, over random topologies and seeds, the active run must produce
 bit-identical rounds, outputs, and traffic statistics — including under a
-fault-injecting engine, whose fault RNG stream must also line up.
+fault-injecting engine, whose fault RNG stream must also line up.  Every
+schedule, the bulk ``"vectorized"`` loop included, must also match the
+textbook reference loop.
 """
 
 import pytest
@@ -105,7 +107,7 @@ class TestScheduleEquivalence:
         seed = data.draw(st.integers(0, 100))
         make, kwargs = _make_program_factory(data.draw, net, family)
         reference = reference_run(Engine(net, make(), seed=seed, **kwargs))
-        for schedule in ("active", "dense"):
+        for schedule in ("active", "dense", "vectorized"):
             result = run_program(net, make(), seed=seed, schedule=schedule,
                                  **kwargs)
             _assert_identical(result, reference)

@@ -16,7 +16,10 @@ from repro.congest.algorithms.aggregate import (
     build_upcast_programs,
 )
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
-from repro.congest.algorithms.leader import MaxIdFloodProgram
+from repro.congest.algorithms.leader import (
+    BoundedMaxIdFloodProgram,
+    MaxIdFloodProgram,
+)
 from repro.congest.algorithms.multibfs import MultiSourceBFSProgram
 from repro.congest.engine import Engine
 from repro.congest.vectorized import build_vectorized
@@ -28,6 +31,7 @@ from repro.core.semigroup import (
     combine_sum,
     combine_xor,
 )
+from repro.obs import MemorySink, Recorder
 
 
 def _assert_identical(res_a, res_b):
@@ -76,6 +80,37 @@ class TestFastPath:
         _assert_identical(active, vec)
         assert engine.vectorized_fallback is None
         assert engine.vectorized_rounds == vec.rounds
+
+    def test_leader_flood_identical_in_reversed_program_order(self):
+        # Program order fixes the canonical delivery order, so the deliver
+        # events are compared too; each carries the bare id, as the
+        # per-node ``Message.value`` of a one-field payload does.
+        net = topologies.grid(3, 4)
+        runs = []
+        for schedule in ("active", "vectorized"):
+            sink = MemorySink()
+            engine = Engine(
+                net,
+                {v: MaxIdFloodProgram(v) for v in reversed(net.nodes())},
+                seed=3, schedule=schedule, stop_on_quiescence=True,
+                recorder=Recorder([sink]),
+            )
+            runs.append((engine, engine.run(), sink.events_of_kind("deliver")))
+        (_, active, active_events), (engine, vec, vec_events) = runs
+        _assert_identical(active, vec)
+        assert active_events == vec_events
+        assert all(type(e.value) is int for e in vec_events)
+        assert engine.vectorized_fallback is None
+        assert engine.vectorized_rounds == vec.rounds
+
+    def test_leader_flood_on_one_node_runs_no_round(self):
+        net = topologies.path(1)
+        engine, result = _run(
+            net, {0: MaxIdFloodProgram(0)}, "vectorized",
+            stop_on_quiescence=True,
+        )
+        assert (result.rounds, result.outputs) == (0, {0: 0})
+        assert engine.vectorized_fallback is None
 
     def test_fast_path_never_builds_contexts(self):
         # The whole point of the bulk schedule: no per-node Context objects
@@ -175,12 +210,16 @@ class TestFallbacks:
         return engine
 
     def test_unsupported_program_family(self):
+        # The audit matches exact types: a subclass of an audited family
+        # has no port.
         net = topologies.cycle(9)
         self._expect_fallback(
             net,
-            lambda: {v: MaxIdFloodProgram(v) for v in net.nodes()},
-            "unsupported-program-MaxIdFloodProgram",
-            stop_on_quiescence=True,
+            lambda: {
+                v: BoundedMaxIdFloodProgram(v, horizon=net.n)
+                for v in net.nodes()
+            },
+            "unsupported-program-BoundedMaxIdFloodProgram",
         )
 
     def test_mixed_program_types(self):
@@ -243,7 +282,6 @@ class TestFallbacks:
         assert vp is None and reason == "upcast-params-disagree"
 
     def test_faulty_engine_vetoes_vectorization(self):
-        from repro.congest.algorithms.leader import BoundedMaxIdFloodProgram
         from repro.faults import BernoulliLoss, FaultyEngine
 
         net = topologies.grid(3, 3)
@@ -268,7 +306,7 @@ class TestDefaultSchedule:
     """With no ``schedule`` argument the engine chooses its loop."""
 
     @pytest.mark.parametrize(
-        "family", ["bfs-echo", "multibfs", "upcast", "downcast"]
+        "family", ["bfs-echo", "multibfs", "leader", "upcast", "downcast"]
     )
     def test_audited_families_run_on_the_bulk_loop(self, family):
         net = topologies.grid(3, 4)
@@ -280,6 +318,9 @@ class TestDefaultSchedule:
             programs = {
                 v: MultiSourceBFSProgram(v, [0, 5]) for v in net.nodes()
             }
+            kwargs["stop_on_quiescence"] = True
+        elif family == "leader":
+            programs = {v: MaxIdFloodProgram(v) for v in net.nodes()}
             kwargs["stop_on_quiescence"] = True
         elif family == "upcast":
             values = {v: [v, 1] for v in net.nodes()}
@@ -295,12 +336,13 @@ class TestDefaultSchedule:
     def test_unaudited_program_falls_back(self):
         net = topologies.cycle(9)
         engine = Engine(
-            net, {v: MaxIdFloodProgram(v) for v in net.nodes()}, seed=0,
-            stop_on_quiescence=True,
+            net,
+            {v: BoundedMaxIdFloodProgram(v, horizon=net.n) for v in net.nodes()},
+            seed=0,
         )
         result = engine.run()
         assert engine.vectorized_fallback == (
-            "unsupported-program-MaxIdFloodProgram"
+            "unsupported-program-BoundedMaxIdFloodProgram"
         )
         assert result.rounds > 0 and engine.vectorized_rounds == 0
 

@@ -68,6 +68,14 @@ class TestLeaderProperties:
     def test_leader_is_always_max_id(self, net):
         assert elect_leader(net, seed=0).leader == net.n - 1
 
+    @SLOW
+    @given(connected_graphs())
+    def test_rounds_are_winner_eccentricity_plus_one(self, net):
+        # The max id reaches a node at distance d in round d; the last
+        # round delivers the redundant echo of the final improvement.
+        winner_ecc = nx.eccentricity(net.graph, v=net.n - 1)
+        assert elect_leader(net, seed=0).rounds == winner_ecc + 1
+
 
 class TestMultiBFSProperties:
     @SLOW

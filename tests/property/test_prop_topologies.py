@@ -1,11 +1,13 @@
 """Property tests: every topology generator yields a valid CONGEST network."""
 
 import networkx as nx
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.congest import topologies
+from repro.congest.network import _ECC_GATHER_BYTES, Network
 
 FAST = settings(max_examples=20, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -95,3 +97,45 @@ class TestGeneratorsValid:
 
         assert girth(net.graph) == g
         assert net.n == g * copies + tail
+
+
+def _ground_truth_graph(kind, n, seed):
+    """A graph of one family with about n nodes (exactly n for paths,
+    trees and, from n = 7 up, diameter-controlled graphs)."""
+    if kind == "path":
+        return topologies.path(n)
+    if kind == "cycle":
+        return topologies.cycle(max(n, 3))
+    if kind == "tree":
+        rng = np.random.default_rng(seed)
+        g = nx.Graph()
+        g.add_node(0)
+        g.add_edges_from((int(rng.integers(0, v)), v) for v in range(1, n))
+        return Network(g)
+    if kind == "grid":
+        return topologies.grid(1 + n % 9, 1 + n // 9)
+    return topologies.diameter_controlled(max(n, 7), 6, seed=seed)
+
+
+class TestGroundTruth:
+    @FAST
+    @given(
+        kind=st.sampled_from(
+            ["path", "cycle", "tree", "grid", "diameter_controlled"]
+        ),
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=100),
+    )
+    @example(kind="diameter_controlled", n=2_100, seed=0)
+    def test_eccentricities_match_networkx(self, kind, n, seed):
+        net = _ground_truth_graph(kind, n, seed)
+        expected = nx.eccentricity(net.graph) if net.n > 1 else {0: 0}
+        assert net.eccentricities == expected
+
+    def test_example_spans_more_than_one_source_chunk(self):
+        # The explicit example above must exercise the chunk boundary:
+        # a chunk holds 64 sources per word, sized from the edge count.
+        net = topologies.diameter_controlled(2_100, 6, seed=0)
+        chunk = 64 * (_ECC_GATHER_BYTES // (8 * 2 * net.m))
+        assert chunk < net.n < 2 * chunk
+

@@ -20,6 +20,7 @@ from repro.congest.algorithms.aggregate import (
     build_upcast_programs,
 )
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
+from repro.congest.algorithms.leader import MaxIdFloodProgram
 from repro.congest.algorithms.multibfs import MultiSourceBFSProgram
 from repro.congest.engine import Engine
 from repro.core.semigroup import (
@@ -57,6 +58,11 @@ def _make_program_factory(draw, net, family):
             lambda: {v: BFSEchoProgram(v, root) for v in net.nodes()},
             {},
         )
+    if family == "leader":
+        return (
+            lambda: {v: MaxIdFloodProgram(v) for v in net.nodes()},
+            {"stop_on_quiescence": True},
+        )
     count = draw(st.integers(1, min(3, net.n)))
     sources = draw(
         st.lists(st.integers(0, net.n - 1), min_size=count,
@@ -92,7 +98,7 @@ class TestVectorizedEquivalence:
     @given(data=st.data())
     def test_flood_families(self, data):
         net = _make_network(data.draw)
-        family = data.draw(st.sampled_from(["bfs", "multibfs"]))
+        family = data.draw(st.sampled_from(["bfs", "multibfs", "leader"]))
         seed = data.draw(st.integers(0, 100))
         make, kwargs = _make_program_factory(data.draw, net, family)
         active = Engine(
@@ -110,7 +116,7 @@ class TestVectorizedEquivalence:
     @given(data=st.data())
     def test_obs_event_streams_identical(self, data):
         net = _make_network(data.draw)
-        family = data.draw(st.sampled_from(["bfs", "multibfs"]))
+        family = data.draw(st.sampled_from(["bfs", "multibfs", "leader"]))
         seed = data.draw(st.integers(0, 100))
         make, kwargs = _make_program_factory(data.draw, net, family)
         streams = []
