@@ -1,43 +1,83 @@
-"""Quick-mode smoke wrapper: parallel sweep executor benchmark.
+"""Wall-clock gates on the :mod:`repro.parallel` sweep executor.
 
-The workload asserts serial/parallel verdict identity before timing (it
-raises on divergence), so collecting it under pytest enforces the
-executor's bit-identical-results contract.  The sleep-based fan-out
-entries prove real task overlap on any hardware; the CPU-bound >1.5x
-speedup bar is only asserted where the host has the cores to clear it
-(single-CPU runners physically cannot) — see DESIGN.md §6e.
+Two bars, both 1.5x:
+
+* **Fan-out.** Two 0.2 s sleep tasks at ``jobs=2`` must finish more than
+  1.5x faster than back to back.  Sleeps do not compete for cores, so
+  this shows real task overlap, dispatch and collection included, on
+  any host.
+* **CPU-bound sweep.** The quick verification sweep at ``jobs=4`` must
+  run more than 1.5x faster than the serial sweep, with identical
+  verdicts.  The speedup cannot exceed the usable cores, so the check
+  is skipped on hosts with fewer than four (DESIGN.md §6e).
+
+They are wall-clock bounds, so they stay out of tier-1; see README.md
+here.  The verdict identity of serial and ``jobs=2`` sweeps is judged
+by CI's all-claims verify step.
 """
 
-from repro.perf.parallel_bench import _cpus, parallel_verify_workload
+import os
+import time
 
-#: The PR-4 acceptance bar for the CPU-bound sweep at jobs=4.
+import pytest
+
+from repro.experiments.runner import RunRequest, verify_all
+from repro.parallel import Task, run_parallel
+
+#: The bar both gates must clear.
 PARALLEL_SPEEDUP_TARGET = 1.5
 
 
-def test_parallel_verify_quick():
-    wl = parallel_verify_workload(quick=True)
-    cpu_entries = [e for e in wl.sweep if "speedup" in e]
-    fanout_entries = [e for e in wl.sweep if "fanout_speedup" in e]
-    assert cpu_entries and fanout_entries
-    for entry in cpu_entries:
-        assert entry["serial_s"] > 0 and entry["parallel_s"] > 0
-        assert entry["experiments"] > 0
-    for entry in fanout_entries:
-        # Overlapped sleeps must beat running them back to back; 1.5x
-        # on two 0.2s naps leaves ~130ms of slack for dispatch overhead.
-        assert entry["fanout_speedup"] > 1.5, entry
+def _cpus():
+    """Cores actually available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
 
 
-def test_parallel_speedup_target_when_cores_allow():
-    """The >1.5x jobs=4 bar, gated on having >= 4 usable cores."""
-    import pytest
+def _nap(seconds):
+    """Module-level sleep task (workers need a top-level callable)."""
+    time.sleep(seconds)
+    return seconds
 
+
+def _wall(fn):
+    start = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - start
+
+
+def test_sleep_fanout_overlaps():
+    jobs, nap_s = 2, 0.2
+    tasks = [
+        Task(key=f"nap{i}", fn=_nap, kwargs={"seconds": nap_s})
+        for i in range(jobs)
+    ]
+    _, elapsed = _wall(lambda: run_parallel(tasks, jobs=jobs))
+    # 1.5x on two 0.2 s naps leaves about 130 ms for dispatch overhead.
+    speedup = jobs * nap_s / elapsed
+    assert speedup > PARALLEL_SPEEDUP_TARGET, (speedup, elapsed)
+
+
+def test_quick_sweep_speedup_at_four_jobs():
     if _cpus() < 4:
         pytest.skip(
             f"host exposes {_cpus()} core(s); the CPU-bound speedup bar "
-            f"needs >= 4 (the fan-out entries cover concurrency here)"
+            f"needs >= 4 (the fan-out gate covers concurrency here)"
         )
-    wl = parallel_verify_workload(quick=False)
-    at4 = [e for e in wl.sweep if e.get("jobs") == 4 and "speedup" in e]
-    assert at4, "no jobs=4 sweep entry"
-    assert at4[0]["speedup"] > PARALLEL_SPEEDUP_TARGET, at4[0]
+    request = RunRequest(quick=True)
+    # One untimed serial sweep first, so the timed serial sweep runs on
+    # warm process-wide caches, as the forked workers do.
+    serial = verify_all(request)
+    _, t_serial = _wall(lambda: verify_all(request))
+    parallel, t_parallel = _wall(
+        lambda: verify_all(request.replace(jobs=4))
+    )
+    verdicts = [
+        [(v.experiment, v.passed, v.detail) for v in run]
+        for run in (serial, parallel)
+    ]
+    assert verdicts[0] == verdicts[1]
+    speedup = t_serial / t_parallel
+    assert speedup > PARALLEL_SPEEDUP_TARGET, (speedup, t_serial, t_parallel)

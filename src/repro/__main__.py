@@ -7,8 +7,6 @@ Usage::
     python -m repro run all [--full]    # run everything
     python -m repro faults --losses 0,0.05,0.1   # loss-rate sweep under
                                          # the resilience layer
-    python -m repro bench [--quick]      # hot-path micro-benchmarks,
-                                         # writes BENCH_PR2.json
     python -m repro trace E7 [--jsonl trace.jsonl]
                                          # run one experiment under the
                                          # observability spine and print
@@ -92,33 +90,12 @@ def main(argv=None) -> int:
     faults_parser.add_argument("--rows", type=int, default=4)
     faults_parser.add_argument("--cols", type=int, default=4)
     faults_parser.add_argument("--seed", type=int, default=0)
-    bench_parser = sub.add_parser(
-        "bench",
-        help="run the hot-path micro-benchmarks and write a JSON report "
-        "(schema: benchmarks/perf/README.md)",
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="small instances; a correctness smoke check, not a perf claim",
-    )
-    bench_parser.add_argument(
-        "--out", default=None,
-        help="report output path (default BENCH_PR2.json; a serve-only "
-        "run defaults to BENCH_PR6.json)",
-    )
-    bench_parser.add_argument(
-        "--workload", action="append", dest="workloads", default=None,
-        metavar="NAME",
-        help="run only this workload (repeatable): engine (alias "
-        "engine_flooding), gates, framework, obs, parallel, sched, "
-        "serve, scaling_ceiling, scenarios, sketches",
-    )
     serve_parser = sub.add_parser(
         "serve",
         help="run the multi-tenant query-serving daemon against a "
-        "deterministic open-loop synthetic load, drain on completion "
-        "(or SIGINT/SIGTERM), and print throughput and latency "
-        "percentiles",
+        "deterministic open-loop synthetic load, drain once the offered "
+        "load completes, and print throughput and latency percentiles "
+        "(Ctrl-C interrupts the session without a drain or report)",
     )
     serve_parser.add_argument("--clients", type=int, default=1000,
                               help="simulated client requests to offer")
@@ -229,34 +206,6 @@ def main(argv=None) -> int:
             n=args.n, k=args.k, diameter=args.diameter,
             epsilon=args.epsilon, girth=args.girth,
         ).show()
-        return 0
-
-    if args.command == "bench":
-        from .perf import run_all, write_report
-        from .perf.harness import format_summary
-
-        out = args.out
-        if out is None:
-            # The serving and scaling workloads ship their own report
-            # files so the PR 2 baseline report is never clobbered by a
-            # single-workload run.
-            if args.workloads == ["serve"]:
-                out = "BENCH_PR6.json"
-            elif args.workloads == ["scaling_ceiling"]:
-                out = "BENCH_PR7.json"
-            elif args.workloads == ["models"]:
-                out = "BENCH_PR8.json"
-            elif args.workloads == ["scenarios"]:
-                out = "BENCH_PR9.json"
-            elif args.workloads == ["sketches"]:
-                out = "BENCH_PR10.json"
-            else:
-                out = "BENCH_PR2.json"
-        start = time.time()
-        report = run_all(quick=args.quick, workloads=args.workloads)
-        write_report(report, out)
-        print(format_summary(report))
-        print(f"(wrote {out} in {time.time() - start:.1f}s)")
         return 0
 
     if args.command == "serve":

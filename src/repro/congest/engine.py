@@ -15,8 +15,9 @@ Three scheduling strategies produce *identical* results (rounds, outputs,
 traffic statistics — the determinism property tests pin this down, and
 ``tests/congest/reference_loop.py`` keeps the textbook loop they are held
 to).  The engine chooses its loop: nothing above it selects one, and
-``"active"`` and ``"dense"`` exist as pins for tests and the engine and
-obs benches that compare loops.
+``"active"`` and ``"dense"`` exist as pins for the tests that compare
+loops and for the wall-clock gate on observation overhead
+(``benchmarks/perf/bench_perf_obs.py``).
 
 * ``"vectorized"`` (default) — the bulk loop: for audited structured
   program families (BFS, multi-source BFS, the max-id flood of leader
@@ -159,7 +160,7 @@ class Engine:
             loop otherwise), ``"active"`` (skip provably idle nodes) or
             ``"dense"`` (execute every node every round).  Results are
             identical; only wall time differs, so callers leave it at
-            the default and tests and benches pin the others.
+            the default and tests pin the others.
         recorder: observability spine bus (:mod:`repro.obs`).  Defaults
             to the ambient :func:`~repro.obs.current_recorder`, which is
             the null recorder unless one is installed; recording never

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from .encoding import payload_bits, unwrap
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.cost import LinkCostModel
 
 
 @dataclass(frozen=True)
@@ -115,19 +112,3 @@ class TrafficStats:
     @property
     def max_messages_in_round(self) -> int:
         return max(self.per_round_messages, default=0)
-
-    def wall_clock_us(self, link: "LinkCostModel") -> float:
-        """Price the executed rounds on ``link`` ("Mind the Õ").
-
-        A synchronous round's wall clock is set by its *largest* message;
-        per-edge sizes aren't tracked, so each round is charged at its
-        mean message size (total bits / messages) — a lower bound on the
-        max-message charge and exact when messages are uniform words, as
-        every framework protocol here sends.  Empty rounds still pay the
-        link latency: the round barrier doesn't come for free.
-        """
-        total = 0.0
-        for msgs, bits in zip(self.per_round_messages, self.per_round_bits):
-            mean_bits = bits // msgs if msgs else 0
-            total += link.message_time_us(mean_bits)
-        return total

@@ -10,7 +10,6 @@ diameter, planted cycles, known girth).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Optional
 
 import networkx as nx
@@ -102,11 +101,6 @@ def erdos_renyi(
 def lollipop(clique_size: int, tail_length: int, bandwidth: Optional[int] = None) -> Network:
     """A clique with a path tail — small radius at the clique, large diameter."""
     return Network(nx.lollipop_graph(clique_size, tail_length), bandwidth=bandwidth)
-
-
-def barbell(bell_size: int, bar_length: int, bandwidth: Optional[int] = None) -> Network:
-    """Two cliques joined by a path — a classic congestion stressor."""
-    return Network(nx.barbell_graph(bell_size, bar_length), bandwidth=bandwidth)
 
 
 def two_stars(

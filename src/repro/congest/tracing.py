@@ -88,13 +88,6 @@ class Trace:
         """Largest round number appearing in any event."""
         return max((e.round_no for e in self.events), default=0)
 
-    def events_in_round(self, round_no: int) -> List[TraceEvent]:
-        """Delivery events of one round."""
-        return [
-            e for e in self.events
-            if e.round_no == round_no and e.kind == DELIVER
-        ]
-
     def events_on_edge(self, src: int, dst: int) -> List[TraceEvent]:
         """Delivery events on one directed edge."""
         return [

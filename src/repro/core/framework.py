@@ -371,7 +371,6 @@ class FrameworkConfig:
     leader: Optional[int] = None
     semigroup: Optional[Semigroup] = None
     prepared: Optional["PreparedNetwork"] = None
-    reuse_setup: bool = True
     recorder: Optional[Recorder] = None
     #: Communication model this run is declared for: a
     #: :class:`~repro.congest.models.CommModel` instance, a registered
@@ -626,7 +625,7 @@ class PreparedCache:
         }
 
 
-#: The process-wide setup cache behind ``reuse_setup=True``.
+#: The process-wide setup cache every run without ``prepared`` uses.
 _PREPARED = PreparedCache()
 
 
@@ -685,32 +684,14 @@ def setup_network(
 
     Shared by :func:`run_framework` and the :mod:`repro.sched` scheduler
     so both charge setup identically: an explicit ``config.prepared``
-    wins, else the process-wide cache (``reuse_setup=True``), else a
-    fresh election + BFS.
+    wins, else the process-wide cache, which runs the election and BFS
+    on a miss.  Call :func:`invalidate_prepared` first to recompute it.
     """
     prepared = config.prepared
     if prepared is None:
-        if config.reuse_setup:
-            prepared = prepare_network(
-                network, seed=config.seed, leader=config.leader
-            )
-        elif config.leader is None:
-            election = elect_leader(network, seed=config.seed)
-            prepared = PreparedNetwork(
-                leader=election.leader,
-                election_rounds=election.rounds,
-                tree=bfs_with_echo(network, election.leader, seed=config.seed),
-                seed=config.seed,
-                topology_fingerprint=network.topology_fingerprint(),
-            )
-        else:
-            prepared = PreparedNetwork(
-                leader=config.leader,
-                election_rounds=None,
-                tree=bfs_with_echo(network, config.leader, seed=config.seed),
-                seed=config.seed,
-                topology_fingerprint=network.topology_fingerprint(),
-            )
+        prepared = prepare_network(
+            network, seed=config.seed, leader=config.leader
+        )
     prepared.charge_setup(rounds)
     return prepared
 
@@ -768,8 +749,8 @@ def run_framework(
             ``computer``/``k`` (Corollary 9 on-the-fly values), ``mode``
             (``formula`` charged costs vs ``engine`` measured costs),
             ``seed``, an optional designated ``leader``, an explicit
-            ``prepared`` setup to reuse, ``reuse_setup`` (the process
-            cache), and the observability ``recorder`` (defaults to the
+            ``prepared`` setup to reuse (else the process-wide cache),
+            and the observability ``recorder`` (defaults to the
             ambient one; the run is wrapped in ``setup``/``query`` spans
             with ``distribute``/``convergecast``/``uncompute`` sub-spans
             per engine-mode batch).

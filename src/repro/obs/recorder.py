@@ -5,8 +5,7 @@ each event with the current span path.  The module-level
 :data:`NULL_RECORDER` is the disabled bus: emitters guard their hot paths
 on ``recorder.active`` (a plain class attribute), so the instrumentation
 cost with recording off is one attribute load and branch — within the
-< 5 % overhead budget enforced by ``python -m repro bench`` (workload
-``obs_overhead``).
+< 5 % overhead budget enforced by ``benchmarks/perf/bench_perf_obs.py``.
 
 The *ambient* recorder makes the spine reach code that predates it:
 :func:`install` pushes a recorder for the duration of a ``with`` block and

@@ -76,10 +76,6 @@ class WallClockDuel:
     break_even_premium: float
 
     @property
-    def quantum_wins_rounds(self) -> bool:
-        return self.quantum_rounds < self.classical_rounds
-
-    @property
     def quantum_wins_wall_clock(self) -> bool:
         return self.quantum_us < self.classical_us
 

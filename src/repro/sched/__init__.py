@@ -30,9 +30,9 @@ Layers:
   conservation), same discipline as :mod:`repro.parallel.verify`.
 
 Every physical batch and memo hit is emitted as a ``coalesce`` event on
-the observability spine (:mod:`repro.obs`); ``python -m repro bench
---workload sched`` measures amortized rounds-per-query against caller
-count (DESIGN.md §6f).
+the observability spine (:mod:`repro.obs`).  Amortized rounds per query
+fall as more callers share an oracle; ``tests/sched/test_scheduler.py``
+checks this against caller count (DESIGN.md §6f).
 """
 
 from ..core.operation import Operation, OperationStream

@@ -30,8 +30,9 @@ The scheduler duck-types the daemon-facing surface of
 :class:`~repro.serve.daemon.QueryService` drives sketch lanes and oracle
 lanes through one worker loop.  Sketch operations are *local* phase
 rotations — O(k) gates, no distribute/convergecast — so the round ledger
-stays at zero; wall-clock throughput (ops/sec, BENCH_PR10) is the
-relevant cost axis, not CONGEST rounds.
+stays at zero; wall-clock throughput (ops/sec, the ``sketch_mixed``
+workload of ``e2ebench/``) is the relevant cost axis, not CONGEST
+rounds.
 """
 
 from __future__ import annotations
@@ -228,10 +229,6 @@ class SketchScheduler:
     def pending_queries(self) -> int:
         """Pending payload items (the daemon's fill/backpressure metric)."""
         return sum(s.op.size for s in self._queue)
-
-    @property
-    def pending_inserts(self) -> int:
-        return self._pending_inserts
 
     def pack_would_be_empty(self) -> bool:
         return not self._queue

@@ -32,14 +32,13 @@ Sketch lanes (PR 10) ride the same machinery:
 amplitude-sketch lane, ``Operation.insert`` / ``Operation.sketch_query``
 stream writes and reads through the same admission/fairness/drain path,
 and :func:`~repro.serve.loadgen.run_operation_load` drives deterministic
-mixed insert/query open-loop load (``bench --workload sketches``).
+mixed insert/query open-loop load.
 
 Layers: :mod:`~repro.serve.tenants` (quotas, stride fairness,
 backpressure), :mod:`~repro.serve.pool` (warm LRU of prepared lanes),
 :mod:`~repro.serve.daemon` (the asyncio service itself), and
 :mod:`~repro.serve.loadgen` (deterministic open-loop Poisson load).
-``python -m repro serve`` wires them into a runnable daemon and
-``python -m repro bench --workload serve`` into BENCH_PR6.json.
+``python -m repro serve`` wires them into a runnable daemon.
 """
 
 from .daemon import DEFAULT_PROFILE, QueryService, ServeResult, ServiceClosed

@@ -31,10 +31,11 @@ write-path memo invalidation):
   ``asyncio.Future`` resolving to :class:`ServeResult`; memo hits
   resolve without touching the network.
 * **Graceful drain** — :meth:`drain` stops admission, flushes every
-  lane, resolves every future, and emits a ``serve.drain`` event;
-  :meth:`serve_forever` wires SIGINT/SIGTERM to exactly that.  The
-  impatient path (:meth:`abort`) cancels instead, failing outstanding
-  futures with :class:`ServiceClosed` and counting them ``abandoned``.
+  lane, resolves every future, and emits a ``serve.drain`` event; a
+  ``python -m repro serve`` session drains once its offered load
+  completes (Ctrl-C interrupts it without a drain).  The impatient path
+  (:meth:`abort`) cancels instead, failing outstanding futures with
+  :class:`ServiceClosed` and counting them ``abandoned``.
 
 Every life-cycle edge lands on the observability spine as ``serve.*``
 events (schema: :mod:`repro.obs.jsonl`), so one JSONL trace tells the
@@ -44,7 +45,6 @@ whole story of a serving session.
 from __future__ import annotations
 
 import asyncio
-import signal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -449,35 +449,6 @@ class QueryService:
             self._recorder.serve_drain(
                 reason, self._flushed_during_drain, abandoned
             )
-
-    async def serve_forever(self) -> str:
-        """Run until SIGINT/SIGTERM, then drain gracefully.
-
-        Returns the name of the signal that triggered the drain.  Falls
-        back to KeyboardInterrupt handling on loops without signal
-        support.
-        """
-        loop = asyncio.get_running_loop()
-        stop: "asyncio.Future[str]" = loop.create_future()
-
-        def _trip(signame: str) -> None:
-            if not stop.done():
-                stop.set_result(signame)
-
-        installed = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, _trip, sig.name)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        try:
-            signame = await stop
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-        await self.drain(reason="signal")
-        return signame
 
     # -- introspection ---------------------------------------------------
 

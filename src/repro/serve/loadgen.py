@@ -134,7 +134,7 @@ class SketchLoadSpec:
         tenants: distinct tenant names to spread them over.
         rate_hz: aggregate Poisson arrival rate (virtual time).
         insert_fraction: probability an arrival is an ``insert`` (the
-            rest are ``sketch_query``); the BENCH_PR10 mix knob.
+            rest are ``sketch_query``); the read/write mix knob.
         items_min/items_max: per-operation payload size range.
         universe: item-key space size (items are ``key-0..key-U-1``;
             smaller universes mean hotter keys, more memo traffic, and

@@ -4,9 +4,9 @@ The daemon has no network protocol — clients are coroutines on the same
 loop (the repository reproduces round complexity, not RPC plumbing) — so
 "running the daemon" means: build a synthetic serving profile, start a
 :class:`~repro.serve.daemon.QueryService`, drive it with the deterministic
-open-loop generator, drain cleanly, and report.  CI's ``serve-smoke`` job
-and the ``serve`` bench workload both go through this module, so the CLI,
-CI, and BENCH_PR6.json all describe the same code path.
+open-loop generator, drain cleanly, and report.  The CLI and CI's serve
+and sketch sessions both go through this module, so they describe the
+same code path.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ def build_profile(
 ) -> Tuple[Network, FrameworkConfig]:
     """A deterministic synthetic serving profile (grid + random vectors).
 
-    The same construction as the PR 5 scheduler bench, so serve numbers
-    are directly comparable to the synchronous-scheduler ones.
+    The same construction as the scheduler's amortization test, so
+    serve numbers are directly comparable to the synchronous-scheduler
+    ones.
     """
     net = topologies.grid(rows, cols)
     rnd = random.Random(11)

@@ -59,15 +59,50 @@ def _downcast(net, tree, payload, domain, schedule, seed=None):
     return {v: tuple(result.outputs[v]) for v in net.nodes()}, result.rounds
 
 
+def _same_on_every_loop(build, name):
+    return pytest.param(build, True, id=name)
+
+
+def _bulk_only(build, name):
+    return pytest.param(build, False, id=name)
+
+
 class TestFastPath:
-    def test_bfs_echo_identical_and_fully_vectorized(self):
-        net = topologies.grid(4, 5)
+    @pytest.mark.parametrize("build,check_identity", [
+        _same_on_every_loop(lambda: topologies.grid(4, 5), "grid(4,5)"),
+        _same_on_every_loop(
+            lambda: topologies.random_regular(200, 4, seed=1),
+            "random_regular(200,4)",
+        ),
+        _same_on_every_loop(lambda: topologies.grid(12, 10), "grid(12,10)"),
+        _same_on_every_loop(lambda: topologies.cycle(200), "cycle(200)"),
+        _same_on_every_loop(
+            lambda: topologies.random_regular(500, 4, seed=7),
+            "random_regular(500,4)",
+        ),
+        _same_on_every_loop(lambda: topologies.grid(22, 22), "grid(22,22)"),
+        _same_on_every_loop(lambda: topologies.star(500), "star(500)"),
+        # Larger instances: the bulk loop must run them without falling
+        # back; the per-node loops are not run at this size.
+        _bulk_only(
+            lambda: topologies.random_regular(2000, 4, seed=7),
+            "random_regular(2000,4)",
+        ),
+        _bulk_only(lambda: topologies.grid(45, 45), "grid(45,45)"),
+        _bulk_only(lambda: topologies.star(2000), "star(2000)"),
+    ])
+    def test_bfs_echo_identical_and_fully_vectorized(
+        self, build, check_identity
+    ):
+        net = build()
         make = lambda: {v: BFSEchoProgram(v, 0) for v in net.nodes()}
-        _, active = _run(net, make(), "active")
         engine, vec = _run(net, make(), "vectorized")
-        _assert_identical(active, vec)
         assert engine.vectorized_fallback is None
         assert engine.vectorized_rounds == vec.rounds
+        if check_identity:
+            for schedule in ("active", "dense"):
+                _, per_node = _run(net, make(), schedule)
+                _assert_identical(per_node, vec)
 
     def test_multibfs_identical(self):
         net = topologies.random_regular(14, 3, seed=5)

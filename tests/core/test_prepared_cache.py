@@ -162,12 +162,13 @@ class TestRunFrameworkCaching:
         net, di = case
         cfg = FrameworkConfig(parallelism=3, dist_input=di, mode=mode,
                               seed=9)
+        invalidate_prepared(net)
         runs = [
-            run_framework(net, algorithm,
-                          config=cfg.replace(reuse_setup=False)),
-            run_framework(net, algorithm, config=cfg),  # fills the cache
+            run_framework(net, algorithm, config=cfg),  # recomputes setup
             run_framework(net, algorithm, config=cfg),  # hits the cache
+            run_framework(net, algorithm, config=cfg),  # hits it again
         ]
+        assert prepared_cache_stats()["hits"] >= 2
         baseline = runs[0]
         for run in runs[1:]:
             assert run.result == baseline.result
@@ -185,11 +186,16 @@ class TestRunFrameworkCaching:
         via_prepared = run_framework(
             net, algorithm, config=cfg.replace(prepared=prepared),
         )
-        fresh = run_framework(
-            net, algorithm, config=cfg.replace(reuse_setup=False),
-        )
+        invalidate_prepared(net)
+        fresh = run_framework(net, algorithm, config=cfg)
         assert via_prepared.rounds.charges == fresh.rounds.charges
         assert via_prepared.result == fresh.result
+
+    def test_reuse_setup_field_is_gone(self):
+        # Every run without ``prepared`` goes through the cache; to
+        # recompute setup, invalidate it.
+        with pytest.raises(TypeError, match="reuse_setup"):
+            FrameworkConfig(parallelism=1, reuse_setup=False)
 
     def test_designated_leader_skips_election_charge(self, case):
         net, di = case

@@ -16,6 +16,7 @@ from repro.core.cost import RoundLedger
 from repro.core.framework import (
     DistributedInput,
     FrameworkConfig,
+    invalidate_prepared,
     run_framework,
 )
 from repro.core.semigroup import min_semigroup
@@ -208,9 +209,10 @@ class TestUnifiedStream:
 
         def once(recorder):
             di = DistributedInput(vectors, min_semigroup(64))
+            invalidate_prepared(grid45)  # setup runs under the recorder too
             return run_framework(grid45, algorithm, config=FrameworkConfig(
                 parallelism=4, dist_input=di, mode="engine", seed=9,
-                reuse_setup=False, recorder=recorder,
+                recorder=recorder,
             ))
 
         plain = once(None)

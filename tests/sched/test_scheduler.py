@@ -1,12 +1,14 @@
 """CoalescingScheduler: packing, deadlines, fairness, exact accounting."""
 
+import random
+
 import pytest
 
 from repro.congest import topologies
-from repro.core.framework import DistributedInput, FrameworkConfig
+from repro.core.framework import DistributedInput, FrameworkConfig, run_framework
 from repro.core.semigroup import sum_semigroup
 from repro.queries.ledger import ParallelismViolation
-from repro.sched import CallerOracle, CoalescingScheduler
+from repro.sched import CallerOracle, CoalescingScheduler, verify_coalescing
 from repro.sched.scheduler import _proportional_shares
 from repro.core.operation import Operation
 
@@ -211,3 +213,82 @@ class TestCallerOracle:
         va = a.query_batch([0, 1, 2, 3])
         assert sched.physical_batches == 1
         assert len(va) == 4 and len(sched.result(tb)) == 4
+
+
+def _bursts(callers, k, bursts=2, subs=2, size=2):
+    """Per-burst ``(caller, indices, label)`` lists: every caller submits
+    ``subs`` under-filled ``size``-index sets per burst."""
+    out = []
+    for r in range(bursts):
+        out.append([
+            (
+                f"caller{c}",
+                [((c * 131 + r * 17 + s * 7) % k + j * 3) % k
+                 for j in range(size)],
+                f"burst{r}",
+            )
+            for c in range(callers)
+            for s in range(subs)
+        ])
+    return out
+
+
+def _serial_rounds(network, config, bursts):
+    """Query rounds when every caller runs on its own private oracle."""
+    by_caller = {}
+    for arrivals in bursts:
+        for caller, indices, label in arrivals:
+            by_caller.setdefault(caller, []).append((indices, label))
+    total = 0
+    for items in by_caller.values():
+        def algorithm(oracle, _rng, items=items):
+            for indices, label in items:
+                oracle.query_batch(indices, label=label)
+
+        run = run_framework(network, algorithm, config=config)
+        total += sum(
+            rounds for phase, rounds in run.rounds.by_phase().items()
+            if not phase.startswith("setup")
+        )
+    return total
+
+
+class TestAmortization:
+    """More concurrent callers fill each batch, so rounds per query fall.
+
+    Callers submit a burst each, then redeem it (the barrier a
+    synchronous caller hits), twice, against one grid(4,4) oracle with
+    k=64 at p=16.
+    """
+
+    def test_rounds_per_query_fall_as_callers_grow(self, network):
+        k = 64
+        rnd = random.Random(11)
+        vectors = {
+            v: [rnd.randint(0, 7) for _ in range(k)] for v in network.nodes()
+        }
+        di = DistributedInput(vectors, sum_semigroup(8 * network.n))
+        config = FrameworkConfig(
+            parallelism=16, dist_input=di, seed=4, leader=0
+        )
+        amortized = []
+        for callers in (1, 2, 4):
+            bursts = _bursts(callers, k)
+            flat = [sub for arrivals in bursts for sub in arrivals]
+            verdict = verify_coalescing(network, config, flat)
+            assert verdict.identical, verdict.detail
+
+            sched = CoalescingScheduler(network, config, memo=False)
+            for arrivals in bursts:
+                tickets = [
+                    sched.submit(Operation.query(c, idx, label=label))
+                    for c, idx, label in arrivals
+                ]
+                for ticket in tickets:
+                    sched.result(ticket)
+            report = sched.report()
+            assert report.physical_query_rounds < _serial_rounds(
+                network, config, bursts
+            )
+            amortized.append(report.amortized_rounds_per_query)
+        assert all(b < a for a, b in zip(amortized, amortized[1:])), amortized

@@ -7,12 +7,16 @@ import pytest
 from repro.obs import MemorySink, Recorder
 from repro.obs.events import SERVE_BATCH, SERVE_DRAIN, SERVE_REQUEST
 from repro.core.operation import Operation
+from repro.sched import CoalescingScheduler
 from repro.serve import (
     AdmissionError,
+    LoadSpec,
     QueryService,
     ServiceClosed,
     TenantQuota,
     build_profile,
+    generate_arrivals,
+    run_load,
 )
 
 NET, CFG = build_profile(rows=2, cols=2, k=8, parallelism=4)
@@ -289,3 +293,51 @@ class TestReport:
         assert report["tenants"]["t"]["pending"] == 0
         assert report["lanes"]["default"]["in_flight"] == 0
         assert report["pool"]["lanes"] == 1
+
+
+class TestOpenLoopRounds:
+    """Stepping batches on an event loop must not cost rounds.
+
+    The same seeded open-loop arrivals go through the daemon and through
+    the synchronous scheduler at equal width, both with the memo off so
+    packing is compared with packing.  Stride-order dispatch may pack
+    tenants in a different order than arrival-order FIFO, which in
+    engine mode can shift a boundary batch by a round or two; hence
+    the 2% tolerance.
+    """
+
+    ROUNDS_TOLERANCE = 1.02
+
+    @pytest.mark.parametrize("mode,clients,k", [
+        ("formula", 200, 64),
+        ("engine", 100, 32),
+    ])
+    def test_rounds_per_query_match_the_synchronous_scheduler(
+        self, mode, clients, k
+    ):
+        net, cfg = build_profile(k=k, parallelism=8, mode=mode)
+        spec = LoadSpec(
+            clients=clients, tenants=4, rate_hz=2000.0, seed=7,
+            queries_max=4,
+        )
+        service = QueryService(
+            default_quota=TenantQuota("default", max_pending=1 << 16),
+            flush_after_ms=250.0,
+            memo=False,
+        )
+        service.add_profile(net, cfg)
+        load = asyncio.run(run_load(service, spec))
+        assert load.completed == load.accepted == clients
+        served = service.pool.acquire("default").scheduler.report()
+
+        sync = CoalescingScheduler(net, cfg, memo=False)
+        tickets = [
+            sync.submit(Operation.query(a.tenant, a.indices, label=a.label))
+            for a in generate_arrivals(spec, k)
+        ]
+        sync.drain()
+        for ticket in tickets:
+            sync.result(ticket)
+        assert served.amortized_rounds_per_query <= (
+            sync.report().amortized_rounds_per_query * self.ROUNDS_TOLERANCE
+        )
