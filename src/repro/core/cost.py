@@ -229,6 +229,12 @@ class RoundLedger:
     The ledger's list-of-charges semantics are unchanged — emission is a
     side channel, and the spine's charge stream matches ``self.charges``
     entry for entry (merges excepted, see :meth:`merge`).
+
+    :attr:`total` is a running sum, read in O(1) (a serving lane reads
+    it around every batch): construction sums the ``charges`` it is
+    given, and afterwards only :meth:`charge` and :meth:`merge` append
+    to ``charges``, each updating the sum per entry.  Callers treat
+    ``charges`` as read-only.
     """
 
     charges: List[Tuple[str, int]] = field(default_factory=list)
@@ -238,19 +244,25 @@ class RoundLedger:
     #: are byte-identical; see :class:`repro.obs.events.ChargeEvent`).
     #: The list-of-charges semantics ignore it entirely.
     model: str = field(default="", compare=False)
+    _total: int = field(init=False, default=0, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._total = sum(r for _, r in self.charges)
 
     def charge(self, phase: str, rounds: int) -> None:
         """Record ``rounds`` against ``phase`` and emit a charge event."""
         if rounds < 0:
             raise ValueError(f"negative round charge for phase {phase!r}")
         self.charges.append((phase, rounds))
+        self._total += rounds
         rec = self.recorder if self.recorder is not None else current_recorder()
         if rec.active:
             rec.charge(phase, rounds, self.model)
 
     @property
     def total(self) -> int:
-        return sum(r for _, r in self.charges)
+        """Sum of every charge, ``sum(r for _, r in charges)``."""
+        return self._total
 
     def by_phase(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -292,7 +304,9 @@ class RoundLedger:
         Merged charges were already validated (and already emitted on the
         spine) by ``other``'s own :meth:`charge` calls, so they are
         appended directly rather than re-charged — the event stream never
-        double-counts a merge.
+        double-counts a merge.  A negative entry (a ledger constructed
+        from raw ``charges``) raises part-way; the entries appended
+        before it stay, and so does their share of :attr:`total`.
         """
         if on_collision not in ("add", "error"):
             raise ValueError(
@@ -312,3 +326,4 @@ class RoundLedger:
             if rounds < 0:
                 raise ValueError(f"negative round charge for phase {phase!r}")
             self.charges.append((prefix + phase, rounds))
+            self._total += rounds

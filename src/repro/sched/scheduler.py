@@ -69,7 +69,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ticket:
-    """Handle for one submission; redeem with ``scheduler.result(ticket)``."""
+    """Handle for one submission.
+
+    Read its values with ``scheduler.result(ticket)`` (repeatable) or
+    ``scheduler.take(ticket)`` (once: the scheduler then forgets it).
+    """
 
     id: int
     caller: str
@@ -345,14 +349,22 @@ class CoalescingScheduler:
         return ticket
 
     def done(self, ticket: Ticket) -> bool:
-        """True when the submission's values are ready (no execution)."""
+        """True when the submission's values are ready (no execution).
+
+        Raises ``KeyError`` for an unknown ticket or a released one (see
+        :meth:`take`).
+        """
         sub = self._by_ticket.get(ticket.id)
         if sub is None:
             raise KeyError(f"unknown ticket {ticket.id}")
         return sub.done
 
     def result(self, ticket: Ticket) -> List[Any]:
-        """The submission's values, forcing execution if still pending."""
+        """The submission's values, forcing execution if still pending.
+
+        Idempotent until the ticket is released by :meth:`take`; from
+        then on it raises ``KeyError``, as for an unknown ticket.
+        """
         sub = self._by_ticket.get(ticket.id)
         if sub is None:
             raise KeyError(f"unknown ticket {ticket.id}")
@@ -361,6 +373,17 @@ class CoalescingScheduler:
         while not sub.done:
             self._execute_batch()
         return list(sub.values)
+
+    def take(self, ticket: Ticket) -> List[Any]:
+        """:meth:`result`, then release the ticket.
+
+        The scheduler forgets the submission, so an owner that reads
+        each result once (the serving daemon, :class:`CallerOracle`)
+        leaves no finished work behind however long it runs.
+        """
+        values = self.result(ticket)
+        del self._by_ticket[ticket.id]
+        return values
 
     def flush(self) -> int:
         """Execute one physical batch now; returns its size (0 if idle)."""
@@ -502,9 +525,9 @@ class CallerOracle:
     shared :class:`CoalescingScheduler`.
 
     Any Section 2 parallel-query algorithm runs unchanged against this
-    adapter: ``query_batch`` submits on the caller's behalf and redeems
+    adapter: ``query_batch`` submits on the caller's behalf and takes
     the ticket immediately, so adaptive algorithms (whose next batch
-    depends on the previous answers) stay correct — redeeming forces
+    depends on the previous answers) stay correct — taking forces
     execution, and coalescing happens with whatever *other* callers have
     pending at that moment.  The ``ledger`` is the caller's own
     :class:`~repro.queries.ledger.QueryLedger`, metered exactly as a
@@ -531,7 +554,7 @@ class CallerOracle:
         ticket = self.scheduler.submit(
             Operation.query(self.caller, indices, label=label)
         )
-        return self.scheduler.result(ticket)
+        return self.scheduler.take(ticket)
 
     def peek_all(self) -> Sequence[Any]:
         return self.scheduler.oracle.peek_all()

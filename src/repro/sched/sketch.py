@@ -25,7 +25,7 @@ the scheduling problem in two ways:
   query's stale past).
 
 The scheduler duck-types the daemon-facing surface of
-``CoalescingScheduler`` (``submit``/``done``/``result``/
+``CoalescingScheduler`` (``submit``/``done``/``result``/``take``/
 ``execute_batch_steps``/``pending_queries``/``rounds``/``report``), so
 :class:`~repro.serve.daemon.QueryService` drives sketch lanes and oracle
 lanes through one worker loop.  Sketch operations are *local* phase
@@ -202,19 +202,36 @@ class SketchScheduler:
         return ticket
 
     def done(self, ticket: Ticket) -> bool:
+        """True when the operation has executed (no execution).
+
+        Raises ``KeyError`` for an unknown ticket or a released one (see
+        :meth:`take`).
+        """
         sub = self._by_ticket.get(ticket.id)
         if sub is None:
             raise KeyError(f"unknown ticket {ticket.id}")
         return sub.done
 
     def result(self, ticket: Ticket) -> List[Any]:
-        """The operation's values (overlaps for queries, acks for inserts)."""
+        """The operation's values (overlaps for queries, acks for inserts).
+
+        Forces execution if still pending.  Idempotent until the ticket
+        is released by :meth:`take`; from then on it raises ``KeyError``,
+        as for an unknown ticket.
+        """
         sub = self._by_ticket.get(ticket.id)
         if sub is None:
             raise KeyError(f"unknown ticket {ticket.id}")
         while not sub.done:
             self._execute_batch()
         return list(sub.values)
+
+    def take(self, ticket: Ticket) -> List[Any]:
+        """:meth:`result`, then release the ticket (the daemon reads each
+        result once, so the lane keeps no finished operations)."""
+        values = self.result(ticket)
+        del self._by_ticket[ticket.id]
+        return values
 
     def flush(self) -> int:
         if not self._queue:

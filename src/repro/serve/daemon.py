@@ -93,14 +93,26 @@ class _Request:
 
 @dataclass
 class _LaneState:
-    """Per-lane dispatch state: its picker and its arrival signal."""
+    """Per-lane dispatch state: its picker, its arrival signal, and the
+    network and config an evicted oracle lane is rebuilt from (``None``
+    for a pinned sketch lane, which is never evicted)."""
 
     picker: StridePicker
+    network: Optional[Network] = None
+    config: Optional[FrameworkConfig] = None
     event: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 class QueryService:
     """The multi-tenant serving daemon.  See the module docstring.
+
+    Its host cost per request does not grow with the requests already
+    served: a lane reads its round ledger's O(1) running total around
+    each batch, and takes (releases) each ticket from its scheduler as
+    the request resolves.  A registered profile outlives its lane: when
+    more than ``max_lanes`` profiles are registered the pool evicts an
+    idle oracle lane, and the daemon rebuilds it from the profile's
+    network and config the next time it has work for it.
 
     Args:
         tenants: quotas to pre-register; unknown tenants are admitted
@@ -166,10 +178,14 @@ class QueryService:
         if self._draining:
             raise ServiceClosed("cannot add profiles while draining")
         lane = self.pool.acquire(name, network, config)
-        if name not in self._lane_state:
+        state = self._lane_state.get(name)
+        if state is None:
             # Each lane gets its own picker so per-tenant queues bound
             # *per lane*; quotas themselves are shared definitions.
-            self._lane_state[name] = _LaneState(picker=StridePicker())
+            state = self._lane_state[name] = _LaneState(picker=StridePicker())
+        # What the pool built the lane from (a warm lane ignores the
+        # arguments), so a rebuild after eviction builds the same lane.
+        state.network, state.config = lane.network, lane.config
         return lane
 
     def add_sketch_profile(
@@ -305,7 +321,7 @@ class QueryService:
     def _complete(
         self, lane: Lane, state: _LaneState, ticket: Ticket, request: _Request
     ) -> None:
-        values = lane.scheduler.result(ticket)
+        values = lane.scheduler.take(ticket)
         wait_ms = (time.monotonic() - request.submitted_at) * 1000.0
         tenant = state.picker.get(request.tenant)
         tenant.completed += 1
@@ -362,11 +378,18 @@ class QueryService:
         return size
 
     async def _worker(self, profile: str) -> None:
-        lane = self.pool.acquire(profile)
         state = self._lane_state[profile]
-        sched = lane.scheduler
         flush_now = False
         while True:
+            if (
+                self._draining and profile not in self.pool
+                and not state.picker.backlog
+            ):
+                return  # evicted while idle, and nothing left to serve
+            # Acquired on every pass: an idle lane may have been evicted
+            # while this worker waited, and is then rebuilt here.
+            lane = self.pool.acquire(profile, state.network, state.config)
+            sched = lane.scheduler
             self._feed(lane, state)
             pending = sched.pending_queries
             if pending >= sched.parallelism or (
@@ -426,15 +449,16 @@ class QueryService:
             *self._workers.values(), return_exceptions=True
         )
         abandoned = 0
-        for name, state in self._lane_state.items():
-            lane = self.pool.acquire(name)
-            for _tid, (_ticket, request) in lane.in_flight.items():
+        # An evicted lane was idle, so only warm lanes hold work in flight.
+        for lane in self.pool.lanes():
+            for _ticket, request in lane.in_flight.values():
                 if not request.future.done():
                     request.future.set_exception(
                         ServiceClosed(f"service aborted ({reason})")
                     )
                     abandoned += 1
             lane.in_flight.clear()
+        for state in self._lane_state.values():
             for tenant in state.picker.states():
                 while tenant.queue:
                     request = tenant.queue.popleft()

@@ -94,6 +94,18 @@ class TestPacking:
         with pytest.raises(KeyError):
             sched.result(bad)
 
+    def test_take_releases_the_ticket(self, network, config):
+        sched = CoalescingScheduler(network, config)
+        truth = list(sched.oracle.peek_all())
+        t = sched.submit(Operation.query("a", [1, 2]))
+        assert sched.result(t) == sched.take(t) == [truth[1], truth[2]]
+        hit = sched.submit(Operation.query("b", [2, 1]))  # memo: done at once
+        assert sched.take(hit) == [truth[2], truth[1]]
+        assert sched._by_ticket == {}
+        for read in (sched.done, sched.result, sched.take):
+            with pytest.raises(KeyError, match="unknown ticket"):
+                read(t)
+
     def test_submission_wider_than_p_rejected(self, network, config):
         sched = CoalescingScheduler(network, config, memo=False)
         with pytest.raises(ParallelismViolation):
@@ -213,6 +225,15 @@ class TestCallerOracle:
         va = a.query_batch([0, 1, 2, 3])
         assert sched.physical_batches == 1
         assert len(va) == 4 and len(sched.result(tb)) == 4
+
+    def test_adapter_keeps_no_finished_submission(self, network, config):
+        sched = CoalescingScheduler(network, config, memo=False)
+        oracle = CallerOracle(sched, "solo")
+        truth = list(oracle.peek_all())
+        for j in range(10):  # each under-filled: taking forces its batch
+            assert oracle.query_batch([j, j + 1]) == truth[j:j + 2]
+        assert sched.physical_batches == 10
+        assert sched._by_ticket == {}
 
 
 def _bursts(callers, k, bursts=2, subs=2, size=2):

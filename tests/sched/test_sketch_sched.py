@@ -36,6 +36,18 @@ class TestSubmit:
         assert sched.result(ti) == [True]
         assert sched.result(tq) == [pytest.approx(1.0)]
 
+    def test_take_releases_the_ticket(self):
+        sched = make_sched()
+        ti = sched.submit(Operation.insert("a", ["x"]))
+        tq = sched.submit(Operation.sketch_query("a", ["x"]))
+        assert sched.take(tq) == [pytest.approx(1.0)]  # forces the insert
+        assert sched.result(ti) == sched.take(ti) == [True]
+        for t in (ti, tq):
+            for read in (sched.done, sched.result, sched.take):
+                with pytest.raises(KeyError, match="unknown ticket"):
+                    read(t)
+        assert sched._by_ticket == {}
+
 
 class TestFIFO:
     def test_query_after_insert_sees_the_write(self):

@@ -15,6 +15,7 @@ from repro.serve import (
     ServiceClosed,
     TenantQuota,
     build_profile,
+    build_sketch_profile,
     generate_arrivals,
     run_load,
 )
@@ -232,6 +233,148 @@ class TestShutdown:
         assert len(drains) == 1
         assert drains[0].reason == "test-abort"
         assert drains[0].abandoned == 3
+
+
+class TestEviction:
+    """A profile outlives its lane: an evicted lane is rebuilt on demand."""
+
+    NET_B, CFG_B = build_profile(rows=2, cols=3, k=8, parallelism=4)
+    TRUTH_B = CFG_B.dist_input.aggregated()
+
+    def _service(self):
+        service = make_service(max_lanes=1)
+        service.add_profile(self.NET_B, self.CFG_B, name="b")
+        assert "default" not in service.pool  # evicted by "b"
+        return service
+
+    def _check(self, served):
+        truth = {"default": TRUTH, "b": self.TRUTH_B}
+        assert TRUTH[:8] != self.TRUTH_B[:8]
+        for profile, idx, res in served:
+            assert res.profile == profile
+            assert res.values == [truth[profile][j] for j in idx]
+
+    def test_alternating_requests_resolve_with_their_own_sums(self):
+        async def run():
+            service = self._service()
+            served = []
+            for j in range(6):  # one at a time: each finds its lane evicted
+                for profile in ("default", "b"):
+                    fut = service.submit(
+                        Operation.query("t", [j, 7 - j]), profile=profile
+                    )
+                    res = await asyncio.wait_for(fut, 5.0)
+                    served.append((profile, [j, 7 - j], res))
+            evictions = service.pool.evictions
+            await asyncio.wait_for(service.drain(), 5.0)
+            # One eviction registering "b", one per request; draining
+            # rebuilds no evicted lane that has nothing to serve.
+            assert service.pool.evictions == evictions == 13
+            assert [lane.name for lane in service.pool.lanes()] == ["b"]
+            return served
+
+        served = asyncio.run(run())
+        self._check(served)
+        assert len(served) == 12
+
+    def test_concurrent_requests_to_an_evicted_profile_resolve(self):
+        async def run():
+            service = self._service()
+            futures = [  # both lanes busy at once: the pool overflows
+                (profile, [j], service.submit(
+                    Operation.query("t", [j]), profile=profile
+                ))
+                for j in range(8) for profile in ("default", "b")
+            ]
+            await asyncio.wait_for(service.drain(), 5.0)
+            return [(p, idx, f.result()) for p, idx, f in futures]
+
+        served = asyncio.run(run())
+        self._check(served)
+        assert len(served) == 16
+
+    def test_abort_returns_with_an_evicted_lane(self):
+        async def run():
+            service = self._service()
+            fut = service.submit(Operation.query("t", [0]))  # to "default"
+            await asyncio.wait_for(service.abort(), 5.0)
+            return service, fut
+
+        service, fut = asyncio.run(run())
+        assert isinstance(fut.exception(), ServiceClosed)
+        assert service.abandoned == 1
+
+
+class _CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestServingKeepsNoHistory:
+    """A request's host cost must not grow with the requests served.
+
+    Counts only, no timing: while a lane serves, nothing re-reads the
+    round ledgers' charge lists (whose length grows by one entry per
+    batch), and once every request has resolved neither scheduler
+    still holds a submission.
+    """
+
+    def test_ledgers_unread_and_submissions_released(self):
+        k = 2 ** 15
+        net, cfg = build_profile(k=k)
+        truth = cfg.dist_input.aggregated()
+        tenants = ["t0", "t1", "t2", "t3"]
+        service = QueryService(
+            default_quota=TenantQuota("default", max_pending=1 << 16)
+        )
+        oracle = service.add_profile(net, cfg).scheduler
+        sketch = service.add_sketch_profile(
+            "sketch", build_sketch_profile()
+        ).scheduler
+        watched = [oracle.rounds] + [oracle.account(t).rounds for t in tenants]
+        for ledger in watched:
+            ledger.charges = _CountingList(ledger.charges)
+        reads = [
+            Operation.query(tenants[i % 4], [2 * i, 2 * i + 1])
+            for i in range(2000)
+        ]
+        sketch_ops = [
+            (Operation.insert if i % 2 else Operation.sketch_query)(
+                tenants[i % 4], [f"x{i % 37}"]
+            )
+            for i in range(500)
+        ]
+
+        async def run():
+            futures, sketch_futures = [], []
+            for i, op in enumerate(reads):
+                futures.append(service.submit(op))
+                if i % 4 == 0:
+                    sketch_futures.append(service.submit(
+                        sketch_ops[i // 4], profile="sketch"
+                    ))
+            await service.drain()
+            return (
+                await asyncio.gather(*futures),
+                await asyncio.gather(*sketch_futures),
+            )
+
+        results, sketch_results = asyncio.run(run())
+        assert [ledger.charges.iterations for ledger in watched] == [0] * 5
+        assert oracle._by_ticket == {}
+        assert sketch._by_ticket == {}
+        assert [r.values for r in results] == [
+            [truth[j] for j in op.indices] for op in reads
+        ]
+        assert len(sketch_results) == 500
+        assert oracle.physical_batches == 500
+        report = oracle.report()
+        assert report.attributed_rounds == report.physical_query_rounds
 
 
 class TestFairness:
