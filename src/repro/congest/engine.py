@@ -503,9 +503,8 @@ class Engine:
         # Round 0: local initialization, no communication charged.
         in_flight, halts = vp.start()
         vp.check_domains(in_flight, order_arr)
-        if halts.any():
-            for v in np.nonzero(halts)[0]:
-                self._note_halt(int(v))
+        if halts.shape[0]:
+            self._halted_count += halts.shape[0]
             active[halts] = False
 
         rounds = 0
@@ -545,9 +544,10 @@ class Engine:
 
             in_flight, halts = vp.step_all(vp.state, in_flight, active, rounds)
             vp.check_domains(in_flight, order_arr)
-            if halts.any():
-                for v in np.nonzero(halts)[0]:
-                    self._note_halt(int(v))
+            if halts.shape[0]:
+                # A round's halts as one count: the bulk loop never reads
+                # the per-node always-awake set ``_note_halt`` prunes.
+                self._halted_count += halts.shape[0]
                 active[halts] = False
             self.vectorized_rounds += 1
             yield rounds

@@ -18,13 +18,21 @@ than merely computing the same final answer.
 Messages here live on directed edges: every supported program sends at
 most one message per edge per round (the CONGEST discipline the per-node
 engine enforces via ``DuplicateSend``), so a round's traffic is an
-:class:`EdgeMessages` — a sorted array of directed-edge ids plus one
-column per payload field, mirroring the per-node programs' payloads: a
-bare ``Field`` (the max-id flood) or a ``(Field, Field)`` pair (every
-other port).  Each port keeps its Field domains, one or two of them:
-they fix the payload arity and ``bits_per_message``, and
+:class:`EdgeMessages` — an array of directed-edge ids plus one column per
+payload field, mirroring the per-node programs' payloads: a bare
+``Field`` (the max-id flood) or a ``(Field, Field)`` pair (every other
+port).  Each port keeps its Field domains, one or two of them: they fix
+the payload arity and ``bits_per_message``, and
 :meth:`VectorizedProgram.check_domains` holds every round's outgoing
 columns to them, raising the error ``Field`` raises on the per-node path.
+
+The pipelined tree transfers do no per-node readiness work at all: which
+node sends which coordinate in which round depends only on the BFS tree
+and the vector length (a node of height ``h`` sends coordinate ``i`` up
+in round ``h + i``, a node of depth ``d`` forwards it down in round
+``d + i``), so each tree's send schedule is computed once, cached per
+(topology, parent array), and every round reads its sends and its halts
+as two slices of it; the values still move through the port's arrays.
 
 Only audited program families vectorize — five of them: BFS-with-echo,
 multi-source BFS, the max-id flood of leader election, and the pipelined
@@ -41,9 +49,10 @@ the fallback.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,16 +67,24 @@ from .encoding import Field, payload_bits
 #: than any real distance (which is < 2n < 2**40 at any feasible n).
 _INF = np.int64(1) << 40
 
+#: A round in which no node halts.
+_NO_NODES = np.empty(0, dtype=np.int64)
+_NO_NODES.flags.writeable = False
+
 
 @dataclass
 class EdgeMessages:
     """One round of traffic: per-directed-edge payload columns.
 
     ``edges[i]`` is a directed edge id into the CSR (src ``csr.src[e]``,
-    dst ``csr.indices[e]``), sorted ascending; ``a``/``b`` are the payload
-    fields of message ``i`` — tag/value, source/dist, or index/value for
-    the two-field families, and ``a`` alone (``b`` is None) for the
-    one-field max-id flood.
+    dst ``csr.indices[e]``); ``a``/``b`` are the payload fields of message
+    ``i`` — tag/value, source/dist, or index/value for the two-field
+    families, and ``a`` alone (``b`` is None) for the one-field max-id
+    flood.  The order of the messages carries no meaning: the flood ports
+    emit them by ascending edge id, the tree transfers by sender key, and
+    the engine sorts deliver events into canonical ``(program order,
+    dst)`` order itself.  The arrays may be read-only views of a cached
+    schedule, so consumers never write to them.
     """
 
     edges: np.ndarray
@@ -117,12 +134,14 @@ class VectorizedProgram:
     The engine drives it exactly like its per-node round loop:
 
     * :meth:`start` is round 0 (``on_start`` for every node): returns the
-      initial in-flight traffic and the mask of nodes that halted at
+      initial in-flight traffic and the ids of the nodes that halted at
       start.
     * :meth:`step_all` is one communication round for the whole network:
       the engine passes the program's state arrays, the traffic delivered
       this round, and the active (non-halted) node mask, and receives the
-      next round's traffic plus the mask of *newly* halted nodes.
+      next round's traffic plus the ids of the *newly* halted nodes, each
+      node at most once per run (the engine adds their count to its
+      halted total).
     * :meth:`outputs` assembles the per-node outputs after the run, as
       plain Python objects bit-identical to the per-node ``ctx.output``.
 
@@ -173,7 +192,9 @@ class VectorizedProgram:
         if not len(msgs):
             return
         checks = list(zip((msgs.a, msgs.b), self.domains))
-        if all(col.min() >= 0 and col.max() < d for col, d in checks):
+        # One pass per int64 column: viewed as unsigned, a negative value
+        # is at least 2**63, past every domain.
+        if all(col.view(np.uint64).max() < d for col, d in checks):
             return
         src = self.csr.src[msgs.edges]
         dst = self.csr.indices[msgs.edges]
@@ -223,7 +244,7 @@ class VectorizedBFSEcho(VectorizedProgram):
         if self._degree[r] == 0:
             s["echo_sent"][r] = True
             s["halted"][r] = True
-            return _empty_messages(), s["halted"].copy()
+            return _empty_messages(), np.array([r], dtype=np.int64)
         s["pending"][r] = self._degree[r]
         edges = np.arange(
             self.csr.indptr[r], self.csr.indptr[r + 1], dtype=np.int64
@@ -233,7 +254,7 @@ class VectorizedBFSEcho(VectorizedProgram):
             np.full(edges.shape, TOKEN, dtype=np.int64),
             np.zeros(edges.shape, dtype=np.int64),
         )
-        return out, s["halted"].copy()
+        return out, _NO_NODES
 
     def step_all(self, state, inbox, active_mask, round_no):
         csr = self.csr
@@ -303,12 +324,11 @@ class VectorizedBFSEcho(VectorizedProgram):
 
         # Finish: every in-tree node with all responses in echoes once.
         finishing = (dist != -1) & (pending == 0) & ~echo_sent & ~halted
-        new_halts = np.zeros(csr.n, dtype=bool)
+        fin = _NO_NODES
         if finishing.any():
             fin = np.nonzero(finishing)[0]
             echo_sent[fin] = True
             halted[fin] = True
-            new_halts[fin] = True
             non_root = fin[fin != self.root]
             if non_root.shape[0]:
                 depth = np.maximum(max_depth[non_root], dist[non_root])
@@ -326,7 +346,7 @@ class VectorizedBFSEcho(VectorizedProgram):
             )
         else:
             out = _empty_messages()
-        return out, new_halts
+        return out, fin
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
         s = self.state
@@ -360,7 +380,6 @@ class VectorizedMultiSourceBFS(VectorizedProgram):
         self.state = {
             "best": np.full((csr.n, S), _INF, dtype=np.int64),
             "pending": np.zeros((csr.num_directed_edges, S), dtype=bool),
-            "halted": np.zeros(csr.n, dtype=bool),
         }
         self._rank_arr = np.arange(S, dtype=np.int64)
         self._source_arr = np.asarray(self.sources, dtype=np.int64)
@@ -403,7 +422,7 @@ class VectorizedMultiSourceBFS(VectorizedProgram):
             cols = np.arange(src_nodes.shape[0], dtype=np.int64)
             self.state["best"][src_nodes, cols] = 0
             self._enqueue(src_nodes, cols)
-        return self._flush(), self.state["halted"].copy()
+        return self._flush(), _NO_NODES
 
     def step_all(self, state, inbox, active_mask, round_no):
         best = state["best"]
@@ -421,8 +440,7 @@ class VectorizedMultiSourceBFS(VectorizedProgram):
                     np.stack([dst[improved], cols[improved]], axis=1), axis=0
                 )
                 self._enqueue(pairs[:, 0], pairs[:, 1])
-        out = self._flush()
-        return out, np.zeros(self.csr.n, dtype=bool)
+        return self._flush(), _NO_NODES
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
         # In every schedule, once any communication round ran, every node
@@ -464,15 +482,14 @@ class VectorizedMaxIdFlood(VectorizedProgram):
 
     def start(self) -> Tuple[EdgeMessages, np.ndarray]:
         edges = np.arange(self.csr.num_directed_edges, dtype=np.int64)
-        return self._send(edges), np.zeros(self.csr.n, dtype=bool)
+        return self._send(edges), _NO_NODES
 
     def step_all(self, state, inbox, active_mask, round_no):
         best = state["best"]
         before = best.copy()
         np.maximum.at(best, self.csr.indices[inbox.edges], inbox.a)
         improved = np.flatnonzero(best > before)
-        out = self._send(_node_out_edges(self.csr, improved))
-        return out, np.zeros(self.csr.n, dtype=bool)
+        return self._send(_node_out_edges(self.csr, improved)), _NO_NODES
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
         # ``on_start`` already sets ``ctx.output``, so every node has an
@@ -480,98 +497,205 @@ class VectorizedMaxIdFlood(VectorizedProgram):
         return dict(enumerate(self.state["best"].tolist()))
 
 
+#: Entry bound of the tree-shape cache.  An entry is O(n) ints (its key
+#: included) whatever the vector length, and the transfers of one
+#: framework run, or of one serving lane's batches, all use one BFS tree,
+#: so a few dozen entries cover every tree a sweep or a daemon reuses.
+_TREE_SHAPE_ENTRIES = 32
+
+
+@dataclass(frozen=True)
+class _Sends:
+    """One direction of a tree's pipelined traffic, grouped by a node key.
+
+    The key is a node's height for the upcast and its depth for the
+    downcast.  A node with key ``k`` sends coordinate ``i`` in round
+    ``k + i`` and halts in round ``k + length - 1`` (round 0 is
+    ``start``): a leaf's coordinates are ready at once, and an interior
+    node's coordinate ``i`` is complete the round its last child's
+    arrives; a child receives coordinate ``i`` the round after its
+    parent sends it.
+
+    ``edges`` holds this direction's tree edges sorted by their sender's
+    key (then edge id), with ``src`` and ``key`` aligned to it;
+    ``nodes`` holds every node sorted by key, and ``node_key`` is the
+    key per node.  ``edge_ptr[k]`` and ``node_ptr[k]`` are the first
+    positions whose key is at least ``k``, for ``k = 0 .. max + 1``, so
+    the senders of a key range, and the nodes of one key, are contiguous
+    slices.  The arrays are shared by every run over the tree and are
+    read-only.
+    """
+
+    edges: np.ndarray
+    src: np.ndarray
+    key: np.ndarray
+    edge_ptr: List[int]
+    nodes: np.ndarray
+    node_ptr: List[int]
+    node_key: np.ndarray
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def _sends(edges: np.ndarray, src: np.ndarray, node_key: np.ndarray) -> _Sends:
+    key = node_key[src]
+    order = np.lexsort((edges, key))
+    edges, src, key = edges[order], src[order], key[order]
+    nodes = np.argsort(node_key, kind="stable")
+    top = np.arange(int(node_key.max()) + 2)
+    _read_only(edges, src, key, nodes, node_key)
+    return _Sends(
+        edges=edges, src=src, key=key,
+        edge_ptr=np.searchsorted(key, top).tolist(),
+        nodes=nodes,
+        node_ptr=np.searchsorted(node_key[nodes], top).tolist(),
+        node_key=node_key,
+    )
+
+
+def _build_tree_shape(
+    csr: CSRAdjacency, parent: np.ndarray
+) -> Optional[Tuple[_Sends, _Sends]]:
+    """The (upcast, downcast) sends of the tree ``parent`` spans.
+
+    None when ``parent`` is not a spanning tree of ``csr``'s network: a
+    parent that is not a neighbour, or a parent cycle that never reaches
+    the root.
+    """
+    n = csr.n
+    non_root = np.flatnonzero(parent != -1)
+    # Edge e is the parent edge of its src iff its dst is that parent.
+    up_mask = parent[csr.src] == csr.indices
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent_edge[csr.src[up_mask]] = np.flatnonzero(up_mask)
+    if (parent_edge[non_root] == -1).any():
+        return None
+    # Depth by pointer jumping: ``depth[v]`` is v's distance to
+    # ``anc[v]``, and its depth once ``anc[v]`` is past the root.  A parent
+    # cycle never gets past the root.
+    depth = (parent != -1).astype(np.int64)
+    anc = parent.copy()
+    for _ in range(n.bit_length() + 2):
+        live = np.flatnonzero(anc != -1)
+        if not live.shape[0]:
+            break
+        depth[live] += depth[anc[live]]
+        anc[live] = anc[anc[live]]
+    else:
+        return None
+    # Height, one depth level at a time from the deepest up.
+    by_depth = np.argsort(depth, kind="stable")
+    level_ptr = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))
+    height = np.zeros(n, dtype=np.int64)
+    for d in range(int(depth.max()), 0, -1):
+        level = by_depth[level_ptr[d]:level_ptr[d + 1]]
+        np.maximum.at(height, parent[level], height[level] + 1)
+    up = _sends(parent_edge[non_root], non_root, height)
+    down = _sends(csr.rev[parent_edge[non_root]], parent[non_root], depth)
+    return up, down
+
+
+_TREE_SHAPES: "OrderedDict[Tuple[str, bytes], Tuple[_Sends, _Sends]]" = (
+    OrderedDict()
+)
+
+
+def _tree_shape(
+    csr: CSRAdjacency, parent: np.ndarray
+) -> Optional[Tuple[_Sends, _Sends]]:
+    """:func:`_build_tree_shape`, cached per (topology, parent array)."""
+    key = (csr.fingerprint, parent.tobytes())
+    shape = _TREE_SHAPES.get(key)
+    if shape is not None:
+        _TREE_SHAPES.move_to_end(key)
+        return shape
+    shape = _build_tree_shape(csr, parent)
+    if shape is not None:
+        _TREE_SHAPES[key] = shape
+        if len(_TREE_SHAPES) > _TREE_SHAPE_ENTRIES:
+            _TREE_SHAPES.popitem(last=False)
+    return shape
+
+
 class _TreeTransfer(VectorizedProgram):
-    """Shared structure of the pipelined tree transfers (up/downcast)."""
+    """Shared structure of the pipelined tree transfers (up/downcast).
+
+    Which node sends which coordinate on which edge, and which nodes
+    halt, depends only on the tree and the vector length (see
+    :class:`_Sends`), so each round reads its sends and its halts as two
+    slices of the tree's cached schedule.  Only the values are read from
+    the port's value array (``acc`` up, ``received`` down), which
+    deliveries update every round.  Messages are in sender-key order, not
+    edge order: the engine sorts deliver events itself.
+    """
 
     def __init__(
         self,
         csr: CSRAdjacency,
-        parent: np.ndarray,
+        sends: _Sends,
         length: int,
         domain: int,
+        values: np.ndarray,
     ):
         super().__init__(csr, (max(length, 1), domain))
         self.length = length
         self.domain = domain
-        self.parent = parent
-        self.root = int(np.nonzero(parent == -1)[0][0])
-        # Tree edges, both directions, as CSR edge ids: edge e is a
-        # parent edge of its src iff its dst is that src's parent.
-        non_root = np.nonzero(parent != -1)[0]
-        eids = np.arange(csr.num_directed_edges, dtype=np.int64)
-        up_mask = parent[csr.src] == csr.indices
-        self.parent_edge = np.full(csr.n, -1, dtype=np.int64)
-        self.parent_edge[csr.src[up_mask]] = eids[up_mask]
-        self.child_count = np.zeros(csr.n, dtype=np.int64)
-        np.add.at(self.child_count, parent[non_root], 1)
-        # Downward tree edges grouped by parent, ascending dst per parent
-        # (matching ``BFSResult.children()`` order, which is ascending
-        # because the parent map iterates nodes in order).
-        down = self.csr.rev[self.parent_edge[non_root]]
-        self._down_edges = np.sort(down)
-        dn_src = csr.src[self._down_edges]
-        self._down_ptr = np.searchsorted(
-            dn_src, np.arange(csr.n + 1, dtype=np.int64)
-        )
+        self._sends = sends
+        self._values = values
 
-    def _children_edges(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(edge ids, repeat counts) of all downward edges of ``nodes``."""
-        counts = self._down_ptr[nodes + 1] - self._down_ptr[nodes]
-        total = int(counts.sum())
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        edges = self._down_edges[
-            np.repeat(self._down_ptr[nodes], counts) + offsets
-        ]
-        return edges, counts
+    def _round(self, s: int) -> Tuple[EdgeMessages, np.ndarray]:
+        """Round ``s``'s messages and newly halted nodes.
 
-
-class VectorizedUpcast(_TreeTransfer):
-    """Bulk port of :class:`UpcastProgram` (pipelined convergecast)."""
-
-    def __init__(self, csr, parent, length, domain, values, ufunc):
-        super().__init__(csr, parent, length, domain)
-        self.ufunc = ufunc
-        self.state = {
-            "acc": values.astype(np.int64, copy=True),
-            "received_count": np.zeros((csr.n, max(length, 1)), dtype=np.int64),
-            "next_to_send": np.zeros(csr.n, dtype=np.int64),
-            "halted": np.zeros(csr.n, dtype=bool),
-        }
-
-    def _push_all(self) -> Tuple[EdgeMessages, np.ndarray]:
-        """One ``_push`` per non-halted node (dense semantics: a push
-        that is not ready is a no-op)."""
-        s = self.state
-        nxt, halted = s["next_to_send"], s["halted"]
-        idx = np.minimum(nxt, max(self.length - 1, 0))
-        ready = (
-            ~halted
-            & (nxt < self.length)
-            & (
-                s["received_count"][np.arange(self.csr.n), idx]
-                == self.child_count
+        Keys ``s - length + 1 .. s`` send, each coordinate ``s - key``;
+        key ``s - length + 1`` sends its last coordinate and halts.
+        """
+        sends, length = self._sends, self.length
+        top = len(sends.edge_ptr) - 1
+        first = min(max(s - length + 1, 0), top)
+        e0, e1 = sends.edge_ptr[first], sends.edge_ptr[min(s + 1, top)]
+        if e1 > e0:
+            coord = s - sends.key[e0:e1]
+            out = EdgeMessages(
+                edges=sends.edges[e0:e1],
+                a=coord,
+                b=self._values[sends.src[e0:e1], coord],
             )
-        )
-        senders = np.nonzero(ready & (self.parent != -1))[0]
-        out = _empty_messages()
-        if senders.shape[0]:
-            out = _pack(
-                self.parent_edge[senders],
-                nxt[senders],
-                s["acc"][senders, nxt[senders]],
-            )
-        nxt[ready] += 1
-        done = ready & (nxt >= self.length)
-        halted[done] = True
-        return out, done
+        else:
+            out = _empty_messages()
+        k = s - length + 1
+        if 0 <= k < top:
+            halts = sends.nodes[sends.node_ptr[k]:sends.node_ptr[k + 1]]
+        else:
+            halts = _NO_NODES
+        return out, halts
 
     def start(self) -> Tuple[EdgeMessages, np.ndarray]:
         if self.length == 0:
-            self.state["halted"][:] = True
-            return _empty_messages(), self.state["halted"].copy()
-        return self._push_all()
+            return _empty_messages(), np.arange(self.csr.n)
+        return self._round(0)
+
+    def _halted(self, rounds: int) -> np.ndarray:
+        """Which nodes had halted by the end of round ``rounds``."""
+        if self.length == 0:
+            return np.ones(self.csr.n, dtype=bool)
+        return self._sends.node_key + (self.length - 1) <= rounds
+
+
+class VectorizedUpcast(_TreeTransfer):
+    """Bulk port of :class:`UpcastProgram` (pipelined convergecast).
+
+    The schedule is keyed by height: the leaves stream from round 0, and
+    a node of height ``h`` sends coordinate ``i`` up in round ``h + i``.
+    """
+
+    def __init__(self, csr, sends, root, length, domain, acc, ufunc):
+        super().__init__(csr, sends, length, domain, acc)
+        self.root = root
+        self.ufunc = ufunc
+        self.state = {"acc": acc}
 
     def step_all(self, state, inbox, active_mask, round_no):
         edges, a, b, src, dst = self._deliverable(inbox, active_mask)
@@ -579,83 +703,47 @@ class VectorizedUpcast(_TreeTransfer):
             # Coordinatewise combine; ufunc.at is unordered, which is
             # exact for the table's commutative/associative combines.
             self.ufunc.at(state["acc"], (dst, a), b)
-            np.add.at(state["received_count"], (dst, a), 1)
-        return self._push_all()
+        return self._round(round_no)
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
-        s = self.state
-        result: Dict[int, Any] = {v: None for v in range(self.csr.n)}
-        if s["halted"][self.root]:
+        result: Dict[int, Any] = dict.fromkeys(range(self.csr.n))
+        if self._halted(rounds)[self.root]:
             result[self.root] = tuple(
-                int(x) for x in s["acc"][self.root, : self.length]
+                self.state["acc"][self.root, : self.length].tolist()
             )
         return result
 
 
 class VectorizedDowncast(_TreeTransfer):
-    """Bulk port of :class:`DowncastProgram` (pipelined broadcast)."""
+    """Bulk port of :class:`DowncastProgram` (pipelined broadcast).
 
-    def __init__(self, csr, parent, length, domain, root_values):
-        super().__init__(csr, parent, length, domain)
+    The schedule is keyed by depth: the root streams from round 0, and a
+    node of depth ``d`` forwards coordinate ``i`` to its children in
+    round ``d + i``, the round after it arrived.
+    """
+
+    def __init__(self, csr, sends, root, length, domain, root_values):
         received = np.full((csr.n, max(length, 1)), -1, dtype=np.int64)
         if length:
-            received[self.root] = root_values
-        self.state = {
-            "received": received,
-            "next_to_send": np.zeros(csr.n, dtype=np.int64),
-            "halted": np.zeros(csr.n, dtype=bool),
-        }
-
-    def _push_all(self) -> Tuple[EdgeMessages, np.ndarray]:
-        s = self.state
-        nxt, halted = s["next_to_send"], s["halted"]
-        idx = np.minimum(nxt, max(self.length - 1, 0))
-        ready = (
-            ~halted
-            & (nxt < self.length)
-            & (s["received"][np.arange(self.csr.n), idx] != -1)
-        )
-        senders = np.nonzero(ready)[0]
-        out = _empty_messages()
-        if senders.shape[0]:
-            edges, counts = self._children_edges(senders)
-            if edges.shape[0]:
-                out = _pack(
-                    edges,
-                    np.repeat(nxt[senders], counts),
-                    np.repeat(
-                        s["received"][senders, nxt[senders]], counts
-                    ),
-                )
-        nxt[ready] += 1
-        done = ready & (nxt >= self.length)
-        halted[done] = True
-        return out, done
-
-    def start(self) -> Tuple[EdgeMessages, np.ndarray]:
-        if self.length == 0:
-            self.state["halted"][:] = True
-            return _empty_messages(), self.state["halted"].copy()
-        return self._push_all()
+            received[root] = root_values
+        super().__init__(csr, sends, length, domain, received)
+        self.state = {"received": received}
 
     def step_all(self, state, inbox, active_mask, round_no):
         edges, a, b, src, dst = self._deliverable(inbox, active_mask)
         if edges.shape[0]:
             state["received"][dst, a] = b
-        return self._push_all()
+        return self._round(round_no)
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
-        s = self.state
-        result: Dict[int, Any] = {}
-        for v in range(self.csr.n):
-            if s["halted"][v]:
-                if self.length:
-                    result[v] = tuple(int(x) for x in s["received"][v])
-                else:
-                    result[v] = ()
-            else:
-                result[v] = None
-        return result
+        rows = (
+            self.state["received"].tolist() if self.length
+            else [()] * self.csr.n
+        )
+        return {
+            v: tuple(rows[v]) if halted else None
+            for v, halted in enumerate(self._halted(rounds).tolist())
+        }
 
 
 # ----------------------------------------------------------------------
@@ -745,10 +833,15 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
                 return None, "multibfs-sources-disagree"
         return VectorizedMultiSourceBFS(csr, sources, network.n), None
 
+    family = "upcast" if kind is UpcastProgram else "downcast"
+    parent = _tree_arrays_from_programs(programs)
+    shape = None if parent is None else _tree_shape(csr, parent)
+    if shape is None:
+        return None, f"{family}-tree-malformed"
+    root = int(np.flatnonzero(parent == -1)[0])
+    up, down = shape
+
     if kind is UpcastProgram:
-        parent = _tree_arrays_from_programs(programs)
-        if parent is None:
-            return None, "upcast-tree-malformed"
         combines = {p.combine for p in programs.values()}
         domains = {p.domain for p in programs.values()}
         lengths = {p.length for p in programs.values()}
@@ -758,24 +851,20 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
         if ufunc is None:
             return None, "upcast-combine-unregistered"
         length = lengths.pop()
-        values = np.zeros((network.n, max(length, 1)), dtype=np.int64)
-        for v, p in programs.items():
-            if length:
-                values[v] = p.acc
+        acc = np.zeros((network.n, max(length, 1)), dtype=np.int64)
+        if length:
+            for v, p in programs.items():
+                acc[v] = p.acc
         return (
-            VectorizedUpcast(csr, parent, length, domains.pop(), values, ufunc),
+            VectorizedUpcast(csr, up, root, length, domains.pop(), acc, ufunc),
             None,
         )
 
-    parent = _tree_arrays_from_programs(programs)
-    if parent is None:
-        return None, "downcast-tree-malformed"
     domains = {p.domain for p in programs.values()}
     lengths = {p.length for p in programs.values()}
     if len(domains) != 1 or len(lengths) != 1:
         return None, "downcast-params-disagree"
     length = lengths.pop()
-    root = int(np.nonzero(parent == -1)[0][0])
     root_vals = programs[root].received
     if length and any(x is None for x in root_vals):
         return None, "downcast-root-values-missing"
@@ -785,6 +874,6 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
         else np.empty(0, dtype=np.int64)
     )
     return (
-        VectorizedDowncast(csr, parent, length, domains.pop(), values),
+        VectorizedDowncast(csr, down, root, length, domains.pop(), values),
         None,
     )

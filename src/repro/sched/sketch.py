@@ -130,6 +130,9 @@ class SketchScheduler:
             )
         self._fingerprint = sketch.fingerprint
         self._queue: List[_SketchSubmission] = []
+        #: Summed ``op.size`` over ``_queue``, kept as it changes: the
+        #: daemon reads ``pending_queries`` once per request it feeds.
+        self._pending_items = 0
         self._pending_inserts = 0
         self._accounts: Dict[str, SketchCallerAccount] = {}
         self._by_ticket: Dict[int, _SketchSubmission] = {}
@@ -197,6 +200,7 @@ class SketchScheduler:
                 return ticket
 
         self._queue.append(sub)
+        self._pending_items += operation.size
         if operation.is_write:
             self._pending_inserts += 1
         return ticket
@@ -245,7 +249,7 @@ class SketchScheduler:
     @property
     def pending_queries(self) -> int:
         """Pending payload items (the daemon's fill/backpressure metric)."""
-        return sum(s.op.size for s in self._queue)
+        return self._pending_items
 
     def pack_would_be_empty(self) -> bool:
         return not self._queue
@@ -357,6 +361,7 @@ class SketchScheduler:
         for sub in taken:
             self._apply(sub)
         self._queue = self._queue[len(taken):]
+        self._pending_items -= size
         self.physical_batches += 1
         return size
         yield  # pragma: no cover — generator marker, interface parity

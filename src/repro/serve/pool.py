@@ -12,8 +12,11 @@ lane over a previously seen topology skips leader election and tree
 construction.
 
 Only *idle* lanes are evictable; a lane with queued or in-flight work is
-busy until it drains.  Evicting a lane costs nothing but warmth: the
-PreparedCache below it usually still holds the topology's setup.
+busy until it drains.  While every lane past the bound is busy the pool
+holds more than ``max_lanes``; the next acquisition after lanes go idle
+evicts back down to the bound.  Evicting a lane costs nothing but
+warmth: the PreparedCache below it usually still holds the topology's
+setup.
 
 Sketch lanes (PR 10) are different: a :class:`~repro.sched.sketch.
 SketchScheduler` lane *holds authoritative data* (the accumulated sketch
@@ -99,14 +102,14 @@ class PreparedPool:
 
         ``network``/``config`` are required on a cold acquire and
         ignored (the warm profile wins) afterwards.  Acquisition
-        refreshes LRU recency; building past ``max_lanes`` evicts the
-        least-recently-acquired *idle* lane — if every lane is busy the
-        pool temporarily exceeds its bound rather than dropping live
-        work.
+        refreshes LRU recency, and every acquisition, warm or cold, then
+        evicts least-recently-acquired *idle* lanes until the pool is
+        back within ``max_lanes`` (see :meth:`_evict_if_over`).
         """
         lane = self._lanes.get(name)
         if lane is not None:
             self._lanes.move_to_end(name)
+            self._evict_if_over()
             return lane
         if network is None or config is None:
             raise KeyError(
@@ -147,6 +150,7 @@ class PreparedPool:
                     f"lane {name!r} already serves a different sketch"
                 )
             self._lanes.move_to_end(name)
+            self._evict_if_over()
             return lane
         scheduler = SketchScheduler(
             sketch, parallelism=parallelism,
@@ -162,21 +166,24 @@ class PreparedPool:
         return lane
 
     def _evict_if_over(self) -> None:
-        """Drop the LRU idle, unpinned lane when past ``max_lanes``.
+        """Drop LRU idle, unpinned lanes until within ``max_lanes``.
 
-        Pinned (sketch) lanes hold authoritative data and are never
-        eviction candidates; if everything else is busy or pinned the
-        pool temporarily exceeds its bound rather than dropping state.
+        The newest lane, the one just acquired, is never a candidate, and
+        neither are busy lanes or pinned (sketch) lanes, which hold
+        authoritative data.  While too few lanes qualify the pool stays
+        over its bound; every later acquisition tries again.
         """
-        if len(self._lanes) <= self.max_lanes:
+        excess = len(self._lanes) - self.max_lanes
+        if excess <= 0:
             return
         newest = next(reversed(self._lanes))
-        for candidate in list(self._lanes):
-            lane = self._lanes[candidate]
+        for candidate, lane in list(self._lanes.items()):
             if candidate != newest and not lane.pinned and lane.idle:
                 del self._lanes[candidate]
                 self.evictions += 1
-                break
+                excess -= 1
+                if not excess:
+                    return
 
     def stats(self) -> Dict[str, Any]:
         """Pool occupancy plus the PreparedCache counters beneath it."""

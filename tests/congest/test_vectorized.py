@@ -11,6 +11,7 @@ import pytest
 
 from repro.congest import topologies
 from repro.congest.algorithms.aggregate import (
+    UpcastProgram,
     aggregate_single,
     build_downcast_programs,
     build_upcast_programs,
@@ -22,6 +23,7 @@ from repro.congest.algorithms.leader import (
 )
 from repro.congest.algorithms.multibfs import MultiSourceBFSProgram
 from repro.congest.engine import Engine
+from repro.congest.errors import NotANeighbor, RoundLimitExceeded
 from repro.congest.vectorized import build_vectorized
 from repro.core.semigroup import (
     combine_and,
@@ -315,6 +317,33 @@ class TestFallbacks:
             Engine(net, programs, seed=0, schedule="vectorized")
         )
         assert vp is None and reason == "upcast-params-disagree"
+
+    @pytest.mark.parametrize("parents,error", [
+        # Node 2's parent is not its neighbour on the cycle: the per-node
+        # loop raises at the send, which the bulk loop never makes.
+        ([None, 0, 0, 2, 0], NotANeighbor),
+        # A parent cycle never reaches the root, so nodes 1-3 never
+        # send or halt and the run exhausts its budget on either loop.
+        ([None, 2, 3, 1, 0], RoundLimitExceeded),
+    ], ids=["non-neighbour-parent", "parent-cycle"])
+    def test_tree_that_does_not_span_the_network(self, parents, error):
+        net = topologies.cycle(5)
+
+        def make():
+            return {
+                v: UpcastProgram(
+                    v, parents[v],
+                    [c for c in net.nodes() if parents[c] == v],
+                    [1], combine_sum, 8, 1,
+                )
+                for v in net.nodes()
+            }
+
+        for schedule in ("active", "vectorized"):
+            engine = Engine(net, make(), schedule=schedule, max_rounds=40)
+            with pytest.raises(error):
+                engine.run()
+        assert engine.vectorized_fallback == "upcast-tree-malformed"
 
     def test_faulty_engine_vetoes_vectorization(self):
         from repro.faults import BernoulliLoss, FaultyEngine

@@ -80,17 +80,39 @@ def _assert_identical(res_a, res_b):
     assert res_a.stats == res_b.stats
 
 
-def _transfer(net, programs, schedule):
-    """Rounds and per-node outputs of a tree transfer on a pinned loop."""
-    result = Engine(net, programs, schedule=schedule).run()
-    return result.outputs, result.rounds
-
-
 def _strip_mode(events):
     return [
         dataclasses.replace(e, mode="") if hasattr(e, "mode") else e
         for e in events
     ]
+
+
+#: Value domain of the tree transfers: a summed 255-per-node vector over
+#: at most 25 nodes stays in range, and with a 24-coordinate index field
+#: the message still fits the smallest default bandwidth, so every
+#: transfer runs on the bulk loop.
+_DOMAIN = 1 << 13
+
+
+def _recorded(net, programs, schedule):
+    """A run's engine and result, with its deliver and round events."""
+    sink = MemorySink()
+    with install(Recorder([sink])):
+        engine = Engine(net, programs, schedule=schedule)
+        result = engine.run()
+    rounds = _strip_mode(sink.events_of_kind("round"))
+    return engine, result, sink.events_of_kind("deliver"), rounds
+
+
+def _assert_transfer_identical(net, make):
+    """A tree transfer matches the per-node loop: rounds, outputs, stats
+    and event streams, with every round on the bulk loop."""
+    _, active, *active_events = _recorded(net, make(), "active")
+    engine, vec, *vec_events = _recorded(net, make(), "vectorized")
+    _assert_identical(active, vec)
+    assert active_events == vec_events
+    assert engine.vectorized_fallback is None
+    assert engine.vectorized_rounds == vec.rounds
 
 
 class TestVectorizedEquivalence:
@@ -147,8 +169,8 @@ class TestVectorizedEquivalence:
         net = _make_network(data.draw)
         root = data.draw(st.integers(0, net.n - 1))
         tree = bfs_with_echo(net, root)
-        length = data.draw(st.integers(0, 3))
-        domain = 1 << 20  # roomy: a summed 255-per-node vector stays in range
+        # Up to 24 coordinates: an engine-mode serving batch upcasts 16.
+        length = data.draw(st.integers(0, 24))
         combine = data.draw(st.sampled_from(
             [combine_sum, combine_max, combine_min, combine_xor]
         ))
@@ -158,12 +180,30 @@ class TestVectorizedEquivalence:
             ]
             for v in net.nodes()
         }
-        up = partial(build_upcast_programs, net, tree, values, combine, domain)
-        up_active = _transfer(net, up(), "active")
-        up_vec = _transfer(net, up(), "vectorized")
-        assert up_active == up_vec
+        _assert_transfer_identical(net, partial(
+            build_upcast_programs, net, tree, values, combine, _DOMAIN
+        ))
         payload = [data.draw(st.integers(0, 255)) for _ in range(length)]
-        down = partial(build_downcast_programs, net, tree, payload, domain)
-        down_active = _transfer(net, down(), "active")
-        down_vec = _transfer(net, down(), "vectorized")
-        assert down_active == down_vec
+        _assert_transfer_identical(net, partial(
+            build_downcast_programs, net, tree, payload, _DOMAIN
+        ))
+
+    def test_tree_shape_is_keyed_by_tree(self):
+        # Bulk transfers reuse one cached schedule per tree: one tree at
+        # two lengths, then a second root on the same network, must each
+        # match the per-node loop, so a schedule cached under the wrong
+        # key (the topology alone, or the length) fails here.
+        net = topologies.grid(3, 5)
+        for root, length in ((0, 2), (0, 9), (7, 9)):
+            tree = bfs_with_echo(net, root)
+            values = {
+                v: [(7 * v + i) % 256 for i in range(length)]
+                for v in net.nodes()
+            }
+            _assert_transfer_identical(net, partial(
+                build_upcast_programs, net, tree, values, combine_sum,
+                _DOMAIN,
+            ))
+            _assert_transfer_identical(net, partial(
+                build_downcast_programs, net, tree, values[root], _DOMAIN
+            ))

@@ -173,3 +173,33 @@ class TestSteppable:
         with pytest.raises(StopIteration) as stop:
             next(gen)
         assert stop.value.value == 3
+
+    def test_pending_queries_is_the_queued_item_count(self):
+        # ``pending_queries`` is a running count; it must equal the
+        # queue's summed sizes after every way the queue changes.
+        sched = make_sched(parallelism=4)
+
+        def check():
+            assert sched.pending_queries == sum(
+                sub.op.size for sub in sched._queue
+            )
+
+        sched.result(sched.submit(Operation.sketch_query("a", ["x"])))
+        check()
+        hit = sched.submit(Operation.sketch_query("b", ["x"]))
+        assert sched.done(hit)  # a memo hit never enters the queue
+        check()
+        for op in [
+            Operation.insert("a", ["x", "y"]),
+            Operation.sketch_query("b", ["x"]),  # behind a write: queued
+            Operation.insert("c", ["z", "w", "v"]),
+            Operation.sketch_query("a", ["y", "z"]),
+        ]:
+            sched.submit(op)
+            check()
+        assert sched.pending_queries == 8
+        assert sched.flush() == 3
+        check()
+        sched.drain()
+        check()
+        assert sched.pending_queries == 0

@@ -293,6 +293,42 @@ class TestEviction:
         self._check(served)
         assert len(served) == 16
 
+    def test_pool_returns_to_its_bound_once_lanes_go_idle(self):
+        async def run():
+            service = self._service()
+            sizes = []
+            futures = [  # both lanes busy at once: the pool overflows
+                (profile, [j], service.submit(
+                    Operation.query("t", [j]), profile=profile
+                ))
+                for j in range(8) for profile in ("default", "b")
+            ]
+            for _, _, fut in futures:
+                fut.add_done_callback(
+                    lambda _f: sizes.append(len(service.pool))
+                )
+            await asyncio.wait_for(
+                asyncio.gather(*(f for _, _, f in futures)), 5.0
+            )
+            served = [(p, idx, f.result()) for p, idx, f in futures]
+            assert max(sizes) == 2
+            for j in range(12):  # one at a time: each acquire evicts
+                profile = ("default", "b")[j % 2]
+                fut = service.submit(
+                    Operation.query("t", [j % 8]), profile=profile
+                )
+                served.append(
+                    (profile, [j % 8], await asyncio.wait_for(fut, 5.0))
+                )
+                assert len(service.pool) == 1
+            await asyncio.wait_for(service.drain(), 5.0)
+            assert len(service.pool) == 1
+            return served
+
+        served = asyncio.run(run())
+        self._check(served)
+        assert len(served) == 28
+
     def test_abort_returns_with_an_evicted_lane(self):
         async def run():
             service = self._service()

@@ -65,6 +65,22 @@ class TestEviction:
         assert len(pool) == 2
         assert pool.evictions == 0
 
+    def test_warm_acquire_evicts_back_to_the_bound(self):
+        pool = PreparedPool(max_lanes=1)
+        net, cfg = _profile()
+        lanes = {}
+        for name in ("a", "b", "c"):
+            lanes[name] = pool.acquire(name, net, cfg)
+            lanes[name].scheduler.submit(Operation.query("t", [0]))
+        assert len(pool) == 3  # all busy: over the bound
+        for lane in lanes.values():
+            lane.scheduler.drain()
+        # "a" is the least recently acquired idle lane, but it is the
+        # one being acquired: the other two go instead.
+        assert pool.acquire("a") is lanes["a"]
+        assert [lane.name for lane in pool.lanes()] == ["a"]
+        assert pool.evictions == 2
+
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError, match="max_lanes"):
             PreparedPool(max_lanes=0)
