@@ -24,19 +24,28 @@ Each transfer also exists as a *round generator* (:func:`upcast_steps`,
 the stepwise path — which the :mod:`repro.serve` daemon interleaves on an
 event loop — is bit-identical to the monolithic one by construction.
 
-None of them chooses a round loop: the engine runs both transfers on its
-bulk loop (:mod:`repro.congest.vectorized`) and falls back per node by
-itself.  Tests that compare loops build the programs with
+None of them builds node programs or chooses a round loop.  They hand
+the engine the transfer as arrays — an :class:`Upcast` (parent array,
+value matrix, combine, domain) or a :class:`Downcast` (parent array, the
+root's row, domain) — which the bulk loop (:mod:`repro.congest.vectorized`)
+runs without any per-node object; the engine builds the per-node
+programs from those arrays only when it falls back to its per-node loop.
+Tests that compare loops build the programs with
 :func:`build_upcast_programs` / :func:`build_downcast_programs` and pin
 ``Engine(schedule=...)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
+
+import numpy as np
 
 from ..encoding import Field
-from ..engine import Engine, run_program
+from ..engine import Engine, RunResult, run_program
 from ..messages import Inbox
 from ..network import Network
 from ..program import Context, NodeProgram
@@ -187,27 +196,14 @@ def build_upcast_programs(
 ) -> Dict[int, UpcastProgram]:
     """Instantiate one :class:`UpcastProgram` per node for a convergecast.
 
-    Factored out so the fault-resilient wrapper in
-    :mod:`repro.faults.resilience` can run the identical programs
-    through a lossy engine.
+    The per-node form of :class:`Upcast`: the fault-resilient wrapper in
+    :mod:`repro.faults.resilience` runs these programs through a lossy
+    engine, and tests build them to pin a round loop.
     """
-    children = tree.children()
-    lengths = {len(v) for v in values.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"all nodes must hold equal-length vectors, got {lengths}")
-    length = lengths.pop()
-    return {
-        v: UpcastProgram(
-            v,
-            tree.parent.get(v),
-            children.get(v, []),
-            values[v],
-            combine,
-            domain,
-            length,
-        )
-        for v in network.nodes()
-    }
+    return Upcast(
+        parent_array(tree, network.n), _value_matrix(values, network.n),
+        combine, domain,
+    ).programs()
 
 
 def build_downcast_programs(
@@ -217,49 +213,159 @@ def build_downcast_programs(
     domain: int,
 ) -> Dict[int, DowncastProgram]:
     """Instantiate one :class:`DowncastProgram` per node for a broadcast
-    of ``values`` from the tree root."""
-    children = tree.children()
-    length = len(values)
-    return {
-        v: DowncastProgram(
-            v,
-            tree.parent.get(v),
-            children.get(v, []),
-            list(values) if v == tree.root else None,
-            domain,
-            length,
-        )
-        for v in network.nodes()
-    }
+    of ``values`` from the tree root: the per-node form of
+    :class:`Downcast`."""
+    return Downcast(parent_array(tree, network.n), values, domain).programs()
+
+
+def parent_array(tree: BFSResult, n: int) -> np.ndarray:
+    """The tree as an int64 array: ``parent[v]``, or -1 at the root."""
+    return np.fromiter(
+        (-1 if p is None else p for p in map(tree.parent.get, range(n))),
+        dtype=np.int64, count=n,
+    )
+
+
+def _children(parent: List[int]) -> List[List[int]]:
+    kids: List[List[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(v)
+    return kids
+
+
+@dataclass(eq=False)
+class Upcast:
+    """A convergecast handed to the engine as arrays.
+
+    ``parent`` is the tree (:func:`parent_array`), and row ``v`` of the
+    (n, t) matrix ``values`` is node ``v``'s vector; both are held as
+    int64 arrays.  Pass it to :class:`~repro.congest.engine.Engine` in
+    place of a program dict: the bulk loop runs it with no per-node
+    object, and :meth:`programs` builds the per-node
+    :class:`UpcastProgram` objects only for the per-node loop.
+    """
+
+    parent: np.ndarray
+    values: np.ndarray
+    combine: Callable[[int, int], int]
+    domain: int
+
+    def __post_init__(self):
+        self.parent = np.asarray(self.parent, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.int64)
+        if self.values.ndim != 2 or len(self.values) != len(self.parent):
+            raise ValueError(
+                f"need one value row per node: {len(self.parent)} nodes, "
+                f"values of shape {self.values.shape}"
+            )
+
+    def programs(self) -> Dict[int, UpcastProgram]:
+        parent = self.parent.tolist()
+        kids = _children(parent)
+        length = self.values.shape[1]
+        return {
+            v: UpcastProgram(
+                v, None if p < 0 else p, kids[v], row, self.combine,
+                self.domain, length,
+            )
+            for v, (p, row) in enumerate(zip(parent, self.values.tolist()))
+        }
+
+
+@dataclass(eq=False)
+class Downcast:
+    """A broadcast handed to the engine as arrays: the tree
+    (:func:`parent_array`) and the root's row ``values``, held as int64
+    arrays.  As for :class:`Upcast`, :meth:`programs` is only for the
+    per-node loop."""
+
+    parent: np.ndarray
+    values: np.ndarray
+    domain: int
+
+    def __post_init__(self):
+        self.parent = np.asarray(self.parent, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.int64).reshape(-1)
+
+    def programs(self) -> Dict[int, DowncastProgram]:
+        parent = self.parent.tolist()
+        kids = _children(parent)
+        row = self.values.tolist()
+        return {
+            v: DowncastProgram(
+                v, None if p < 0 else p, kids[v], row if p < 0 else None,
+                self.domain, len(row),
+            )
+            for v, p in enumerate(parent)
+        }
+
+
+#: A tree as a :class:`BFSResult` or as its :func:`parent_array`.
+Tree = Union[BFSResult, np.ndarray]
+
+
+def _parents(tree: Tree, n: int) -> Tuple[np.ndarray, int]:
+    """(parent array, root) of a tree given either way."""
+    if isinstance(tree, BFSResult):
+        return parent_array(tree, n), tree.root
+    return tree, int(np.flatnonzero(tree < 0)[0])
+
+
+def _value_matrix(
+    values: Union[Mapping[int, Sequence[int]], np.ndarray], n: int
+) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return values
+    lengths = {len(v) for v in values.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"all nodes must hold equal-length vectors, got {lengths}")
+    return np.array([values[v] for v in range(n)], dtype=np.int64)
+
+
+def transfer_steps(
+    network: Network,
+    transfer: Union[Upcast, Downcast],
+    seed: Optional[int] = None,
+) -> Iterator[int]:
+    """Run a transfer one engine round per ``next()``; returns the
+    engine's :class:`~repro.congest.engine.RunResult`."""
+    stepper = Engine(network, transfer, seed=seed).stepper()
+    while stepper.step():
+        yield stepper.rounds
+    return stepper.result
 
 
 def upcast_steps(
     network: Network,
-    tree: BFSResult,
-    values: Dict[int, Sequence[int]],
+    tree: Tree,
+    values: Union[Mapping[int, Sequence[int]], np.ndarray],
     combine: Callable[[int, int], int],
     domain: int,
     seed: Optional[int] = None,
 ) -> Iterator[int]:
     """Stepwise convergecast: yields each engine round number as it runs.
 
-    The generator's return value is ``(combined vector at the root,
-    measured rounds)`` — the same tuple :func:`pipelined_upcast` returns.
-    The engine runs it on its bulk loop when ``combine`` is in the
-    vectorized combine table, per node otherwise; both are bit-identical.
+    ``values`` maps each node to its t-vector, or is the (n, t) int64
+    matrix of them.  The generator's return value is ``(combined vector
+    at the root, measured rounds)`` — the same tuple
+    :func:`pipelined_upcast` returns.  The engine runs it on its bulk
+    loop when ``combine`` is in the vectorized combine table, per node
+    otherwise; both are bit-identical.
     """
-    programs = build_upcast_programs(network, tree, values, combine, domain)
-    stepper = Engine(network, programs, seed=seed).stepper()
-    while stepper.step():
-        yield stepper.rounds
-    result = stepper.result
-    return tuple(result.outputs[tree.root]), result.rounds
+    parent, root = _parents(tree, network.n)
+    result: RunResult = yield from transfer_steps(
+        network,
+        Upcast(parent, _value_matrix(values, network.n), combine, domain),
+        seed,
+    )
+    return tuple(result.outputs[root]), result.rounds
 
 
 def pipelined_upcast(
     network: Network,
-    tree: BFSResult,
-    values: Dict[int, Sequence[int]],
+    tree: Tree,
+    values: Union[Mapping[int, Sequence[int]], np.ndarray],
     combine: Callable[[int, int], int],
     domain: int,
     seed: Optional[int] = None,
@@ -274,8 +380,8 @@ def pipelined_upcast(
 
 def downcast_steps(
     network: Network,
-    tree: BFSResult,
-    values: Sequence[int],
+    tree: Tree,
+    values: Union[Sequence[int], np.ndarray],
     domain: int,
     seed: Optional[int] = None,
 ) -> Iterator[int]:
@@ -284,19 +390,17 @@ def downcast_steps(
     The generator's return value is ``(per-node received vectors,
     measured rounds)`` — the same tuple :func:`pipelined_downcast` returns.
     """
-    programs = build_downcast_programs(network, tree, values, domain)
-    stepper = Engine(network, programs, seed=seed).stepper()
-    while stepper.step():
-        yield stepper.rounds
-    result = stepper.result
-    received = {v: tuple(result.outputs[v]) for v in network.nodes()}
-    return received, result.rounds
+    parent, _ = _parents(tree, network.n)
+    result: RunResult = yield from transfer_steps(
+        network, Downcast(parent, values, domain), seed
+    )
+    return result.outputs, result.rounds
 
 
 def pipelined_downcast(
     network: Network,
-    tree: BFSResult,
-    values: Sequence[int],
+    tree: Tree,
+    values: Union[Sequence[int], np.ndarray],
     domain: int,
     seed: Optional[int] = None,
 ) -> Tuple[Dict[int, Tuple[int, ...]], int]:

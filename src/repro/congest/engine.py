@@ -23,7 +23,13 @@ loops and for the wall-clock gate on observation overhead
   program families (BFS, multi-source BFS, the max-id flood of leader
   election, the pipelined tree transfers) whole rounds execute as numpy
   array operations over a CSR adjacency (:mod:`repro.congest.vectorized`),
-  removing per-node Python dispatch entirely.  It holds messages to the
+  removing per-node Python dispatch entirely.  A pipelined tree transfer
+  can also reach the engine as arrays instead of a program dict (an
+  ``Upcast`` or ``Downcast`` from
+  :mod:`repro.congest.algorithms.aggregate`): the bulk loop then runs it
+  with no per-node object at all, and the engine builds the per-node
+  programs — and the per-node loop's order and always-awake tables —
+  only if it falls back.  It holds messages to the
   per-node loop's rules: a family whose messages exceed the bandwidth
   never starts on it, and payload values are checked against their
   ``Field`` domains every round.  Its ``deliver`` events carry what the
@@ -69,6 +75,7 @@ executed node.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -149,7 +156,11 @@ class Engine:
 
     Args:
         network: the communication graph and bandwidth limit.
-        programs: one program per node (all nodes must be covered).
+        programs: one program per node (all nodes must be covered), or a
+            pipelined tree transfer given as arrays (an ``Upcast`` or
+            ``Downcast`` from :mod:`repro.congest.algorithms.aggregate`),
+            whose per-node programs are built only if the per-node loop
+            runs.
         seed: seeds the per-node RNGs (each node gets an independent
             child generator, so runs are reproducible but nodes do not
             share randomness — the model has no shared coins).
@@ -177,15 +188,26 @@ class Engine:
         schedule: str = "vectorized",
         recorder: Optional[Recorder] = None,
     ):
-        missing = set(network.nodes()) - set(programs)
-        if missing:
-            raise ValueError(f"no program supplied for nodes {sorted(missing)}")
+        if isinstance(programs, Mapping):
+            missing = set(network.nodes()) - set(programs)
+            if missing:
+                raise ValueError(
+                    f"no program supplied for nodes {sorted(missing)}"
+                )
+            self.transfer = None
+        else:
+            if programs.parent.shape != (network.n,):
+                raise ValueError(
+                    f"the transfer's tree has {programs.parent.shape[0]} "
+                    f"nodes, the network {network.n}"
+                )
+            self.transfer, programs = programs, None
         if schedule not in SCHEDULES:
             raise ValueError(
                 f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
             )
         self.network = network
-        self.programs = programs
+        self._programs = programs
         self.schedule = schedule
         self.recorder = recorder if recorder is not None else current_recorder()
         #: Cached at construction so the hot loops pay one boolean check;
@@ -218,16 +240,13 @@ class Engine:
         self._halted_count = 0
         #: Program order of each node; the active scheduler sorts its
         #: candidate set by this so message ordering (and hence results)
-        #: match running every node every round exactly.
-        self._order: Dict[int, int] = {v: i for i, v in enumerate(programs)}
+        #: match running every node every round exactly.  Built by the
+        #: per-node loop, which alone reads it.
+        self._order: Dict[int, int] = {}
         #: Insertion-ordered set of non-halted nodes that execute every
         #: round: those whose programs are ``always_active``, or every node
-        #: under ``"dense"``; pruned on halt.
-        self._always_on: Dict[int, None] = {
-            v: None
-            for v, p in programs.items()
-            if schedule == "dense" or getattr(p, "always_active", True)
-        }
+        #: under ``"dense"``; pruned on halt.  Built by the per-node loop.
+        self._always_on: Dict[int, None] = {}
         #: Communication-model seam, cached once: the token stamped on
         #: round events ("" for the default CONGEST model, so default
         #: traces stay byte-identical), and the optional per-round
@@ -260,6 +279,13 @@ class Engine:
         #: :func:`repro.congest.vectorized.build_vectorized`, the model's,
         #: ``"fault-channel"`` or ``"message-exceeds-bandwidth"``.
         self.vectorized_fallback: Optional[str] = None
+
+    @property
+    def programs(self) -> Dict[int, NodeProgram]:
+        """node -> its program; a transfer's are built on first access."""
+        if self._programs is None:
+            self._programs = self.transfer.programs()
+        return self._programs
 
     @property
     def contexts(self) -> Dict[int, Context]:
@@ -343,8 +369,12 @@ class Engine:
         in_flight: List[Message] = []
         contexts = self.contexts
         programs = self.programs
-        order = self._order
-        always_on = self._always_on
+        order = self._order = {v: i for i, v in enumerate(programs)}
+        always_on = self._always_on = {
+            v: None
+            for v, p in programs.items()
+            if self.schedule == "dense" or getattr(p, "always_active", True)
+        }
         inbox_buf = self._inbox_buf
         touched = self._inbox_touched
         channel = self._channel
@@ -464,9 +494,11 @@ class Engine:
 
         Engages only when (a) the engine has no fault channel (the channel
         must see every message and node individually), (b) the program
-        dict is an audited homogeneous family with a bulk port, and (c)
-        that family's messages fit the network's bandwidth.  Anything else
-        silently falls back to the per-node loop, recording the reason on
+        dict is an audited homogeneous family with a bulk port, or the
+        engine was given a tree transfer as arrays whose combine has one,
+        and (c) that family's messages fit the network's bandwidth.
+        Anything else silently falls back to the per-node loop (building
+        a transfer's programs then), recording the reason on
         :attr:`vectorized_fallback` — results are bit-identical either
         way, only wall time differs.  Under (c) the per-node loop then
         raises :class:`~repro.congest.errors.MessageTooLargeError` at the
@@ -495,10 +527,15 @@ class Engine:
         stats = TrafficStats()
         csr = vp.csr
         one_field = len(vp.domains) == 1
-        order_arr = np.empty(self.network.n, dtype=np.int64)
-        for v, i in self._order.items():
-            order_arr[v] = i
-        active = np.ones(self.network.n, dtype=bool)
+        n = network.n
+        # Program order per node: a transfer's is node order.
+        order_arr = np.arange(n, dtype=np.int64)
+        if self.transfer is None:
+            nodes = np.fromiter(
+                self._programs, dtype=np.int64, count=len(self._programs)
+            )
+            order_arr[nodes] = np.arange(nodes.shape[0])
+        active = np.ones(n, dtype=bool)
 
         # Round 0: local initialization, no communication charged.
         in_flight, halts = vp.start()
@@ -507,9 +544,12 @@ class Engine:
             self._halted_count += halts.shape[0]
             active[halts] = False
 
+        bits_per_message = vp.bits_per_message
+        step_all, check_domains = vp.step_all, vp.check_domains
         rounds = 0
         while True:
-            if len(in_flight) == 0 and (
+            count = len(in_flight)
+            if count == 0 and (
                 self._all_halted() or self.stop_on_quiescence
             ):
                 break
@@ -517,8 +557,7 @@ class Engine:
                 raise RoundLimitExceeded(self.max_rounds)
             rounds += 1
 
-            count = len(in_flight)
-            bits = count * vp.bits_per_message
+            bits = count * bits_per_message
             if self._recording:
                 # Deliver events in the canonical (program order, dst)
                 # order the per-node loops emit, each carrying what the
@@ -532,7 +571,7 @@ class Engine:
                         rounds,
                         int(src[i]),
                         int(dst[i]),
-                        vp.bits_per_message,
+                        bits_per_message,
                         int(a[i]) if one_field else (int(a[i]), int(b[i])),
                     )
             stats.record_round(count, bits)
@@ -542,8 +581,8 @@ class Engine:
                     mode="vectorized", model=self._model_token,
                 )
 
-            in_flight, halts = vp.step_all(vp.state, in_flight, active, rounds)
-            vp.check_domains(in_flight, order_arr)
+            in_flight, halts = step_all(vp.state, in_flight, active, rounds)
+            check_domains(in_flight, order_arr)
             if halts.shape[0]:
                 # A round's halts as one count: the bulk loop never reads
                 # the per-node always-awake set ``_note_halt`` prunes.

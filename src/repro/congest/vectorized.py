@@ -26,13 +26,23 @@ the payload arity and ``bits_per_message``, and
 :meth:`VectorizedProgram.check_domains` holds every round's outgoing
 columns to them, raising the error ``Field`` raises on the per-node path.
 
-The pipelined tree transfers do no per-node readiness work at all: which
+The pipelined tree transfers do no per-round array work at all.  Which
 node sends which coordinate in which round depends only on the BFS tree
 and the vector length (a node of height ``h`` sends coordinate ``i`` up
 in round ``h + i``, a node of depth ``d`` forwards it down in round
-``d + i``), so each tree's send schedule is computed once, cached per
-(topology, parent array), and every round reads its sends and its halts
-as two slices of it; the values still move through the port's arrays.
+``d + i``), so each tree's send schedule is computed once and cached per
+(topology, parent array).  What is sent is fixed before round 0 too: a
+node's upcast payload for coordinate ``i`` is its subtree's fold at
+``i``, and every downcast message carries the root's value.  So a
+transfer's port computes all its payloads at start, checks them against
+the domain once, and then reports each round's message count and
+halting nodes from two slices of the schedule; it gathers a round's
+messages only when the engine records them, or in the round that sends
+an out-of-domain value, where the error is raised.  The transfers reach
+the engine either as arrays (``Upcast``/``Downcast`` from
+:mod:`repro.congest.algorithms.aggregate`, which is what the library
+passes) or as program dicts, which a thin adapter reads back into the
+same arrays for tests that pin a loop.
 
 Only audited program families vectorize — five of them: BFS-with-echo,
 multi-source BFS, the max-id flood of leader election, and the pipelined
@@ -57,7 +67,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .algorithms.bfs import ECHO, NACK, TOKEN, TOKEN_NACK, BFSEchoProgram
-from .algorithms.aggregate import DowncastProgram, UpcastProgram
+from .algorithms.aggregate import (
+    Downcast,
+    DowncastProgram,
+    Upcast,
+    UpcastProgram,
+)
 from .algorithms.leader import MaxIdFloodProgram
 from .algorithms.multibfs import MultiSourceBFSProgram
 from .csr import CSRAdjacency, csr_for
@@ -144,6 +159,12 @@ class VectorizedProgram:
       halted total).
     * :meth:`outputs` assembles the per-node outputs after the run, as
       plain Python objects bit-identical to the per-node ``ctx.output``.
+
+    A round's traffic is an :class:`EdgeMessages`, or, from the tree
+    transfers, an object with the same length and columns whose columns
+    are gathered on first read; the engine reads them only to record
+    deliver events, and :meth:`check_domains` to hold them to their
+    domains.
 
     ``state`` is a dict of named numpy arrays — the column-major mirror
     of the per-node instance attributes; tests introspect it and the
@@ -517,7 +538,7 @@ class _Sends:
     parent sends it.
 
     ``edges`` holds this direction's tree edges sorted by their sender's
-    key (then edge id), with ``src`` and ``key`` aligned to it;
+    key (then edge id), with ``src``, ``dst`` and ``key`` aligned to it;
     ``nodes`` holds every node sorted by key, and ``node_key`` is the
     key per node.  ``edge_ptr[k]`` and ``node_ptr[k]`` are the first
     positions whose key is at least ``k``, for ``k = 0 .. max + 1``, so
@@ -528,6 +549,7 @@ class _Sends:
 
     edges: np.ndarray
     src: np.ndarray
+    dst: np.ndarray
     key: np.ndarray
     edge_ptr: List[int]
     nodes: np.ndarray
@@ -540,15 +562,17 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.flags.writeable = False
 
 
-def _sends(edges: np.ndarray, src: np.ndarray, node_key: np.ndarray) -> _Sends:
+def _sends(
+    edges: np.ndarray, src: np.ndarray, dst: np.ndarray, node_key: np.ndarray
+) -> _Sends:
     key = node_key[src]
     order = np.lexsort((edges, key))
-    edges, src, key = edges[order], src[order], key[order]
+    edges, src, dst, key = edges[order], src[order], dst[order], key[order]
     nodes = np.argsort(node_key, kind="stable")
     top = np.arange(int(node_key.max()) + 2)
-    _read_only(edges, src, key, nodes, node_key)
+    _read_only(edges, src, dst, key, nodes, node_key)
     return _Sends(
-        edges=edges, src=src, key=key,
+        edges=edges, src=src, dst=dst, key=key,
         edge_ptr=np.searchsorted(key, top).tolist(),
         nodes=nodes,
         node_ptr=np.searchsorted(node_key[nodes], top).tolist(),
@@ -561,12 +585,14 @@ def _build_tree_shape(
 ) -> Optional[Tuple[_Sends, _Sends]]:
     """The (upcast, downcast) sends of the tree ``parent`` spans.
 
-    None when ``parent`` is not a spanning tree of ``csr``'s network: a
-    parent that is not a neighbour, or a parent cycle that never reaches
-    the root.
+    None when ``parent`` is not a spanning tree of ``csr``'s network: not
+    exactly one root, a parent that is not a neighbour, or a parent cycle
+    that never reaches the root.
     """
     n = csr.n
     non_root = np.flatnonzero(parent != -1)
+    if non_root.shape[0] != n - 1:
+        return None
     # Edge e is the parent edge of its src iff its dst is that parent.
     up_mask = parent[csr.src] == csr.indices
     parent_edge = np.full(n, -1, dtype=np.int64)
@@ -593,8 +619,9 @@ def _build_tree_shape(
     for d in range(int(depth.max()), 0, -1):
         level = by_depth[level_ptr[d]:level_ptr[d + 1]]
         np.maximum.at(height, parent[level], height[level] + 1)
-    up = _sends(parent_edge[non_root], non_root, height)
-    down = _sends(csr.rev[parent_edge[non_root]], parent[non_root], depth)
+    up_edges = parent_edge[non_root]
+    up = _sends(up_edges, non_root, parent[non_root], height)
+    down = _sends(csr.rev[up_edges], parent[non_root], non_root, depth)
     return up, down
 
 
@@ -620,16 +647,66 @@ def _tree_shape(
     return shape
 
 
+class _ScheduledMessages:
+    """One round of a tree transfer's traffic, read off its schedule.
+
+    Its length comes from the schedule's pointers; its columns
+    (``edges``, ``a``, ``b``, as on :class:`EdgeMessages`) are gathered
+    on first read, which happens only when the engine records deliver
+    events, or in the round whose payloads break their domain.
+    """
+
+    __slots__ = ("round", "_port", "_lo", "_hi", "_msgs")
+
+    def __init__(self, port: "_TreeTransfer", round_no: int, lo: int, hi: int):
+        self.round = round_no
+        self._port = port
+        self._lo = lo
+        self._hi = hi
+        self._msgs: Optional[EdgeMessages] = None
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def _columns(self) -> EdgeMessages:
+        if self._msgs is None:
+            self._msgs = self._port._messages(self.round, self._lo, self._hi)
+        return self._msgs
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._columns().edges
+
+    @property
+    def a(self) -> np.ndarray:
+        return self._columns().a
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._columns().b
+
+
 class _TreeTransfer(VectorizedProgram):
     """Shared structure of the pipelined tree transfers (up/downcast).
 
     Which node sends which coordinate on which edge, and which nodes
     halt, depends only on the tree and the vector length (see
-    :class:`_Sends`), so each round reads its sends and its halts as two
-    slices of the tree's cached schedule.  Only the values are read from
-    the port's value array (``acc`` up, ``received`` down), which
-    deliveries update every round.  Messages are in sender-key order, not
-    edge order: the engine sorts deliver events itself.
+    :class:`_Sends`), and what a node sends for coordinate ``i`` is fixed
+    before round 0: its subtree's fold up, the root's value down.  So a
+    port computes every payload when it is built and finds the first
+    round, if any, that sends a value outside its domain
+    (``_bad_round``).  A round then costs two slices of the tree's
+    cached schedule: its message count and its halting nodes.  Its
+    messages are gathered only on demand (:class:`_ScheduledMessages`),
+    and :meth:`check_domains` looks at them only in ``_bad_round``,
+    where it raises the per-node path's error after the same events.
+
+    Nothing is ever sent to a halted node, so no delivery is filtered: a
+    parent's height exceeds its child's, so it halts after the child's
+    last message arrives, and a child of depth ``d + 1`` halts in round
+    ``d + t``, the round its parent's last message arrives.  Messages
+    are in sender-key order, not edge order: the engine sorts deliver
+    events itself.
     """
 
     def __init__(
@@ -638,15 +715,29 @@ class _TreeTransfer(VectorizedProgram):
         sends: _Sends,
         length: int,
         domain: int,
-        values: np.ndarray,
+        bad_round: Optional[int],
     ):
         super().__init__(csr, (max(length, 1), domain))
         self.length = length
-        self.domain = domain
         self._sends = sends
-        self._values = values
+        self._bad_round = bad_round
 
-    def _round(self, s: int) -> Tuple[EdgeMessages, np.ndarray]:
+    def _payload(self, src: np.ndarray, coord: np.ndarray) -> np.ndarray:
+        """The values ``src[j]`` sends for ``coord[j]``."""
+        raise NotImplementedError
+
+    def _messages(self, s: int, lo: int, hi: int) -> EdgeMessages:
+        if hi == lo:
+            return _empty_messages()
+        sends = self._sends
+        coord = s - sends.key[lo:hi]
+        return EdgeMessages(
+            edges=sends.edges[lo:hi],
+            a=coord,
+            b=self._payload(sends.src[lo:hi], coord),
+        )
+
+    def _round(self, s: int) -> Tuple[_ScheduledMessages, np.ndarray]:
         """Round ``s``'s messages and newly halted nodes.
 
         Keys ``s - length + 1 .. s`` send, each coordinate ``s - key``;
@@ -655,27 +746,25 @@ class _TreeTransfer(VectorizedProgram):
         sends, length = self._sends, self.length
         top = len(sends.edge_ptr) - 1
         first = min(max(s - length + 1, 0), top)
-        e0, e1 = sends.edge_ptr[first], sends.edge_ptr[min(s + 1, top)]
-        if e1 > e0:
-            coord = s - sends.key[e0:e1]
-            out = EdgeMessages(
-                edges=sends.edges[e0:e1],
-                a=coord,
-                b=self._values[sends.src[e0:e1], coord],
-            )
-        else:
-            out = _empty_messages()
+        out = _ScheduledMessages(
+            self, s, sends.edge_ptr[first], sends.edge_ptr[min(s + 1, top)]
+        )
         k = s - length + 1
         if 0 <= k < top:
-            halts = sends.nodes[sends.node_ptr[k]:sends.node_ptr[k + 1]]
-        else:
-            halts = _NO_NODES
-        return out, halts
+            return out, sends.nodes[sends.node_ptr[k]:sends.node_ptr[k + 1]]
+        return out, _NO_NODES
 
-    def start(self) -> Tuple[EdgeMessages, np.ndarray]:
+    def start(self) -> Tuple[_ScheduledMessages, np.ndarray]:
         if self.length == 0:
-            return _empty_messages(), np.arange(self.csr.n)
+            return _ScheduledMessages(self, 0, 0, 0), np.arange(self.csr.n)
         return self._round(0)
+
+    def step_all(self, state, inbox, active_mask, round_no):
+        return self._round(round_no)
+
+    def check_domains(self, msgs: _ScheduledMessages, order: np.ndarray) -> None:
+        if msgs.round == self._bad_round:
+            super().check_domains(msgs, order)
 
     def _halted(self, rounds: int) -> np.ndarray:
         """Which nodes had halted by the end of round ``rounds``."""
@@ -688,29 +777,43 @@ class VectorizedUpcast(_TreeTransfer):
     """Bulk port of :class:`UpcastProgram` (pipelined convergecast).
 
     The schedule is keyed by height: the leaves stream from round 0, and
-    a node of height ``h`` sends coordinate ``i`` up in round ``h + i``.
+    a node of height ``h`` sends coordinate ``i`` up in round ``h + i``,
+    by then the fold of its subtree at ``i``.  Those folds are computed
+    at construction, one ``ufunc.at`` per height level over every
+    coordinate at once (a level's subtrees are complete once every lower
+    level has been added in); ``state["acc"]`` holds them.
     """
 
-    def __init__(self, csr, sends, root, length, domain, acc, ufunc):
-        super().__init__(csr, sends, length, domain, acc)
+    def __init__(self, csr, sends, root, values, domain, ufunc):
+        length = values.shape[1]
+        acc = values.copy()
+        ptr = sends.edge_ptr
+        if length:
+            # ufunc.at is unordered, which is exact for the table's
+            # commutative and associative combines.
+            for h in range(len(ptr) - 1):
+                lo, hi = ptr[h], ptr[h + 1]
+                if hi > lo:
+                    ufunc.at(acc, sends.dst[lo:hi], acc[sends.src[lo:hi]])
+        # Sender j's coordinate i goes out in round key[j] + i.  Viewed
+        # as unsigned, a negative value is at least 2**63, past every
+        # domain.
+        sent = acc[sends.src].view(np.uint64)
+        bad_round = None
+        if sent.size and sent.max() >= domain:
+            rows, cols = np.nonzero(sent >= domain)
+            bad_round = int((sends.key[rows] + cols).min())
+        super().__init__(csr, sends, length, domain, bad_round)
         self.root = root
-        self.ufunc = ufunc
         self.state = {"acc": acc}
 
-    def step_all(self, state, inbox, active_mask, round_no):
-        edges, a, b, src, dst = self._deliverable(inbox, active_mask)
-        if edges.shape[0]:
-            # Coordinatewise combine; ufunc.at is unordered, which is
-            # exact for the table's commutative/associative combines.
-            self.ufunc.at(state["acc"], (dst, a), b)
-        return self._round(round_no)
+    def _payload(self, src, coord):
+        return self.state["acc"][src, coord]
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
         result: Dict[int, Any] = dict.fromkeys(range(self.csr.n))
         if self._halted(rounds)[self.root]:
-            result[self.root] = tuple(
-                self.state["acc"][self.root, : self.length].tolist()
-            )
+            result[self.root] = tuple(self.state["acc"][self.root].tolist())
         return result
 
 
@@ -719,31 +822,29 @@ class VectorizedDowncast(_TreeTransfer):
 
     The schedule is keyed by depth: the root streams from round 0, and a
     node of depth ``d`` forwards coordinate ``i`` to its children in
-    round ``d + i``, the round after it arrived.
+    round ``d + i``, the round after it arrived.  Every message for
+    coordinate ``i`` carries the root's ``values[i]``, so the port keeps
+    only that row.
     """
 
-    def __init__(self, csr, sends, root, length, domain, root_values):
-        received = np.full((csr.n, max(length, 1)), -1, dtype=np.int64)
-        if length:
-            received[root] = root_values
-        super().__init__(csr, sends, length, domain, received)
-        self.state = {"received": received}
+    def __init__(self, csr, sends, values, domain):
+        bad = np.flatnonzero(values.view(np.uint64) >= domain)
+        bad_round = (
+            int(sends.key[0]) + int(bad[0])
+            if bad.shape[0] and sends.key.shape[0] else None
+        )
+        super().__init__(csr, sends, values.shape[0], domain, bad_round)
+        self.state = {"values": values}
 
-    def step_all(self, state, inbox, active_mask, round_no):
-        edges, a, b, src, dst = self._deliverable(inbox, active_mask)
-        if edges.shape[0]:
-            state["received"][dst, a] = b
-        return self._round(round_no)
+    def _payload(self, src, coord):
+        return self.state["values"][coord]
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
-        rows = (
-            self.state["received"].tolist() if self.length
-            else [()] * self.csr.n
-        )
-        return {
-            v: tuple(rows[v]) if halted else None
-            for v, halted in enumerate(self._halted(rounds).tolist())
-        }
+        row = tuple(self.state["values"].tolist())
+        halted = self._halted(rounds)
+        if halted.all():
+            return dict.fromkeys(range(self.csr.n), row)
+        return {v: row if h else None for v, h in enumerate(halted.tolist())}
 
 
 # ----------------------------------------------------------------------
@@ -779,30 +880,79 @@ def _combine_ufuncs() -> Dict[Callable[[int, int], int], np.ufunc]:
 # ----------------------------------------------------------------------
 
 
-def _tree_arrays_from_programs(programs) -> Optional[np.ndarray]:
-    """Extract a consistent parent array from tree-transfer programs."""
-    n = len(programs)
-    parent = np.full(n, -1, dtype=np.int64)
-    roots = 0
-    for v, p in programs.items():
-        if p.parent is None:
-            roots += 1
-        else:
-            parent[v] = p.parent
-    if roots != 1:
-        return None
-    return parent
+def _transfer_from_programs(
+    csr: CSRAdjacency, programs, upcast: bool
+) -> Tuple[Optional[Any], Optional[str]]:
+    """The array form of a dict of tree-transfer programs, or a reason.
+
+    A thin adapter for the tests that build programs with
+    ``build_*_programs`` to pin a loop: the result runs through the same
+    port as a transfer handed over as arrays.
+    """
+    family = "upcast" if upcast else "downcast"
+    n = csr.n
+    parent = np.fromiter(
+        (-1 if p.parent is None else p.parent
+         for p in map(programs.__getitem__, range(n))),
+        dtype=np.int64, count=n,
+    )
+    if _tree_shape(csr, parent) is None:
+        return None, f"{family}-tree-malformed"
+    params = {
+        (p.domain, p.length, p.combine if upcast else None)
+        for p in programs.values()
+    }
+    if len(params) != 1:
+        return None, f"{family}-params-disagree"
+    domain, length, combine = params.pop()
+    if upcast:
+        values = [programs[v].acc for v in range(n)]
+        return Upcast(parent, values, combine, domain), None
+    row = programs[int(np.flatnonzero(parent == -1)[0])].received
+    if any(x is None for x in row):
+        return None, "downcast-root-values-missing"
+    return Downcast(parent, row, domain), None
+
+
+def _transfer_port(
+    csr: CSRAdjacency, transfer
+) -> Tuple[Optional[VectorizedProgram], Optional[str]]:
+    """The bulk port of a tree transfer given as arrays, or a reason."""
+    upcast = isinstance(transfer, Upcast)
+    shape = _tree_shape(csr, transfer.parent)
+    if shape is None:
+        return None, f"{'upcast' if upcast else 'downcast'}-tree-malformed"
+    up, down = shape
+    if not upcast:
+        return (
+            VectorizedDowncast(csr, down, transfer.values, transfer.domain),
+            None,
+        )
+    ufunc = _combine_ufuncs().get(transfer.combine)
+    if ufunc is None:
+        return None, "upcast-combine-unregistered"
+    # The root is the one node of maximal height.
+    root = int(up.nodes[-1])
+    return (
+        VectorizedUpcast(
+            csr, up, root, transfer.values, transfer.domain, ufunc
+        ),
+        None,
+    )
 
 
 def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]]:
-    """Build the bulk executor for an engine's program dict, if audited.
+    """Build the bulk executor for an engine's programs, if audited.
 
     Returns ``(program, None)`` on success or ``(None, reason)`` when the
     programs are not a supported homogeneous family — the engine then
-    falls back to the per-node loop.
+    falls back to the per-node loop.  A tree transfer handed to the
+    engine as arrays skips the audit and goes straight to its port.
     """
-    programs = engine.programs
     network = engine.network
+    if engine.transfer is not None:
+        return _transfer_port(csr_for(network), engine.transfer)
+    programs = engine.programs
     first = programs[next(iter(programs))]
     kinds = {type(p) for p in programs.values()}
     if len(kinds) != 1:
@@ -833,47 +983,9 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
                 return None, "multibfs-sources-disagree"
         return VectorizedMultiSourceBFS(csr, sources, network.n), None
 
-    family = "upcast" if kind is UpcastProgram else "downcast"
-    parent = _tree_arrays_from_programs(programs)
-    shape = None if parent is None else _tree_shape(csr, parent)
-    if shape is None:
-        return None, f"{family}-tree-malformed"
-    root = int(np.flatnonzero(parent == -1)[0])
-    up, down = shape
-
-    if kind is UpcastProgram:
-        combines = {p.combine for p in programs.values()}
-        domains = {p.domain for p in programs.values()}
-        lengths = {p.length for p in programs.values()}
-        if len(combines) != 1 or len(domains) != 1 or len(lengths) != 1:
-            return None, "upcast-params-disagree"
-        ufunc = _combine_ufuncs().get(combines.pop())
-        if ufunc is None:
-            return None, "upcast-combine-unregistered"
-        length = lengths.pop()
-        acc = np.zeros((network.n, max(length, 1)), dtype=np.int64)
-        if length:
-            for v, p in programs.items():
-                acc[v] = p.acc
-        return (
-            VectorizedUpcast(csr, up, root, length, domains.pop(), acc, ufunc),
-            None,
-        )
-
-    domains = {p.domain for p in programs.values()}
-    lengths = {p.length for p in programs.values()}
-    if len(domains) != 1 or len(lengths) != 1:
-        return None, "downcast-params-disagree"
-    length = lengths.pop()
-    root_vals = programs[root].received
-    if length and any(x is None for x in root_vals):
-        return None, "downcast-root-values-missing"
-    values = (
-        np.asarray(root_vals, dtype=np.int64)
-        if length
-        else np.empty(0, dtype=np.int64)
+    transfer, reason = _transfer_from_programs(
+        csr, programs, kind is UpcastProgram
     )
-    return (
-        VectorizedDowncast(csr, down, root, length, domains.pop(), values),
-        None,
-    )
+    if transfer is None:
+        return None, reason
+    return _transfer_port(csr, transfer)

@@ -18,10 +18,14 @@ Two execution modes:
 
 * ``formula`` — the batch cost is charged from :class:`CostModel` (exact
   paper formula); values are aggregated centrally.  Scales to large n, k.
-* ``engine`` — every batch runs *real node programs*: a pipelined downcast
-  of the indices, a chunked pipelined upcast of the ⊕-aggregation, and the
-  two uncompute passes; rounds are measured, not assumed.  Tests assert
-  engine-measured ≈ formula within constant factors.
+* ``engine`` — every batch runs *real CONGEST transfers* on the engine: a
+  pipelined downcast of the indices, a chunked pipelined upcast of the
+  ⊕-aggregation, and the two uncompute passes; rounds are measured, not
+  assumed.  Tests assert engine-measured ≈ formula within constant
+  factors.  The oracle hands each transfer to the engine as arrays (its
+  tree's parent array, cached, and the batch's value matrix, gathered
+  from an n × k matrix of the input); the engine builds node programs
+  only if it falls back to its per-node loop.
 
 The oracle handed to the algorithm implements
 :class:`repro.queries.oracle.BatchOracle`, so every Section 2 algorithm
@@ -41,6 +45,7 @@ import numpy as np
 from ..congest.algorithms.aggregate import (
     downcast_steps,
     drive,
+    parent_array,
     upcast_steps,
 )
 from ..congest.algorithms.bfs import BFSResult, bfs_with_echo
@@ -142,6 +147,12 @@ class CongestBatchOracle:
         self._full: Optional[List[int]] = (
             dist_input.aggregated() if dist_input is not None else None
         )
+        #: Engine mode only, built on its first batch: the tree's parent
+        #: array, and the input as an n × (k + 1) int64 matrix whose last
+        #: column is the semigroup identity (a formula-mode oracle never
+        #: pays for it: at k = 2**15 it would be megabytes).
+        self._parents: Optional[np.ndarray] = None
+        self._inputs: Optional[np.ndarray] = None
 
     # -- BatchOracle interface ------------------------------------------
 
@@ -197,20 +208,14 @@ class CongestBatchOracle:
         # ---- engine mode: run the real protocols --------------------
         if alpha_rounds:
             self.rounds.charge("alpha", alpha_rounds)
+        if self._parents is None:
+            self._parents = parent_array(self.tree, self.network.n)
         # 1. distribute indices (downcast), then 4. its uncompute.
         with self.recorder.span("distribute"):
-            gen = downcast_steps(
-                self.network, self.tree, indices, domain=max(self._k, 2),
-                seed=self._seed,
-            )
-            down_rounds = None
-            while down_rounds is None:
-                try:
-                    round_no = next(gen)
-                except StopIteration as stop:
-                    _, down_rounds = stop.value
-                else:
-                    yield ("distribute", round_no)
+            _, down_rounds = yield from _phase("distribute", downcast_steps(
+                self.network, self._parents, indices,
+                domain=max(self._k, 2), seed=self._seed,
+            ))
             self.rounds.charge("index-distribute", down_rounds)
         # 2. chunked pipelined ⊕-convergecast of the p values, and
         # 3. the send-back-down uncompute pass.
@@ -287,57 +292,63 @@ class CongestBatchOracle:
         words = self.cost_model.words(semigroup.bits)
         identity = semigroup.identity
         domain = max(semigroup.domain_size or (1 << semigroup.bits), 2)
-        # Each logical value occupies `words` slots; the value rides in the
-        # last slot, identity pads the rest (combine(identity, ·) = id).
-        per_node_vectors: Dict[int, List[int]] = {}
-        for v in self.network.nodes():
-            row = []
-            for j in indices:
-                row.extend([identity] * (words - 1))
-                if self.dist_input is not None:
-                    row.append(self.dist_input.vectors[v][j])
-                else:
-                    row.append(self._cache_vectors[j].get(v, identity))
-            per_node_vectors[v] = row
+        matrix = self._batch_matrix(indices, words, identity)
         with self.recorder.span("convergecast"):
-            gen = upcast_steps(
-                self.network,
-                self.tree,
-                per_node_vectors,
-                combine=semigroup.combine,
-                domain=domain,
-                seed=self._seed,
-            )
-            combined = None
-            while combined is None:
-                try:
-                    round_no = next(gen)
-                except StopIteration as stop:
-                    combined, up_rounds = stop.value
-                else:
-                    yield ("convergecast", round_no)
+            combined, up_rounds = yield from _phase("convergecast", upcast_steps(
+                self.network, self._parents, matrix,
+                combine=semigroup.combine, domain=domain, seed=self._seed,
+            ))
             self.rounds.charge("value-upcast", up_rounds)
         # Theorem 8's "sends the x^{(w)} back to the children, who
         # uncompute it": a mirrored downcast of the same volume.
         with self.recorder.span("uncompute"):
-            gen = downcast_steps(
-                self.network,
-                self.tree,
-                list(combined),
-                domain=domain,
-                seed=self._seed,
-            )
-            down_rounds = None
-            while down_rounds is None:
-                try:
-                    round_no = next(gen)
-                except StopIteration as stop:
-                    _, down_rounds = stop.value
-                else:
-                    yield ("uncompute", round_no)
+            _, down_rounds = yield from _phase("uncompute", downcast_steps(
+                self.network, self._parents, combined,
+                domain=domain, seed=self._seed,
+            ))
             self.rounds.charge("value-uncompute", down_rounds)
-        values = [combined[i * words + (words - 1)] for i in range(len(indices))]
-        return values
+        return list(combined[words - 1::words])
+
+    def _batch_matrix(
+        self, indices: Sequence[int], words: int, identity: int
+    ) -> np.ndarray:
+        """Row v: node v's upcast vector for the batch.
+
+        Each logical value occupies ``words`` slots; the value rides in
+        the last slot, identity pads the rest (combine(identity, ·) = id).
+        A :class:`DistributedInput` is gathered in one indexing step from
+        an n × (k + 1) matrix whose last column is the identity, built on
+        the first batch; computed values (nodes absent from a column hold
+        the identity) are filled in per batch.
+        """
+        n = self.network.n
+        if self.dist_input is not None:
+            if self._inputs is None:
+                vectors = self.dist_input.vectors
+                self._inputs = np.array(
+                    [list(vectors[v]) + [identity] for v in range(n)],
+                    dtype=np.int64,
+                )
+            slots = np.full((len(indices), words), self._k, dtype=np.int64)
+            slots[:, -1] = indices
+            return self._inputs[:, slots.ravel()]
+        matrix = np.full((n, len(indices) * words), identity, dtype=np.int64)
+        for i, j in enumerate(indices):
+            per_node = self._cache_vectors[j]
+            matrix[:, i * words + words - 1] = [
+                per_node.get(v, identity) for v in range(n)
+            ]
+        return matrix
+
+
+def _phase(phase: str, steps: Iterator[int]) -> Iterator[Tuple[str, int]]:
+    """Tag each round of ``steps`` with ``phase``; return its value."""
+    while True:
+        try:
+            round_no = next(steps)
+        except StopIteration as stop:
+            return stop.value
+        yield phase, round_no
 
 
 @dataclass(frozen=True)

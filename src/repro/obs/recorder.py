@@ -59,10 +59,15 @@ class Recorder:
 
         The fork starts at this recorder's current span path, so events
         emitted through it attribute to the phase that was open when the
-        fork was made.  An inactive recorder contributes no sinks.
+        fork was made.  An inactive recorder contributes no sinks, and a
+        fork with no sinks at all is :data:`NULL_RECORDER`, so emitters
+        that guard on ``active`` skip their events instead of building
+        them for nobody.
         """
         sinks = list(self.sinks) if self.active else []
         sinks.extend(extra_sinks)
+        if not sinks:
+            return NULL_RECORDER
         fork = Recorder(sinks)
         fork._span_stack = list(self._span_stack)
         fork._span_path = self._span_path

@@ -3,12 +3,16 @@
 import dataclasses
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.congest import topologies
 from repro.congest.algorithms.aggregate import (
+    Downcast,
+    Upcast,
     build_downcast_programs,
     build_upcast_programs,
+    parent_array,
 )
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
 from repro.congest.algorithms.leader import MaxIdFloodProgram
@@ -39,6 +43,18 @@ def _violation(net, programs, schedule):
         for e in sink.events
     ]
     return type(info.value), str(info.value), stepper.rounds, events
+
+
+#: The ways a tree transfer enters the engine: a program dict on each
+#: round loop, or the transfer as arrays on the default loop.
+ENTRIES = (*SCHEDULES, "arrays")
+
+
+def _entry(entry, make, transfer):
+    """(programs, schedule) for one of :data:`ENTRIES`."""
+    if entry == "arrays":
+        return transfer, "vectorized"
+    return make(), entry
 
 
 class TestHaltedNodes:
@@ -117,22 +133,45 @@ class TestFailureInjection:
             net, make(), "active"
         )
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_upcast_value_outside_domain_raises(self, schedule):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_transfer_on_starved_bandwidth_raises_model_violation(self, entry):
+        """An (index, value) pair past the bandwidth never starts on the
+        bulk loop, as programs or as arrays: the per-node loop raises
+        ``MessageTooLargeError`` at the first send."""
+        import networkx as nx
+
+        tree = bfs_with_echo(Network(nx.path_graph(6)), 0)
+        net = Network(nx.path_graph(6), bandwidth=2)
+        values = {v: [1] for v in net.nodes()}
+        make = partial(build_upcast_programs, net, tree, values, combine_sum, 8)
+        transfer = Upcast(
+            parent_array(tree, net.n), np.ones((net.n, 1)), combine_sum, 8
+        )
+        got = _violation(net, *_entry(entry, make, transfer))
+        assert got[0] is MessageTooLargeError
+        assert got == _violation(net, make(), "active")
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_upcast_value_outside_domain_raises(self, entry):
         net = topologies.grid(3, 3)
         tree = bfs_with_echo(net, 0)
         values = {v: [3, 1] for v in net.nodes()}
         make = partial(build_upcast_programs, net, tree, values, combine_sum, 8)
-        got = _violation(net, make(), schedule)
+        transfer = Upcast(
+            parent_array(tree, net.n), np.full((net.n, 2), [3, 1]),
+            combine_sum, 8,
+        )
+        got = _violation(net, *_entry(entry, make, transfer))
         assert got[:2] == (ValueError, "value 9 outside domain [0, 8)")
         assert got == _violation(net, make(), "active")
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_downcast_value_outside_domain_raises(self, schedule):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_downcast_value_outside_domain_raises(self, entry):
         net = topologies.grid(3, 3)
         tree = bfs_with_echo(net, 0)
         make = partial(build_downcast_programs, net, tree, [5, 1, 9], 8)
-        got = _violation(net, make(), schedule)
+        transfer = Downcast(parent_array(tree, net.n), np.array([5, 1, 9]), 8)
+        got = _violation(net, *_entry(entry, make, transfer))
         assert got[:3] == (ValueError, "value 9 outside domain [0, 8)", 1)
         assert got == _violation(net, make(), "active")
 

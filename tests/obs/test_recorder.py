@@ -139,6 +139,13 @@ class TestFork:
         fork.charge("x", 1)
         assert len(extra.events) == 1
 
+    def test_fork_with_no_sinks_is_inactive(self):
+        # Emitters guard on ``active``: a sinkless fork that claimed to be
+        # active would make them build events for nobody.
+        assert NULL_RECORDER.fork() is NULL_RECORDER
+        assert Recorder().fork() is NULL_RECORDER
+        assert not NULL_RECORDER.fork().active
+
     def test_fork_inherits_span_path(self):
         sink = MemorySink()
         rec = Recorder()

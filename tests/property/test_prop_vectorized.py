@@ -11,13 +11,17 @@ is the one sanctioned difference and is excluded by construction.
 import dataclasses
 from functools import partial
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest import topologies
 from repro.congest.algorithms.aggregate import (
+    Downcast,
+    Upcast,
     build_downcast_programs,
     build_upcast_programs,
+    parent_array,
 )
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
 from repro.congest.algorithms.leader import MaxIdFloodProgram
@@ -207,3 +211,70 @@ class TestVectorizedEquivalence:
             _assert_transfer_identical(net, partial(
                 build_downcast_programs, net, tree, values[root], _DOMAIN
             ))
+
+
+def _stepped(net, programs, schedule):
+    """How a run ends, the ``step()`` calls before that, and its deliver
+    and round events: ``("ok", rounds, outputs, stats)`` or ``("error",
+    type, message)``."""
+    sink = MemorySink()
+    engine = Engine(net, programs, schedule=schedule, recorder=Recorder([sink]))
+    stepper = engine.stepper()
+    steps = 0
+    try:
+        while stepper.step():
+            steps += 1
+    except ValueError as err:
+        end = ("error", type(err), str(err))
+    else:
+        result = stepper.result
+        end = ("ok", result.rounds, result.outputs, result.stats)
+    events = (
+        sink.events_of_kind("deliver"),
+        _strip_mode(sink.events_of_kind("round")),
+    )
+    return engine, (end, steps, events)
+
+
+class TestArrayHandOff:
+    @settings(**_SETTINGS)
+    @given(data=st.data())
+    def test_array_entry_matches_programs(self, data):
+        """A transfer handed to the engine as arrays, on the bulk loop,
+        matches its programs on the active loop: the same run, or the
+        same domain error after the same steps and events.
+
+        Small domains put the violations in random rounds: values fit
+        their domain (below a drawn cap), but sums outgrow it, and one
+        drawn value (the root's, for a downcast) may not.
+        """
+        net = _make_network(data.draw)
+        tree = bfs_with_echo(net, data.draw(st.integers(0, net.n - 1)))
+        upcast = data.draw(st.booleans())
+        length = data.draw(st.integers(0, 24))
+        domain = data.draw(st.integers(2, 64))
+        fits = st.integers(0, data.draw(st.integers(0, domain - 1)))
+        rows = [[data.draw(fits) for _ in range(length)] for _ in net.nodes()]
+        if length and data.draw(st.booleans()):
+            v = data.draw(st.integers(0, net.n - 1)) if upcast else tree.root
+            i = data.draw(st.integers(0, length - 1))
+            rows[v][i] = data.draw(st.sampled_from([-1, domain, 2 * domain]))
+        parent = parent_array(tree, net.n)
+        matrix = np.array(rows, dtype=np.int64).reshape(net.n, length)
+        if upcast:
+            combine = data.draw(st.sampled_from(
+                [combine_sum, combine_max, combine_min, combine_xor]
+            ))
+            transfer = Upcast(parent, matrix, combine, domain)
+            programs = build_upcast_programs(
+                net, tree, dict(enumerate(rows)), combine, domain
+            )
+        else:
+            transfer = Downcast(parent, matrix[tree.root], domain)
+            programs = build_downcast_programs(
+                net, tree, rows[tree.root], domain
+            )
+        _, expected = _stepped(net, programs, "active")
+        engine, got = _stepped(net, transfer, "vectorized")
+        assert got == expected
+        assert engine.vectorized_fallback is None

@@ -474,6 +474,22 @@ class TestReport:
         assert report["pool"]["lanes"] == 1
 
 
+class TestRecorders:
+    def test_default_lane_records_nothing(self):
+        # With no recorder anywhere, a lane's fork is the null recorder,
+        # so neither its scheduler nor its oracle builds events.
+        service = QueryService()
+        scheduler = service.add_profile(NET, CFG).scheduler
+        assert not scheduler._recorder.active
+        assert not scheduler.oracle.recorder.active
+
+    def test_recording_lane_feeds_the_service_sinks(self):
+        sink = MemorySink()
+        scheduler = make_service(sink).pool.acquire("default").scheduler
+        assert scheduler._recorder.active
+        assert scheduler.oracle.recorder.sinks == [sink]
+
+
 class TestOpenLoopRounds:
     """Stepping batches on an event loop must not cost rounds.
 
