@@ -45,12 +45,22 @@ Every ``insert``/``query``/``compose`` lands on the observability spine
 as a ``sketch`` event (:mod:`repro.obs`); the serving integration
 (:mod:`repro.sched.sketch`, :mod:`repro.serve`) adds memo hit and
 invalidation edges on top.
+
+Each sketch hashes an item once.  A bounded LRU of per-item plans, keyed
+by the item's byte encoding, holds the rotations of the item's k
+buckets; the query side (its distinct buckets and their reference
+phases) and its memo token are added on first use.  Every later insert,
+query, threshold and estimate reads the plan, and the emulated overlap
+reads only the item's own buckets.  The arithmetic is the per-call one,
+ufunc for ufunc, so every answer is the float the per-call path gives
+(``tests/apps/reference_sketch.py`` keeps that path as the test oracle).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -78,6 +88,11 @@ EXACT_MAX_M = 16
 #: Where ``backend="auto"`` draws the line: exact at or below, emulated
 #: above.  Chosen so the default overlap regime stays cheap (2^10 amps).
 AUTO_EXACT_M = 10
+
+#: Item plans one sketch keeps (LRU).  A queried item's plan is about
+#: 0.75 KiB at k = 3, so a full cache is about 3 MiB; a miss rebuilds
+#: the plan from the item's hashes, as the first sight of an item does.
+_PLAN_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -148,10 +163,60 @@ def _item_bytes(x: Any) -> bytes:
     )
 
 
+def _token(data: bytes) -> int:
+    digest = hashlib.blake2b(data, digest_size=8).digest()
+    return int.from_bytes(digest, "big") >> 1
+
+
 def item_token(x: Any) -> int:
     """A stable 63-bit integer token for an item (memo addressing)."""
-    digest = hashlib.blake2b(_item_bytes(x), digest_size=8).digest()
-    return int.from_bytes(digest, "big") >> 1
+    return _token(_item_bytes(x))
+
+
+class _ItemPlan:
+    """What one sketch's hash family decides about one item.
+
+    ``rotations`` holds one ``(bucket, steps, delta)`` per hash, in hash
+    order (duplicate buckets kept): the rotations one insert at
+    multiplicity 1 applies.  The query side — ``touched``, the distinct
+    buckets in ascending order, and ``phases``, the reference phase each
+    holds — and the memo ``token`` are derived on first use, so an item
+    that is only inserted never pays for them.
+    """
+
+    __slots__ = ("key", "rotations", "_touched", "_phases", "_token")
+
+    def __init__(
+        self, key: bytes, rotations: Tuple[Tuple[int, int, float], ...]
+    ):
+        self.key = key
+        self.rotations = rotations
+        self._touched: Optional[np.ndarray] = None
+        self._phases: Optional[np.ndarray] = None
+        self._token: Optional[int] = None
+
+    @property
+    def token(self) -> int:
+        if self._token is None:
+            self._token = _token(self.key)
+        return self._token
+
+    def reference(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(touched, phases)``: the item's reference rotations.
+
+        Each phase is summed from 0.0 in hash order, so it is the float
+        the m-long reference vector of one insert holds at its bucket.
+        """
+        if self._touched is None:
+            phase: Dict[int, float] = {}
+            for bucket, _steps, delta in self.rotations:
+                phase[bucket] = phase.get(bucket, 0.0) + delta
+            touched = sorted(phase)
+            self._touched = np.array(touched, dtype=np.intp)
+            self._phases = np.array(
+                [phase[b] for b in touched], dtype=np.float64
+            )
+        return self._touched, self._phases
 
 
 @dataclass(frozen=True)
@@ -260,9 +325,23 @@ class _EmulatedState:
             return self.phases
         return self.theta * self.counts.astype(np.float64)
 
-    def overlap(self, ref: np.ndarray, buckets: Sequence[int]) -> float:
-        diff = self.bucket_phases()[list(buckets)] - ref[list(buckets)]
-        return float(np.prod(np.cos(diff / 2.0) ** 2))
+    def overlap(self, touched: np.ndarray, ref: np.ndarray) -> float:
+        """``∏ cos²((φ_j − r_j)/2)`` over the touched buckets only.
+
+        The m-wide form's ufuncs in its order, applied in place to the
+        gathered buckets, so the float is the one the m-wide form gives.
+        """
+        if self.weighted:
+            diff = self.phases[touched]
+        else:
+            diff = np.multiply(
+                self.theta, self.counts[touched], dtype=np.float64
+            )
+        np.subtract(diff, ref, out=diff)
+        np.divide(diff, 2.0, out=diff)
+        np.cos(diff, out=diff)
+        np.square(diff, out=diff)
+        return float(np.multiply.reduce(diff))
 
     def state_fidelity(self, other: "_EmulatedState") -> float:
         diff = self.bucket_phases() - other.bucket_phases()
@@ -270,7 +349,10 @@ class _EmulatedState:
 
     def wrapped_angle(self, bucket: int) -> float:
         """The bucket phase wrapped to (−π, π] — what a qubit can hold."""
-        phi = float(self.bucket_phases()[bucket])
+        if self.weighted:
+            phi = float(self.phases[bucket])
+        else:
+            phi = self.theta * float(self.counts[bucket])
         return math.atan2(math.sin(phi), math.cos(phi))
 
     def merge(self, other: "_EmulatedState") -> None:
@@ -296,7 +378,7 @@ class _ExactState:
         del steps  # the statevector only sees the physical rotation
         self.sv.apply(gates.rz(delta), [bucket])
 
-    def overlap(self, ref: np.ndarray, buckets: Sequence[int]) -> float:
+    def overlap(self, touched: np.ndarray, ref: np.ndarray) -> float:
         """Interference readout: P(all queried buckets measure |0⟩).
 
         Copies the state, applies the inverse reference rotations, then
@@ -304,9 +386,9 @@ class _ExactState:
         reference phase returns to |+⟩ and measures 0 with certainty.
         """
         probe = self.sv.copy()
-        buckets = list(buckets)
-        for j in buckets:
-            probe.apply(gates.rz(-float(ref[j])), [j])
+        buckets = touched.tolist()
+        for j, phase in zip(buckets, ref.tolist()):
+            probe.apply(gates.rz(-phase), [j])
             probe.apply(gates.H, [j])
         marg = probe.marginal_probabilities(buckets)
         return float(marg[0])
@@ -384,6 +466,16 @@ class AmplitudeSketch:
         self._item_counts: Optional[Dict[int, int]] = (
             {} if weighted else None
         )
+        #: Item plans keyed by the item's byte encoding, never by the
+        #: item: ``1``, ``1.0`` and ``True`` are one dict key but hash to
+        #: different buckets.
+        self._plans: "OrderedDict[bytes, _ItemPlan]" = OrderedDict()
+        self._hash_prefixes = [
+            f"sketch-hash/{spec.seed}/{i};".encode() for i in range(spec.k)
+        ]
+        self._sign_prefixes = [
+            f"sketch-sign/{spec.seed}/{i};".encode() for i in range(spec.k)
+        ]
 
     # -- hashing ---------------------------------------------------------
 
@@ -395,69 +487,68 @@ class AmplitudeSketch:
     def fingerprint(self) -> str:
         return self.spec.fingerprint
 
-    def buckets(self, x: Any) -> List[int]:
-        """The k hashed bucket positions for an item (duplicates kept)."""
-        spec = self.spec
-        out = []
-        for i in range(spec.k):
-            h = hashlib.blake2b(digest_size=8)
-            h.update(f"sketch-hash/{spec.seed}/{i};".encode())
-            h.update(_item_bytes(x))
-            out.append(int.from_bytes(h.digest(), "big") % spec.m)
-        return out
-
-    def _sign(self, x: Any, i: int) -> int:
-        h = hashlib.blake2b(digest_size=1)
-        h.update(f"sketch-sign/{self.spec.seed}/{i};".encode())
-        h.update(_item_bytes(x))
-        return 1 if h.digest()[0] & 1 else -1
-
-    def _increments(self, x: Any, count: int) -> List[Tuple[int, int, float]]:
-        """Per-hash ``(bucket, steps, delta)`` rotations for one insert.
-
-        ``count`` is the item's multiplicity *after* this insert.
-        Uniform: +θ per hash.  Sign: ±θ per hash.  Log-weighted: the
-        increment that moves the accumulated phase from θ·log₂(count) to
-        θ·log₂(1+count), so the total is order-independent up to float
-        reassociation.
-        """
+    def _plan(self, x: Any) -> _ItemPlan:
+        """The item's plan, built on a miss from its k hashes."""
+        key = _item_bytes(x)
+        plans = self._plans
+        plan = plans.get(key)
+        if plan is not None:
+            plans.move_to_end(key)
+            return plan
         spec = self.spec
         theta = spec.resolved_theta
         pattern = spec.taxonomy.phase_pattern
-        out = []
-        for i, bucket in enumerate(self.buckets(x)):
-            if pattern == "uniform":
+        rotations = []
+        for i, prefix in enumerate(self._hash_prefixes):
+            digest = hashlib.blake2b(prefix + key, digest_size=8).digest()
+            bucket = int.from_bytes(digest, "big") % spec.m
+            if pattern == "sign":
+                sign = hashlib.blake2b(
+                    self._sign_prefixes[i] + key, digest_size=1
+                ).digest()
+                steps = 1 if sign[0] & 1 else -1
+                delta = steps * theta
+            else:  # uniform, and log-weighted at multiplicity 1 (θ·log₂2)
                 steps, delta = 1, theta
-            elif pattern == "sign":
-                s = self._sign(x, i)
-                steps, delta = s, s * theta
-            else:  # log-weighted
-                delta = theta * (math.log2(1 + count) - math.log2(count))
-                steps = 1
-            out.append((bucket, steps, delta))
-        return out
+            rotations.append((bucket, steps, delta))
+        plan = _ItemPlan(key, tuple(rotations))
+        plans[key] = plan
+        if len(plans) > _PLAN_ENTRIES:
+            plans.popitem(last=False)
+        return plan
 
-    def _reference(self, y: Any) -> Tuple[np.ndarray, List[int]]:
-        """The phase vector one insert of ``y`` writes, plus its buckets."""
-        ref = np.zeros(self.spec.m, dtype=np.float64)
-        touched: List[int] = []
-        for bucket, _steps, delta in self._increments(y, count=1):
-            if bucket not in touched:
-                touched.append(bucket)
-            ref[bucket] += delta
-        return ref, sorted(touched)
+    def buckets(self, x: Any) -> List[int]:
+        """The k hashed bucket positions for an item (duplicates kept)."""
+        return [bucket for bucket, _steps, _delta in self._plan(x).rotations]
+
+    def item_token(self, x: Any) -> int:
+        """:func:`item_token` of ``x``, read from its plan."""
+        return self._plan(x).token
 
     # -- operations ------------------------------------------------------
 
     def insert(self, x: Any) -> None:
-        """Rotate the item's hashed buckets; O(k) gates, O(1) state."""
-        count = 1
-        if self._item_counts is not None:
-            token = item_token(x)
+        """Rotate the item's hashed buckets; O(k) gates, O(1) state.
+
+        Uniform: +θ per hash.  Sign: ±θ per hash.  Log-weighted: the
+        increment that moves the accumulated phase from θ·log₂(count) to
+        θ·log₂(1+count), where count is the item's multiplicity after
+        this insert, so the total is order-independent up to float
+        reassociation.
+        """
+        plan = self._plan(x)
+        if self._item_counts is None:
+            for bucket, steps, delta in plan.rotations:
+                self._state.rotate(bucket, steps, delta)
+        else:
+            token = plan.token
             count = self._item_counts.get(token, 0) + 1
             self._item_counts[token] = count
-        for bucket, steps, delta in self._increments(x, count):
-            self._state.rotate(bucket, steps, delta)
+            delta = self.spec.resolved_theta * (
+                math.log2(1 + count) - math.log2(count)
+            )
+            for bucket, _steps, _unit in plan.rotations:
+                self._state.rotate(bucket, 1, delta)
         self.inserts += 1
         self.version += 1
         if self._recorder.active:
@@ -475,8 +566,7 @@ class AmplitudeSketch:
         one interference measurement; the estimate is the success
         fraction) — the stochastic face of the two-level design.
         """
-        ref, touched = self._reference(y)
-        overlap = self._state.overlap(ref, touched)
+        overlap = self._state.overlap(*self._plan(y).reference())
         # Clamp float dust so callers can rely on the [0, 1] contract.
         overlap = min(1.0, max(0.0, overlap))
         if shots is not None:
@@ -498,8 +588,8 @@ class AmplitudeSketch:
         |+⟩), which is why membership needs a per-item threshold rather
         than a fixed 0.5.
         """
-        ref, touched = self._reference(y)
-        return float(np.prod(np.cos(ref[touched] / 2.0) ** 2))
+        _touched, ref = self._plan(y).reference()
+        return float(np.prod(np.cos(ref / 2.0) ** 2))
 
     def membership_threshold(self, y: Any) -> float:
         """Midpoint between a perfect member (1.0) and y's empty-bucket

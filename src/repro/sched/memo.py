@@ -19,6 +19,8 @@ across inserts by design) break that assumption, so the memo also has an
 explicit write-path protocol: :meth:`ResultMemo.invalidate_fingerprint`
 drops every entry under one fingerprint, and the sketch scheduler calls
 it on every insert — a stale memo can never serve a pre-insert overlap.
+Entries are indexed by fingerprint, so an invalidation costs the entries
+it drops, not the size of a memo that other lanes share.
 Index tuples are sorted (duplicates kept) so permuted submissions share
 one entry; values are stored per index and re-ordered to the submission
 order at serve time.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.network import Network
 from ..core.framework import FrameworkConfig
@@ -100,6 +102,11 @@ class ResultMemo:
         self._entries: "OrderedDict[Tuple[str, Tuple[int, ...]], Dict[int, Any]]" = (
             OrderedDict()
         )
+        #: The keys of ``_entries`` grouped by fingerprint, kept in step
+        #: with every store, eviction and invalidation: invalidating one
+        #: fingerprint touches only its own entries, however many other
+        #: lanes share the memo.
+        self._keys_by_fingerprint: Dict[str, Set[Tuple[str, Tuple[int, ...]]]] = {}
         self.max_entries = max_entries
         self._recorder = recorder
         self.hits = 0
@@ -150,11 +157,16 @@ class ResultMemo:
         key = self._key(fingerprint, indices)
         self._entries[key] = dict(zip(indices, values))
         self._entries.move_to_end(key)
+        self._keys_by_fingerprint.setdefault(fingerprint, set()).add(key)
         if (
             self.max_entries is not None
             and len(self._entries) > self.max_entries
         ):
-            _, evicted = self._entries.popitem(last=False)
+            evicted_key, evicted = self._entries.popitem(last=False)
+            keys = self._keys_by_fingerprint[evicted_key[0]]
+            keys.remove(evicted_key)
+            if not keys:
+                del self._keys_by_fingerprint[evicted_key[0]]
             self.evictions += 1
             if self._recorder is not None and self._recorder.active:
                 self._recorder.coalesce(
@@ -173,7 +185,7 @@ class ResultMemo:
         which are a capacity phenomenon, not a correctness one) and
         surfaced as one ``coalesce`` event with ``memo="invalidate"``.
         """
-        stale = [k for k in self._entries if k[0] == fingerprint]
+        stale = self._keys_by_fingerprint.pop(fingerprint, ())
         for key in stale:
             del self._entries[key]
         if stale:
@@ -192,3 +204,4 @@ class ResultMemo:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._keys_by_fingerprint.clear()

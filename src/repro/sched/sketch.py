@@ -19,10 +19,13 @@ the scheduling problem in two ways:
   ``tests/sched/test_sketch_sched.py``) is that no query can ever be
   served a pre-insert overlap.  Queries are memoized under
   ``(fingerprint × item-token tuple)`` — :func:`~repro.apps.sketches.
-  item_token` gives the integer addresses — and the fast path at submit
+  item_token` gives the integer addresses, read from the sketch's item
+  plans and computed once per submission — and the fast path at submit
   time only fires when *zero writes are pending* (a queued insert will
   execute before the query, so the memo's present answer would be the
-  query's stale past).
+  query's stale past).  One bounded memo may be shared with oracle
+  lanes: it indexes entries by fingerprint, so an insert's invalidation
+  touches only this sketch's entries.
 
 The scheduler duck-types the daemon-facing surface of
 ``CoalescingScheduler`` (``submit``/``done``/``result``/``take``/
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..apps.sketches import AmplitudeSketch, item_token
+from ..apps.sketches import AmplitudeSketch
 from ..core.cost import RoundLedger
 from ..core.operation import Operation
 from ..obs.recorder import Recorder, current_recorder
@@ -78,15 +81,21 @@ class SketchReport:
 
 
 class _SketchSubmission:
-    """One in-flight operation and its completion state."""
+    """One in-flight operation and its completion state.
 
-    __slots__ = ("ticket", "op", "values", "done")
+    ``tokens`` holds a query's memo address, its items' tokens, once the
+    first memo lookup has computed them; the later lookup and the store
+    reuse it.
+    """
+
+    __slots__ = ("ticket", "op", "values", "done", "tokens")
 
     def __init__(self, ticket: Ticket, op: Operation):
         self.ticket = ticket
         self.op = op
         self.values: List[Any] = []
         self.done = False
+        self.tokens: Optional[List[int]] = None
 
 
 class SketchScheduler:
@@ -192,7 +201,7 @@ class SketchScheduler:
             # Fast path is only sound with zero pending writes: a queued
             # insert executes before this query, so serving the memo's
             # *present* answer would hand the query its stale past.
-            cached = self._try_memo(operation)
+            cached = self._try_memo(sub)
             if cached is not None:
                 sub.values = cached
                 sub.done = True
@@ -277,10 +286,17 @@ class SketchScheduler:
 
     # -- internals -------------------------------------------------------
 
-    def _try_memo(self, op: Operation) -> Optional[List[Any]]:
-        """Memo lookup for a query op; counts the hit/miss and emits."""
+    def _tokens(self, sub: _SketchSubmission) -> List[int]:
+        """The query's memo address, computed once per submission."""
+        if sub.tokens is None:
+            token = self.sketch.item_token
+            sub.tokens = [token(x) for x in sub.op.items]
+        return sub.tokens
+
+    def _try_memo(self, sub: _SketchSubmission) -> Optional[List[Any]]:
+        """Memo lookup for a query; counts the hit/miss and emits."""
         assert self._memo is not None
-        tokens = [item_token(x) for x in op.items]
+        tokens = self._tokens(sub)
         cached = self._memo.lookup(self._fingerprint, tokens)
         if cached is None:
             self.memo_misses += 1
@@ -315,7 +331,7 @@ class SketchScheduler:
             # stored by some query executed after the last write — is
             # the current truth.
             cached = (
-                self._try_memo(op)
+                self._try_memo(sub)
                 if self._memo is not None and self._pending_inserts == 0
                 else None
             )
@@ -325,9 +341,8 @@ class SketchScheduler:
             else:
                 sub.values = [self.sketch.query(y) for y in op.items]
                 if self._memo is not None:
-                    tokens = [item_token(x) for x in op.items]
                     self._memo.store(
-                        self._fingerprint, tokens, sub.values
+                        self._fingerprint, self._tokens(sub), sub.values
                     )
             acct.query_items += len(op.items)
         sub.done = True

@@ -1,6 +1,10 @@
 """ResultMemo: content addressing, hits, and invalidation-by-fingerprint."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import topologies
 from repro.core.framework import DistributedInput, FrameworkConfig
@@ -225,3 +229,70 @@ class TestInvalidateFingerprint:
         ]
         assert len(events) == 1
         assert events[0].size == 2  # entries dropped, not indices
+
+
+class _WatchedEntries(OrderedDict):
+    """An entry store that records every key its iteration yields."""
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.iterated.append(key)
+            yield key
+
+
+class TestInvalidationCost:
+    """Counts only, no timing: one bounded memo shared by every lane
+    (README, "Running the daemon") must not make each sketch insert pay
+    for the oracle lanes' entries."""
+
+    def test_foreign_entries_are_never_iterated(self):
+        memo = ResultMemo(max_entries=50_000)
+        for i in range(2_000):
+            memo.store("oracle-lane", [i], [i])
+        for i in range(5):
+            memo.store("sketch-lane", [i], [i])
+        watched = _WatchedEntries(memo._entries)
+        watched.iterated = []
+        memo._entries = watched
+        assert memo.invalidate_fingerprint("sketch-lane") == 5
+        assert [k for k in watched.iterated if k[0] != "sketch-lane"] == []
+        assert len(memo) == 2_000
+        assert memo.lookup("oracle-lane", [7]) == [7]
+
+
+ops = st.lists(
+    st.tuples(
+        st.sampled_from(["store", "lookup", "invalidate"]),
+        st.sampled_from(["fpA", "fpB", "fpC"]),
+        st.integers(0, 4),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=ops, bound=st.sampled_from([None, 1, 2, 5]))
+def test_invalidation_matches_a_scan_under_eviction(ops, bound):
+    """The fingerprint index follows every store, LRU eviction and
+    invalidation: each answer and count equals a scan of a plain LRU."""
+    memo = ResultMemo(max_entries=bound)
+    model = OrderedDict()
+    for op, fp, i in ops:
+        key = (fp, (i,))
+        if op == "store":
+            memo.store(fp, [i], [i])
+            model[key] = i
+            model.move_to_end(key)
+            if bound is not None and len(model) > bound:
+                model.popitem(last=False)
+        elif op == "lookup":
+            expected = [model[key]] if key in model else None
+            if key in model:
+                model.move_to_end(key)
+            assert memo.lookup(fp, [i]) == expected
+        else:
+            stale = [k for k in model if k[0] == fp]
+            for k in stale:
+                del model[k]
+            assert memo.invalidate_fingerprint(fp) == len(stale)
+        assert len(memo) == len(model)
