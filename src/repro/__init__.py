@@ -38,13 +38,11 @@ from . import (
     paper,
     quantum,
     queries,
-    workloads,
 )
 
 __all__ = [
     "analysis",
     "paper",
-    "workloads",
     "apps",
     "baselines",
     "congest",

@@ -47,21 +47,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         exponent=float(slope), coefficient=float(math.exp(intercept)), r_squared=r2
     )
 
-
-def geometric_ratio(ys: Sequence[float]) -> float:
-    """Mean successive ratio — quick doubling-behaviour summary."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.size < 2 or np.any(ys <= 0):
-        raise ValueError("need at least two positive values")
-    return float(np.exp(np.mean(np.diff(np.log(ys)))))
-
-
-def within_constant_factor(
-    measured: Sequence[float], bound: Sequence[float], factor: float
-) -> bool:
-    """Is measured ≤ factor · bound pointwise (the Θ-reproduction check)?"""
-    measured = np.asarray(measured, dtype=float)
-    bound = np.asarray(bound, dtype=float)
-    if measured.shape != bound.shape:
-        raise ValueError("shape mismatch")
-    return bool(np.all(measured <= factor * bound))

@@ -132,16 +132,3 @@ def light_subgraph(graph: nx.Graph, degree_cap: float) -> nx.Graph:
     keep = [v for v in graph.nodes() if graph.degree(v) <= degree_cap]
     return graph.subgraph(keep)
 
-
-def has_heavy_vertex_on_min_cycle(graph: nx.Graph, k: int, degree_cap: float) -> Optional[bool]:
-    """Does some minimum-length (≤ k) cycle contain a vertex of degree > cap?
-
-    Returns None when the graph has no cycle of length ≤ k.  Used by tests
-    to exercise both branches of Lemma 23.
-    """
-    target = min_cycle_at_most(graph, k)
-    if target is None:
-        return None
-    light = light_subgraph(graph, degree_cap)
-    light_min = min_cycle_at_most(light, k)
-    return light_min is None or light_min > target

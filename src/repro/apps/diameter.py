@@ -125,11 +125,6 @@ def sweep_diameter(
     return duels
 
 
-def speedup_at(duel: DiameterDuel) -> float:
-    """Classical-over-quantum round ratio for one duel (≥ 1 means a win)."""
-    return duel.classical_rounds / max(duel.quantum_rounds, 1.0)
-
-
 def crossover_n(duels: Sequence[DiameterDuel]) -> Optional[int]:
     """Smallest swept n from which the quantum side wins every duel."""
     winner = None

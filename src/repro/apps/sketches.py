@@ -44,7 +44,9 @@ experiment E23 (α falls with m at fixed load).
 Every ``insert``/``query``/``compose`` lands on the observability spine
 as a ``sketch`` event (:mod:`repro.obs`); the serving integration
 (:mod:`repro.sched.sketch`, :mod:`repro.serve`) adds memo hit and
-invalidation edges on top.
+invalidation edges on top.  A sketch carries no write counter: the
+serving lane drops a sketch's memo entries by its identity
+:attr:`SketchSpec.fingerprint` on every insert.
 
 Each sketch hashes an item once.  A bounded LRU of per-item plans, keyed
 by the item's byte encoding, holds the rotations of the item's k
@@ -457,9 +459,6 @@ class AmplitudeSketch:
         self.inserts = 0
         self.queries = 0
         self.composes = 0
-        #: Bumped on every write; the serving layer keys invalidation
-        #: decisions on it (a memo entry is stale iff versions differ).
-        self.version = 0
         #: Per-item insert multiplicities, needed by the log-weighted
         #: increment (Δ = θ·(log₂(1+c) − log₂ c)) and the Q-HH candidate
         #: ranking.  Unit-weight families skip it to stay O(m).
@@ -550,7 +549,6 @@ class AmplitudeSketch:
             for bucket, _steps, _unit in plan.rotations:
                 self._state.rotate(bucket, 1, delta)
         self.inserts += 1
-        self.version += 1
         if self._recorder.active:
             self._recorder.sketch(self.name, "insert", 1)
 
@@ -637,7 +635,6 @@ class AmplitudeSketch:
         out._state.merge(self._state)
         out._state.merge(other._state)
         out.inserts = self.inserts + other.inserts
-        out.version = 1  # fresh object, one logical write (the merge)
         if out._item_counts is not None:
             for counts in (self._item_counts, other._item_counts):
                 for token, c in (counts or {}).items():
@@ -743,20 +740,28 @@ class QHeavyHitters(AmplitudeSketch):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._candidates: Dict[Any, int] = {}
+        #: Item byte encoding -> [item, count].  Keyed by the encoding,
+        #: as the item plans are: ``1``, ``1.0`` and ``True`` compare
+        #: equal but hash to different buckets, so each is its own
+        #: candidate.  The item is kept for display and tie-breaks.
+        self._candidates: Dict[bytes, List[Any]] = {}
 
     def insert(self, x: Any) -> None:
         super().insert(x)
-        if x in self._candidates or len(self._candidates) < self.capacity:
-            self._candidates[x] = self._candidates.get(x, 0) + 1
+        key = _item_bytes(x)
+        cands = self._candidates
+        if key in cands:
+            cands[key][1] += 1
+        elif len(cands) < self.capacity:
+            cands[key] = [x, 1]
         else:
             # Space-saving style: evict the weakest candidate and adopt
             # its (over-)count, so frequent late arrivals still surface.
             weakest = min(
-                self._candidates, key=lambda c: (self._candidates[c], repr(c))
+                cands, key=lambda c: (cands[c][1], repr(cands[c][0]))
             )
-            floor = self._candidates.pop(weakest)
-            self._candidates[x] = floor + 1
+            floor = cands.pop(weakest)[1]
+            cands[key] = [x, floor + 1]
 
     def estimate(self, x: Any) -> int:
         """Frequency inverted from the min bucket phase: 2^{φ/θ} − 1."""
@@ -774,7 +779,7 @@ class QHeavyHitters(AmplitudeSketch):
         rankings are deterministic and backend-independent.
         """
         ranked = sorted(
-            self._candidates,
-            key=lambda x: (-self.estimate(x), -self._candidates[x], repr(x)),
+            self._candidates.values(),
+            key=lambda c: (-self.estimate(c[0]), -c[1], repr(c[0])),
         )
-        return [(x, self.estimate(x)) for x in ranked[:j]]
+        return [(x, self.estimate(x)) for x, _count in ranked[:j]]

@@ -30,9 +30,10 @@ value matrix, combine, domain) or a :class:`Downcast` (parent array, the
 root's row, domain) — which the bulk loop (:mod:`repro.congest.vectorized`)
 runs without any per-node object; the engine builds the per-node
 programs from those arrays only when it falls back to its per-node loop.
-Tests that compare loops build the programs with
-:func:`build_upcast_programs` / :func:`build_downcast_programs` and pin
-``Engine(schedule=...)``.
+Arrays are the only way onto the bulk loop: a dict of the per-node
+programs, which :func:`build_upcast_programs` /
+:func:`build_downcast_programs` build for the fault-resilient wrapper and
+for tests, always runs per node.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import (
 import numpy as np
 
 from ..encoding import Field
-from ..engine import Engine, RunResult, run_program
+from ..engine import Engine, RunResult
 from ..messages import Inbox
 from ..network import Network
 from ..program import Context, NodeProgram
@@ -198,7 +199,8 @@ def build_upcast_programs(
 
     The per-node form of :class:`Upcast`: the fault-resilient wrapper in
     :mod:`repro.faults.resilience` runs these programs through a lossy
-    engine, and tests build them to pin a round loop.
+    engine, and tests run them against the arrays.  A dict of them always
+    runs on the per-node loop.
     """
     return Upcast(
         parent_array(tree, network.n), _value_matrix(values, network.n),
@@ -431,106 +433,3 @@ def aggregate_single(
     )
     return combined[0], rounds
 
-
-class GatherProgram(NodeProgram):
-    """Stream every node's tagged values to the root (no combining).
-
-    Unlike :class:`UpcastProgram`, nothing is merged: the root ends up
-    holding all n·t (origin, value) pairs.  This is the communication
-    pattern of the classical "stream everything to a leader" baselines;
-    pipelining makes it O(depth + n·t) rounds — each tree edge must carry
-    everything its subtree holds, so the root's incident edges are the
-    bottleneck the Ω(k/log n) lower bounds talk about.
-    """
-
-    # Streams its queue (carried by its own sends) and otherwise advances
-    # only on deliveries (done markers); a silent round is a no-op.
-    always_active = False
-
-    def __init__(
-        self,
-        node: int,
-        parent: Optional[int],
-        children: Sequence[int],
-        values: Sequence[int],
-        domain: int,
-        n: int,
-    ):
-        self.node = node
-        self.parent = parent
-        self.children = list(children)
-        self.domain = domain
-        self.n = n
-        self.queue: List[Tuple[int, int]] = [(node, v) for v in values]
-        self.expected_children = set(self.children)
-        self.done_received = False
-
-    def _push(self, ctx: Context) -> None:
-        if self.parent is None:
-            return
-        if self.queue:
-            origin, value = self.queue.pop(0)
-            ctx.send(
-                self.parent,
-                (False, Field(origin, self.n), Field(value, self.domain)),
-            )
-        elif not self.expected_children and not self.done_received:
-            # A final "subtree drained" marker so ancestors can terminate.
-            ctx.send(self.parent, (True, Field(0, self.n), Field(0, self.domain)))
-            self.done_received = True
-            ctx.halt()
-
-    def on_start(self, ctx: Context) -> None:
-        if self.parent is None and not self.children:
-            ctx.halt(output=tuple(self.queue))
-            return
-        self._push(ctx)
-
-    def on_round(self, ctx: Context, inbox: Inbox) -> None:
-        for msg in inbox:
-            done, origin, value = msg.value
-            if done:
-                self.expected_children.discard(msg.src)
-            else:
-                self.queue.append((origin, value))
-        if self.parent is None:
-            if not self.expected_children:
-                ctx.halt(output=tuple(self.queue))
-            return
-        self._push(ctx)
-
-
-def pipelined_gather(
-    network: Network,
-    tree: BFSResult,
-    values: Dict[int, Sequence[int]],
-    domain: int,
-    seed: Optional[int] = None,
-) -> Tuple[Dict[int, Tuple[int, ...]], int]:
-    """Collect every node's values (tagged by origin) at the tree root.
-
-    Returns:
-        (mapping origin -> tuple of that node's values as received by the
-        root, measured rounds ≈ depth + total value count).
-    """
-    children = tree.children()
-    programs = {
-        v: GatherProgram(
-            v,
-            tree.parent.get(v),
-            children.get(v, []),
-            list(values[v]),
-            domain,
-            network.n,
-        )
-        for v in network.nodes()
-    }
-    result = run_program(network, programs, seed=seed)
-    collected: Dict[int, List[int]] = {}
-    root_items = result.outputs[tree.root] or ()
-    for origin, value in root_items:
-        collected.setdefault(origin, []).append(value)
-    return (
-        {origin: tuple(vals) for origin, vals in collected.items()},
-        result.rounds,
-    )

@@ -248,12 +248,3 @@ def csr_cache_stats() -> Dict[str, Optional[int]]:
     """Hit/miss/eviction counters of the process-wide CSR cache."""
     return _CSR_CACHE.stats()
 
-
-def configure_csr_cache(max_entries: Optional[int]) -> None:
-    """Re-bound the process-wide CSR cache (None = unbounded)."""
-    if max_entries is not None and max_entries < 1:
-        raise ValueError("max_entries must be positive when set")
-    _CSR_CACHE.max_entries = max_entries
-    while max_entries is not None and len(_CSR_CACHE._lru) > max_entries:
-        _CSR_CACHE._lru.popitem(last=False)
-        _CSR_CACHE.evictions += 1

@@ -21,16 +21,16 @@ loops and for the wall-clock gate on observation overhead
 
 * ``"vectorized"`` (default) — the bulk loop: for audited structured
   program families (BFS, multi-source BFS, the max-id flood of leader
-  election, the pipelined tree transfers) whole rounds execute as numpy
-  array operations over a CSR adjacency (:mod:`repro.congest.vectorized`),
-  removing per-node Python dispatch entirely.  A pipelined tree transfer
-  can also reach the engine as arrays instead of a program dict (an
-  ``Upcast`` or ``Downcast`` from
-  :mod:`repro.congest.algorithms.aggregate`): the bulk loop then runs it
-  with no per-node object at all, and the engine builds the per-node
-  programs — and the per-node loop's order and always-awake tables —
-  only if it falls back.  It holds messages to the
-  per-node loop's rules: a family whose messages exceed the bandwidth
+  election) and for the pipelined tree transfers, whole rounds execute
+  as numpy array operations over a CSR adjacency
+  (:mod:`repro.congest.vectorized`), removing per-node Python dispatch
+  entirely.  A tree transfer reaches the bulk loop only as arrays, in
+  place of a program dict (an ``Upcast`` or ``Downcast`` from
+  :mod:`repro.congest.algorithms.aggregate`): it runs with no per-node
+  object at all, and the engine builds the per-node programs — and the
+  per-node loop's order and always-awake tables — only if it falls
+  back; a dict of those programs runs per node.  The bulk loop holds
+  messages to the per-node loop's rules: a family whose messages exceed the bandwidth
   never starts on it, and payload values are checked against their
   ``Field`` domains every round.  Its ``deliver`` events carry what the
   per-node loop's do: the bare int of a one-field payload, the pair of a
@@ -494,8 +494,9 @@ class Engine:
 
         Engages only when (a) the engine has no fault channel (the channel
         must see every message and node individually), (b) the program
-        dict is an audited homogeneous family with a bulk port, or the
-        engine was given a tree transfer as arrays whose combine has one,
+        dict is one of the three audited homogeneous families, or the
+        engine was given a tree transfer as arrays whose combine has a
+        bulk port,
         and (c) that family's messages fit the network's bandwidth.
         Anything else silently falls back to the per-node loop (building
         a transfer's programs then), recording the reason on

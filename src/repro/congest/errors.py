@@ -93,7 +93,3 @@ class RoundLimitExceeded(CongestError):
     def __init__(self, max_rounds: int):
         self.max_rounds = max_rounds
         super().__init__(f"execution exceeded the {max_rounds}-round budget")
-
-
-class HaltedNodeActed(CongestError):
-    """Internal invariant failure: a halted node produced output."""

@@ -174,9 +174,3 @@ class IdleProgram(NodeProgram):
     def on_round(self, ctx: Context, inbox: Inbox) -> None:  # pragma: no cover
         ctx.halt()
 
-
-def make_programs(
-    network_size: int, factory, *args, **kwargs
-) -> Dict[int, NodeProgram]:
-    """Instantiate one program per node from a factory ``factory(v)``."""
-    return {v: factory(v, *args, **kwargs) for v in range(network_size)}

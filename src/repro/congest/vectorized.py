@@ -39,22 +39,23 @@ the domain once, and then reports each round's message count and
 halting nodes from two slices of the schedule; it gathers a round's
 messages only when the engine records them, or in the round that sends
 an out-of-domain value, where the error is raised.  The transfers reach
-the engine either as arrays (``Upcast``/``Downcast`` from
-:mod:`repro.congest.algorithms.aggregate`, which is what the library
-passes) or as program dicts, which a thin adapter reads back into the
-same arrays for tests that pin a loop.
+the bulk loop only as arrays (``Upcast``/``Downcast`` from
+:mod:`repro.congest.algorithms.aggregate`), which go straight to their
+port; a dict of their per-node programs is not audited and runs per
+node.
 
-Only audited program families vectorize — five of them: BFS-with-echo,
-multi-source BFS, the max-id flood of leader election, and the pipelined
-upcast and downcast.  The audit matches exact program types, so a
-subclass (``BoundedMaxIdFloodProgram``, for one) is not audited.
+Program dicts vectorize only for three audited families: BFS-with-echo,
+multi-source BFS and the max-id flood of leader election.  The audit
+matches exact program types, so a subclass
+(``BoundedMaxIdFloodProgram``, for one) is not audited.
 :func:`build_vectorized` returns ``(None, reason)`` for anything else and
 the engine silently falls back to the per-node loop, recording the
-reason.  Mixed program dicts, tree transfers whose combine has no ufunc
-in the fixed combine table, families whose messages exceed the bandwidth
-(reason ``"message-exceeds-bandwidth"``) and engines with a fault channel
-(:class:`repro.faults.FaultyEngine`; reason ``"fault-channel"``) all take
-the fallback.
+reason (``"unsupported-program-UpcastProgram"`` for a dict of upcast
+programs).  Mixed program dicts, tree transfers whose combine has no
+ufunc in the fixed combine table, families whose messages exceed the
+bandwidth (reason ``"message-exceeds-bandwidth"``) and engines with a
+fault channel (:class:`repro.faults.FaultyEngine`; reason
+``"fault-channel"``) all take the fallback.
 """
 
 from __future__ import annotations
@@ -67,12 +68,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .algorithms.bfs import ECHO, NACK, TOKEN, TOKEN_NACK, BFSEchoProgram
-from .algorithms.aggregate import (
-    Downcast,
-    DowncastProgram,
-    Upcast,
-    UpcastProgram,
-)
+from .algorithms.aggregate import Upcast
 from .algorithms.leader import MaxIdFloodProgram
 from .algorithms.multibfs import MultiSourceBFSProgram
 from .csr import CSRAdjacency, csr_for
@@ -880,40 +876,6 @@ def _combine_ufuncs() -> Dict[Callable[[int, int], int], np.ufunc]:
 # ----------------------------------------------------------------------
 
 
-def _transfer_from_programs(
-    csr: CSRAdjacency, programs, upcast: bool
-) -> Tuple[Optional[Any], Optional[str]]:
-    """The array form of a dict of tree-transfer programs, or a reason.
-
-    A thin adapter for the tests that build programs with
-    ``build_*_programs`` to pin a loop: the result runs through the same
-    port as a transfer handed over as arrays.
-    """
-    family = "upcast" if upcast else "downcast"
-    n = csr.n
-    parent = np.fromiter(
-        (-1 if p.parent is None else p.parent
-         for p in map(programs.__getitem__, range(n))),
-        dtype=np.int64, count=n,
-    )
-    if _tree_shape(csr, parent) is None:
-        return None, f"{family}-tree-malformed"
-    params = {
-        (p.domain, p.length, p.combine if upcast else None)
-        for p in programs.values()
-    }
-    if len(params) != 1:
-        return None, f"{family}-params-disagree"
-    domain, length, combine = params.pop()
-    if upcast:
-        values = [programs[v].acc for v in range(n)]
-        return Upcast(parent, values, combine, domain), None
-    row = programs[int(np.flatnonzero(parent == -1)[0])].received
-    if any(x is None for x in row):
-        return None, "downcast-root-values-missing"
-    return Downcast(parent, row, domain), None
-
-
 def _transfer_port(
     csr: CSRAdjacency, transfer
 ) -> Tuple[Optional[VectorizedProgram], Optional[str]]:
@@ -945,9 +907,9 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
     """Build the bulk executor for an engine's programs, if audited.
 
     Returns ``(program, None)`` on success or ``(None, reason)`` when the
-    programs are not a supported homogeneous family — the engine then
-    falls back to the per-node loop.  A tree transfer handed to the
-    engine as arrays skips the audit and goes straight to its port.
+    programs are not one of the three audited families — the engine then
+    falls back to the per-node loop.  A tree transfer, handed to the
+    engine as arrays, skips the audit and goes straight to its port.
     """
     network = engine.network
     if engine.transfer is not None:
@@ -958,8 +920,7 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
     if len(kinds) != 1:
         return None, "mixed-program-types"
     kind = kinds.pop()
-    if kind not in (BFSEchoProgram, MultiSourceBFSProgram, MaxIdFloodProgram,
-                    UpcastProgram, DowncastProgram):
+    if kind not in (BFSEchoProgram, MultiSourceBFSProgram, MaxIdFloodProgram):
         return None, f"unsupported-program-{kind.__name__}"
     csr = csr_for(network)
 
@@ -976,16 +937,9 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
             return None, "bfs-roots-disagree"
         return VectorizedBFSEcho(csr, roots.pop(), network.n), None
 
-    if kind is MultiSourceBFSProgram:
-        sources = first.sources
-        for p in programs.values():
-            if p.sources != sources:
-                return None, "multibfs-sources-disagree"
-        return VectorizedMultiSourceBFS(csr, sources, network.n), None
-
-    transfer, reason = _transfer_from_programs(
-        csr, programs, kind is UpcastProgram
-    )
-    if transfer is None:
-        return None, reason
-    return _transfer_port(csr, transfer)
+    # The third family: multi-source BFS.
+    sources = first.sources
+    for p in programs.values():
+        if p.sources != sources:
+            return None, "multibfs-sources-disagree"
+    return VectorizedMultiSourceBFS(csr, sources, network.n), None

@@ -10,7 +10,7 @@ from .boosting import (
     repetitions_for,
 )
 from .cost import CostModel, RoundLedger
-from .operation import OPERATION_KINDS, Operation, OperationStream
+from .operation import OPERATION_KINDS, Operation
 from .framework import (
     CongestBatchOracle,
     DistributedInput,
@@ -20,7 +20,6 @@ from .framework import (
     PreparedNetwork,
     StalePreparedNetworkError,
     ValueComputer,
-    configure_prepared_cache,
     invalidate_prepared,
     prepare_network,
     prepared_cache_stats,
@@ -49,7 +48,6 @@ __all__ = [
     "RoundLedger",
     "OPERATION_KINDS",
     "Operation",
-    "OperationStream",
     "CongestBatchOracle",
     "DistributedInput",
     "FrameworkConfig",
@@ -58,7 +56,6 @@ __all__ = [
     "PreparedNetwork",
     "StalePreparedNetworkError",
     "ValueComputer",
-    "configure_prepared_cache",
     "invalidate_prepared",
     "prepare_network",
     "prepared_cache_stats",

@@ -672,22 +672,6 @@ def prepared_cache_stats() -> Dict[str, Optional[int]]:
     return _PREPARED.stats()
 
 
-def configure_prepared_cache(max_entries: Optional[int]) -> None:
-    """Re-bound the process-wide setup cache (None = unbounded).
-
-    Shrinking below the current population evicts oldest-first
-    immediately, so a daemon can tighten its memory ceiling live.
-    """
-    if max_entries is not None and max_entries < 1:
-        raise ValueError("max_entries must be positive when set")
-    _PREPARED.max_entries = max_entries
-    while (
-        max_entries is not None and len(_PREPARED._entries) > max_entries
-    ):
-        _PREPARED._entries.popitem(last=False)
-        _PREPARED.evictions += 1
-
-
 def setup_network(
     network: Network, config: FrameworkConfig, rounds: RoundLedger
 ) -> PreparedNetwork:

@@ -21,9 +21,9 @@ An :class:`Operation` is one unit of client traffic:
 * ``Operation.insert(caller, items)`` — a write into an amplitude
   sketch (the new kind; inserts invalidate the lane's result memo).
 
-An :class:`OperationStream` is a frozen, iterable batch of operations —
-what the load generator produces and what benches replay.  Both types
-are plain values: hashable, comparable, safe to log, safe to key on.
+An operation is a plain value: hashable, comparable, safe to log, safe
+to key on.  The load generator (:mod:`repro.serve.loadgen`) schedules
+each one as an ``OperationArrival``.
 
 Every accepting side (schedulers, daemon) takes an :class:`Operation`
 only; anything else is a ``TypeError``.
@@ -31,10 +31,10 @@ only; anything else is a ``TypeError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Sequence, Tuple
 
-__all__ = ["Operation", "OperationStream", "OPERATION_KINDS"]
+__all__ = ["Operation", "OPERATION_KINDS"]
 
 #: The two traffic kinds: reads ("query") and sketch writes ("insert").
 OPERATION_KINDS = ("query", "insert")
@@ -121,48 +121,3 @@ class Operation:
 
         return _replace(self, **changes)
 
-
-@dataclass(frozen=True)
-class OperationStream:
-    """A frozen, ordered batch of operations.
-
-    The unit the load generator emits and benches replay: iteration
-    yields operations in stream order (writes and reads interleaved
-    exactly as offered — FIFO semantics downstream depend on it).
-    """
-
-    ops: Tuple[Operation, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
-            if not isinstance(op, Operation):
-                raise TypeError(f"stream element {op!r} is not an Operation")
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self.ops)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __getitem__(self, i: int) -> Operation:
-        return self.ops[i]
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        """Operation counts by kind (``{"query": ..., "insert": ...}``)."""
-        out: Dict[str, int] = {}
-        for op in self.ops:
-            out[op.kind] = out.get(op.kind, 0) + 1
-        return out
-
-    @property
-    def insert_fraction(self) -> float:
-        """Fraction of operations that are writes (0.0 for a read stream)."""
-        if not self.ops:
-            return 0.0
-        return self.counts.get("insert", 0) / len(self.ops)
-
-    def extended(self, more: Sequence[Operation]) -> "OperationStream":
-        """A new stream with ``more`` appended (streams stay frozen)."""
-        return OperationStream(self.ops + tuple(more))

@@ -35,7 +35,7 @@ fall as more callers share an oracle; ``tests/sched/test_scheduler.py``
 checks this against caller count (DESIGN.md §6f).
 """
 
-from ..core.operation import Operation, OperationStream
+from ..core.operation import Operation
 from .memo import ResultMemo, oracle_fingerprint
 from .scheduler import (
     CallerAccount,
@@ -53,7 +53,6 @@ __all__ = [
     "CoalescingScheduler",
     "CoalescingVerdict",
     "Operation",
-    "OperationStream",
     "ResultMemo",
     "SchedulerReport",
     "SketchCallerAccount",

@@ -17,6 +17,12 @@ exactly reproducible workload, not a fuzzer.
 Scale: ``LoadSpec.clients`` is the number of simulated client requests
 (10^3–10^5); tenants multiplex many clients, as real serving traffic
 does.
+
+Both entry points feed one submission loop over
+:class:`OperationArrival`s: :func:`run_operation_load` offers a
+:class:`SketchLoadSpec`'s inserts and sketch queries as drawn, and
+:func:`run_load` first turns each of a :class:`LoadSpec`'s arrivals into
+an ``Operation.query``.
 """
 
 from __future__ import annotations
@@ -251,91 +257,32 @@ class LoadReport:
         }
 
 
-async def run_load(
+async def _offer(
     service: QueryService,
-    spec: LoadSpec,
-    k: Optional[int] = None,
-    profile: str = DEFAULT_PROFILE,
-    drain: bool = True,
+    arrivals: List[OperationArrival],
+    time_scale: float,
+    profile: str,
+    drain: bool,
 ) -> LoadReport:
-    """Offer the spec's arrivals to a running service and measure.
+    """Submit each arrival at its scheduled time, then measure.
 
     Rejections (backpressure/quota) are counted, not retried — open-loop
     means the offered load does not bend to the service.  With ``drain``
-    (default) the service is drained after the last arrival so every
-    accepted request resolves and the report is complete.
+    the service is drained after the last arrival so every accepted
+    request resolves and the report is complete.
     """
-    if k is None:
-        k = service.pool.acquire(profile).scheduler.k
-    arrivals = generate_arrivals(spec, k)
     futures: List[asyncio.Future] = []
     rejected = 0
     start = time.monotonic()
     for arrival in arrivals:
-        if spec.time_scale > 0:
-            target = start + arrival.at_s * spec.time_scale
+        if time_scale > 0:
+            target = start + arrival.at_s * time_scale
             delay = target - time.monotonic()
             if delay > 0:
                 await asyncio.sleep(delay)
         else:
             # Collapsed schedule: still let the loop breathe so lane
             # workers interleave with the submission flood.
-            await asyncio.sleep(0)
-        try:
-            futures.append(
-                service.submit(
-                    Operation.query(
-                        arrival.tenant, arrival.indices, label=arrival.label
-                    ),
-                    profile=profile,
-                )
-            )
-        except AdmissionError:
-            rejected += 1
-    if drain:
-        await service.drain(reason="close")
-    results = await asyncio.gather(*futures, return_exceptions=True)
-    duration = time.monotonic() - start
-    latencies = [
-        r.wait_ms for r in results if not isinstance(r, BaseException)
-    ]
-    failed = sum(1 for r in results if isinstance(r, BaseException))
-    return LoadReport(
-        offered=len(arrivals),
-        accepted=len(futures),
-        rejected=rejected,
-        completed=len(latencies),
-        failed=failed,
-        duration_s=duration,
-        latencies_ms=latencies,
-    )
-
-
-async def run_operation_load(
-    service: QueryService,
-    spec: SketchLoadSpec,
-    profile: str,
-    drain: bool = True,
-) -> LoadReport:
-    """Offer a mixed insert/query stream to a sketch profile and measure.
-
-    The write-capable twin of :func:`run_load`: same open-loop
-    discipline (rejections counted, never retried; offered load does not
-    bend to the service), same report shape, but arrivals are canonical
-    :class:`~repro.core.operation.Operation` objects so inserts and
-    queries interleave through the daemon exactly as offered.
-    """
-    arrivals = generate_operation_arrivals(spec)
-    futures: List[asyncio.Future] = []
-    rejected = 0
-    start = time.monotonic()
-    for arrival in arrivals:
-        if spec.time_scale > 0:
-            target = start + arrival.at_s * spec.time_scale
-            delay = target - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-        else:
             await asyncio.sleep(0)
         try:
             futures.append(service.submit(arrival.op, profile=profile))
@@ -348,13 +295,55 @@ async def run_operation_load(
     latencies = [
         r.wait_ms for r in results if not isinstance(r, BaseException)
     ]
-    failed = sum(1 for r in results if isinstance(r, BaseException))
     return LoadReport(
         offered=len(arrivals),
         accepted=len(futures),
         rejected=rejected,
         completed=len(latencies),
-        failed=failed,
+        failed=len(results) - len(latencies),
         duration_s=duration,
         latencies_ms=latencies,
     )
+
+
+async def run_load(
+    service: QueryService,
+    spec: LoadSpec,
+    k: Optional[int] = None,
+    profile: str = DEFAULT_PROFILE,
+    drain: bool = True,
+) -> LoadReport:
+    """Offer the spec's arrivals to a running service and measure.
+
+    Each arrival is submitted as an ``Operation.query``.  Rejections
+    (backpressure/quota) are counted, not retried.  With ``drain``
+    (default) the service is drained after the last arrival so every
+    accepted request resolves and the report is complete.
+    """
+    if k is None:
+        k = service.pool.acquire(profile).scheduler.k
+    arrivals = [
+        OperationArrival(
+            at_s=a.at_s,
+            op=Operation.query(a.tenant, a.indices, label=a.label),
+        )
+        for a in generate_arrivals(spec, k)
+    ]
+    return await _offer(service, arrivals, spec.time_scale, profile, drain)
+
+
+async def run_operation_load(
+    service: QueryService,
+    spec: SketchLoadSpec,
+    profile: str,
+    drain: bool = True,
+) -> LoadReport:
+    """Offer a mixed insert/query stream to a sketch profile and measure.
+
+    The write-capable twin of :func:`run_load`: same open-loop
+    discipline and the same submission loop, but the arrivals are
+    inserts and sketch queries, which interleave through the daemon
+    exactly as offered.
+    """
+    arrivals = generate_operation_arrivals(spec)
+    return await _offer(service, arrivals, spec.time_scale, profile, drain)

@@ -4,15 +4,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.analysis.fitting import (
-    fit_power_law,
-    geometric_ratio,
-    within_constant_factor,
-)
+from repro.analysis.fitting import fit_power_law
 from repro.analysis.graphtruth import (
     cycle_value,
     girth,
-    has_heavy_vertex_on_min_cycle,
     light_subgraph,
     min_cycle_at_most,
     shortest_cycle_through,
@@ -47,13 +42,6 @@ class TestPowerLawFit:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             fit_power_law([1], [1])
-
-    def test_geometric_ratio(self):
-        assert geometric_ratio([1, 2, 4, 8]) == pytest.approx(2.0)
-
-    def test_within_constant_factor(self):
-        assert within_constant_factor([5, 10], [3, 6], 2.0)
-        assert not within_constant_factor([7, 10], [3, 6], 2.0)
 
 
 class TestExperimentTable:
@@ -130,10 +118,3 @@ class TestGraphTruth:
         sub = light_subgraph(g, degree_cap=2)
         assert 0 not in sub.nodes()
         assert sub.number_of_nodes() == 10
-
-    def test_heavy_detection(self):
-        g = nx.star_graph(20)
-        g.add_edge(1, 2)
-        assert has_heavy_vertex_on_min_cycle(g, 4, degree_cap=3) is True
-        assert has_heavy_vertex_on_min_cycle(nx.cycle_graph(4), 4, 5) is False
-        assert has_heavy_vertex_on_min_cycle(nx.path_graph(4), 4, 5) is None

@@ -48,7 +48,8 @@ class ReferenceSketch:
             self.phases = np.zeros(spec.m, dtype=np.float64)
         self.item_counts: Dict[int, int] = {}
         self.capacity = capacity
-        self.candidates: Dict[Any, int] = {}
+        #: Item byte encoding -> [item, count].
+        self.candidates: Dict[bytes, List[Any]] = {}
 
     # -- hashing, per call -------------------------------------------------
 
@@ -109,11 +110,14 @@ class ReferenceSketch:
 
     def _count_candidate(self, x: Any) -> None:
         cands = self.candidates
-        if x in cands or len(cands) < self.capacity:
-            cands[x] = cands.get(x, 0) + 1
+        key = _item_bytes(x)
+        if key in cands:
+            cands[key][1] += 1
+        elif len(cands) < self.capacity:
+            cands[key] = [x, 1]
         else:
-            weakest = min(cands, key=lambda c: (cands[c], repr(c)))
-            cands[x] = cands.pop(weakest) + 1
+            weakest = min(cands, key=lambda c: (cands[c][1], repr(cands[c][0])))
+            cands[key] = [x, cands.pop(weakest)[1] + 1]
 
     def query(self, y: Any) -> float:
         ref, touched = self._reference(y)
@@ -164,10 +168,10 @@ class ReferenceSketch:
 
     def top(self, j: int = 10) -> List[Tuple[Any, int]]:
         ranked = sorted(
-            self.candidates,
-            key=lambda x: (-self.estimate(x), -self.candidates[x], repr(x)),
+            self.candidates.values(),
+            key=lambda c: (-self.estimate(c[0]), -c[1], repr(c[0])),
         )
-        return [(x, self.estimate(x)) for x in ranked[:j]]
+        return [(x, self.estimate(x)) for x, _count in ranked[:j]]
 
     def signature(self) -> Tuple[int, ...]:
         return tuple(

@@ -6,7 +6,6 @@ from repro.apps.diameter import (
     DiameterDuel,
     crossover_n,
     diameter_duel,
-    speedup_at,
     sweep_diameter,
 )
 from repro.congest import topologies
@@ -58,5 +57,4 @@ class TestDiameterDuel:
             n=8, diameter=2, quantum_rounds=5.0, classical_rounds=20,
             quantum_bound=4.0, classical_bound=22.0, accuracy=1.0,
         )
-        assert speedup_at(d) == 4.0
         assert d.quantum_wins

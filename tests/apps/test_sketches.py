@@ -208,6 +208,17 @@ class TestQHeavyHitters:
             hh.insert(f"light-{i}")
         assert [key for key, _ in hh.top(1)] == ["heavy"]
 
+    @pytest.mark.parametrize("backend,m", [("exact", 12), ("emulated", 64)])
+    def test_equal_items_are_separate_candidates(self, backend, m):
+        # True == 1, but the two hash to different buckets: each keeps
+        # its own candidate count.
+        hh = QHeavyHitters(m=m, seed=0, backend=backend)
+        for _ in range(5):
+            hh.insert(True)
+        hh.insert(1)
+        assert hh.estimate(1) == 1
+        assert hh.top(5) == [(True, 5), (1, 1)]
+
 
 class TestEvents:
     def test_insert_and_query_emit_sketch_events(self):

@@ -7,7 +7,6 @@ from repro.congest import topologies
 from repro.congest.csr import (
     CSRCache,
     build_csr,
-    configure_csr_cache,
     csr_cache_stats,
     csr_for,
     invalidate_csr,
@@ -205,17 +204,6 @@ class TestModuleLevelCache:
         invalidate_csr(net)
         stats = csr_cache_stats()
         assert stats["entries"] == 0
-
-    def test_configure_bound_evicts_immediately(self):
-        invalidate_csr()
-        try:
-            for n in (4, 5, 6, 7):
-                csr_for(topologies.cycle(n))
-            configure_csr_cache(2)
-            assert csr_cache_stats()["entries"] == 2
-        finally:
-            configure_csr_cache(64)
-            invalidate_csr()
 
 
 class TestPreparedNetworkIntegration:

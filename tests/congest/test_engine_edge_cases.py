@@ -20,7 +20,7 @@ from repro.congest.encoding import Field
 from repro.congest.engine import SCHEDULES, Engine, run_program
 from repro.congest.errors import BandwidthExceeded, MessageTooLargeError
 from repro.congest.network import Network
-from repro.congest.program import IdleProgram, NodeProgram, make_programs
+from repro.congest.program import IdleProgram, NodeProgram
 from repro.core.semigroup import combine_sum
 from repro.obs import MemorySink, Recorder
 
@@ -46,7 +46,8 @@ def _violation(net, programs, schedule):
 
 
 #: The ways a tree transfer enters the engine: a program dict on each
-#: round loop, or the transfer as arrays on the default loop.
+#: round loop (on ``"vectorized"`` it falls back to the per-node loop),
+#: or the transfer as arrays on the default loop.
 ENTRIES = (*SCHEDULES, "arrays")
 
 
@@ -112,7 +113,10 @@ class TestFailureInjection:
         import networkx as nx
 
         net = Network(nx.path_graph(6), bandwidth=2)  # too small for (tag, dist)
-        make = partial(make_programs, net.n, BFSEchoProgram, 0)
+
+        def make():
+            return {v: BFSEchoProgram(v, 0) for v in net.nodes()}
+
         with pytest.raises(BandwidthExceeded):
             run_program(net, make(), schedule=schedule)
         assert _violation(net, make(), schedule) == _violation(
@@ -126,7 +130,10 @@ class TestFailureInjection:
         import networkx as nx
 
         net = Network(nx.path_graph(6), bandwidth=2)
-        make = partial(make_programs, net.n, MaxIdFloodProgram)
+
+        def make():
+            return {v: MaxIdFloodProgram(v) for v in net.nodes()}
+
         with pytest.raises(MessageTooLargeError):
             run_program(net, make(), schedule=schedule, stop_on_quiescence=True)
         assert _violation(net, make(), schedule) == _violation(
@@ -136,7 +143,7 @@ class TestFailureInjection:
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_transfer_on_starved_bandwidth_raises_model_violation(self, entry):
         """An (index, value) pair past the bandwidth never starts on the
-        bulk loop, as programs or as arrays: the per-node loop raises
+        bulk loop: on every entry the per-node loop raises
         ``MessageTooLargeError`` at the first send."""
         import networkx as nx
 
@@ -212,11 +219,6 @@ class TestEngineLifecycle:
         assert engine.run() is first
         assert not engine.stepper().step()
         assert len(sink.events) == emitted
-
-    def test_make_programs_covers_all_nodes(self, path8):
-        programs = make_programs(path8.n, lambda v: IdleProgram())
-        assert set(programs) == set(path8.nodes())
-        run_program(path8, programs)
 
     def test_single_node_network_runs(self):
         net = topologies.path(1)

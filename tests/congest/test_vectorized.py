@@ -11,10 +11,13 @@ import pytest
 
 from repro.congest import topologies
 from repro.congest.algorithms.aggregate import (
+    Downcast,
+    Upcast,
     UpcastProgram,
     aggregate_single,
     build_downcast_programs,
     build_upcast_programs,
+    parent_array,
 )
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
 from repro.congest.algorithms.leader import (
@@ -47,16 +50,29 @@ def _run(net, programs, schedule, **kwargs):
     return engine, engine.run()
 
 
+def _upcast_arrays(net, tree, values, combine, domain):
+    """A convergecast as arrays: the only entry onto the bulk loop."""
+    rows = [values[v] for v in net.nodes()]
+    return Upcast(parent_array(tree, net.n), rows, combine, domain)
+
+
 def _upcast(net, tree, values, combine, domain, schedule, seed=None):
-    """``pipelined_upcast``'s result, on a pinned round loop."""
-    programs = build_upcast_programs(net, tree, values, combine, domain)
+    """``pipelined_upcast``'s result, on a pinned round loop: arrays on
+    the bulk loop, the per-node programs on the others."""
+    if schedule == "vectorized":
+        programs = _upcast_arrays(net, tree, values, combine, domain)
+    else:
+        programs = build_upcast_programs(net, tree, values, combine, domain)
     result = Engine(net, programs, seed=seed, schedule=schedule).run()
     return tuple(result.outputs[tree.root]), result.rounds
 
 
 def _downcast(net, tree, payload, domain, schedule, seed=None):
     """``pipelined_downcast``'s result, on a pinned round loop."""
-    programs = build_downcast_programs(net, tree, payload, domain)
+    if schedule == "vectorized":
+        programs = Downcast(parent_array(tree, net.n), payload, domain)
+    else:
+        programs = build_downcast_programs(net, tree, payload, domain)
     result = Engine(net, programs, seed=seed, schedule=schedule).run()
     return {v: tuple(result.outputs[v]) for v in net.nodes()}, result.rounds
 
@@ -205,8 +221,8 @@ class TestFastPath:
         net = topologies.grid(3, 4)
         tree = bfs_with_echo(net, 0)
         values = {v: [v % 4 + 1, v % 3] for v in net.nodes()}
-        programs = build_upcast_programs(net, tree, values, combine, 1 << 8)
-        engine = Engine(net, programs, seed=0)
+        transfer = _upcast_arrays(net, tree, values, combine, 1 << 8)
+        engine = Engine(net, transfer, seed=0)
         result = engine.run()
         assert engine.vectorized_fallback is None
         assert (tuple(result.outputs[tree.root]), result.rounds) == _upcast(
@@ -298,25 +314,12 @@ class TestFallbacks:
         tree = bfs_with_echo(net, 0)
         values = {v: [v % 7] for v in net.nodes()}
         anon = lambda a, b: max(a, b)  # noqa: E731 - deliberately unregistered
-        programs = build_upcast_programs(net, tree, values, anon, domain=8)
-        engine = Engine(net, programs, seed=0, schedule="vectorized")
+        transfer = _upcast_arrays(net, tree, values, anon, domain=8)
+        engine = Engine(net, transfer, seed=0, schedule="vectorized")
         vec = engine.run()
         assert engine.vectorized_fallback == "upcast-combine-unregistered"
         active = _upcast(net, tree, values, anon, 8, "active", seed=0)
         assert (tuple(vec.outputs[tree.root]), vec.rounds) == active
-
-    def test_upcast_params_disagree(self):
-        net = topologies.cycle(5)
-        tree = bfs_with_echo(net, 0)
-        values = {v: [v] for v in net.nodes()}
-        programs = build_upcast_programs(
-            net, tree, values, combine_sum, domain=64
-        )
-        programs[2].domain = 128  # simulate a miswired batch
-        vp, reason = build_vectorized(
-            Engine(net, programs, seed=0, schedule="vectorized")
-        )
-        assert vp is None and reason == "upcast-params-disagree"
 
     @pytest.mark.parametrize("parents,error", [
         # Node 2's parent is not its neighbour on the cycle: the per-node
@@ -328,19 +331,20 @@ class TestFallbacks:
     ], ids=["non-neighbour-parent", "parent-cycle"])
     def test_tree_that_does_not_span_the_network(self, parents, error):
         net = topologies.cycle(5)
-
-        def make():
-            return {
-                v: UpcastProgram(
-                    v, parents[v],
-                    [c for c in net.nodes() if parents[c] == v],
-                    [1], combine_sum, 8, 1,
-                )
-                for v in net.nodes()
-            }
-
-        for schedule in ("active", "vectorized"):
-            engine = Engine(net, make(), schedule=schedule, max_rounds=40)
+        programs = {
+            v: UpcastProgram(
+                v, parents[v],
+                [c for c in net.nodes() if parents[c] == v],
+                [1], combine_sum, 8, 1,
+            )
+            for v in net.nodes()
+        }
+        transfer = Upcast(
+            [-1 if p is None else p for p in parents], [[1]] * net.n,
+            combine_sum, 8,
+        )
+        for entry, schedule in ((programs, "active"), (transfer, "vectorized")):
+            engine = Engine(net, entry, schedule=schedule, max_rounds=40)
             with pytest.raises(error):
                 engine.run()
         assert engine.vectorized_fallback == "upcast-tree-malformed"
@@ -388,14 +392,43 @@ class TestDefaultSchedule:
             kwargs["stop_on_quiescence"] = True
         elif family == "upcast":
             values = {v: [v, 1] for v in net.nodes()}
-            programs = build_upcast_programs(net, tree, values, combine_sum, 128)
+            programs = _upcast_arrays(net, tree, values, combine_sum, 128)
         else:
-            programs = build_downcast_programs(net, tree, [3, 1, 2], 4)
+            programs = Downcast(parent_array(tree, net.n), [3, 1, 2], 4)
         engine = Engine(net, programs, seed=0, **kwargs)
         result = engine.run()
         assert engine.vectorized_fallback is None
         assert result.rounds > 0
         assert engine.vectorized_rounds == result.rounds
+
+    @pytest.mark.parametrize("family", ["upcast", "downcast"])
+    def test_transfer_programs_run_per_node(self, family):
+        # Arrays are the only entry onto the bulk loop: a dict of a
+        # transfer's per-node programs is not audited, and runs per node
+        # exactly as the arrays run on the bulk loop.
+        net = topologies.grid(3, 4)
+        tree = bfs_with_echo(net, 0)
+        if family == "upcast":
+            values = {v: [v, 1] for v in net.nodes()}
+            programs = build_upcast_programs(net, tree, values, combine_sum, 128)
+            transfer = _upcast_arrays(net, tree, values, combine_sum, 128)
+            reason = "unsupported-program-UpcastProgram"
+        else:
+            programs = build_downcast_programs(net, tree, [3, 1, 2], 4)
+            transfer = Downcast(parent_array(tree, net.n), [3, 1, 2], 4)
+            reason = "unsupported-program-DowncastProgram"
+        runs = []
+        for entry in (programs, transfer):
+            sink = MemorySink()
+            engine = Engine(net, entry, seed=0, recorder=Recorder([sink]))
+            runs.append((engine, engine.run(), sink.events_of_kind("deliver")))
+        (per_node, res_a, deliver_a), (bulk, res_b, deliver_b) = runs
+        assert per_node.vectorized_fallback == reason
+        assert per_node.vectorized_rounds == 0
+        assert bulk.vectorized_fallback is None
+        assert bulk.vectorized_rounds == res_b.rounds > 0
+        _assert_identical(res_a, res_b)
+        assert deliver_a == deliver_b
 
     def test_unaudited_program_falls_back(self):
         net = topologies.cycle(9)

@@ -1,8 +1,8 @@
-"""Operation/OperationStream: validation, and positional-submit rejection."""
+"""Operation: validation, and positional-submit rejection."""
 
 import pytest
 
-from repro.core.operation import OPERATION_KINDS, Operation, OperationStream
+from repro.core.operation import OPERATION_KINDS, Operation
 from repro.sched import CoalescingScheduler
 from repro.serve import QueryService, TenantQuota, build_profile
 
@@ -69,39 +69,6 @@ class TestOperation:
     def test_indices_must_be_ints(self):
         with pytest.raises(ValueError, match="plain ints"):
             Operation.query("a", [0, True])
-
-
-class TestOperationStream:
-    def test_order_and_access(self):
-        ops = [
-            Operation.insert("a", ["x"]),
-            Operation.sketch_query("a", ["x"]),
-        ]
-        stream = OperationStream(ops)
-        assert list(stream) == ops
-        assert len(stream) == 2
-        assert stream[0].is_write
-
-    def test_counts_and_fraction(self):
-        stream = OperationStream([
-            Operation.insert("a", ["x"]),
-            Operation.sketch_query("a", ["x"]),
-            Operation.sketch_query("b", ["y"]),
-            Operation.insert("b", ["y"]),
-        ])
-        assert stream.counts == {"insert": 2, "query": 2}
-        assert stream.insert_fraction == 0.5
-        assert OperationStream().insert_fraction == 0.0
-
-    def test_extended_is_new_stream(self):
-        base = OperationStream([Operation.query("a", [0])])
-        grown = base.extended([Operation.query("b", [1])])
-        assert len(base) == 1
-        assert len(grown) == 2
-
-    def test_non_operation_rejected(self):
-        with pytest.raises(TypeError):
-            OperationStream([("a", [0], "")])
 
 
 class TestSchedulerShim:

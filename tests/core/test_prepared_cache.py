@@ -10,7 +10,6 @@ from repro.core.framework import (
     FrameworkConfig,
     PreparedCache,
     PreparedNetwork,
-    configure_prepared_cache,
     invalidate_prepared,
     prepare_network,
     prepared_cache_stats,
@@ -135,25 +134,6 @@ class TestPreparedCacheLRU:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError, match="positive"):
             PreparedCache(max_entries=0)
-        with pytest.raises(ValueError, match="positive"):
-            configure_prepared_cache(-1)
-
-    def test_configure_shrinks_global_cache_live(self, case):
-        net, _ = case
-        try:
-            for i in range(4):
-                prepare_network(topologies.cycle(4 + i), seed=0)
-            stats = prepared_cache_stats()
-            assert stats["entries"] == 4
-            configure_prepared_cache(2)
-            stats = prepared_cache_stats()
-            assert stats["entries"] == 2
-            assert stats["evictions"] >= 2
-            assert stats["max_entries"] == 2
-        finally:
-            from repro.core.framework import DEFAULT_PREPARED_CACHE_ENTRIES
-
-            configure_prepared_cache(DEFAULT_PREPARED_CACHE_ENTRIES)
 
 
 class TestRunFrameworkCaching:

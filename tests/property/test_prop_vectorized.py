@@ -9,7 +9,6 @@ is the one sanctioned difference and is excluded by construction.
 """
 
 import dataclasses
-from functools import partial
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -108,11 +107,12 @@ def _recorded(net, programs, schedule):
     return engine, result, sink.events_of_kind("deliver"), rounds
 
 
-def _assert_transfer_identical(net, make):
-    """A tree transfer matches the per-node loop: rounds, outputs, stats
-    and event streams, with every round on the bulk loop."""
-    _, active, *active_events = _recorded(net, make(), "active")
-    engine, vec, *vec_events = _recorded(net, make(), "vectorized")
+def _assert_transfer_identical(net, programs, transfer):
+    """A tree transfer given as arrays matches its per-node programs on
+    the per-node loop: rounds, outputs, stats and event streams, with
+    every round on the bulk loop."""
+    _, active, *active_events = _recorded(net, programs, "active")
+    engine, vec, *vec_events = _recorded(net, transfer, "vectorized")
     _assert_identical(active, vec)
     assert active_events == vec_events
     assert engine.vectorized_fallback is None
@@ -184,13 +184,18 @@ class TestVectorizedEquivalence:
             ]
             for v in net.nodes()
         }
-        _assert_transfer_identical(net, partial(
-            build_upcast_programs, net, tree, values, combine, _DOMAIN
-        ))
+        parent = parent_array(tree, net.n)
+        _assert_transfer_identical(
+            net,
+            build_upcast_programs(net, tree, values, combine, _DOMAIN),
+            Upcast(parent, [values[v] for v in net.nodes()], combine, _DOMAIN),
+        )
         payload = [data.draw(st.integers(0, 255)) for _ in range(length)]
-        _assert_transfer_identical(net, partial(
-            build_downcast_programs, net, tree, payload, _DOMAIN
-        ))
+        _assert_transfer_identical(
+            net,
+            build_downcast_programs(net, tree, payload, _DOMAIN),
+            Downcast(parent, payload, _DOMAIN),
+        )
 
     def test_tree_shape_is_keyed_by_tree(self):
         # Bulk transfers reuse one cached schedule per tree: one tree at
@@ -204,13 +209,20 @@ class TestVectorizedEquivalence:
                 v: [(7 * v + i) % 256 for i in range(length)]
                 for v in net.nodes()
             }
-            _assert_transfer_identical(net, partial(
-                build_upcast_programs, net, tree, values, combine_sum,
-                _DOMAIN,
-            ))
-            _assert_transfer_identical(net, partial(
-                build_downcast_programs, net, tree, values[root], _DOMAIN
-            ))
+            parent = parent_array(tree, net.n)
+            _assert_transfer_identical(
+                net,
+                build_upcast_programs(net, tree, values, combine_sum, _DOMAIN),
+                Upcast(
+                    parent, [values[v] for v in net.nodes()], combine_sum,
+                    _DOMAIN,
+                ),
+            )
+            _assert_transfer_identical(
+                net,
+                build_downcast_programs(net, tree, values[root], _DOMAIN),
+                Downcast(parent, values[root], _DOMAIN),
+            )
 
 
 def _stepped(net, programs, schedule):
