@@ -10,7 +10,6 @@ polylog factors except where the paper spells them out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from ..apps.cycles import quantum_cycle_bound

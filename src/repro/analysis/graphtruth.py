@@ -9,9 +9,8 @@ the correctness oracle for tests).
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional
 
 import networkx as nx
 

@@ -13,7 +13,7 @@ fault counters — the "what did this run cost, where" artifact that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 @dataclass

@@ -31,19 +31,18 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import networkx as nx
-import numpy as np
 
 from ..analysis.graphtruth import (
     cycle_value,
     light_subgraph,
     min_cycle_at_most,
 )
-from ..congest.algorithms.clustering import Clustering, build_clustering
+from ..congest.algorithms.clustering import build_clustering
 from ..congest.network import Network
-from ..core.cost import CostModel, RoundLedger
+from ..core.cost import CostModel
 from ..core.framework import FrameworkConfig, ValueComputer, run_framework
 from ..core.semigroup import min_semigroup
 from ..queries import minimum as parallel_minimum

@@ -29,7 +29,7 @@ from ..core.framework import (
 )
 from ..core.semigroup import xor_semigroup
 from ..queries import deutsch_jozsa as parallel_dj
-from ..quantum.deutsch_jozsa import PromiseViolation, check_promise
+from ..quantum.deutsch_jozsa import check_promise
 
 
 @dataclass

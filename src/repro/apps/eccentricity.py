@@ -99,7 +99,7 @@ def _ecc_config(
     """Fold flat parameters and an optional base config into one config.
 
     A caller-supplied ``config`` wins on parallelism/mode/seed (and any
-    setup policy it carries); the lemma always owns the computer, k, and
+    designated leader it carries); the lemma always owns the computer, k, and
     semigroup, which are overlaid by the caller afterwards.
     """
     if config is not None:
@@ -160,7 +160,7 @@ def compute_diameter(
     """Lemma 21 (maximum eccentricity); succeeds with probability ≥ 2/3.
 
     Pass ``config=FrameworkConfig(...)`` to control parallelism, mode,
-    seed, and setup policy with one object (the lemma overlays its own
+    seed, and designated leader with one object (the lemma overlays its own
     computer, k, and semigroup); the flat parameters remain for
     convenience and are ignored when ``config`` is given.
     """

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from ..analysis.graphtruth import girth as true_girth
 from ..congest.network import Network
 from ..core.cost import CostModel

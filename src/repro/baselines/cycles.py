@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..analysis.graphtruth import cycle_value, girth as true_girth
-from ..apps.cycles import balanced_beta, light_cycle_scan
+from ..apps.cycles import light_cycle_scan
 from ..congest.network import Network
 
 

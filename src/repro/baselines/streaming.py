@@ -26,7 +26,6 @@ from ..congest.algorithms.leader import elect_leader
 from ..congest.network import Network
 from ..core.cost import CostModel
 from ..core.framework import DistributedInput
-from ..core.semigroup import Semigroup
 from ..quantum.deutsch_jozsa import check_promise, is_constant
 
 

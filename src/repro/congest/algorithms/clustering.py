@@ -23,7 +23,7 @@ O(log n) colors on an adversarial instance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 import networkx as nx

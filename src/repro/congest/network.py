@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import networkx as nx
 import numpy as np

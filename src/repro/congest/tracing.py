@@ -15,7 +15,7 @@ Tracing is a *sink* on the observability spine (:mod:`repro.obs`): the
 engine emits ``deliver``/``fault`` events on its recorder and
 :class:`TraceSink` rebuilds the :class:`Trace` from them.
 :func:`traced_recorder` attaches one to a fork of a recorder, which is how
-:func:`run_traced` and :class:`repro.faults.FaultyEngine` trace a run.
+:func:`run_traced` and :func:`repro.faults.run_with_faults` trace a run.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ phase to its formula.
 the Õ" critique of Kerger et al. made chargeable: a round is not a unit,
 it costs per-message latency plus serialization time plus the constant
 factors the Õ hides, and quantum links are priced separately from
-classical ones.  :meth:`RoundLedger.wall_clock_us` re-denominates any
-ledger from rounds into microseconds, which is how the scenario matrix
+classical ones.  :meth:`LinkCostModel.wall_clock_us` re-denominates a
+round count into microseconds, which is how the scenario matrix
 (:mod:`repro.scenarios`) turns every quantum-vs-classical round duel
 into a wall-clock crossover curve.
 """
@@ -196,18 +196,6 @@ class CostModel:
     # Cited subroutine costs (substitutions; see DESIGN.md §2)
     # ------------------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # Wall-clock re-denomination ("Mind the Õ")
-    # ------------------------------------------------------------------
-
-    def round_time_us(self, link: LinkCostModel) -> float:
-        """One round of this model's ⌈log n⌉-bit words on ``link``."""
-        return link.round_time_us(self.word_bits)
-
-    def wall_clock_us(self, rounds: float, link: LinkCostModel) -> float:
-        """Re-denominate a round count into microseconds on ``link``."""
-        return link.wall_clock_us(rounds, self.word_bits)
-
     def clustering_rounds(self, d: int) -> int:
         """Lemma 24 [EFFKO21]: O(d log² n)."""
         log_n = max(1, math.ceil(math.log2(max(self.n, 2))))
@@ -228,16 +216,15 @@ class RoundLedger:
     field if set, otherwise the ambient recorder resolved at charge time.
     The ledger's list-of-charges semantics are unchanged — emission is a
     side channel, and the spine's charge stream matches ``self.charges``
-    entry for entry (merges excepted, see :meth:`merge`).
+    entry for entry.
 
     :attr:`total` is a running sum, read in O(1) (a serving lane reads
-    it around every batch): construction sums the ``charges`` it is
-    given, and afterwards only :meth:`charge` and :meth:`merge` append
-    to ``charges``, each updating the sum per entry.  Callers treat
-    ``charges`` as read-only.
+    it around every batch): a ledger starts empty, and only
+    :meth:`charge` appends to ``charges``, updating the sum.  Callers
+    treat ``charges`` as read-only.
     """
 
-    charges: List[Tuple[str, int]] = field(default_factory=list)
+    charges: List[Tuple[str, int]] = field(default_factory=list, init=False)
     recorder: Optional[Recorder] = field(default=None, compare=False, repr=False)
     #: Communication-model tag stamped on every emitted charge event
     #: ("" for the default CONGEST model, so pre-model charge streams
@@ -245,9 +232,6 @@ class RoundLedger:
     #: The list-of-charges semantics ignore it entirely.
     model: str = field(default="", compare=False)
     _total: int = field(init=False, default=0, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._total = sum(r for _, r in self.charges)
 
     def charge(self, phase: str, rounds: int) -> None:
         """Record ``rounds`` against ``phase`` and emit a charge event."""
@@ -269,61 +253,3 @@ class RoundLedger:
         for phase, rounds in self.charges:
             out[phase] = out.get(phase, 0) + rounds
         return out
-
-    def wall_clock_us(self, link: LinkCostModel, word_bits: int) -> float:
-        """Total charged rounds re-denominated into microseconds."""
-        return link.wall_clock_us(self.total, word_bits)
-
-    def wall_clock_by_phase(
-        self, link: LinkCostModel, word_bits: int
-    ) -> Dict[str, float]:
-        """Per-phase wall-clock breakdown on ``link``."""
-        return {
-            phase: link.wall_clock_us(rounds, word_bits)
-            for phase, rounds in self.by_phase().items()
-        }
-
-    def merge(
-        self,
-        other: "RoundLedger",
-        prefix: str = "",
-        on_collision: str = "add",
-    ) -> None:
-        """Append ``other``'s charges, phase keys prefixed by ``prefix``.
-
-        Phase-key collisions (a prefixed incoming key equal to a phase
-        already charged on this ledger) are never silent:
-
-        * ``on_collision="add"`` (default) — the charges coexist in the
-          list and :meth:`by_phase` *adds* them under the shared key,
-          which is the documented aggregation rule;
-        * ``on_collision="error"`` — raise :class:`ValueError` listing
-          the colliding keys, for callers that rely on phase keys being
-          disjoint (e.g. one-prefix-per-subprotocol reports).
-
-        Merged charges were already validated (and already emitted on the
-        spine) by ``other``'s own :meth:`charge` calls, so they are
-        appended directly rather than re-charged — the event stream never
-        double-counts a merge.  A negative entry (a ledger constructed
-        from raw ``charges``) raises part-way; the entries appended
-        before it stay, and so does their share of :attr:`total`.
-        """
-        if on_collision not in ("add", "error"):
-            raise ValueError(
-                f"on_collision must be 'add' or 'error', got {on_collision!r}"
-            )
-        if on_collision == "error":
-            existing = {phase for phase, _ in self.charges}
-            colliding = sorted(
-                {prefix + phase for phase, _ in other.charges} & existing
-            )
-            if colliding:
-                raise ValueError(
-                    f"phase key collision on merge: {colliding}; use "
-                    f"on_collision='add' to aggregate or a distinct prefix"
-                )
-        for phase, rounds in other.charges:
-            if rounds < 0:
-                raise ValueError(f"negative round charge for phase {phase!r}")
-            self.charges.append((prefix + phase, rounds))
-            self._total += rounds

@@ -51,10 +51,8 @@ from ..congest.algorithms.aggregate import (
 from ..congest.algorithms.bfs import BFSResult, bfs_with_echo
 from ..congest.algorithms.leader import elect_leader
 from ..congest.csr import CSRAdjacency, csr_for, invalidate_csr
-from ..congest.errors import CongestError
-from ..congest.models import CommModel, resolve_model
 from ..congest.network import Network
-from ..obs.recorder import Recorder, current_recorder, install
+from ..obs.recorder import Recorder, current_recorder
 from ..queries.ledger import QueryLedger
 from .cost import CostModel, RoundLedger
 from .semigroup import Semigroup
@@ -363,7 +361,7 @@ class FrameworkConfig:
 
     A config is immutable and reusable: sweeps derive variants with
     :meth:`replace` (``cfg.replace(seed=trial)``) instead of re-spelling
-    ten keyword arguments per call, and the :mod:`repro.sched` scheduler
+    every keyword argument per call, and the :mod:`repro.sched` scheduler
     takes the same object to describe the shared oracle it serves.
 
     Attributes mirror the historical ``run_framework`` parameters; see
@@ -381,25 +379,6 @@ class FrameworkConfig:
     seed: Optional[int] = None
     leader: Optional[int] = None
     semigroup: Optional[Semigroup] = None
-    prepared: Optional["PreparedNetwork"] = None
-    recorder: Optional[Recorder] = None
-    #: Communication model this run is declared for: a
-    #: :class:`~repro.congest.models.CommModel` instance, a registered
-    #: model name (``"congest"``, ``"congest-clique"``, ``"local"``), or
-    #: ``None`` (the default) to accept whatever model the network
-    #: carries.  When set, :func:`build_oracle` rejects a network whose
-    #: model differs — a sweep config can't silently run under the wrong
-    #: rules.  Names are normalized to model instances at construction,
-    #: so two configs naming the same model compare equal.
-    comm_model: "CommModel | str | None" = None
-    #: Declared scenario (:class:`repro.scenarios.Scenario`) or ``None``
-    #: (the default, and the paper's perfect-unit-cost setting).  When
-    #: set, :func:`run_framework` additionally prices the run's charged
-    #: rounds on the scenario's classical and quantum links
-    #: (:attr:`FrameworkRun.wall_clock_us`) and emits ``scenario``
-    #: events on the spine — pure annotation: round accounting, results,
-    #: and scenario-free traces are byte-identical with or without it.
-    scenario: "object | None" = None
 
     def __post_init__(self):
         if self.parallelism < 1:
@@ -408,22 +387,6 @@ class FrameworkConfig:
             )
         if self.mode not in ("formula", "engine"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.comm_model is not None:
-            # Normalize (and validate) once, under frozen semantics.
-            object.__setattr__(
-                self, "comm_model", resolve_model(self.comm_model)
-            )
-        if self.scenario is not None:
-            # Deferred import: repro.scenarios imports this module's
-            # siblings, so validating here with a top-level import would
-            # be circular.
-            from ..scenarios.spec import Scenario
-
-            if not isinstance(self.scenario, Scenario):
-                raise TypeError(
-                    f"scenario must be a repro.scenarios.Scenario, got "
-                    f"{type(self.scenario).__name__}"
-                )
 
     def replace(self, **changes) -> "FrameworkConfig":
         """A copy with the given fields swapped (sweep-friendly)."""
@@ -432,13 +395,7 @@ class FrameworkConfig:
 
 @dataclass
 class FrameworkRun:
-    """Everything a framework execution produced.
-
-    ``wall_clock_us`` is populated only when the config declared a
-    :class:`~repro.scenarios.Scenario`: the charged rounds priced on the
-    scenario's links, keyed by link name ("Mind the Õ" annotation; the
-    round ledger itself is unchanged).
-    """
+    """Everything a framework execution produced."""
 
     result: object
     rounds: RoundLedger
@@ -446,7 +403,6 @@ class FrameworkRun:
     leader: int
     tree_depth: int
     mode: str
-    wall_clock_us: Optional[Dict[str, float]] = None
 
     @property
     def total_rounds(self) -> int:
@@ -636,7 +592,7 @@ class PreparedCache:
         }
 
 
-#: The process-wide setup cache every run without ``prepared`` uses.
+#: The process-wide setup cache every run takes its setup phase from.
 _PREPARED = PreparedCache()
 
 
@@ -678,15 +634,11 @@ def setup_network(
     """Resolve (and charge) the setup phase a config asks for.
 
     Shared by :func:`run_framework` and the :mod:`repro.sched` scheduler
-    so both charge setup identically: an explicit ``config.prepared``
-    wins, else the process-wide cache, which runs the election and BFS
-    on a miss.  Call :func:`invalidate_prepared` first to recompute it.
+    so both charge setup identically: the process-wide cache runs the
+    election and BFS on a miss.  Call :func:`invalidate_prepared` first
+    to recompute it.
     """
-    prepared = config.prepared
-    if prepared is None:
-        prepared = prepare_network(
-            network, seed=config.seed, leader=config.leader
-        )
+    prepared = prepare_network(network, seed=config.seed, leader=config.leader)
     prepared.charge_setup(rounds)
     return prepared
 
@@ -699,13 +651,6 @@ def build_oracle(
     recorder: Recorder,
 ) -> CongestBatchOracle:
     """The shared-oracle constructor both execution paths use."""
-    if config.comm_model is not None and config.comm_model != network.model:
-        raise CongestError(
-            f"config declares comm_model={config.comm_model.name!r} but the "
-            f"network runs {network.model.name!r} "
-            f"({network.model!r}); build the network with "
-            f"comm_model={config.comm_model.name!r} or drop the declaration"
-        )
     return CongestBatchOracle(
         network=network,
         dist_input=config.dist_input,
@@ -743,12 +688,12 @@ def run_framework(
             ``dist_input`` (Theorem 8 per-node vectors + semigroup) or
             ``computer``/``k`` (Corollary 9 on-the-fly values), ``mode``
             (``formula`` charged costs vs ``engine`` measured costs),
-            ``seed``, an optional designated ``leader``, an explicit
-            ``prepared`` setup to reuse (else the process-wide cache),
-            and the observability ``recorder`` (defaults to the
-            ambient one; the run is wrapped in ``setup``/``query`` spans
-            with ``distribute``/``convergecast``/``uncompute`` sub-spans
-            per engine-mode batch).
+            ``seed`` and an optional designated ``leader``.  The setup
+            phase comes from the process-wide cache, and the run records
+            on the ambient recorder (:func:`repro.obs.install`), wrapped
+            in ``setup``/``query`` spans with ``distribute``/
+            ``convergecast``/``uncompute`` sub-spans per engine-mode
+            batch.
 
     Returns:
         a :class:`FrameworkRun` with the algorithm result, per-phase round
@@ -757,36 +702,17 @@ def run_framework(
     if config is None:
         raise TypeError("run_framework() needs config=FrameworkConfig(...)")
 
-    rec = (
-        config.recorder if config.recorder is not None else current_recorder()
-    )
-    with install(rec):
-        rounds = RoundLedger(recorder=rec, model=network.model.event_token)
-        rng = np.random.default_rng(config.seed)
+    rec = current_recorder()
+    rounds = RoundLedger(recorder=rec, model=network.model.event_token)
+    rng = np.random.default_rng(config.seed)
 
-        with rec.span("setup"):
-            prepared = setup_network(network, config, rounds)
-        tree = prepared.tree
+    with rec.span("setup"):
+        prepared = setup_network(network, config, rounds)
+    tree = prepared.tree
 
-        oracle = build_oracle(network, config, tree, rounds, rec)
-        with rec.span("query"):
-            result = algorithm(oracle, rng)
-
-        wall_clock: Optional[Dict[str, float]] = None
-        if config.scenario is not None:
-            # "Mind the Õ": price the charged rounds on the scenario's
-            # links and annotate the spine.  Quantum links carry the
-            # framework's quantum traffic; the classical link prices the
-            # same round count as the commodity-network control.
-            scenario = config.scenario
-            word_bits = network.log_n_bits
-            total = rounds.total
-            wall_clock = {}
-            for link in (scenario.classical_link, scenario.quantum_link):
-                us = rounds.wall_clock_us(link, word_bits)
-                wall_clock[link.name] = us
-                if rec.active:
-                    rec.scenario(scenario.name, link.name, total, us)
+    oracle = build_oracle(network, config, tree, rounds, rec)
+    with rec.span("query"):
+        result = algorithm(oracle, rng)
     return FrameworkRun(
         result=result,
         rounds=rounds,
@@ -794,5 +720,4 @@ def run_framework(
         leader=prepared.leader,
         tree_depth=tree.eccentricity,
         mode=config.mode,
-        wall_clock_us=wall_clock,
     )

@@ -9,11 +9,11 @@ Claims under test:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from ..analysis.fitting import PowerLawFit, fit_power_law
+from ..analysis.fitting import fit_power_law
 from ..analysis.report import ExperimentTable
 from ..queries.grover import (
     expected_batches_all,

@@ -8,7 +8,6 @@ separation, measured with real engine messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 

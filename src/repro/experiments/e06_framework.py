@@ -8,7 +8,6 @@ per-query-efficiency sweet spot the applications rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 

@@ -9,12 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from ..analysis.fitting import fit_power_law
 from ..analysis.report import ExperimentTable
 from ..apps.eccentricity import compute_diameter, compute_radius, quantum_diameter_bound
-from ..baselines.diameter import classical_all_eccentricities, classical_diameter_bound
+from ..baselines.diameter import classical_all_eccentricities
 from ..congest import topologies
 from ..core.framework import FrameworkConfig
 

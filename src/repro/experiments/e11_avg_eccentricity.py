@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from ..analysis.fitting import fit_power_law
 from ..analysis.report import ExperimentTable
 from ..apps.eccentricity import (

@@ -8,9 +8,6 @@ girth; μ trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
 
 from ..analysis.graphtruth import girth as true_girth
 from ..analysis.report import ExperimentTable

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-import numpy as np
-
 from ..analysis.report import ExperimentTable
 from ..apps.even_cycles import (
     SUPPORTED_LENGTHS,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..analysis.report import ExperimentTable
 from ..apps.triangles import (
     classical_triangle_bound,

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from ..analysis.report import ExperimentTable
 from ..apps.eccentricity import compute_diameter
 from ..congest import topologies

@@ -31,7 +31,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..obs import JSONLSink, MemorySink, MetricsSink, Recorder, install
+from ..obs import JSONLSink, MetricsSink, Recorder, install
 from . import ALL_EXPERIMENTS
 
 
@@ -280,7 +280,6 @@ class RunRequest:
         checkpoint: JSONL checkpoint path for resumable sweeps.
         jsonl: when set, run instrumented and merge every event into one
             ``repro-trace/1`` stream at this path.
-        keep_events: retain raw event objects on instrumented runs.
     """
 
     experiments: Tuple[str, ...] = ()
@@ -291,7 +290,6 @@ class RunRequest:
     retries: int = 1
     checkpoint: Optional[str] = None
     jsonl: Optional[str] = None
-    keep_events: bool = False
 
     def __post_init__(self):
         exps = self.experiments
@@ -349,7 +347,6 @@ class InstrumentedRun:
     experiment: str
     result: object
     metrics: MetricsSink
-    events: Optional[List[object]]  # raw events when keep_events=True
     jsonl_path: Optional[str]
 
 
@@ -370,18 +367,15 @@ def run_instrumented(request: RunRequest) -> InstrumentedRun:
     """Run one experiment with the observability spine recording.
 
     Called as ``run_instrumented(RunRequest(experiments=("E7",),
-    jsonl=..., keep_events=...))``.  The spine captures every engine
-    round, fault, query batch, coalesce, and ledger charge the experiment
-    triggers — however deep in the stack — in one metrics registry and
-    (with ``jsonl`` set) one ``repro-trace/1`` stream.
+    jsonl=...))``.  The spine captures every engine round, fault, query
+    batch, coalesce, and ledger charge the experiment triggers — however
+    deep in the stack — in one metrics registry and (with ``jsonl`` set)
+    one ``repro-trace/1`` stream.
     """
     _require_request("run_instrumented", request)
     experiment = request.single_target()
     metrics = MetricsSink()
     sinks: List[object] = [metrics]
-    memory = MemorySink() if request.keep_events else None
-    if memory is not None:
-        sinks.append(memory)
     if request.jsonl is not None:
         sinks.append(JSONLSink(request.jsonl))
     recorder = Recorder(sinks)
@@ -396,7 +390,6 @@ def run_instrumented(request: RunRequest) -> InstrumentedRun:
         experiment=experiment,
         result=result,
         metrics=metrics,
-        events=memory.events if memory is not None else None,
         jsonl_path=request.jsonl,
     )
 

@@ -7,10 +7,11 @@ the in-flight messages to the channel, which applies channel faults
 crash-recovery), so every existing
 :class:`~repro.congest.program.NodeProgram` runs unmodified under them.
 Fault events are emitted on the engine's recorder (:mod:`repro.obs`) —
-the same bus deliveries ride — so they land in the run's
-:class:`~repro.congest.tracing.Trace` as first-class events (timelines
-show drops and retries next to ordinary deliveries) *and* in any other
-sink the ambient recorder carries (JSONL, metrics).
+the same bus deliveries ride — when it records: they land in any sink
+it carries (JSONL, metrics) and, under :func:`run_with_faults`, in the
+run's :class:`~repro.congest.tracing.Trace` as first-class events
+(timelines show drops and retries next to ordinary deliveries).  Under
+the null recorder a faulty run records nothing.
 
 With the default :class:`~repro.faults.models.NoFaults` channel and no
 crash schedule, a run is byte-for-byte identical (rounds, outputs,
@@ -77,11 +78,11 @@ class FaultChannel:
     """The faulty network between two rounds of the engine's per-node loop.
 
     Holds the channel fault model, the crash schedule and the run's
-    :class:`FaultStats`, and emits each fault on the recorder.  The
-    engine calls it at fixed points of every round: :meth:`begin_round`
-    and :meth:`transmit` before deliveries, :meth:`is_down` for each node
-    it would execute, and :meth:`pending` and :meth:`crash_stopped` in its
-    termination test.
+    :class:`FaultStats`, and emits each fault on the recorder while it
+    is active.  The engine calls it at fixed points of every round:
+    :meth:`begin_round` and :meth:`transmit` before deliveries,
+    :meth:`is_down` for each node it would execute, and :meth:`pending`
+    and :meth:`crash_stopped` in its termination test.
     """
 
     def __init__(
@@ -109,7 +110,8 @@ class FaultChannel:
             else:
                 self.stats.recoveries += 1
                 event_kind = RECOVER
-            self.recorder.fault(event_kind, round_no, node, node)
+            if self.recorder.active:
+                self.recorder.fault(event_kind, round_no, node, node)
 
     def transmit(
         self, messages: List[Message], round_no: int
@@ -178,18 +180,22 @@ class FaultChannel:
         )
 
     def _record_fault(self, kind: str, msg: Message, round_no: int) -> None:
-        """Emit one channel-fault event on the spine (lands in the trace)."""
-        self.recorder.fault(kind, round_no, msg.src, msg.dst, msg.bits, msg.value)
+        """Emit one channel-fault event on the spine, if it records."""
+        if self.recorder.active:
+            self.recorder.fault(
+                kind, round_no, msg.src, msg.dst, msg.bits, msg.value
+            )
 
 
 class FaultyEngine(Engine):
     """An engine whose messages and nodes pass through a fault channel.
 
-    Its run is traced: ``self.trace`` fills from a :class:`~repro.congest.
-    tracing.TraceSink` on a fork of the passed or ambient recorder, and
-    ``self.fault_stats`` counts the injected faults.  It always runs the
-    per-node loop: under the default ``schedule="vectorized"`` the engine
-    falls back with reason ``"fault-channel"``, bit-identically.
+    It records on the passed or ambient recorder, as the plain engine
+    does (:func:`run_with_faults` attaches a :class:`~repro.congest.
+    tracing.TraceSink`), and ``self.fault_stats`` counts the injected
+    faults.  It always runs the per-node loop: under the default
+    ``schedule="vectorized"`` the engine falls back with reason
+    ``"fault-channel"``, bit-identically.
 
     Args:
         network: the communication graph.
@@ -213,8 +219,7 @@ class FaultyEngine(Engine):
         fault_seed: Optional[int] = None,
         **kwargs,
     ):
-        recorder, self.trace = traced_recorder(kwargs.pop("recorder", None))
-        super().__init__(network, programs, recorder=recorder, **kwargs)
+        super().__init__(network, programs, **kwargs)
         fault_model = fault_model or NoFaults()
         if fault_seed is None:
             fault_seed = kwargs.get("seed")
@@ -234,7 +239,13 @@ def run_with_faults(
     stop_on_quiescence: bool = False,
     recorder=None,
 ) -> Tuple[RunResult, Trace, FaultStats]:
-    """Run programs under faults; return (result, trace, fault stats)."""
+    """Run programs under faults; return (result, trace, fault stats).
+
+    The trace fills from a :class:`~repro.congest.tracing.TraceSink` on a
+    fork of ``recorder`` (default: the ambient one), as for
+    :func:`~repro.congest.tracing.run_traced`.
+    """
+    traced, trace = traced_recorder(recorder)
     engine = FaultyEngine(
         network,
         programs,
@@ -244,7 +255,7 @@ def run_with_faults(
         seed=seed,
         max_rounds=max_rounds,
         stop_on_quiescence=stop_on_quiescence,
-        recorder=recorder,
+        recorder=traced,
     )
     result = engine.run()
-    return result, engine.trace, engine.fault_stats
+    return result, trace, engine.fault_stats

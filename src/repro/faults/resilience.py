@@ -48,7 +48,6 @@ from ..congest.errors import CongestError
 from ..congest.messages import Inbox, Message
 from ..congest.network import Network
 from ..congest.program import Context, NodeProgram
-from ..congest.tracing import Trace
 from .crash import CrashSchedule
 from .engine import FaultStats, FaultyEngine
 from .models import ChannelFaultModel
@@ -393,7 +392,6 @@ class ResilientRunResult:
     """Outcome of a fault-injected run of wrapped programs."""
 
     result: RunResult
-    trace: Trace
     fault_stats: FaultStats
     virtual_rounds: int
     giveups: int
@@ -447,7 +445,6 @@ def run_resilient(
     result = engine.run()
     return ResilientRunResult(
         result=result,
-        trace=engine.trace,
         fault_stats=engine.fault_stats,
         virtual_rounds=max(w.vr for w in wrapped.values()),
         giveups=sum(w.giveups for w in wrapped.values()),

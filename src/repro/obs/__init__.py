@@ -31,7 +31,6 @@ from .events import (
     FAULT,
     QUERY_BATCH,
     ROUND,
-    SCENARIO,
     SERVE_BATCH,
     SERVE_DRAIN,
     SERVE_REQUEST,
@@ -43,7 +42,6 @@ from .events import (
     FaultEvent,
     QueryBatchEvent,
     RoundEvent,
-    ScenarioEvent,
     ServeBatchEvent,
     ServeDrainEvent,
     ServeRequestEvent,
@@ -69,7 +67,6 @@ __all__ = [
     "FAULT",
     "QUERY_BATCH",
     "ROUND",
-    "SCENARIO",
     "SERVE_BATCH",
     "SERVE_DRAIN",
     "SERVE_REQUEST",
@@ -88,7 +85,6 @@ __all__ = [
     "QueryBatchEvent",
     "Recorder",
     "RoundEvent",
-    "ScenarioEvent",
     "ServeBatchEvent",
     "ServeDrainEvent",
     "ServeRequestEvent",

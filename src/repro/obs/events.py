@@ -1,6 +1,6 @@
 """Typed events carried by the observability spine.
 
-Every accounting mechanism in the repository speaks through the twelve
+Every accounting mechanism in the repository speaks through the eleven
 event kinds below (DESIGN.md §"Observability spine"), one small frozen
 dataclass each.  The dataclass is the only place a kind's fields are
 stated: the recorder's emitters (``Recorder.round``,
@@ -26,7 +26,7 @@ Field conventions, relied on by everything derived from the classes:
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Tuple
 
-#: The twelve event kinds, as they appear in JSONL ``type`` fields.
+#: The eleven event kinds, as they appear in JSONL ``type`` fields.
 ROUND = "round"
 DELIVER = "deliver"
 FAULT = "fault"
@@ -37,7 +37,6 @@ COALESCE = "coalesce"
 SERVE_REQUEST = "serve.request"
 SERVE_BATCH = "serve.batch"
 SERVE_DRAIN = "serve.drain"
-SCENARIO = "scenario"
 SKETCH = "sketch"
 
 
@@ -223,27 +222,6 @@ class ServeDrainEvent(_Event):
 
 
 @dataclass(frozen=True)
-class ScenarioEvent(_Event):
-    """One wall-clock pricing of a run under a scenario's link model.
-
-    ``scenario`` names the declared :class:`~repro.scenarios.Scenario`,
-    ``link`` the :class:`~repro.core.cost.LinkCostModel` the rounds were
-    priced on, ``rounds`` the round count being re-denominated, and
-    ``wall_clock_us`` the resulting microseconds.  The event is emitted
-    *in addition to* the underlying round/charge stream — pricing is an
-    annotation, never a replacement.
-    """
-
-    kind: ClassVar[str] = SCENARIO
-
-    scenario: str
-    link: str
-    rounds: int
-    wall_clock_us: float
-    span: str = ""
-
-
-@dataclass(frozen=True)
 class SketchEvent(_Event):
     """One amplitude-sketch operation or sketch-lane memo edge.
 
@@ -270,7 +248,7 @@ class SketchEvent(_Event):
 EVENT_TYPES = (
     RoundEvent, DeliverEvent, FaultEvent, QueryBatchEvent, ChargeEvent,
     SpanEvent, CoalesceEvent, ServeRequestEvent, ServeBatchEvent,
-    ServeDrainEvent, ScenarioEvent, SketchEvent,
+    ServeDrainEvent, SketchEvent,
 )
 EVENT_KINDS = tuple(cls.kind for cls in EVENT_TYPES)
 

@@ -5,7 +5,7 @@ One record per line.  The first line is a header::
     {"type": "meta", "schema": "repro-trace/1"}
 
 and every subsequent line is one event record as produced by
-:func:`repro.obs.events.to_json`: its ``type`` is one of the twelve event
+:func:`repro.obs.events.to_json`: its ``type`` is one of the eleven event
 kinds and its remaining fields are the event dataclass's fields, so the
 schema below is derived from :data:`repro.obs.events.EVENT_TYPES`.  A new
 kind or a new omittable field is a pure extension: streams that never

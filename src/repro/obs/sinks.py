@@ -26,7 +26,6 @@ from .events import (
     FAULT,
     QUERY_BATCH,
     ROUND,
-    SCENARIO,
     SERVE_BATCH,
     SERVE_DRAIN,
     SERVE_REQUEST,
@@ -124,9 +123,6 @@ METRICS = (
     Metric("serve_batches", SERVE_BATCH, "sum"),
     Metric("serve_batch_rounds", SERVE_BATCH, "sum", "rounds"),
     Metric("serve_drains", SERVE_DRAIN, "sum"),
-    Metric("scenario_events", SCENARIO, "sum"),
-    # Wall-clock microseconds per link model name.
-    Metric("wall_clock_by_link", SCENARIO, "sum_by", "wall_clock_us", "link"),
     # Physical sketch operations by op, summing payload widths; a memo
     # edge never touches the sketch state, so it counts in sketch_memo.
     Metric("sketch_ops", SKETCH, "sum_by", "count", "op", "not e.memo"),
@@ -335,7 +331,6 @@ class MetricsSink(Sink):
             "memo_evictions": self.memo_evictions,
             "serve_requests": dict(self.serve_requests),
             "serve_batches": self.serve_batches,
-            "wall_clock_by_link": dict(self.wall_clock_by_link),
             "sketch_ops": dict(self.sketch_ops),
             "sketch_memo": dict(self.sketch_memo),
             "memo_invalidations": self.memo_invalidations,

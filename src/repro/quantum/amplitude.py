@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set
+from typing import Optional, Set
 
 import numpy as np
 
 from .phase_estimation import estimate_phase
-from .statevector import Statevector
 
 
 def good_probability(state_prep: np.ndarray, good_states: Set[int]) -> float:

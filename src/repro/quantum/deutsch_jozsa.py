@@ -13,11 +13,11 @@ logic below and charges the network cost of the single distributed query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .statevector import Statevector, uniform_superposition
+from .statevector import uniform_superposition
 
 
 class PromiseViolation(ValueError):

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..quantum.deutsch_jozsa import check_promise, is_constant
 from .oracle import BatchOracle
 

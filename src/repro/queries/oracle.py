@@ -24,7 +24,7 @@ see which implementation answers them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, runtime_checkable
+from typing import List, Protocol, Sequence, runtime_checkable
 
 from .ledger import QueryLedger
 

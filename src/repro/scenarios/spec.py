@@ -2,10 +2,10 @@
 
 A :class:`Scenario` bundles the three axes of the matrix — link
 fidelity, link economics ("Mind the Õ"), and adversary/dynamics — into
-one frozen declaration that :class:`~repro.core.framework.FrameworkConfig`
-can carry, :mod:`repro.parallel` can pickle across workers, and the E22
-experiment can sweep.  A scenario never *runs* anything by itself; it is
-the configuration record the matrix runner and ``run_framework`` read.
+one frozen declaration that :mod:`repro.parallel` can pickle across
+workers and the E22 experiment can sweep.  A scenario never *runs*
+anything by itself; it is the configuration record the matrix runner
+reads.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class Scenario:
     """One named cell of the scenario matrix.
 
     Attributes:
-        name: unique label; keys parallel-sweep tasks and trace events.
+        name: unique label; keys parallel-sweep tasks and fault seeds.
         fidelity: quantum link fidelity F ∈ (0, 1] (per chunk delivery).
         delta: target end-to-end failure probability for boosting.
         classical_link: wall-clock price of a classical message.

@@ -178,7 +178,7 @@ class CoalescingScheduler:
         config: a :class:`~repro.core.framework.FrameworkConfig`
             describing the shared oracle — parallelism p (the physical
             batch width), input (``dist_input`` or ``computer``/``k``),
-            mode, seed, setup policy.  The same object a serial
+            mode, seed, designated leader.  The same object a serial
             ``run_framework`` call would take.
         deadline_rounds: the fill-or-flush round budget.  ``None``
             (default) never force-flushes; ``0`` executes every

@@ -16,7 +16,9 @@ exactly reproducible workload, not a fuzzer.
 
 Scale: ``LoadSpec.clients`` is the number of simulated client requests
 (10^3–10^5); tenants multiplex many clients, as real serving traffic
-does.
+does.  Each arrival's tenant is drawn uniformly; fair-share weights are
+the daemon's (:attr:`~repro.serve.tenants.TenantQuota.weight`), not the
+load's.
 
 Both entry points feed one submission loop over
 :class:`OperationArrival`s: :func:`run_operation_load` offers a
@@ -61,8 +63,8 @@ class LoadSpec:
     Attributes:
         clients: simulated client requests to offer.
         tenants: distinct tenant names to spread them over
-            (``tenant0..tenantN-1``); weights cycle through
-            ``tenant_weights``.
+            (``tenant0..tenantN-1``), each arrival's tenant drawn
+            uniformly.
         rate_hz: aggregate Poisson arrival rate (virtual time).
         queries_min/queries_max: per-request query-set size range.
         seed: root seed for :func:`~repro.parallel.derive_seed`.
@@ -80,7 +82,6 @@ class LoadSpec:
     seed: int = 0
     time_scale: float = 0.0
     label: str = "load"
-    tenant_weights: Tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
         if self.clients < 1:

@@ -1,12 +1,9 @@
 """Tests for Section 6 CONGEST amplitude techniques (Lemmas 27–30)."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.apps.amplitude_apps import (
-    AmplifiedOutcome,
     DistributedSubroutine,
     amplification_round_bound,
     amplify,

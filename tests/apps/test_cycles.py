@@ -1,6 +1,5 @@
 """Tests for Lemmas 23–25: bounded-length cycle detection."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.graphtruth import girth as true_girth

@@ -1,6 +1,5 @@
 """Tests for Lemmas 20–22: diameter, radius, average eccentricity."""
 
-import numpy as np
 import pytest
 
 from repro.apps.eccentricity import (

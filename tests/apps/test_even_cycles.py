@@ -10,7 +10,6 @@ from repro.apps.even_cycles import (
     quantum_even_cycle_bound,
 )
 from repro.congest import topologies
-from repro.congest.network import Network
 
 
 class TestGroundTruth:

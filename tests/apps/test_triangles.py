@@ -12,7 +12,6 @@ from repro.apps.triangles import (
     quantum_triangle_bound_igm,
 )
 from repro.congest import topologies
-from repro.congest.network import Network
 
 
 class TestGroundTruth:

@@ -1,6 +1,5 @@
 """Tests for the classical CONGEST baselines."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.graphtruth import girth as true_girth

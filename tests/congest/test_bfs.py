@@ -1,7 +1,5 @@
 """Tests for BFS with echo: distances, parents, eccentricity, round count."""
 
-import pytest
-
 from repro.congest import topologies
 from repro.congest.algorithms.bfs import bfs_with_echo
 

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.congest.encoding import (
-    Field,
-    bits_for_domain,
-    bits_for_int,
-    payload_bits,
-    unwrap,
-)
+from repro.congest.encoding import Field, bits_for_domain, payload_bits, unwrap
 
 
 class TestBitsForDomain:

@@ -46,9 +46,10 @@ def _violation(net, programs, schedule):
 
 
 #: The ways a tree transfer enters the engine: a program dict on each
-#: round loop (on ``"vectorized"`` it falls back to the per-node loop),
-#: or the transfer as arrays on the default loop.
-ENTRIES = (*SCHEDULES, "arrays")
+#: per-node loop, or the transfer as arrays on the default loop.  A dict
+#: pinned to ``"vectorized"`` falls back to the per-node loop, so it would
+#: repeat the ``"active"`` case.
+ENTRIES = ("active", "dense", "arrays")
 
 
 def _entry(entry, make, transfer):

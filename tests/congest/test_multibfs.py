@@ -1,7 +1,5 @@
 """Tests for pipelined multi-source BFS (Lemma 20 substrate)."""
 
-import pytest
-
 from repro.congest import topologies
 from repro.congest.algorithms.bfs import bfs_with_echo
 from repro.congest.algorithms.multibfs import (

@@ -1,6 +1,5 @@
 """Unit tests for the Network topology wrapper."""
 
-import math
 import os
 import subprocess
 import sys

@@ -5,7 +5,7 @@ import pytest
 from repro.congest import topologies
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
 from repro.congest.encoding import Field
-from repro.congest.program import Context, NodeProgram
+from repro.congest.program import NodeProgram
 from repro.congest.tracing import (
     CORRUPT,
     DELAY,
@@ -104,7 +104,6 @@ class TestPipeliningVisible:
         children = tree.children()
         q_bits = 200
         chunk_bits = net.bandwidth - 8
-        import math
 
         from repro.core.state_transfer import _chunk_register
 

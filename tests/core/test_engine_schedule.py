@@ -18,7 +18,7 @@ from repro.core.framework import (
     run_framework,
 )
 from repro.core.semigroup import sum_semigroup
-from repro.obs import MetricsSink, Recorder
+from repro.obs import MetricsSink, Recorder, install
 
 K = 12
 
@@ -96,9 +96,11 @@ class TestEquivalence:
         sink = MetricsSink()
         config = FrameworkConfig(
             parallelism=3, dist_input=di, seed=1, mode="engine",
-            recorder=Recorder([sink]),
         )
-        phases = run_framework(network, algorithm, config=config).rounds.by_phase()
+        with install(Recorder([sink])):
+            phases = run_framework(
+                network, algorithm, config=config
+            ).rounds.by_phase()
         engine_rounds = sum(
             phases[p]
             for p in ("index-distribute", "value-upcast", "value-uncompute")

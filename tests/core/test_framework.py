@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.congest import topologies
 from repro.core.cost import CostModel
 from repro.core.framework import (
     DistributedInput,

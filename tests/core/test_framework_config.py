@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.congest import topologies
+from repro.core.cost import RoundLedger
 from repro.core.framework import (
     DistributedInput,
     FrameworkConfig,
@@ -14,6 +15,8 @@ from repro.core.framework import (
     run_framework,
 )
 from repro.core.semigroup import sum_semigroup
+from repro.experiments.runner import RunRequest
+from repro.serve.loadgen import LoadSpec
 
 
 K = 12
@@ -36,6 +39,26 @@ def algorithm(oracle, _rng):
     first = oracle.query_batch([0, 1], label="a")
     second = oracle.query_batch([2, 3], label="b")
     return first + second
+
+
+MAKERS = {
+    "FrameworkConfig": lambda **kw: FrameworkConfig(parallelism=1, **kw),
+    "RunRequest": RunRequest,
+    "LoadSpec": LoadSpec,
+    "RoundLedger": RoundLedger,
+}
+
+#: Settable values deleted because no caller outside the tests set them,
+#: each with a value the older constructors accepted.
+DELETED_SETTINGS = [
+    ("FrameworkConfig", "scenario", None),
+    ("FrameworkConfig", "comm_model", "congest"),
+    ("FrameworkConfig", "prepared", None),
+    ("FrameworkConfig", "recorder", None),
+    ("RunRequest", "keep_events", True),
+    ("LoadSpec", "tenant_weights", (1.0,)),
+    ("RoundLedger", "charges", []),
+]
 
 
 class TestConfigValidation:
@@ -62,6 +85,16 @@ class TestConfigValidation:
     def test_replace_revalidates(self):
         with pytest.raises(ValueError):
             FrameworkConfig(parallelism=2).replace(parallelism=-1)
+
+    @pytest.mark.parametrize(
+        "owner, field, value", DELETED_SETTINGS,
+        ids=[f"{owner}.{field}" for owner, field, _ in DELETED_SETTINGS],
+    )
+    def test_deleted_setting_is_rejected(self, owner, field, value):
+        # A run's recorder is the ambient one, its setup comes from the
+        # process-wide cache, and a ledger gains rounds only by charge.
+        with pytest.raises(TypeError, match=field):
+            MAKERS[owner](**{field: value})
 
 
 class TestShimEquivalence:

@@ -1,10 +1,7 @@
-"""PR 8: FrameworkConfig.comm_model declaration and ledger model tags."""
+"""A framework run takes its network's model, and tags its charges with it."""
 
 import networkx as nx
-import pytest
 
-from repro.congest.errors import CongestError
-from repro.congest.models import CongestCliqueModel, CongestModel
 from repro.congest.network import Network
 from repro.core.framework import (
     DistributedInput,
@@ -30,61 +27,12 @@ def _algorithm(oracle, rng):
     return oracle.query_batch([0, 1])
 
 
-class TestConfigNormalization:
-    def test_string_model_resolved_at_construction(self):
-        cfg = FrameworkConfig(parallelism=2, comm_model="congest-clique")
-        assert cfg.comm_model == CongestCliqueModel()
-
-    def test_instance_passes_through(self):
-        model = CongestModel(bandwidth=9)
-        cfg = FrameworkConfig(parallelism=2, comm_model=model)
-        assert cfg.comm_model is model
-
-    def test_unknown_model_rejected_at_construction(self):
-        with pytest.raises(CongestError, match="unknown communication model"):
-            FrameworkConfig(parallelism=2, comm_model="telepathy")
-
-    def test_replace_preserves_model(self):
-        cfg = FrameworkConfig(parallelism=2, comm_model="local")
-        assert cfg.replace(seed=7).comm_model == cfg.comm_model
-
-
 class TestModelDeclarationCheck:
-    def test_matching_declaration_accepted(self):
-        net = _grid()
-        cfg = FrameworkConfig(
-            parallelism=2, dist_input=_input(net), seed=1,
-            comm_model=CongestModel(),
-        )
-        run = run_framework(net, _algorithm, config=cfg)
-        assert run.result is not None
-
-    def test_mismatched_declaration_rejected(self):
-        net = _grid()  # default CONGEST
-        cfg = FrameworkConfig(
-            parallelism=2, dist_input=_input(net), seed=1,
-            comm_model="congest-clique",
-        )
-        with pytest.raises(CongestError, match="comm_model"):
-            run_framework(net, _algorithm, config=cfg)
-
     def test_undeclared_config_accepts_any_network(self):
         net = _grid(comm_model="local")
         cfg = FrameworkConfig(parallelism=2, dist_input=_input(net), seed=1)
         run = run_framework(net, _algorithm, config=cfg)
         assert run.result is not None
-
-    def test_declared_run_matches_undeclared_bit_for_bit(self):
-        net = _grid()
-        base = dict(parallelism=2, dist_input=_input(net), seed=1)
-        plain = run_framework(net, _algorithm, config=FrameworkConfig(**base))
-        declared = run_framework(
-            net, _algorithm,
-            config=FrameworkConfig(**base, comm_model=CongestModel()),
-        )
-        assert plain.result == declared.result
-        assert plain.total_rounds == declared.total_rounds
-        assert plain.rounds.by_phase() == declared.rounds.by_phase()
 
 
 class TestLedgerModelTag:

@@ -1,7 +1,5 @@
 """Focused tests for Corollary 9's on-the-fly value computation."""
 
-import pytest
-
 from repro.apps.eccentricity import EccentricityComputer
 from repro.congest import topologies
 from repro.core.framework import FrameworkConfig, run_framework

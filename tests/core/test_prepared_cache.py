@@ -9,7 +9,6 @@ from repro.core.framework import (
     DistributedInput,
     FrameworkConfig,
     PreparedCache,
-    PreparedNetwork,
     invalidate_prepared,
     prepare_network,
     prepared_cache_stats,
@@ -157,23 +156,9 @@ class TestRunFrameworkCaching:
             # Charge-for-charge identical ledgers, not just equal totals.
             assert run.rounds.charges == baseline.rounds.charges
 
-    def test_explicit_prepared_object(self, case):
-        net, di = case
-        prepared = prepare_network(net, seed=9)
-        assert isinstance(prepared, PreparedNetwork)
-        cfg = FrameworkConfig(parallelism=3, dist_input=di, mode="engine",
-                              seed=9)
-        via_prepared = run_framework(
-            net, algorithm, config=cfg.replace(prepared=prepared),
-        )
-        invalidate_prepared(net)
-        fresh = run_framework(net, algorithm, config=cfg)
-        assert via_prepared.rounds.charges == fresh.rounds.charges
-        assert via_prepared.result == fresh.result
-
     def test_reuse_setup_field_is_gone(self):
-        # Every run without ``prepared`` goes through the cache; to
-        # recompute setup, invalidate it.
+        # Every run goes through the cache; to recompute setup,
+        # invalidate it.
         with pytest.raises(TypeError, match="reuse_setup"):
             FrameworkConfig(parallelism=1, reuse_setup=False)
 

@@ -1,7 +1,5 @@
 """Tests for semigroups and the cost model / round ledger."""
 
-import math
-
 import pytest
 
 from repro.congest import topologies
@@ -125,9 +123,3 @@ class TestRoundLedger:
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
             RoundLedger().charge("bad", -1)
-
-    def test_merge_with_prefix(self):
-        a, b = RoundLedger(), RoundLedger()
-        b.charge("inner", 4)
-        a.merge(b, prefix="sub:")
-        assert a.by_phase() == {"sub:inner": 4}

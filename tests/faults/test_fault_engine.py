@@ -11,7 +11,7 @@ from repro.congest.encoding import Field
 from repro.congest.engine import run_program
 from repro.congest.errors import RoundLimitExceeded
 from repro.congest.program import NodeProgram
-from repro.congest.tracing import CRASH, DROP, RECOVER
+from repro.congest.tracing import CRASH, DROP, RECOVER, traced_recorder
 from repro.faults import (
     BernoulliLoss,
     BitCorruption,
@@ -22,6 +22,7 @@ from repro.faults import (
     NoFaults,
     run_with_faults,
 )
+from repro.obs import NULL_RECORDER
 
 
 def bfs_programs(network, root=0):
@@ -91,15 +92,17 @@ class TestDeterminism:
     def test_same_fault_seed_same_fault_schedule(self, grid45):
         runs = []
         for _ in range(2):
+            recorder, trace = traced_recorder()
             engine = run_flood(
                 grid45,
                 fault_model=BernoulliLoss(0.2),
                 seed=0,
                 fault_seed=17,
+                recorder=recorder,
             )
             drops = [
                 (e.round_no, e.src, e.dst)
-                for e in engine.trace.events_of_kind(DROP)
+                for e in trace.events_of_kind(DROP)
             ]
             runs.append((
                 drops,
@@ -111,15 +114,17 @@ class TestDeterminism:
 
     def test_different_fault_seeds_differ(self, grid45):
         def drops(fault_seed):
-            engine = run_flood(
+            recorder, trace = traced_recorder()
+            run_flood(
                 grid45,
                 fault_model=BernoulliLoss(0.2),
                 seed=0,
                 fault_seed=fault_seed,
+                recorder=recorder,
             )
             return [
                 (e.round_no, e.src, e.dst)
-                for e in engine.trace.events_of_kind(DROP)
+                for e in trace.events_of_kind(DROP)
             ]
 
         assert drops(1) != drops(2)
@@ -149,35 +154,53 @@ class TestDeterminism:
 
 class TestFaultTracing:
     def test_drops_are_first_class_trace_events(self, grid45):
+        recorder, trace = traced_recorder()
+        engine = run_flood(
+            grid45, fault_model=BernoulliLoss(0.3), seed=0, fault_seed=4,
+            recorder=recorder,
+        )
+        stats = engine.fault_stats
+        drop_events = trace.events_of_kind(DROP)
+        assert len(drop_events) == stats.dropped > 0
+        # Deliveries and faults are disjoint views of the event stream.
+        assert len(trace.deliveries()) == stats.delivered
+
+    def test_null_recorder_records_nothing(self, grid45, monkeypatch):
+        # A trace is asked for (run_with_faults, traced_recorder); under
+        # the null recorder a lossy run builds no event at all.
+        emitted = []
+        monkeypatch.setattr(NULL_RECORDER, "emit", emitted.append)
         engine = run_flood(
             grid45, fault_model=BernoulliLoss(0.3), seed=0, fault_seed=4
         )
-        stats = engine.fault_stats
-        drop_events = engine.trace.events_of_kind(DROP)
-        assert len(drop_events) == stats.dropped > 0
-        # Deliveries and faults are disjoint views of the event stream.
-        assert len(engine.trace.deliveries()) == stats.delivered
+        assert engine.recorder is NULL_RECORDER
+        assert engine.fault_stats.dropped > 0
+        assert emitted == []
 
     def test_corruption_never_exceeds_bandwidth(self, small_network):
         # Corruption re-randomizes within declared domains, so no
         # delivered message may ever exceed the link bandwidth.
+        recorder, trace = traced_recorder()
         engine = run_flood(
             small_network,
             fault_model=BitCorruption(1.0),
             seed=0,
             fault_seed=8,
+            recorder=recorder,
         )
         assert engine.fault_stats.corrupted > 0
-        for event in engine.trace.deliveries():
+        for event in trace.deliveries():
             assert event.bits <= small_network.bandwidth
 
     def test_corrupted_messages_keep_their_bit_charge(self, path8):
-        engine = run_flood(
-            path8, fault_model=BitCorruption(1.0), seed=0, fault_seed=8
+        recorder, trace = traced_recorder()
+        run_flood(
+            path8, fault_model=BitCorruption(1.0), seed=0, fault_seed=8,
+            recorder=recorder,
         )
         # FloodForever sends 1-bit Field(·, 2) frames; corrupted
         # deliveries must be charged identically.
-        for event in engine.trace.deliveries():
+        for event in trace.deliveries():
             assert event.bits == 1
 
     def test_stats_conservation(self, grid45):
@@ -237,6 +260,7 @@ class TestFaultTracing:
 
 class TestFinishedEngine:
     def test_rerun_leaves_fault_stats_and_trace(self, grid45):
+        recorder, trace = traced_recorder()
         engine = FaultyEngine(
             grid45,
             {v: BoundedMaxIdFloodProgram(v, horizon=20) for v in grid45.nodes()},
@@ -244,31 +268,38 @@ class TestFinishedEngine:
             crash_schedule=CrashSchedule([CrashSpec(7, 2, 6)]),
             seed=1,
             fault_seed=2,
+            recorder=recorder,
         )
         first = engine.run()
         stats = copy.deepcopy(engine.fault_stats)
-        events = list(engine.trace.events)
+        events = list(trace.events)
         assert engine.run() is first
         assert engine.fault_stats == stats
-        assert engine.trace.events == events
+        assert trace.events == events
 
 
 class TestCrashFaults:
     def test_crash_and_recover_events_traced(self, path8):
         sched = CrashSchedule([CrashSpec(4, 2, 5)])
-        engine = run_flood(path8, crash_schedule=sched, seed=0)
+        recorder, trace = traced_recorder()
+        engine = run_flood(
+            path8, crash_schedule=sched, seed=0, recorder=recorder
+        )
         assert engine.fault_stats.crashes == 1
         assert engine.fault_stats.recoveries == 1
-        crashes = engine.trace.events_of_kind(CRASH)
-        recoveries = engine.trace.events_of_kind(RECOVER)
+        crashes = trace.events_of_kind(CRASH)
+        recoveries = trace.events_of_kind(RECOVER)
         assert [(e.round_no, e.src) for e in crashes] == [(2, 4)]
         assert [(e.round_no, e.src) for e in recoveries] == [(5, 4)]
 
     def test_down_node_receives_nothing(self, path8):
         sched = CrashSchedule([CrashSpec(4, 1, 20)])
-        engine = run_flood(path8, budget=25, crash_schedule=sched, seed=0)
+        recorder, trace = traced_recorder()
+        engine = run_flood(
+            path8, budget=25, crash_schedule=sched, seed=0, recorder=recorder
+        )
         assert engine.fault_stats.lost_to_down_nodes > 0
-        for event in engine.trace.deliveries():
+        for event in trace.deliveries():
             if 1 <= event.round_no < 20:
                 assert event.dst != 4
 

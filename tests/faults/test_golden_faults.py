@@ -29,6 +29,7 @@ from repro.congest.algorithms.leader import (
     MaxIdFloodProgram,
 )
 from repro.congest.errors import RoundLimitExceeded
+from repro.congest.tracing import traced_recorder
 from repro.faults import (
     BernoulliLoss,
     BitCorruption,
@@ -103,6 +104,7 @@ def run_case(case):
     family, model, crash, schedule, seed = case.split("/")
     net = topologies.grid(4, 5)
     make, kwargs = FAMILIES[family]
+    recorder, trace = traced_recorder()
     engine = FaultyEngine(
         net,
         {v: make(v) for v in net.nodes()},
@@ -111,6 +113,7 @@ def run_case(case):
         seed=int(seed),
         fault_seed=int(seed) + 1,
         schedule=schedule,
+        recorder=recorder,
         **kwargs,
     )
     try:
@@ -123,7 +126,7 @@ def run_case(case):
     except RoundLimitExceeded:
         record = {"rounds": "round-limit"}
     record["faults"] = _fault_counters(engine.fault_stats)
-    record["trace_sha256"] = _trace_digest(engine.trace)
+    record["trace_sha256"] = _trace_digest(trace)
     return record
 
 

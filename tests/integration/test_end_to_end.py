@@ -19,7 +19,6 @@ from repro.core.framework import (
     run_framework,
 )
 from repro.core.semigroup import sum_semigroup
-from repro.queries import minimum as parallel_minimum
 
 
 class TestEngineVsFormula:

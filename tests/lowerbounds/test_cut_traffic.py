@@ -9,7 +9,6 @@ scales with the number of batches, not with k.
 """
 
 import numpy as np
-import pytest
 
 from repro.congest import topologies
 from repro.congest.algorithms.bfs import BFSEchoProgram

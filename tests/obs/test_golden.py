@@ -3,7 +3,7 @@
 ``golden_trace.jsonl`` is what :class:`~repro.obs.JSONLSink` wrote for
 :data:`GOLDEN_EVENTS`, and ``golden_state.json`` is the
 :meth:`~repro.obs.MetricsSink.to_state` snapshot of the same stream.  The
-stream covers all twelve kinds, every omittable field both absent and
+stream covers all eleven kinds, every omittable field both absent and
 present, and payloads JSON cannot hold (tuples, non-string dict keys,
 complex numbers).  Both files are frozen: regenerate them only for a
 deliberate schema change, never to make this module pass.
@@ -22,7 +22,6 @@ from repro.obs import (
     MetricsSink,
     QueryBatchEvent,
     RoundEvent,
-    ScenarioEvent,
     ServeBatchEvent,
     ServeDrainEvent,
     ServeRequestEvent,
@@ -90,12 +89,6 @@ GOLDEN_EVENTS = (
     ServeBatchEvent(lane="default", size=1, tenants=1, rounds=4,
                     span="serve"),
     ServeDrainEvent(reason="close", flushed=4, abandoned=1),
-    ScenarioEvent(scenario="clean", link="classical-metro", rounds=42,
-                  wall_clock_us=1234.5),
-    ScenarioEvent(scenario="clean", link="quantum-mature", rounds=42,
-                  wall_clock_us=0.1, span="query"),
-    ScenarioEvent(scenario="noisy", link="classical-metro", rounds=7,
-                  wall_clock_us=0.2),
     SketchEvent(sketch="lane0", op="insert", count=3),
     SketchEvent(sketch="lane0", op="query", count=2, memo="hit"),
     SketchEvent(sketch="lane0", op="insert", count=4, memo="invalidate"),

@@ -79,25 +79,6 @@ class TestMetricsSinkModelCounters:
         assert metrics.rounds_by_model == {}
         assert metrics.charged_by_model == {}
 
-    def test_merge_sums_model_counters(self):
-        a, b = MetricsSink(), MetricsSink()
-        _flood("congest-clique", [a])
-        _flood("local", [b])
-        _flood("local", [b])
-        merged = a.merge(b)
-        assert (
-            merged.rounds_by_model["congest-clique"]
-            == a.rounds_by_model["congest-clique"]
-        )
-        assert merged.rounds_by_model["local"] == b.rounds_by_model["local"]
-
-    def test_state_roundtrip_preserves_model_counters(self):
-        metrics = MetricsSink()
-        _flood("congest-clique", [metrics])
-        restored = MetricsSink.from_state(metrics.to_state())
-        assert restored.rounds_by_model == metrics.rounds_by_model
-        assert restored.charged_by_model == metrics.charged_by_model
-
     def test_from_state_tolerates_pre_pr8_states(self):
         metrics = MetricsSink()
         _flood(None, [metrics])

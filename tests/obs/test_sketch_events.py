@@ -86,30 +86,6 @@ class TestMetricsSink:
         assert sink.coalesced_batches == 0
         assert sink.memo_evictions == 0
 
-    def test_merge_sums_sketch_counters(self):
-        a, ra = self.make()
-        b, rb = self.make()
-        ra.sketch("lane0", "insert", 2)
-        ra.sketch("lane0", "query", 1, memo="hit")
-        rb.sketch("lane0", "insert", 3)
-        rb.emit(
-            CoalesceEvent(size=2, submissions=0, callers=0, rounds=0,
-                          memo="invalidate")
-        )
-        a.merge(b)
-        assert a.sketch_ops == {"insert": 5}
-        assert a.sketch_memo == {"hit": 1}
-        assert a.memo_invalidations == 2
-
-    def test_state_round_trip(self):
-        sink, recorder = self.make()
-        recorder.sketch("lane0", "insert", 2)
-        recorder.sketch("lane0", "query", 3, memo="hit")
-        restored = MetricsSink.from_state(sink.to_state())
-        assert restored.sketch_ops == sink.sketch_ops
-        assert restored.sketch_memo == sink.sketch_memo
-        assert restored.memo_invalidations == sink.memo_invalidations
-
     def test_from_state_backward_compat(self):
         """Pre-PR-10 snapshots (no sketch keys) still restore."""
         sink, recorder = self.make()

@@ -23,6 +23,7 @@ from repro.core.semigroup import min_semigroup
 from repro.faults.engine import run_with_faults
 from repro.faults.models import BoundedDelay
 from repro.obs import (
+    NULL_RECORDER,
     MemorySink,
     MetricsSink,
     Recorder,
@@ -151,18 +152,6 @@ class TestLedgerEmission:
         charges = sink.events_of_kind("charge")
         assert [(e.phase, e.rounds) for e in charges] == [("setup", 10), ("setup", 5)]
 
-    def test_merge_does_not_reemit(self):
-        sink = MemorySink()
-        rec = Recorder([sink])
-        parent = RoundLedger(recorder=rec)
-        child = RoundLedger(recorder=rec)
-        parent.charge("a", 1)
-        child.charge("b", 2)
-        parent.merge(child, prefix="sub:")
-        charges = sink.events_of_kind("charge")
-        assert [(e.phase, e.rounds) for e in charges] == [("a", 1), ("b", 2)]
-        assert parent.by_phase() == {"a": 1, "sub:b": 2}
-
 
 class TestUnifiedStream:
     def test_framework_and_faults_share_one_stream(self, grid45):
@@ -210,12 +199,12 @@ class TestUnifiedStream:
         def once(recorder):
             di = DistributedInput(vectors, min_semigroup(64))
             invalidate_prepared(grid45)  # setup runs under the recorder too
-            return run_framework(grid45, algorithm, config=FrameworkConfig(
-                parallelism=4, dist_input=di, mode="engine", seed=9,
-                recorder=recorder,
-            ))
+            with install(recorder):
+                return run_framework(grid45, algorithm, config=FrameworkConfig(
+                    parallelism=4, dist_input=di, mode="engine", seed=9,
+                ))
 
-        plain = once(None)
+        plain = once(NULL_RECORDER)
         recorded = once(Recorder([MemorySink()]))
         assert plain.result == recorded.result
         assert plain.rounds.charges == recorded.rounds.charges

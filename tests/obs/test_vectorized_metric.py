@@ -1,4 +1,4 @@
-"""The ``vectorized_rounds`` metric: counting, merging, and state (PR 7)."""
+"""The ``vectorized_rounds`` metric: counting, old snapshots, summary (PR 7)."""
 
 from repro.congest import topologies
 from repro.congest.algorithms.bfs import BFSEchoProgram
@@ -39,17 +39,6 @@ class TestVectorizedRoundsCounter:
         assert active.vectorized_rounds == 0
         # The advisory mode tag must not perturb the traffic counters.
         assert (vec.messages, vec.bits) == (active.messages, active.bits)
-
-    def test_merge_sums(self):
-        a, b = _run_metrics("vectorized"), _run_metrics("vectorized")
-        total = a.vectorized_rounds + b.vectorized_rounds
-        assert a.merge(b).vectorized_rounds == total
-
-    def test_state_round_trip(self):
-        sink = _run_metrics("vectorized")
-        restored = MetricsSink.from_state(sink.to_state())
-        assert restored.vectorized_rounds == sink.vectorized_rounds
-        assert restored.summary() == sink.summary()
 
     def test_from_state_tolerates_pre_vectorization_payloads(self):
         state = _run_metrics("active").to_state()

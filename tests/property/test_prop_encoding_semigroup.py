@@ -1,8 +1,6 @@
 """Property-based tests: payload encoding and semigroup laws."""
 
-import math
-
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.congest.encoding import Field, bits_for_domain, payload_bits, unwrap

@@ -1,6 +1,5 @@
 """Property-based tests for the Theorem 8 framework invariants."""
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

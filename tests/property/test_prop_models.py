@@ -17,7 +17,6 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.congest import topologies
 from repro.congest.algorithms.bfs import BFSEchoProgram
 from repro.congest.engine import Engine
 from repro.congest.models import CongestModel

@@ -24,7 +24,6 @@ from repro.obs import (
     MetricsSink,
     QueryBatchEvent,
     RoundEvent,
-    ScenarioEvent,
     ServeBatchEvent,
     ServeDrainEvent,
     ServeRequestEvent,
@@ -91,10 +90,6 @@ BY_TYPE = {
     ServeDrainEvent: st.builds(
         ServeDrainEvent, reason=st.sampled_from(["close", "signal"]),
         flushed=counts, abandoned=counts, span=names,
-    ),
-    ScenarioEvent: st.builds(
-        ScenarioEvent, scenario=names, link=names, rounds=counts,
-        wall_clock_us=whole_floats, span=names,
     ),
     SketchEvent: st.builds(
         SketchEvent, sketch=names,

@@ -1,7 +1,6 @@
 """Property-based tests for the CONGEST protocols on random topologies."""
 
 import networkx as nx
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

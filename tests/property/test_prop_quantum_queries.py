@@ -1,7 +1,5 @@
 """Property-based tests: quantum laws and query-algorithm invariants."""
 
-import math
-
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

@@ -1,7 +1,6 @@
 """Additional exact-Grover/BBHT behaviour tests."""
 
 import numpy as np
-import pytest
 
 from repro.quantum import grover
 

@@ -7,7 +7,6 @@ estimation inherits it — the quantitative backbone of Lemmas 29/30.
 import math
 
 import numpy as np
-import pytest
 
 from repro.quantum.amplitude import estimate_amplitude, good_probability
 from repro.quantum.circuits import qft_matrix

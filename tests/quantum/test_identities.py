@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.quantum import gates
-from repro.quantum.amplitude import amplification_iterate, good_probability
+from repro.quantum.amplitude import amplification_iterate
 from repro.quantum.circuits import Circuit, inverse_qft_matrix, qft_matrix
 from repro.quantum.statevector import Statevector
 

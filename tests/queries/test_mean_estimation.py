@@ -1,7 +1,5 @@
 """Tests for Lemma 6: parallel mean estimation."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -1,7 +1,6 @@
 """Tests for Lemma 5: parallel element distinctness via the rebalanced walk."""
 
 import numpy as np
-import pytest
 
 from repro.queries.element_distinctness import (
     expected_batches,

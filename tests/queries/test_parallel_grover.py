@@ -7,7 +7,6 @@ import pytest
 
 from repro.queries.grover import (
     expected_batches_all,
-    expected_batches_one,
     find_all,
     find_one,
     find_one_split,

@@ -1,7 +1,6 @@
 """Tests for Lemma 3: parallel minimum/maximum finding."""
 
 import numpy as np
-import pytest
 
 from repro.queries.ledger import QueryLedger
 from repro.queries.minimum import expected_batches, find_maximum, find_minimum

@@ -1,16 +1,13 @@
-"""LinkCostModel and the wall-clock layer over round/traffic ledgers."""
+"""LinkCostModel: the wall-clock price of a CONGEST round on a link."""
 
 import pytest
 
-from repro.congest import topologies
 from repro.core.cost import (
     CLASSICAL_METRO,
     LINK_PRESETS,
     QUANTUM_MATURE,
     QUANTUM_NEAR_TERM,
-    CostModel,
     LinkCostModel,
-    RoundLedger,
 )
 
 
@@ -55,34 +52,3 @@ class TestLinkCostModel:
         """The premium every crossover argument rests on."""
         for quantum in (QUANTUM_MATURE, QUANTUM_NEAR_TERM):
             assert quantum.round_time_us(16) > CLASSICAL_METRO.round_time_us(16)
-
-
-class TestLedgerWallClock:
-    def test_ledger_total_repriced(self):
-        ledger = RoundLedger()
-        ledger.charge("setup", 10)
-        ledger.charge("batch:q", 30)
-        expected = CLASSICAL_METRO.wall_clock_us(40, 16)
-        assert ledger.wall_clock_us(CLASSICAL_METRO, 16) == (
-            pytest.approx(expected)
-        )
-
-    def test_by_phase_breakdown_sums_to_total(self):
-        ledger = RoundLedger()
-        ledger.charge("a", 7)
-        ledger.charge("b", 11)
-        phases = ledger.wall_clock_by_phase(QUANTUM_MATURE, 16)
-        assert set(phases) == {"a", "b"}
-        assert sum(phases.values()) == pytest.approx(
-            ledger.wall_clock_us(QUANTUM_MATURE, 16)
-        )
-
-    def test_cost_model_round_time_at_word_size(self):
-        net = topologies.grid(3, 4)
-        cm = CostModel.for_network(net)
-        assert cm.round_time_us(CLASSICAL_METRO) == pytest.approx(
-            CLASSICAL_METRO.round_time_us(cm.word_bits)
-        )
-        assert cm.wall_clock_us(5, CLASSICAL_METRO) == pytest.approx(
-            5 * cm.round_time_us(CLASSICAL_METRO)
-        )

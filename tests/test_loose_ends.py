@@ -1,8 +1,5 @@
 """Loose-end coverage: small behaviours not exercised elsewhere."""
 
-import numpy as np
-import pytest
-
 from repro.analysis.report import ExperimentTable, _fmt
 from repro.apps.amplitude_apps import DistributedSubroutine, amplify
 from repro.apps.girth import compute_girth
