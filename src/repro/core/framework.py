@@ -50,7 +50,7 @@ from ..congest.algorithms.aggregate import (
 )
 from ..congest.algorithms.bfs import BFSResult, bfs_with_echo
 from ..congest.algorithms.leader import elect_leader
-from ..congest.csr import CSRAdjacency, csr_for, invalidate_csr
+from ..congest.csr import invalidate_csr
 from ..congest.network import Network
 from ..obs.recorder import Recorder, current_recorder
 from ..queries.ledger import QueryLedger
@@ -432,14 +432,6 @@ class PreparedNetwork:
     #: Topology fingerprint of the network the tree was built on (the
     #: staleness tripwire); None for hand-built PreparedNetworks.
     topology_fingerprint: Optional[str] = None
-    #: Column-major adjacency of the same topology, shared with the
-    #: vectorized engine's CSR cache (PR 7).  Attached by
-    #: :class:`PreparedCache` so engine-mode batches, which run on the
-    #: engine's bulk loop, never rebuild adjacency; ``None``
-    #: for hand-built PreparedNetworks (the engine then builds/caches its
-    #: own).  Carries no round charges — CSR is a simulator-side layout,
-    #: not a protocol.
-    csr: Optional[CSRAdjacency] = None
 
     def charge_setup(self, rounds: RoundLedger) -> None:
         """Replay the setup charges exactly as a fresh run would."""
@@ -543,7 +535,6 @@ class PreparedCache:
                 tree=tree,
                 seed=seed,
                 topology_fingerprint=fingerprint,
-                csr=csr_for(network, fingerprint=fingerprint),
             )
             self._entries[cache_key] = prepared
             if (

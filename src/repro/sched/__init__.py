@@ -4,17 +4,22 @@ Theorem 8 prices a ``(b, p)`` run per *batch* — ``O(b·(p/n + 1)·D)``
 rounds — regardless of whose queries fill a batch.  This package exploits
 that: many callers share one :class:`~repro.core.framework.FrameworkConfig`
 oracle, the :class:`CoalescingScheduler` packs their under-filled
-submissions into maximal width-``p`` physical batches (fill-or-flush
-against a round-budget deadline), runs **one** distribute/convergecast per
-physical batch, splits the values back per caller, and attributes the
-physically charged rounds to callers proportionally (largest-remainder,
-conserving exactly).  A content-addressed :class:`ResultMemo` answers
-repeated submissions in zero rounds.
+submissions into maximal width-``p`` physical batches, runs **one**
+distribute/convergecast per physical batch, splits the values back per
+caller, and attributes the physically charged rounds to callers
+proportionally (largest-remainder, conserving exactly).  A
+content-addressed :class:`ResultMemo` answers repeated submissions in
+zero rounds.  ``submit`` only queues: a batch runs when the scheduler's
+owner asks (``flush``, ``drain``, ``execute_batch_steps``, or a
+``result``/``take`` of a pending ticket), so when batches run is the
+owner's policy — the :mod:`repro.serve` daemon's fill-or-flush clock,
+or :class:`CallerOracle` reading each batch at once.
 
 Layers:
 
-* :mod:`repro.sched.scheduler` — the scheduler, per-caller accounts, and
-  the :class:`CallerOracle` adapter that lets any
+* :mod:`repro.sched.scheduler` — :class:`LaneScheduler`, the ticket
+  book both lane schedulers share; the coalescing scheduler, per-caller
+  accounts, and the :class:`CallerOracle` adapter that lets any
   :class:`~repro.queries.oracle.BatchOracle` algorithm run over a shared
   scheduler unchanged.
 * :mod:`repro.sched.memo` — the (oracle fingerprint × sorted index
@@ -22,9 +27,9 @@ Layers:
   (:meth:`ResultMemo.invalidate_fingerprint`).
 * :mod:`repro.sched.sketch` — the :class:`SketchScheduler`: FIFO
   insert/query streams against a shared amplitude sketch
-  (:mod:`repro.apps.sketches`), duck-typing the daemon-facing scheduler
-  surface so :mod:`repro.serve` drives sketch lanes and oracle lanes
-  through one worker loop.
+  (:mod:`repro.apps.sketches`), on the same :class:`LaneScheduler` so
+  :mod:`repro.serve` drives sketch lanes and oracle lanes through one
+  worker loop.
 * :mod:`repro.sched.verify` — the bit-identical-to-serial equivalence
   invariant (outputs, per-caller query-ledger signatures, exact round
   conservation), same discipline as :mod:`repro.parallel.verify`.
@@ -41,6 +46,7 @@ from .scheduler import (
     CallerAccount,
     CallerOracle,
     CoalescingScheduler,
+    LaneScheduler,
     SchedulerReport,
     Ticket,
 )
@@ -52,6 +58,7 @@ __all__ = [
     "CallerOracle",
     "CoalescingScheduler",
     "CoalescingVerdict",
+    "LaneScheduler",
     "Operation",
     "ResultMemo",
     "SchedulerReport",

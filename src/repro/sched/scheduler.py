@@ -12,17 +12,17 @@ under-filled batches.  The scheduler coalesces:
   against one shared oracle; each submission is metered on that
   *caller's* :class:`~repro.queries.ledger.QueryLedger` exactly as a
   serial run would meter it.
-* **Fill-or-flush**: pending queries are packed FIFO into maximal
-  physical batches of up to ``p`` indices.  A batch executes as soon as
-  ``p`` queries are pending (*fill*), or when the round-budget deadline
-  expires (*flush*): every pending submission carries the standalone
-  round cost it would have paid executing immediately, and once the
-  summed deferred rounds exceed ``deadline_rounds`` the oldest work is
-  forced out — no caller's queries can be starved past the deadline by
-  other callers' traffic.  ``deadline_rounds=0`` degenerates to serial
-  per-submission execution (the equivalence baseline);
-  ``deadline_rounds=None`` waits for fill or an explicit
-  :meth:`flush`/:meth:`drain`.
+* **The owner runs batches.**  Pending queries pack FIFO into maximal
+  physical batches of up to ``p`` indices.  ``submit`` only queues a
+  submission (or answers it from the memo); a batch runs when the
+  scheduler's owner asks — :meth:`~LaneScheduler.flush`,
+  :meth:`~LaneScheduler.drain`, :meth:`CoalescingScheduler.
+  execute_batch_steps` — or when :meth:`~LaneScheduler.result` or
+  :meth:`~LaneScheduler.take` reads a ticket still pending.  Theorem 8
+  charges a batch the same rounds whoever fills it, so when a batch
+  runs is the owner's policy: the :mod:`repro.serve` daemon fills or
+  flushes on its own clock, and :class:`CallerOracle` runs one as soon
+  as its caller reads.
 * **One distribute/convergecast per physical batch** on the shared
   :class:`~repro.core.framework.CongestBatchOracle`; results are split
   back per caller in submission order.
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..congest.network import Network
-from ..core.cost import CostModel, RoundLedger
+from ..core.cost import RoundLedger
 from ..core.framework import (
     CongestBatchOracle,
     FrameworkConfig,
@@ -62,6 +62,7 @@ __all__ = [
     "CallerAccount",
     "CallerOracle",
     "CoalescingScheduler",
+    "LaneScheduler",
     "SchedulerReport",
     "Ticket",
 ]
@@ -124,23 +125,158 @@ class SchedulerReport:
         return self.physical_query_rounds / self.total_queries
 
 
+class LaneScheduler:
+    """The ticket book the oracle and sketch lane schedulers share.
+
+    A subclass keeps ``submit``, which files each submission with
+    :meth:`_book` (queued, or already answered from the memo), and
+    ``execute_batch_steps``, a generator that runs one FIFO batch of the
+    queue and returns its size; it keeps ``account`` and ``report`` too.
+    Everything else lives here, once: ticket numbering, the ticket reads,
+    and the queue's running ``pending_queries`` count.  A batch runs only
+    when the owner asks — :meth:`flush`, :meth:`drain`,
+    ``execute_batch_steps`` — or when :meth:`result`/:meth:`take` reads a
+    ticket still pending; ``submit`` never runs one.
+
+    Args:
+        parallelism: the batch width p.
+        memo: ``True`` builds a private
+            :class:`~repro.sched.memo.ResultMemo`; pass a ResultMemo to
+            share one across schedulers, or ``False``/``None`` to disable.
+        recorder: observability bus (defaults to the ambient recorder).
+    """
+
+    def __init__(
+        self, parallelism: int, memo: Any, recorder: Optional[Recorder]
+    ):
+        self._parallelism = parallelism
+        self._recorder = (
+            recorder if recorder is not None else current_recorder()
+        )
+        self._rounds = RoundLedger(recorder=self._recorder)
+        # ``is`` tests: an empty ResultMemo is falsy.
+        if memo is False or memo is None:
+            self._memo: Optional[ResultMemo] = None
+        else:
+            self._memo = (
+                memo if isinstance(memo, ResultMemo)
+                else ResultMemo(recorder=self._recorder)
+            )
+        self._queue: List[Any] = []
+        #: Summed ticket sizes of the queued work not yet executed, kept
+        #: as it changes: the daemon reads it once per request it feeds.
+        self._pending_queries = 0
+        self._by_ticket: Dict[int, Any] = {}
+        self._next_ticket = 0
+        self.physical_batches = 0
+
+    @property
+    def parallelism(self) -> int:
+        return self._parallelism
+
+    @property
+    def rounds(self) -> RoundLedger:
+        """The lane's physical round ledger."""
+        return self._rounds
+
+    @property
+    def memo(self) -> Optional[ResultMemo]:
+        return self._memo
+
+    @property
+    def pending_queries(self) -> int:
+        """Queued payload not yet executed (the daemon's fill metric)."""
+        return self._pending_queries
+
+    def _new_ticket(self, caller: str, size: int) -> Ticket:
+        ticket = Ticket(id=self._next_ticket, caller=caller, size=size)
+        self._next_ticket += 1
+        return ticket
+
+    def _book(self, sub: Any, queued: bool) -> Ticket:
+        """File ``sub`` under its ticket, queueing it unless answered."""
+        self._by_ticket[sub.ticket.id] = sub
+        if queued:
+            self._queue.append(sub)
+            self._pending_queries += sub.ticket.size
+        return sub.ticket
+
+    def done(self, ticket: Ticket) -> bool:
+        """True when the submission's values are ready (no execution).
+
+        Raises ``KeyError`` for an unknown ticket or a released one (see
+        :meth:`take`).
+        """
+        sub = self._by_ticket.get(ticket.id)
+        if sub is None:
+            raise KeyError(f"unknown ticket {ticket.id}")
+        return sub.done
+
+    def result(self, ticket: Ticket) -> List[Any]:
+        """The submission's values, forcing execution if still pending.
+
+        Idempotent until the ticket is released by :meth:`take`; from
+        then on it raises ``KeyError``, as for an unknown ticket.
+        """
+        sub = self._by_ticket.get(ticket.id)
+        if sub is None:
+            raise KeyError(f"unknown ticket {ticket.id}")
+        # FIFO packing puts this submission's indices ahead of anything
+        # submitted later, so a bounded number of flushes completes it.
+        while not sub.done:
+            self.flush()
+        return list(sub.values)
+
+    def take(self, ticket: Ticket) -> List[Any]:
+        """:meth:`result`, then release the ticket.
+
+        The scheduler forgets the submission, so an owner that reads
+        each result once (the serving daemon, :class:`CallerOracle`)
+        leaves no finished work behind however long it runs.
+        """
+        values = self.result(ticket)
+        del self._by_ticket[ticket.id]
+        return values
+
+    def flush(self) -> int:
+        """Execute one physical batch now; returns its size (0 if idle).
+
+        Drives ``execute_batch_steps`` to completion, so the blocking and
+        stepped paths run the same code.
+        """
+        gen = self.execute_batch_steps()
+        while True:
+            try:
+                next(gen)
+            except StopIteration as stop:
+                return stop.value
+
+    def drain(self) -> None:
+        """Execute until nothing is pending."""
+        while self._queue:
+            self.flush()
+
+    def pack_would_be_empty(self) -> bool:
+        """True when a flush right now would execute nothing."""
+        return not self._queue
+
+
 class _Submission:
     """One in-flight query set and its per-index completion state."""
 
     __slots__ = (
         "ticket", "caller", "indices", "label", "values", "remaining",
-        "estimate", "cursor",
+        "cursor",
     )
 
     def __init__(self, ticket: Ticket, caller: str, indices: List[int],
-                 label: str, estimate: int):
+                 label: str):
         self.ticket = ticket
         self.caller = caller
         self.indices = indices
         self.label = label
         self.values: List[Any] = [None] * len(indices)
         self.remaining = len(indices)
-        self.estimate = estimate  # standalone rounds if executed alone
         self.cursor = 0  # next index position not yet packed into a batch
 
     @property
@@ -170,7 +306,7 @@ def _proportional_shares(total: int, counts: Dict[str, int]) -> Dict[str, int]:
     return shares
 
 
-class CoalescingScheduler:
+class CoalescingScheduler(LaneScheduler):
     """Coalesces many callers' query sets onto one shared oracle.
 
     Args:
@@ -180,11 +316,6 @@ class CoalescingScheduler:
             batch width), input (``dist_input`` or ``computer``/``k``),
             mode, seed, designated leader.  The same object a serial
             ``run_framework`` call would take.
-        deadline_rounds: the fill-or-flush round budget.  ``None``
-            (default) never force-flushes; ``0`` executes every
-            submission immediately (serial behaviour); ``R > 0`` forces
-            a flush as soon as the summed standalone round cost of
-            pending submissions exceeds R.
         memo: ``True`` (default) builds a private
             :class:`~repro.sched.memo.ResultMemo`; pass a ResultMemo to
             share one across schedulers, or ``False`` to disable.
@@ -199,27 +330,21 @@ class CoalescingScheduler:
         network: Network,
         config: FrameworkConfig,
         *,
-        deadline_rounds: Optional[int] = None,
         memo: Any = True,
         recorder: Optional[Recorder] = None,
-        auto_flush: bool = True,
     ):
-        if deadline_rounds is not None and deadline_rounds < 0:
-            raise ValueError(
-                f"deadline_rounds must be >= 0 or None, got {deadline_rounds}"
-            )
+        self._fingerprint: Optional[str] = (
+            None if memo is False or memo is None
+            else oracle_fingerprint(network, config)
+        )
+        # Unfingerprintable content disables the memo: stay safe.
+        super().__init__(
+            config.parallelism,
+            memo if self._fingerprint is not None else None,
+            recorder,
+        )
         self.network = network
         self.config = config
-        self.deadline_rounds = deadline_rounds
-        #: With auto_flush off, ``submit`` only enqueues — execution is
-        #: the owner's job via :meth:`flush` / :meth:`execute_batch_steps`.
-        #: The serving daemon runs this way so a submission can never
-        #: block the event loop on a synchronous batch.
-        self.auto_flush = auto_flush
-        self._recorder = (
-            recorder if recorder is not None else current_recorder()
-        )
-        self._rounds = RoundLedger(recorder=self._recorder)
         with self._recorder.span("setup"):
             self._prepared: PreparedNetwork = setup_network(
                 network, config, self._rounds
@@ -229,35 +354,9 @@ class CoalescingScheduler:
             network, config, self._prepared.tree, self._rounds,
             self._recorder,
         )
-        self._cost_model = CostModel.for_network(network)
-        sg = config.dist_input.semigroup if config.dist_input else config.semigroup
-        self._q_bits = sg.bits if sg is not None else self._cost_model.word_bits
-
-        if memo is False or memo is None:
-            self._memo: Optional[ResultMemo] = None
-            self._fingerprint: Optional[str] = None
-        else:
-            self._fingerprint = oracle_fingerprint(network, config)
-            if self._fingerprint is None:
-                self._memo = None  # unfingerprintable content: stay safe
-            else:
-                self._memo = (
-                    memo if isinstance(memo, ResultMemo)
-                    else ResultMemo(recorder=self._recorder)
-                )
-
-        self._queue: List[_Submission] = []
-        self._deferred_rounds = 0
         self._accounts: Dict[str, CallerAccount] = {}
-        self._by_ticket: Dict[int, _Submission] = {}
-        self._next_ticket = 0
-        self.physical_batches = 0
 
     # -- caller-facing API ----------------------------------------------
-
-    @property
-    def parallelism(self) -> int:
-        return self.config.parallelism
 
     @property
     def k(self) -> int:
@@ -266,10 +365,6 @@ class CoalescingScheduler:
     @property
     def leader(self) -> int:
         return self._prepared.leader
-
-    @property
-    def memo(self) -> Optional[ResultMemo]:
-        return self._memo
 
     @property
     def oracle(self) -> CongestBatchOracle:
@@ -319,93 +414,24 @@ class CoalescingScheduler:
         acct.queries.record(len(indices), label=label)
         acct.submissions += 1
 
-        ticket = Ticket(id=self._next_ticket, caller=caller, size=len(indices))
-        self._next_ticket += 1
-
+        sub = _Submission(
+            self._new_ticket(caller, len(indices)), caller, indices, label
+        )
         if self._memo is not None:
             cached = self._memo.lookup(self._fingerprint, indices)
             if cached is not None:
-                sub = _Submission(ticket, caller, indices, label, estimate=0)
                 sub.values = cached
                 sub.remaining = 0
-                self._by_ticket[ticket.id] = sub
                 acct.memo_hits += 1
                 if self._recorder.active:
                     self._recorder.coalesce(
                         size=len(indices), submissions=1, callers=1,
                         rounds=0, memo="hit",
                     )
-                return ticket
-
-        estimate = self._cost_model.batch_rounds(
-            len(indices), self._q_bits, k
-        )
-        sub = _Submission(ticket, caller, indices, label, estimate=estimate)
-        self._queue.append(sub)
-        self._by_ticket[ticket.id] = sub
-        self._deferred_rounds += estimate
-        if self.auto_flush:
-            self._maybe_flush()
-        return ticket
-
-    def done(self, ticket: Ticket) -> bool:
-        """True when the submission's values are ready (no execution).
-
-        Raises ``KeyError`` for an unknown ticket or a released one (see
-        :meth:`take`).
-        """
-        sub = self._by_ticket.get(ticket.id)
-        if sub is None:
-            raise KeyError(f"unknown ticket {ticket.id}")
-        return sub.done
-
-    def result(self, ticket: Ticket) -> List[Any]:
-        """The submission's values, forcing execution if still pending.
-
-        Idempotent until the ticket is released by :meth:`take`; from
-        then on it raises ``KeyError``, as for an unknown ticket.
-        """
-        sub = self._by_ticket.get(ticket.id)
-        if sub is None:
-            raise KeyError(f"unknown ticket {ticket.id}")
-        # FIFO packing puts this submission's indices ahead of anything
-        # submitted later, so a bounded number of flushes completes it.
-        while not sub.done:
-            self._execute_batch()
-        return list(sub.values)
-
-    def take(self, ticket: Ticket) -> List[Any]:
-        """:meth:`result`, then release the ticket.
-
-        The scheduler forgets the submission, so an owner that reads
-        each result once (the serving daemon, :class:`CallerOracle`)
-        leaves no finished work behind however long it runs.
-        """
-        values = self.result(ticket)
-        del self._by_ticket[ticket.id]
-        return values
-
-    def flush(self) -> int:
-        """Execute one physical batch now; returns its size (0 if idle)."""
-        if not self._queue:
-            return 0
-        return self._execute_batch()
-
-    def drain(self) -> None:
-        """Execute until no query is pending."""
-        while self._queue:
-            self._execute_batch()
+                return self._book(sub, queued=False)
+        return self._book(sub, queued=True)
 
     # -- accounting ------------------------------------------------------
-
-    @property
-    def pending_queries(self) -> int:
-        return sum(s.remaining for s in self._queue)
-
-    @property
-    def rounds(self) -> RoundLedger:
-        """The shared physical ledger (setup + every coalesced batch)."""
-        return self._rounds
 
     def report(self) -> SchedulerReport:
         return SchedulerReport(
@@ -427,36 +453,18 @@ class CoalescingScheduler:
             ),
         )
 
-    # -- internals -------------------------------------------------------
-
-    def _maybe_flush(self) -> None:
-        p = self.config.parallelism
-        while self.pending_queries >= p:
-            self._execute_batch()
-        if self.deadline_rounds is None:
-            return
-        while self._queue and self._deferred_rounds > self.deadline_rounds:
-            self._execute_batch()
-
-    def _execute_batch(self) -> int:
-        """Pack one maximal physical batch FIFO and run it to completion."""
-        gen = self.execute_batch_steps()
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
+    # -- execution -------------------------------------------------------
 
     def execute_batch_steps(self) -> Iterator[Tuple[str, int]]:
-        """Stepwise :meth:`flush`: yields ``(phase, round)`` per engine round.
+        """One physical batch, yielding ``(phase, round)`` per engine round.
 
-        The generator packs one maximal FIFO batch exactly like
-        :meth:`_execute_batch` (which drives this generator, so the two
-        paths are bit-identical by construction) but surrenders control
-        after every engine round of the distribute/convergecast/uncompute
-        passes.  This is the suspension point the :mod:`repro.serve`
-        daemon's lanes use to interleave many in-flight batches on one
-        event loop.  In formula mode there are no engine rounds, so the
+        Packs one maximal FIFO batch and surrenders control after every
+        engine round of the distribute/convergecast/uncompute passes.
+        :meth:`flush`, :meth:`drain` and :meth:`result` drive this same
+        generator to completion, so the stepped and blocking paths are
+        bit-identical by construction; the :mod:`repro.serve` daemon's
+        lanes step it to interleave many in-flight batches on one event
+        loop.  In formula mode there are no engine rounds, so the
         generator returns without yielding.  Returns the batch size via
         ``StopIteration.value`` (0 if the queue was empty).
         """
@@ -478,8 +486,9 @@ class CoalescingScheduler:
             if sub not in members:
                 members.append(sub)
         # A single-submission batch keeps that submission's own label so
-        # serial-degenerate runs (deadline 0, or p = 1 single-caller)
-        # charge under the exact phase keys a serial run would.
+        # serial-degenerate runs (drained after every submission, or
+        # p = 1 single-caller) charge under the exact phase keys a serial
+        # run would.
         label = members[0].label if len(members) == 1 else "coalesced"
 
         before = self._rounds.total
@@ -506,7 +515,7 @@ class CoalescingScheduler:
             if self._memo is not None:
                 self._memo.store(self._fingerprint, sub.indices, sub.values)
         self._queue = [s for s in self._queue if not s.done]
-        self._deferred_rounds = sum(s.estimate for s in self._queue)
+        self._pending_queries -= len(batch_indices)
         self.physical_batches += 1
         if self._recorder.active:
             self._recorder.coalesce(
@@ -514,10 +523,6 @@ class CoalescingScheduler:
                 callers=len(counts), rounds=delta, memo="miss",
             )
         return len(batch_indices)
-
-    def pack_would_be_empty(self) -> bool:
-        """True when a flush right now would execute nothing."""
-        return not self._queue
 
 
 class CallerOracle:

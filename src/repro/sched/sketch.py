@@ -27,15 +27,16 @@ the scheduling problem in two ways:
   lanes: it indexes entries by fingerprint, so an insert's invalidation
   touches only this sketch's entries.
 
-The scheduler duck-types the daemon-facing surface of
-``CoalescingScheduler`` (``submit``/``done``/``result``/``take``/
-``execute_batch_steps``/``pending_queries``/``rounds``/``report``), so
-:class:`~repro.serve.daemon.QueryService` drives sketch lanes and oracle
-lanes through one worker loop.  Sketch operations are *local* phase
-rotations — O(k) gates, no distribute/convergecast — so the round ledger
-stays at zero; wall-clock throughput (ops/sec, the ``sketch_mixed``
-workload of ``e2ebench/``) is the relevant cost axis, not CONGEST
-rounds.
+Like ``CoalescingScheduler``, the scheduler is a
+:class:`~repro.sched.scheduler.LaneScheduler`: the two share one ticket
+book (``done``/``result``/``take``/``flush``/``drain``/
+``pending_queries``/``rounds``), so :class:`~repro.serve.daemon.
+QueryService` drives sketch lanes and oracle lanes through one worker
+loop.  Sketch operations are
+*local* phase rotations — O(k) gates, no distribute/convergecast — so
+the round ledger stays at zero; wall-clock throughput (ops/sec, the
+``sketch_mixed`` workload of ``e2ebench/``) is the relevant cost axis,
+not CONGEST rounds.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..apps.sketches import AmplitudeSketch
-from ..core.cost import RoundLedger
 from ..core.operation import Operation
-from ..obs.recorder import Recorder, current_recorder
-from .memo import ResultMemo
-from .scheduler import Ticket
+from ..obs.recorder import Recorder
+from .scheduler import LaneScheduler, Ticket
 
 __all__ = ["SketchCallerAccount", "SketchReport", "SketchScheduler"]
 
@@ -98,7 +97,7 @@ class _SketchSubmission:
         self.tokens: Optional[List[int]] = None
 
 
-class SketchScheduler:
+class SketchScheduler(LaneScheduler):
     """Serves one shared :class:`~repro.apps.sketches.AmplitudeSketch`.
 
     Args:
@@ -124,45 +123,13 @@ class SketchScheduler:
     ):
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        super().__init__(parallelism, memo, recorder)
         self.sketch = sketch
-        self._parallelism = parallelism
-        self._recorder = (
-            recorder if recorder is not None else current_recorder()
-        )
-        self._rounds = RoundLedger(recorder=self._recorder)
-        if memo is False or memo is None:
-            self._memo: Optional[ResultMemo] = None
-        else:
-            self._memo = (
-                memo if isinstance(memo, ResultMemo)
-                else ResultMemo(recorder=self._recorder)
-            )
         self._fingerprint = sketch.fingerprint
-        self._queue: List[_SketchSubmission] = []
-        #: Summed ``op.size`` over ``_queue``, kept as it changes: the
-        #: daemon reads ``pending_queries`` once per request it feeds.
-        self._pending_items = 0
         self._pending_inserts = 0
         self._accounts: Dict[str, SketchCallerAccount] = {}
-        self._by_ticket: Dict[int, _SketchSubmission] = {}
-        self._next_ticket = 0
-        self.physical_batches = 0
         self.memo_hits = 0
         self.memo_misses = 0
-
-    # -- daemon-facing surface (duck-types CoalescingScheduler) ----------
-
-    @property
-    def parallelism(self) -> int:
-        return self._parallelism
-
-    @property
-    def rounds(self) -> RoundLedger:
-        return self._rounds
-
-    @property
-    def memo(self) -> Optional[ResultMemo]:
-        return self._memo
 
     def account(self, caller: str) -> SketchCallerAccount:
         acct = self._accounts.get(caller)
@@ -185,14 +152,9 @@ class SketchScheduler:
             )
         acct = self.account(operation.caller)
         acct.submissions += 1
-        ticket = Ticket(
-            id=self._next_ticket, caller=operation.caller,
-            size=operation.size,
+        sub = _SketchSubmission(
+            self._new_ticket(operation.caller, operation.size), operation
         )
-        self._next_ticket += 1
-        sub = _SketchSubmission(ticket, operation)
-        self._by_ticket[ticket.id] = sub
-
         if (
             not operation.is_write
             and self._pending_inserts == 0
@@ -206,62 +168,10 @@ class SketchScheduler:
                 sub.values = cached
                 sub.done = True
                 acct.memo_hits += 1
-                return ticket
-
-        self._queue.append(sub)
-        self._pending_items += operation.size
+                return self._book(sub, queued=False)
         if operation.is_write:
             self._pending_inserts += 1
-        return ticket
-
-    def done(self, ticket: Ticket) -> bool:
-        """True when the operation has executed (no execution).
-
-        Raises ``KeyError`` for an unknown ticket or a released one (see
-        :meth:`take`).
-        """
-        sub = self._by_ticket.get(ticket.id)
-        if sub is None:
-            raise KeyError(f"unknown ticket {ticket.id}")
-        return sub.done
-
-    def result(self, ticket: Ticket) -> List[Any]:
-        """The operation's values (overlaps for queries, acks for inserts).
-
-        Forces execution if still pending.  Idempotent until the ticket
-        is released by :meth:`take`; from then on it raises ``KeyError``,
-        as for an unknown ticket.
-        """
-        sub = self._by_ticket.get(ticket.id)
-        if sub is None:
-            raise KeyError(f"unknown ticket {ticket.id}")
-        while not sub.done:
-            self._execute_batch()
-        return list(sub.values)
-
-    def take(self, ticket: Ticket) -> List[Any]:
-        """:meth:`result`, then release the ticket (the daemon reads each
-        result once, so the lane keeps no finished operations)."""
-        values = self.result(ticket)
-        del self._by_ticket[ticket.id]
-        return values
-
-    def flush(self) -> int:
-        if not self._queue:
-            return 0
-        return self._execute_batch()
-
-    def drain(self) -> None:
-        while self._queue:
-            self._execute_batch()
-
-    @property
-    def pending_queries(self) -> int:
-        """Pending payload items (the daemon's fill/backpressure metric)."""
-        return self._pending_items
-
-    def pack_would_be_empty(self) -> bool:
-        return not self._queue
+        return self._book(sub, queued=True)
 
     def report(self) -> SketchReport:
         return SketchReport(
@@ -347,14 +257,6 @@ class SketchScheduler:
             acct.query_items += len(op.items)
         sub.done = True
 
-    def _execute_batch(self) -> int:
-        gen = self.execute_batch_steps()
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
-
     def execute_batch_steps(self) -> Iterator[Any]:
         """Apply one FIFO batch of up to ``parallelism`` payload items.
 
@@ -376,7 +278,7 @@ class SketchScheduler:
         for sub in taken:
             self._apply(sub)
         self._queue = self._queue[len(taken):]
-        self._pending_items -= size
+        self._pending_queries -= size
         self.physical_batches += 1
         return size
         yield  # pragma: no cover — generator marker, interface parity

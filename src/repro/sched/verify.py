@@ -15,10 +15,10 @@ by :func:`verify_coalescing` on an explicit workload:
 3. **Round conservation** — the per-caller attributed rounds sum
    exactly to the physically charged query rounds (largest-remainder
    attribution conserves by construction; this re-checks it end to end).
-4. **Serial degeneracy** — with ``deadline_rounds=0`` the scheduler
-   executes every submission immediately, and each caller's attributed
-   round total equals its serial query-round total exactly, not just
-   approximately.
+4. **Serial degeneracy** — on a second scheduler drained after every
+   submission, so each submission runs as its own batch, each caller's
+   attributed round total equals its serial query-round total exactly,
+   not just approximately.
 
 The memo is disabled during verification: a memo hit answers in zero
 rounds by design, which is a deliberate departure from serial round
@@ -28,7 +28,7 @@ accounting (values stay bit-identical either way).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..congest.network import Network
 from ..core.framework import FrameworkConfig, run_framework
@@ -100,7 +100,6 @@ def verify_coalescing(
     network: Network,
     config: FrameworkConfig,
     workload: Sequence[Submission],
-    deadline_rounds: Optional[int] = None,
 ) -> CoalescingVerdict:
     """Check the four-clause equivalence invariant on one workload.
 
@@ -111,18 +110,15 @@ def verify_coalescing(
         workload: submissions in arrival order — ``(caller, indices,
             label)`` triples; interleaving callers is the interesting
             case.
-        deadline_rounds: forwarded to the scheduler.  ``0`` additionally
-            activates the serial-degeneracy clause.
 
     Returns:
         a :class:`CoalescingVerdict`; ``identical`` is True only if every
-        clause holds.
+        clause holds.  Its round and batch figures are the coalesced
+        scheduler's, which submits the whole workload, then drains.
     """
     serial_runs, serial_values = _serial_baseline(network, config, workload)
 
-    sched = CoalescingScheduler(
-        network, config, deadline_rounds=deadline_rounds, memo=False,
-    )
+    sched = CoalescingScheduler(network, config, memo=False)
     tickets: List[Ticket] = [
         sched.submit(Operation.query(caller, indices, label=label))
         for caller, indices, label in workload
@@ -155,15 +151,18 @@ def verify_coalescing(
             f"{report.physical_query_rounds} physical"
         )
 
-    if deadline_rounds == 0:
-        for caller, run in serial_runs.items():
-            serial_q = _query_rounds(run)
-            attributed = sched.account(caller).attributed_rounds
-            if attributed != serial_q:
-                problems.append(
-                    f"caller {caller}: serial-degenerate attributed rounds "
-                    f"{attributed} != serial {serial_q}"
-                )
+    serial = CoalescingScheduler(network, config, memo=False)
+    for caller, indices, label in workload:
+        serial.submit(Operation.query(caller, indices, label=label))
+        serial.drain()
+    for caller, run in serial_runs.items():
+        serial_q = _query_rounds(run)
+        attributed = serial.account(caller).attributed_rounds
+        if attributed != serial_q:
+            problems.append(
+                f"caller {caller}: serial-degenerate attributed rounds "
+                f"{attributed} != serial {serial_q}"
+            )
 
     serial_total = sum(_query_rounds(r) for r in serial_runs.values())
     return CoalescingVerdict(

@@ -11,7 +11,9 @@ on two substrates the rest of the repository provides:
   lets one asyncio loop interleave many in-flight batches round by
   round, bit-identically to the monolithic loop;
 * the **coalescing scheduler** (PR 5), which packs under-filled
-  multi-tenant submissions into maximal width-``p`` physical batches.
+  multi-tenant submissions into maximal width-``p`` physical batches;
+  it only queues what the daemon feeds it, and the daemon decides when
+  each batch runs (fill-or-flush on its own clock).
 
 Quick tour::
 

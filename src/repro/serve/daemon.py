@@ -15,10 +15,10 @@ write-path memo invalidation):
 * **Weighted fairness** — queued requests drain into the scheduler in
   :class:`~repro.serve.tenants.StridePicker` order, so backlogged
   tenants share batch capacity in proportion to their weights.
-* **Fill-or-flush** — a lane executes as soon as a full width-``p``
-  batch is pending, or after ``flush_after_ms`` of arrival silence with
-  a partial batch (the serving analogue of the scheduler's
-  ``deadline_rounds``).
+* **Fill-or-flush** — a lane's scheduler only queues what it is fed;
+  the daemon runs a batch as soon as a full width-``p`` batch is
+  pending, or after ``flush_after_ms`` of arrival silence with a
+  partial batch.  When a batch runs is the daemon's decision alone.
 * **Stepwise execution** — batches run through
   :meth:`~repro.sched.CoalescingScheduler.execute_batch_steps`, the
   generator that suspends after every engine round; the worker yields to
@@ -93,13 +93,9 @@ class _Request:
 
 @dataclass
 class _LaneState:
-    """Per-lane dispatch state: its picker, its arrival signal, and the
-    network and config an evicted oracle lane is rebuilt from (``None``
-    for a pinned sketch lane, which is never evicted)."""
+    """Per-lane dispatch state: its picker and its arrival signal."""
 
     picker: StridePicker
-    network: Optional[Network] = None
-    config: Optional[FrameworkConfig] = None
     event: asyncio.Event = field(default_factory=asyncio.Event)
 
 
@@ -111,8 +107,8 @@ class QueryService:
     each batch, and takes (releases) each ticket from its scheduler as
     the request resolves.  A registered profile outlives its lane: when
     more than ``max_lanes`` profiles are registered the pool evicts an
-    idle oracle lane, and the daemon rebuilds it from the profile's
-    network and config the next time it has work for it.
+    idle oracle lane, and rebuilds it from the profile it remembers the
+    next time the daemon acquires it with work for it.
 
     Args:
         tenants: quotas to pre-register; unknown tenants are admitted
@@ -178,14 +174,10 @@ class QueryService:
         if self._draining:
             raise ServiceClosed("cannot add profiles while draining")
         lane = self.pool.acquire(name, network, config)
-        state = self._lane_state.get(name)
-        if state is None:
+        if name not in self._lane_state:
             # Each lane gets its own picker so per-tenant queues bound
             # *per lane*; quotas themselves are shared definitions.
-            state = self._lane_state[name] = _LaneState(picker=StridePicker())
-        # What the pool built the lane from (a warm lane ignores the
-        # arguments), so a rebuild after eviction builds the same lane.
-        state.network, state.config = lane.network, lane.config
+            self._lane_state[name] = _LaneState(picker=StridePicker())
         return lane
 
     def add_sketch_profile(
@@ -387,8 +379,8 @@ class QueryService:
             ):
                 return  # evicted while idle, and nothing left to serve
             # Acquired on every pass: an idle lane may have been evicted
-            # while this worker waited, and is then rebuilt here.
-            lane = self.pool.acquire(profile, state.network, state.config)
+            # while this worker waited, and the pool then rebuilds it.
+            lane = self.pool.acquire(profile)
             sched = lane.scheduler
             self._feed(lane, state)
             pending = sched.pending_queries

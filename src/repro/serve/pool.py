@@ -14,9 +14,11 @@ construction.
 Only *idle* lanes are evictable; a lane with queued or in-flight work is
 busy until it drains.  While every lane past the bound is busy the pool
 holds more than ``max_lanes``; the next acquisition after lanes go idle
-evicts back down to the bound.  Evicting a lane costs nothing but
-warmth: the PreparedCache below it usually still holds the topology's
-setup.
+evicts back down to the bound.  A profile outlives its lane: the pool
+remembers the network and config each oracle lane was built from, and
+rebuilds an evicted lane on the next :meth:`PreparedPool.acquire` of its
+name.  Evicting a lane costs nothing but warmth: the PreparedCache below
+it usually still holds the topology's setup.
 
 Sketch lanes (PR 10) are different: a :class:`~repro.sched.sketch.
 SketchScheduler` lane *holds authoritative data* (the accumulated sketch
@@ -29,13 +31,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..apps.sketches import AmplitudeSketch
 from ..congest.network import Network
 from ..core.framework import FrameworkConfig, prepared_cache_stats
 from ..obs.recorder import Recorder, current_recorder
-from ..sched import CoalescingScheduler, SketchScheduler
+from ..sched import CoalescingScheduler, LaneScheduler, SketchScheduler
 
 __all__ = ["Lane", "PreparedPool"]
 
@@ -54,7 +56,7 @@ class Lane:
     name: str
     network: Optional[Network]
     config: Optional[FrameworkConfig]
-    scheduler: Any  # CoalescingScheduler | SketchScheduler (duck-typed)
+    scheduler: LaneScheduler  # CoalescingScheduler | SketchScheduler
     in_flight: Dict[int, Any] = field(default_factory=dict)  # ticket id -> req
     batches: int = 0
     pinned: bool = False
@@ -81,6 +83,8 @@ class PreparedPool:
             recorder if recorder is not None else current_recorder()
         )
         self._lanes: "OrderedDict[str, Lane]" = OrderedDict()
+        #: Oracle profile name -> what its lane was last built from.
+        self._profiles: Dict[str, Tuple[Network, FrameworkConfig]] = {}
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -98,29 +102,35 @@ class PreparedPool:
         network: Optional[Network] = None,
         config: Optional[FrameworkConfig] = None,
     ) -> Lane:
-        """The warm lane for ``name``, building it on first acquisition.
+        """The warm lane for ``name``, building it when it is cold.
 
-        ``network``/``config`` are required on a cold acquire and
-        ignored (the warm profile wins) afterwards.  Acquisition
-        refreshes LRU recency, and every acquisition, warm or cold, then
-        evicts least-recently-acquired *idle* lanes until the pool is
-        back within ``max_lanes`` (see :meth:`_evict_if_over`).
+        A cold acquire builds the lane from ``network``/``config`` and
+        remembers them as the profile; without them it rebuilds the
+        remembered profile (a lane evicted earlier), and raises
+        ``KeyError`` for a name never built.  A warm lane ignores the
+        arguments.  Acquisition refreshes LRU recency, and every
+        acquisition, warm or cold, then evicts least-recently-acquired
+        *idle* lanes until the pool is back within ``max_lanes`` (see
+        :meth:`_evict_if_over`).
         """
         lane = self._lanes.get(name)
         if lane is not None:
             self._lanes.move_to_end(name)
             self._evict_if_over()
             return lane
-        if network is None or config is None:
+        if network is not None and config is not None:
+            self._profiles[name] = (network, config)
+        if name not in self._profiles:
             raise KeyError(
                 f"lane {name!r} is not warm; pass network and config to "
                 f"build it"
             )
+        network, config = self._profiles[name]
         # Each lane forks the recorder so interleaved lanes never share a
         # span stack; events still fan into the same sinks.
         scheduler = CoalescingScheduler(
-            network, config, deadline_rounds=None, auto_flush=False,
-            memo=self.memo, recorder=self._recorder.fork(),
+            network, config, memo=self.memo,
+            recorder=self._recorder.fork(),
         )
         lane = Lane(
             name=name, network=network, config=config, scheduler=scheduler

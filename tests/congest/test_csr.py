@@ -207,16 +207,20 @@ class TestModuleLevelCache:
 
 
 class TestPreparedNetworkIntegration:
-    def test_prepare_attaches_csr(self):
+    def test_prepare_leaves_csr_cached(self):
         from repro.core.framework import invalidate_prepared, prepare_network
 
         invalidate_prepared()
         net = topologies.grid(3, 4)
-        prepared = prepare_network(net, seed=0)
-        assert prepared.csr is not None
-        assert prepared.csr.fingerprint == net.topology_fingerprint()
-        # The attached CSR is the same object the engine's cache serves.
-        assert csr_for(net) is prepared.csr
+        prepare_network(net, seed=0)
+        # Setup's own election and BFS ran on the bulk loop, which left
+        # the topology's CSR in the engine's cache.
+        before = csr_cache_stats()
+        csr = csr_for(net)
+        after = csr_cache_stats()
+        assert csr.fingerprint == net.topology_fingerprint()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
         invalidate_prepared()
 
     def test_invalidate_prepared_cascades_to_csr(self):

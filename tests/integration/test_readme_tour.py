@@ -1,6 +1,18 @@
 """The README's sixty-second tour must actually run as printed."""
 
+from pathlib import Path
+
 import numpy as np
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+
+def _python_block(heading):
+    """The first ```python block after ``heading`` in the README."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
 
 
 class TestReadmeTour:
@@ -24,6 +36,15 @@ class TestReadmeTour:
         diameter = compute_diameter(net, seed=0)
         assert diameter.value in set(net.eccentricities.values())
         assert diameter.rounds > 0
+
+    def test_scheduler_snippet_runs_as_printed(self):
+        scope = {}
+        exec(_python_block("## Serving many callers"), scope)
+        sched = scope["sched"]
+        # alice's read ran one batch for alice and bob; carol's, one more.
+        assert sched.physical_batches == 2
+        assert sched.done(scope["t2"]) and len(scope["values"]) == 2
+        assert sched.account("alice").queries.signature() == ((2, "probe"),)
 
     def test_paper_index_example(self):
         from repro.paper import where_is

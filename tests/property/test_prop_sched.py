@@ -1,12 +1,12 @@
 """Property-based tests for the coalescing scheduler's invariants.
 
 Hypothesis drives the cases the hand-written suite can't enumerate:
-adversarial arrival orders, the ``deadline_rounds=None`` / ``0``
-extremes, charge conservation, and bit-identity to serial execution
-when ``submit`` and explicit ``flush`` calls interleave arbitrarily
-(the daemon's ``auto_flush=False`` discipline).  Formula mode keeps
-each drawn case cheap; the engine-mode equivalence is pinned separately
-in the deterministic suite.
+adversarial arrival orders, the two flush extremes (drain once at the
+end, or after every submission), charge conservation, and bit-identity
+to serial execution when ``submit`` and explicit ``flush`` calls
+interleave arbitrarily (the daemon's discipline: ``submit`` only
+queues).  Formula mode keeps each drawn case cheap; the engine-mode
+equivalence is pinned separately in the deterministic suite.
 """
 
 import random
@@ -86,17 +86,13 @@ class TestDeadlineExtremes:
     @FAST
     @given(workloads)
     def test_unbounded_and_zero_deadlines_both_hold(self, wl):
-        lazy = verify_coalescing(NET, CONFIG, wl, deadline_rounds=None)
-        assert lazy.identical, lazy.detail
-        # deadline 0 additionally activates the serial-degeneracy clause:
-        # every submission executes immediately and per-caller attributed
-        # rounds equal the serial query-round totals exactly.
-        eager = verify_coalescing(NET, CONFIG, wl, deadline_rounds=0)
-        assert eager.identical, eager.detail
-        # Immediate execution can never beat packed execution on rounds.
-        assert (
-            lazy.coalesced_query_rounds <= eager.coalesced_query_rounds
-        )
+        # verify_coalescing checks both extremes: the workload drained
+        # once at the end, and drained after every submission (whose
+        # per-caller attributed rounds must equal the serial totals).
+        verdict = verify_coalescing(NET, CONFIG, wl)
+        assert verdict.identical, verdict.detail
+        # Packed execution can never cost more rounds than serial.
+        assert verdict.coalesced_query_rounds <= verdict.serial_query_rounds
 
 
 class TestChargeConservation:
@@ -126,9 +122,7 @@ class TestInterleavedSubmitFlush:
         ``memo`` toggles the result cache: hits answer from the memo in
         zero rounds but must still be bit-identical.
         """
-        sched = CoalescingScheduler(
-            NET, CONFIG, auto_flush=False, memo=memo
-        )
+        sched = CoalescingScheduler(NET, CONFIG, memo=memo)
         tickets = []
         for i, (caller, idx, label) in enumerate(wl):
             tickets.append(

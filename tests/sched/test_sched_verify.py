@@ -9,8 +9,9 @@ import pytest
 
 from repro.congest import topologies
 from repro.core.framework import DistributedInput, FrameworkConfig
+from repro.core.operation import Operation
 from repro.core.semigroup import sum_semigroup
-from repro.sched import verify_coalescing
+from repro.sched import CallerOracle, CoalescingScheduler, verify_coalescing
 
 
 K = 64
@@ -48,14 +49,21 @@ def test_coalesced_bit_identical_to_serial(p):
 
 @pytest.mark.parametrize("p", [1, 4, 64])
 def test_serial_degeneracy_at_deadline_zero(p):
-    """deadline_rounds=0 must reproduce serial round totals exactly."""
+    """An owner that flushes at once, draining after every submission,
+    reproduces serial round totals exactly, under each submission's own
+    label."""
     net, cfg = make_case(p)
-    verdict = verify_coalescing(
-        net, cfg, interleaved_workload(p), deadline_rounds=0
-    )
+    workload = interleaved_workload(p)
+    verdict = verify_coalescing(net, cfg, workload)
     assert verdict.identical, verdict.detail
-    assert verdict.coalesced_query_rounds == verdict.serial_query_rounds
-    assert verdict.round_saving == 0.0
+    sched = CoalescingScheduler(net, cfg, memo=False)
+    for caller, indices, label in workload:
+        sched.submit(Operation.query(caller, indices, label=label))
+        sched.drain()
+    assert sched.physical_batches == len(workload)
+    assert sched.report().physical_query_rounds == verdict.serial_query_rounds
+    phases = sched.rounds.by_phase()
+    assert {f"batch:r{r}" for r in range(3)} <= set(phases)
 
 
 def test_coalescing_saves_rounds_when_batches_underfilled():
@@ -85,6 +93,11 @@ def test_adaptive_single_caller_unaffected():
     """One caller, serial-shaped traffic: scheduler adds zero distortion."""
     net, cfg = make_case(4)
     workload = [("solo", [j, (j + 1) % K], f"s{j}") for j in range(5)]
-    verdict = verify_coalescing(net, cfg, workload, deadline_rounds=0)
+    verdict = verify_coalescing(net, cfg, workload)
     assert verdict.identical, verdict.detail
-    assert verdict.coalesced_query_rounds == verdict.serial_query_rounds
+    oracle = CallerOracle(CoalescingScheduler(net, cfg, memo=False), "solo")
+    for _caller, indices, label in workload:  # each read before the next
+        oracle.query_batch(indices, label=label)
+    assert oracle.scheduler.report().physical_query_rounds == (
+        verdict.serial_query_rounds
+    )

@@ -1,4 +1,4 @@
-"""CoalescingScheduler: packing, deadlines, fairness, exact accounting."""
+"""CoalescingScheduler: packing, fairness, exact accounting."""
 
 import random
 
@@ -55,22 +55,14 @@ class TestProportionalShares:
 
 
 class TestPacking:
-    def test_fill_triggers_execution(self, network, config):
-        sched = CoalescingScheduler(network, config, memo=False)
-        for i in range(3):
-            sched.submit(Operation.query("a", [i * 2, i * 2 + 1]))
-            assert sched.physical_batches == 0
-        sched.submit(Operation.query("a", [6, 7]))  # 8 pending == p: fill
-        assert sched.physical_batches == 1
-        assert sched.pending_queries == 0
-
     def test_drain_packs_maximal_batches(self, network, config):
         sched = CoalescingScheduler(network, config, memo=False)
         tickets = [
             sched.submit(Operation.query(f"c{i}", [i, i + 1, i + 2]))
             for i in range(4)
         ]
-        # 12 queries at p=8: the fill flush fires once during submission.
+        # 12 queries at p=8: submit only queues; drain runs both batches.
+        assert sched.physical_batches == 0
         sched.drain()
         assert sched.physical_batches == 2
         for i, t in enumerate(tickets):
@@ -123,42 +115,16 @@ class TestPacking:
         with pytest.raises(IndexError):
             sched.submit(Operation.query("a", [K]))
 
-    def test_negative_deadline_rejected(self, network, config):
-        with pytest.raises(ValueError):
-            CoalescingScheduler(network, config, deadline_rounds=-1)
+    @pytest.mark.parametrize("keyword", ["auto_flush", "deadline_rounds"])
+    def test_deleted_keyword_is_rejected(self, network, config, keyword):
+        # A batch runs only when the scheduler's owner asks for one.
+        with pytest.raises(TypeError, match=keyword):
+            CoalescingScheduler(network, config, **{keyword: None})
+        with pytest.raises(TypeError, match=keyword):
+            verify_coalescing(network, config, [], **{keyword: None})
 
 
 class TestDeadline:
-    def test_zero_deadline_is_serial(self, network, config):
-        sched = CoalescingScheduler(
-            network, config, deadline_rounds=0, memo=False
-        )
-        for i in range(3):
-            sched.submit(Operation.query("a", [i], label=f"s{i}"))
-            assert sched.physical_batches == i + 1
-        # Serial-degenerate batches keep the submission's own label.
-        phases = sched.rounds.by_phase()
-        for i in range(3):
-            assert f"batch:s{i}" in phases
-
-    def test_deadline_bounds_starvation(self, network, config):
-        """No submission defers more than deadline_rounds of standalone cost."""
-        from repro.core.cost import CostModel
-
-        one_sub = CostModel.for_network(network).batch_rounds(
-            2, config.dist_input.semigroup.bits, K
-        )
-        sched = CoalescingScheduler(
-            network, config, deadline_rounds=one_sub, memo=False
-        )
-        # deferred cost == deadline: waits
-        sched.submit(Operation.query("a", [0, 1]))
-        assert sched.physical_batches == 0
-        # now exceeds the deadline: flushes
-        sched.submit(Operation.query("b", [2, 3]))
-        assert sched.physical_batches == 1
-        assert sched.pending_queries == 0
-
     def test_none_deadline_waits_for_fill_or_drain(self, network, config):
         sched = CoalescingScheduler(network, config, memo=False)
         sched.submit(Operation.query("a", [0, 1]))
@@ -184,8 +150,8 @@ class TestAccounting:
     def test_equal_work_gets_equal_shares(self, network, config):
         sched = CoalescingScheduler(network, config, memo=False)
         sched.submit(Operation.query("a", [0, 1, 2, 3]))
-        # fills p=8 exactly: one batch
         sched.submit(Operation.query("b", [4, 5, 6, 7]))
+        sched.drain()  # fills p=8 exactly: one batch
         assert sched.physical_batches == 1
         a = sched.account("a").attributed_rounds
         b = sched.account("b").attributed_rounds
@@ -216,9 +182,7 @@ class TestCallerOracle:
         assert oracle.ledger.signature() == ((2, "go"),)
 
     def test_two_adapters_share_physical_batches(self, network, config):
-        sched = CoalescingScheduler(
-            network, config, deadline_rounds=None, memo=False
-        )
+        sched = CoalescingScheduler(network, config, memo=False)
         a, b = CallerOracle(sched, "a"), CallerOracle(sched, "b")
         # a's redemption forces execution; b's pending queries ride along.
         tb = sched.submit(Operation.query("b", [4, 5, 6, 7]))

@@ -49,7 +49,7 @@ class TestEviction:
         pool = PreparedPool(max_lanes=2)
         net, cfg = _profile()
         busy = pool.acquire("busy", net, cfg)
-        # auto_flush off: queued
+        # submit only queues: the lane stays busy until a batch runs
         busy.scheduler.submit(Operation.query("tenant", [0, 1]))
         assert not busy.idle
         pool.acquire("idle", net, cfg)
@@ -80,6 +80,29 @@ class TestEviction:
         assert pool.acquire("a") is lanes["a"]
         assert [lane.name for lane in pool.lanes()] == ["a"]
         assert pool.evictions == 2
+
+    def test_evicted_lane_is_rebuilt_from_its_profile(self):
+        pool = PreparedPool(max_lanes=1)
+        net, cfg = _profile()
+        first = pool.acquire("a", net, cfg)
+        pool.acquire("b", net, cfg)
+        assert "a" not in pool
+        rebuilt = pool.acquire("a")  # no arguments: the remembered profile
+        assert rebuilt is not first
+        assert rebuilt.scheduler.network is net
+        assert rebuilt.scheduler.config is cfg
+        assert pool.evictions == 2
+
+    def test_cold_arguments_replace_the_remembered_profile(self):
+        pool = PreparedPool(max_lanes=1)
+        net, cfg = _profile()
+        other_net, other_cfg = _profile(seed=9)
+        pool.acquire("a", net, cfg)
+        pool.acquire("b", net, cfg)
+        lane = pool.acquire("a", other_net, other_cfg)
+        assert lane.scheduler.config is other_cfg
+        pool.acquire("b")
+        assert pool.acquire("a").scheduler.config is other_cfg
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError, match="max_lanes"):
