@@ -3,13 +3,14 @@
 The spine's contract (DESIGN.md §6d) is that *disabled* instrumentation
 is free: with the null recorder installed the engine pays one
 cached-boolean branch per delivery and per round, and nothing else.
-This gate times BFS-with-echo flooding three ways — with the
-observation seam compiled out (``_BareEngine``), with the null recorder,
-and with a dense :class:`~repro.obs.MetricsSink` receiving every event —
-asserts the three runs agree, and fails when the null-recorder run is
-:data:`OVERHEAD_BUDGET` or more slower than the bare one.  The dense
-sink has no budget (recording is allowed to cost); its time is reported
-in the failure message for context.
+This gate times BFS-with-echo flooding on the engine's per-node loop
+three ways — with the observation seam compiled out (``_BareEngine``),
+with the null recorder, and with a dense :class:`~repro.obs.MetricsSink`
+receiving every event — asserts the three runs agree and that each
+flood ran per node, and fails when the null-recorder run is
+:data:`OVERHEAD_BUDGET` or more slower than the bare one.  The dense sink
+has no budget (recording is allowed to cost); its time is reported in
+the failure message for context.
 
 A single flood takes 20–80 ms on a shared 2-vCPU host, whose stalls run
 to about 10 ms, so best-of-n times of single floods could not resolve
@@ -49,6 +50,10 @@ FLOODS_PER_SAMPLE = 8
 PASSES = 15
 
 
+class _PerNodeBFS(BFSEchoProgram):
+    """BFS with echo kept off the bulk loop, which audits exact types."""
+
+
 class _BareEngine(Engine):
     """The pre-spine engine: recorder branches forced out of every path."""
 
@@ -61,13 +66,14 @@ class _BareEngine(Engine):
 
 
 def _flood(net, engine_cls=Engine, recorder=None):
-    programs = {v: BFSEchoProgram(v, 0) for v in net.nodes()}
-    # Pinned to the per-node loop: its per-delivery seam is what the
-    # budget guards, and the default bulk loop never calls it.
-    engine = engine_cls(
-        net, programs, seed=1, schedule="active", recorder=recorder
-    )
-    return engine.run()
+    # On the per-node loop: its per-delivery seam is what the budget
+    # guards, and the bulk loop never calls it.
+    programs = {v: _PerNodeBFS(v, 0) for v in net.nodes()}
+    engine = engine_cls(net, programs, seed=1, recorder=recorder)
+    result = engine.run()
+    assert engine.vectorized_rounds == 0
+    assert engine.vectorized_fallback == "unsupported-program-_PerNodeBFS"
+    return result
 
 
 def _dense_flood(net):

@@ -11,46 +11,45 @@ computation is free and unbounded; only communication rounds count.  The
 reported ``rounds`` is the index of the last round in which any message was
 in flight or any program executed.
 
-Three scheduling strategies produce *identical* results (rounds, outputs,
-traffic statistics — the determinism property tests pin this down, and
-``tests/congest/reference_loop.py`` keeps the textbook loop they are held
-to).  The engine chooses its loop: nothing above it selects one, and
-``"active"`` and ``"dense"`` exist as pins for the tests that compare
-loops and for the wall-clock gate on observation overhead
-(``benchmarks/perf/bench_perf_obs.py``).
+The engine has two round loops and picks one itself for every run, from
+what it observes: the program types (or a transfer given as arrays), the
+model, a fault channel and the bandwidth.  Nothing above it selects one.
+Both produce *identical* results (rounds, outputs, traffic statistics,
+deliver events), and both are held to the textbook loop kept in
+``tests/congest/reference_loop.py``, faults included.
 
-* ``"vectorized"`` (default) — the bulk loop: for audited structured
-  program families (BFS, multi-source BFS, the max-id flood of leader
-  election) and for the pipelined tree transfers, whole rounds execute
-  as numpy array operations over a CSR adjacency
-  (:mod:`repro.congest.vectorized`), removing per-node Python dispatch
-  entirely.  A tree transfer reaches the bulk loop only as arrays, in
-  place of a program dict (an ``Upcast`` or ``Downcast`` from
+* The bulk loop, tried first: for audited structured program families
+  (BFS, multi-source BFS, the max-id flood of leader election) and for
+  the pipelined tree transfers, whole rounds execute as numpy array
+  operations over a CSR adjacency (:mod:`repro.congest.vectorized`),
+  removing per-node Python dispatch entirely.  A tree transfer reaches
+  the bulk loop only as arrays, in place of a program dict (an
+  ``Upcast`` or ``Downcast`` from
   :mod:`repro.congest.algorithms.aggregate`): it runs with no per-node
   object at all, and the engine builds the per-node programs — and the
   per-node loop's order and always-awake tables — only if it falls
   back; a dict of those programs runs per node.  The bulk loop holds
-  messages to the per-node loop's rules: a family whose messages exceed the bandwidth
-  never starts on it, and payload values are checked against their
-  ``Field`` domains every round.  Its ``deliver`` events carry what the
-  per-node loop's do: the bare int of a one-field payload, the pair of a
-  two-field one.  Anything unsupported, any model without a CSR port and
-  any engine with a fault channel runs the ``"active"`` per-node loop
-  instead, recording the reason on :attr:`Engine.vectorized_fallback`.
-* ``"active"`` — a node executes a round only when it has deliveries,
-  sent messages in its previous executed round (it may be mid-stream),
-  has a due :meth:`~repro.congest.program.Context.request_wakeup`, or is
-  in the always-awake set: its program declares
+  messages to the per-node loop's rules: a family whose messages exceed
+  the bandwidth never starts on it, and payload values are checked
+  against their ``Field`` domains every round.  Its ``deliver`` events
+  carry what the per-node loop's do: the bare int of a one-field
+  payload, the pair of a two-field one.
+* Anything else — another program type (the audit matches exact types,
+  so a subclass of an audited family too), a model without a CSR port,
+  an engine with a fault channel, a family whose messages exceed the
+  bandwidth — falls back to the per-node loop, recording the reason on
+  :attr:`Engine.vectorized_fallback`.  That loop executes a node in a
+  round only when it has deliveries, sent messages in its previous
+  executed round (it may be mid-stream), has a due
+  :meth:`~repro.congest.program.Context.request_wakeup`, or is in the
+  always-awake set: its program declares
   :attr:`~repro.congest.program.NodeProgram.always_active`.  Programs
   whose ``on_round`` is a pure no-op on silent rounds opt out by setting
   ``always_active = False``; everything else runs every round
   automatically.  On flooding/pipelining workloads where most nodes are
   silent most rounds this removes the per-round O(n) scan entirely.
-* ``"dense"`` — every live node executes every round, in program order,
-  even with an empty inbox: the same per-node loop with every node in the
-  always-awake set, so the run list is that set and a round stays O(n).
 
-Round accounting and CONGEST semantics are unchanged by the scheduler: a
+Round accounting and CONGEST semantics are unchanged by the choice: a
 skipped node is exactly a node whose execution would have been a no-op.
 
 Both loops are written as *round generators* (:meth:`Engine.steps`): each
@@ -94,13 +93,6 @@ DEFAULT_MAX_ROUNDS_FLOOR = 10_000
 
 #: Shared immutable inbox handed to nodes executing a silent round.
 _EMPTY_INBOX = Inbox()
-
-#: Recognized scheduling strategies.  ``"vectorized"``, the default,
-#: executes whole rounds as numpy array ops over a CSR adjacency for
-#: audited program families (:mod:`repro.congest.vectorized`) and
-#: transparently falls back to ``"active"`` for everything else;
-#: ``"active"`` and ``"dense"`` pin a per-node loop for comparisons.
-SCHEDULES = ("active", "dense", "vectorized")
 
 
 @dataclass
@@ -154,6 +146,11 @@ class RunResult:
 class Engine:
     """Synchronous executor for CONGEST node programs.
 
+    Each run takes the bulk loop when its programs allow it and the
+    per-node loop otherwise (see the module docstring); the engine makes
+    that choice alone, and :attr:`vectorized_fallback` says why a run
+    went per node.
+
     Args:
         network: the communication graph and bandwidth limit.
         programs: one program per node (all nodes must be covered), or a
@@ -166,12 +163,6 @@ class Engine:
             share randomness — the model has no shared coins).
         max_rounds: execution budget; exceeded budgets raise
             :class:`RoundLimitExceeded`.
-        schedule: ``"vectorized"`` (default: whole rounds as numpy
-            array ops for audited program families, the ``"active"``
-            loop otherwise), ``"active"`` (skip provably idle nodes) or
-            ``"dense"`` (execute every node every round).  Results are
-            identical; only wall time differs, so callers leave it at
-            the default and tests pin the others.
         recorder: observability spine bus (:mod:`repro.obs`).  Defaults
             to the ambient :func:`~repro.obs.current_recorder`, which is
             the null recorder unless one is installed; recording never
@@ -185,7 +176,6 @@ class Engine:
         seed: Optional[int] = None,
         max_rounds: Optional[int] = None,
         stop_on_quiescence: bool = False,
-        schedule: str = "vectorized",
         recorder: Optional[Recorder] = None,
     ):
         if isinstance(programs, Mapping):
@@ -202,13 +192,8 @@ class Engine:
                     f"nodes, the network {network.n}"
                 )
             self.transfer, programs = programs, None
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
-            )
         self.network = network
         self._programs = programs
-        self.schedule = schedule
         self.recorder = recorder if recorder is not None else current_recorder()
         #: Cached at construction so the hot loops pay one boolean check;
         #: with the null recorder the engine is bit- and branch-identical
@@ -238,14 +223,14 @@ class Engine:
         #: Number of halted nodes, so :meth:`_all_halted` is O(1) instead
         #: of an O(n) per-round scan.
         self._halted_count = 0
-        #: Program order of each node; the active scheduler sorts its
+        #: Program order of each node; the per-node loop sorts its
         #: candidate set by this so message ordering (and hence results)
         #: match running every node every round exactly.  Built by the
         #: per-node loop, which alone reads it.
         self._order: Dict[int, int] = {}
-        #: Insertion-ordered set of non-halted nodes that execute every
-        #: round: those whose programs are ``always_active``, or every node
-        #: under ``"dense"``; pruned on halt.  Built by the per-node loop.
+        #: Insertion-ordered set of non-halted nodes whose programs are
+        #: ``always_active``, so execute every round; pruned on halt.
+        #: Built by the per-node loop.
         self._always_on: Dict[int, None] = {}
         #: Communication-model seam, cached once: the token stamped on
         #: round events ("" for the default CONGEST model, so default
@@ -273,9 +258,8 @@ class Engine:
         #: loop actually engaged; surfaced through the obs spine as the
         #: ``vectorized_rounds`` metric).
         self.vectorized_rounds = 0
-        #: Why a vectorized run fell back to the per-node path (None
-        #: when it did not, or under a pinned per-node schedule): a
-        #: program-mix reason from
+        #: Why the run fell back to the per-node loop (None while the
+        #: bulk loop runs it): a program-mix reason from
         #: :func:`repro.congest.vectorized.build_vectorized`, the model's,
         #: ``"fault-channel"`` or ``"message-exceeds-bandwidth"``.
         self.vectorized_fallback: Optional[str] = None
@@ -333,10 +317,7 @@ class Engine:
     def _finishing(self) -> Iterator[int]:
         """Run the round loop once, keep its result, clear the latch."""
         if self._result is None:
-            if self.schedule == "vectorized":
-                self._result = yield from self._vectorized_steps()
-            else:
-                self._result = yield from self._node_steps()
+            self._result = yield from self._vectorized_steps()
         self._running = False
         return self._result
 
@@ -359,7 +340,7 @@ class Engine:
           programs keep pushing until their queues drain),
         * it requested a wakeup for a round <= r,
         * it is in the always-awake set (its program is ``always_active``,
-          the conservative default, or the schedule is ``"dense"``).
+          the conservative default).
 
         Nodes run in program order, so the in-flight message order — and
         therefore every downstream observation — is bit-identical to
@@ -373,14 +354,11 @@ class Engine:
         always_on = self._always_on = {
             v: None
             for v, p in programs.items()
-            if self.schedule == "dense" or getattr(p, "always_active", True)
+            if getattr(p, "always_active", True)
         }
         inbox_buf = self._inbox_buf
         touched = self._inbox_touched
         channel = self._channel
-        # Under "dense" the always-awake set already holds every live node
-        # in program order, so it is the run list as it stands.
-        sparse = self.schedule != "dense"
         #: nodes that sent last round ("pending sends" — may be mid-stream)
         carry: set = set()
         #: (due_round, node) min-heap of requested wakeups
@@ -447,7 +425,7 @@ class Engine:
             due: List[int] = []
             while wake_heap and wake_heap[0][0] <= rounds:
                 due.append(heapq.heappop(wake_heap)[1])
-            if sparse and (carry or due or touched):
+            if carry or due or touched:
                 cand = set(touched)
                 cand.update(carry)
                 cand.update(due)
@@ -612,8 +590,8 @@ class Engine:
         and stably, so a delayed message released this round still lands
         ahead of a fresh same-edge one.  Per-node inbox contents are
         unchanged (at most one message per (src, dst) pair per round per
-        channel event); only the deliver-event order all three schedules
-        share is fixed.
+        channel event); only the deliver-event order both loops share is
+        fixed.
         """
         if len(delivered) > 1:
             order = self._order
@@ -717,7 +695,6 @@ def run_program(
     seed: Optional[int] = None,
     max_rounds: Optional[int] = None,
     stop_on_quiescence: bool = False,
-    schedule: str = "vectorized",
     recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """Convenience wrapper: build an engine and run it."""
@@ -727,7 +704,6 @@ def run_program(
         seed=seed,
         max_rounds=max_rounds,
         stop_on_quiescence=stop_on_quiescence,
-        schedule=schedule,
         recorder=recorder,
     )
     return engine.run()

@@ -101,10 +101,10 @@ class Context:
 
         ``None`` (the default) means the next round.  Requests for earlier
         rounds than one already pending win (the engine honors the minimum).
-        Under dense scheduling every node runs every round, so this is a
-        no-op; under active-set scheduling it is how an event-driven
-        (``always_active = False``) program implements timeouts and
-        round-counted phases.
+        In the textbook loop every node runs every round, so there this is
+        a no-op; in the engine's per-node loop, which skips idle nodes, it
+        is how an event-driven (``always_active = False``) program
+        implements timeouts and round-counted phases.
         """
         target = self.round + 1 if round_no is None else round_no
         if target <= self.round:

@@ -1,19 +1,19 @@
 """Column-major bulk execution of structured node programs.
 
-The engine's default schedule, ``"vectorized"``, dispatches whole rounds
-as numpy array operations instead of one Python call per node: a
-:class:`VectorizedProgram` holds the *entire network's* program state as
-arrays indexed by node (and by directed edge, via the
+The engine's bulk loop, which it tries first on every run, dispatches
+whole rounds as numpy array operations instead of one Python call per
+node: a :class:`VectorizedProgram` holds the *entire network's* program
+state as arrays indexed by node (and by directed edge, via the
 :class:`~repro.congest.csr.CSRAdjacency`), and ``step_all`` advances every
 node one synchronous round at once.
 
 The per-node path stays the bit-identity oracle (the same hypothesis
 pinning PR 2 used for gate kernels): a vectorized run must produce
 identical rounds, per-node outputs, traffic statistics, and trace events
-to the dense and active schedules.  Ports therefore replicate the node
-programs' semantics exactly — including which round a node halts in and
-the engine's canonical ``(program order, dst)`` message ordering — rather
-than merely computing the same final answer.
+to the per-node loop and to the textbook reference loop.  Ports therefore
+replicate the node programs' semantics exactly — including which round a
+node halts in and the engine's canonical ``(program order, dst)`` message
+ordering — rather than merely computing the same final answer.
 
 Messages here live on directed edges: every supported program sends at
 most one message per edge per round (the CONGEST discipline the per-node
@@ -460,10 +460,11 @@ class VectorizedMultiSourceBFS(VectorizedProgram):
         return self._flush(), _NO_NODES
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
-        # In every schedule, once any communication round ran, every node
-        # has executed (dense) or been delivered to (active — the flood
-        # reaches all nodes before quiescence), so its output is the
-        # final best-distance snapshot; with zero rounds nothing ran.
+        # On every loop, once any communication round ran, every node
+        # has executed (the textbook loop) or been delivered to (the
+        # per-node loop — the flood reaches all nodes before quiescence),
+        # so its output is the final best-distance snapshot; with zero
+        # rounds nothing ran.
         if rounds == 0:
             return {v: None for v in range(self.csr.n)}
         best = self.state["best"]

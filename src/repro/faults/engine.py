@@ -193,9 +193,8 @@ class FaultyEngine(Engine):
     It records on the passed or ambient recorder, as the plain engine
     does (:func:`run_with_faults` attaches a :class:`~repro.congest.
     tracing.TraceSink`), and ``self.fault_stats`` counts the injected
-    faults.  It always runs the per-node loop: under the default
-    ``schedule="vectorized"`` the engine falls back with reason
-    ``"fault-channel"``, bit-identically.
+    faults.  It always runs the per-node loop: the engine sees the fault
+    channel and falls back with reason ``"fault-channel"``.
 
     Args:
         network: the communication graph.

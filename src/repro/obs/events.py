@@ -52,10 +52,10 @@ class _Event:
 class RoundEvent(_Event):
     """One engine communication round: its delivery count and bit volume.
 
-    ``mode`` names the execution path that ran the round: ``""`` for the
-    per-node loops (dense/active — indistinguishable by construction) or
-    ``"vectorized"`` for the column-major bulk loop.  The mode is
-    advisory metadata: schedule-equivalence comparisons exclude it.
+    ``mode`` names the engine loop that ran the round: ``""`` for the
+    per-node loop or ``"vectorized"`` for the column-major bulk loop.
+    The mode is advisory metadata: loop-equivalence comparisons exclude
+    it.
 
     ``model`` names the communication model the round ran under —
     ``""`` for the default CONGEST model, else the model name

@@ -41,8 +41,9 @@ under-filled batches.  The scheduler coalesces:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..congest.network import Network
 from ..core.cost import RoundLedger
@@ -162,7 +163,10 @@ class LaneScheduler:
                 memo if isinstance(memo, ResultMemo)
                 else ResultMemo(recorder=self._recorder)
             )
-        self._queue: List[Any] = []
+        #: Queued submissions in FIFO order.  A batch packs from the head,
+        #: so the submissions it finishes are a prefix and leave by
+        #: ``popleft``: draining N queued submissions costs O(N) in all.
+        self._queue: Deque[Any] = deque()
         #: Summed ticket sizes of the queued work not yet executed, kept
         #: as it changes: the daemon reads it once per request it feeds.
         self._pending_queries = 0
@@ -265,14 +269,11 @@ class _Submission:
     """One in-flight query set and its per-index completion state."""
 
     __slots__ = (
-        "ticket", "caller", "indices", "label", "values", "remaining",
-        "cursor",
+        "ticket", "indices", "label", "values", "remaining", "cursor",
     )
 
-    def __init__(self, ticket: Ticket, caller: str, indices: List[int],
-                 label: str):
+    def __init__(self, ticket: Ticket, indices: List[int], label: str):
         self.ticket = ticket
-        self.caller = caller
         self.indices = indices
         self.label = label
         self.values: List[Any] = [None] * len(indices)
@@ -363,10 +364,6 @@ class CoalescingScheduler(LaneScheduler):
         return self._oracle.k
 
     @property
-    def leader(self) -> int:
-        return self._prepared.leader
-
-    @property
     def oracle(self) -> CongestBatchOracle:
         """The shared physical oracle (advanced use; prefer submit/result)."""
         return self._oracle
@@ -414,9 +411,7 @@ class CoalescingScheduler(LaneScheduler):
         acct.queries.record(len(indices), label=label)
         acct.submissions += 1
 
-        sub = _Submission(
-            self._new_ticket(caller, len(indices)), caller, indices, label
-        )
+        sub = _Submission(self._new_ticket(caller, len(indices)), indices, label)
         if self._memo is not None:
             cached = self._memo.lookup(self._fingerprint, indices)
             if cached is not None:
@@ -503,7 +498,8 @@ class CoalescingScheduler(LaneScheduler):
 
         counts: Dict[str, int] = {}
         for sub, _pos in slots:
-            counts[sub.caller] = counts.get(sub.caller, 0) + 1
+            caller = sub.ticket.caller
+            counts[caller] = counts.get(caller, 0) + 1
         for caller, share in _proportional_shares(delta, counts).items():
             self._accounts[caller].rounds.charge(
                 f"batch:{label or 'query'}" if len(members) == 1
@@ -514,7 +510,9 @@ class CoalescingScheduler(LaneScheduler):
         for sub in completed:
             if self._memo is not None:
                 self._memo.store(self._fingerprint, sub.indices, sub.values)
-        self._queue = [s for s in self._queue if not s.done]
+        queue = self._queue
+        while queue and queue[0].done:
+            queue.popleft()
         self._pending_queries -= len(batch_indices)
         self.physical_batches += 1
         if self._recorder.active:

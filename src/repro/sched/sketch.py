@@ -277,7 +277,7 @@ class SketchScheduler(LaneScheduler):
             size += sub.op.size
         for sub in taken:
             self._apply(sub)
-        self._queue = self._queue[len(taken):]
+            self._queue.popleft()
         self._pending_queries -= size
         self.physical_batches += 1
         return size

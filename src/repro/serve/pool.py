@@ -23,8 +23,8 @@ it usually still holds the topology's setup.
 Sketch lanes (PR 10) are different: a :class:`~repro.sched.sketch.
 SketchScheduler` lane *holds authoritative data* (the accumulated sketch
 state), so dropping it would lose inserts, not warmth.  Sketch lanes are
-therefore ``pinned`` — never LRU-evicted — and carry no network/config
-(sketch operations are local phase rotations, not oracle batches).
+therefore ``pinned`` — never LRU-evicted — and have no profile to rebuild
+from (sketch operations are local phase rotations, not oracle batches).
 """
 
 from __future__ import annotations
@@ -48,14 +48,12 @@ DEFAULT_MAX_LANES = 8
 class Lane:
     """One serving profile: a named scheduler (oracle or sketch lane).
 
-    Oracle lanes carry their network/config; sketch lanes carry neither
-    (``None``) and are ``pinned`` because their scheduler's sketch is
-    authoritative state, not a rebuildable cache.
+    An oracle lane's network and config live on its scheduler and in the
+    pool's remembered profile.  Sketch lanes are ``pinned`` because their
+    scheduler's sketch is authoritative state, not a rebuildable cache.
     """
 
     name: str
-    network: Optional[Network]
-    config: Optional[FrameworkConfig]
     scheduler: LaneScheduler  # CoalescingScheduler | SketchScheduler
     in_flight: Dict[int, Any] = field(default_factory=dict)  # ticket id -> req
     batches: int = 0
@@ -132,9 +130,7 @@ class PreparedPool:
             network, config, memo=self.memo,
             recorder=self._recorder.fork(),
         )
-        lane = Lane(
-            name=name, network=network, config=config, scheduler=scheduler
-        )
+        lane = Lane(name=name, scheduler=scheduler)
         self._lanes[name] = lane
         self._evict_if_over()
         return lane
@@ -167,10 +163,7 @@ class PreparedPool:
             memo=self.memo if memo is None else memo,
             recorder=self._recorder.fork(),
         )
-        lane = Lane(
-            name=name, network=None, config=None, scheduler=scheduler,
-            pinned=True,
-        )
+        lane = Lane(name=name, scheduler=scheduler, pinned=True)
         self._lanes[name] = lane
         self._evict_if_over()
         return lane

@@ -10,6 +10,8 @@ from repro.congest.csr import build_csr
 from repro.congest.engine import Engine
 from repro.congest.network import CompleteNetwork, Network
 
+from .reference_loop import PerNodeBFS, reference_run
+
 
 def _reference(n, **kwargs):
     return Network(nx.complete_graph(n), **kwargs)
@@ -68,14 +70,20 @@ class TestEquivalence:
         assert isinstance(net, CompleteNetwork)
         assert net.is_complete
 
-    @pytest.mark.parametrize("schedule", ["dense", "active", "vectorized"])
-    def test_engine_runs_bit_identical(self, schedule):
+    # On each loop: the textbook one, which steps every node every round,
+    # the engine's per-node active-set loop, and its bulk loop.
+    @pytest.mark.parametrize("program,run", [
+        pytest.param(BFSEchoProgram, reference_run, id="dense"),
+        pytest.param(PerNodeBFS, Engine.run, id="active"),
+        pytest.param(BFSEchoProgram, Engine.run, id="vectorized"),
+    ])
+    def test_engine_runs_bit_identical(self, program, run):
         n = 9
         fast, ref = CompleteNetwork(n), _reference(n)
         runs = []
         for net in (fast, ref):
-            programs = {v: BFSEchoProgram(v, 0) for v in net.nodes()}
-            runs.append(Engine(net, programs, seed=3, schedule=schedule).run())
+            programs = {v: program(v, 0) for v in net.nodes()}
+            runs.append(run(Engine(net, programs, seed=3)))
         a, b = runs
         assert a.rounds == b.rounds
         assert a.outputs == b.outputs

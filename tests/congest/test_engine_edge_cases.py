@@ -17,15 +17,17 @@ from repro.congest.algorithms.aggregate import (
 from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
 from repro.congest.algorithms.leader import MaxIdFloodProgram
 from repro.congest.encoding import Field
-from repro.congest.engine import SCHEDULES, Engine, run_program
+from repro.congest.engine import Engine, run_program
 from repro.congest.errors import BandwidthExceeded, MessageTooLargeError
 from repro.congest.network import Network
 from repro.congest.program import IdleProgram, NodeProgram
 from repro.core.semigroup import combine_sum
 from repro.obs import MemorySink, Recorder
 
+from .reference_loop import PerNodeBFS, PerNodeMaxIdFlood
 
-def _violation(net, programs, schedule):
+
+def _violation(net, programs):
     """(error type, message, rounds completed, events) of a failing run.
 
     Round events lose their advisory ``mode`` tag, the one field that
@@ -33,7 +35,7 @@ def _violation(net, programs, schedule):
     """
     sink = MemorySink()
     stepper = Engine(
-        net, programs, seed=0, schedule=schedule, recorder=Recorder([sink])
+        net, programs, seed=0, recorder=Recorder([sink])
     ).stepper()
     with pytest.raises((BandwidthExceeded, ValueError)) as info:
         while stepper.step():
@@ -45,18 +47,14 @@ def _violation(net, programs, schedule):
     return type(info.value), str(info.value), stepper.rounds, events
 
 
-#: The ways a tree transfer enters the engine: a program dict on each
-#: per-node loop, or the transfer as arrays on the default loop.  A dict
-#: pinned to ``"vectorized"`` falls back to the per-node loop, so it would
-#: repeat the ``"active"`` case.
-ENTRIES = ("active", "dense", "arrays")
+#: The two forms a tree transfer enters the engine in: its program dict,
+#: which runs per node, or arrays, which run on the bulk loop.
+ENTRIES = ("dict", "arrays")
 
 
 def _entry(entry, make, transfer):
-    """(programs, schedule) for one of :data:`ENTRIES`."""
-    if entry == "arrays":
-        return transfer, "vectorized"
-    return make(), entry
+    """The programs of one of :data:`ENTRIES`."""
+    return transfer if entry == "arrays" else make()
 
 
 class TestHaltedNodes:
@@ -107,38 +105,58 @@ class TestFailureInjection:
         with pytest.raises(RuntimeError, match="node 3"):
             run_program(path8, {v: Crashes() for v in path8.nodes()})
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_bfs_on_starved_bandwidth_raises_model_violation(self, schedule):
+    @pytest.mark.parametrize("program,reason", [
+        pytest.param(BFSEchoProgram, "message-exceeds-bandwidth",
+                     id="BFSEchoProgram"),
+        pytest.param(PerNodeBFS, "unsupported-program-PerNodeBFS",
+                     id="PerNodeBFS"),
+    ])
+    def test_bfs_on_starved_bandwidth_raises_model_violation(
+        self, program, reason
+    ):
         """Protocols must fail loudly, not silently truncate, when the
-        bandwidth cannot carry their messages — on every round loop."""
+        bandwidth cannot carry their messages — whichever loop the
+        engine picks: an audited family that cannot fit never starts on
+        the bulk loop."""
         import networkx as nx
 
         net = Network(nx.path_graph(6), bandwidth=2)  # too small for (tag, dist)
 
-        def make():
-            return {v: BFSEchoProgram(v, 0) for v in net.nodes()}
+        def make(cls):
+            return {v: cls(v, 0) for v in net.nodes()}
 
+        engine = Engine(net, make(program))
         with pytest.raises(BandwidthExceeded):
-            run_program(net, make(), schedule=schedule)
-        assert _violation(net, make(), schedule) == _violation(
-            net, make(), "active"
+            engine.run()
+        assert engine.vectorized_fallback == reason
+        assert _violation(net, make(program)) == _violation(
+            net, make(PerNodeBFS)
         )
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_flood_on_starved_bandwidth_raises_model_violation(self, schedule):
+    @pytest.mark.parametrize("program,reason", [
+        pytest.param(MaxIdFloodProgram, "message-exceeds-bandwidth",
+                     id="MaxIdFloodProgram"),
+        pytest.param(PerNodeMaxIdFlood, "unsupported-program-PerNodeMaxIdFlood",
+                     id="PerNodeMaxIdFlood"),
+    ])
+    def test_flood_on_starved_bandwidth_raises_model_violation(
+        self, program, reason
+    ):
         """The one-field flood is held to the bandwidth like the
         two-field families: ``Field(id, 6)`` is 3 bits."""
         import networkx as nx
 
         net = Network(nx.path_graph(6), bandwidth=2)
 
-        def make():
-            return {v: MaxIdFloodProgram(v) for v in net.nodes()}
+        def make(cls):
+            return {v: cls(v) for v in net.nodes()}
 
+        engine = Engine(net, make(program), stop_on_quiescence=True)
         with pytest.raises(MessageTooLargeError):
-            run_program(net, make(), schedule=schedule, stop_on_quiescence=True)
-        assert _violation(net, make(), schedule) == _violation(
-            net, make(), "active"
+            engine.run()
+        assert engine.vectorized_fallback == reason
+        assert _violation(net, make(program)) == _violation(
+            net, make(PerNodeMaxIdFlood)
         )
 
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -155,9 +173,9 @@ class TestFailureInjection:
         transfer = Upcast(
             parent_array(tree, net.n), np.ones((net.n, 1)), combine_sum, 8
         )
-        got = _violation(net, *_entry(entry, make, transfer))
+        got = _violation(net, _entry(entry, make, transfer))
         assert got[0] is MessageTooLargeError
-        assert got == _violation(net, make(), "active")
+        assert got == _violation(net, make())
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_upcast_value_outside_domain_raises(self, entry):
@@ -169,9 +187,9 @@ class TestFailureInjection:
             parent_array(tree, net.n), np.full((net.n, 2), [3, 1]),
             combine_sum, 8,
         )
-        got = _violation(net, *_entry(entry, make, transfer))
+        got = _violation(net, _entry(entry, make, transfer))
         assert got[:2] == (ValueError, "value 9 outside domain [0, 8)")
-        assert got == _violation(net, make(), "active")
+        assert got == _violation(net, make())
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_downcast_value_outside_domain_raises(self, entry):
@@ -179,9 +197,9 @@ class TestFailureInjection:
         tree = bfs_with_echo(net, 0)
         make = partial(build_downcast_programs, net, tree, [5, 1, 9], 8)
         transfer = Downcast(parent_array(tree, net.n), np.array([5, 1, 9]), 8)
-        got = _violation(net, *_entry(entry, make, transfer))
+        got = _violation(net, _entry(entry, make, transfer))
         assert got[:3] == (ValueError, "value 9 outside domain [0, 8)", 1)
-        assert got == _violation(net, make(), "active")
+        assert got == _violation(net, make())
 
     def test_mid_protocol_violation_detected(self, path8):
         class GoodThenGreedy(NodeProgram):

@@ -4,15 +4,18 @@ import pytest
 
 from repro.congest import topologies
 from repro.congest.encoding import Field
-from repro.congest.engine import RunResult, run_program
+from repro.congest.engine import Engine, RunResult, run_program
 from repro.congest.program import NodeProgram
+
+from .reference_loop import reference_run
 
 
 class SilentCountdown(NodeProgram):
     """Halts after N self-scheduled silent rounds; sends nothing.
 
-    Under active scheduling this program is only ever executed because it
-    requests wakeups — there are no deliveries or sends to carry it.
+    On the engine's per-node loop, which skips idle nodes, this program is
+    only ever executed because it requests wakeups — there are no
+    deliveries or sends to carry it.
     """
 
     always_active = False
@@ -59,7 +62,7 @@ class TestRequestWakeup:
     def test_next_round_wakeups_drive_countdown(self):
         net = topologies.path(3)
         progs = {v: SilentCountdown(v, countdown=v + 1) for v in net.nodes()}
-        result = run_program(net, progs, seed=0, schedule="active")
+        result = run_program(net, progs, seed=0)
         assert result.outputs == {0: 1, 1: 2, 2: 3}
         for v, p in progs.items():
             assert p.executed_rounds == list(range(1, v + 2))
@@ -67,21 +70,23 @@ class TestRequestWakeup:
     def test_explicit_future_round(self):
         net = topologies.path(2)
         progs = {v: SparseWaker(v, wake_round=5 + v) for v in net.nodes()}
-        result = run_program(net, progs, seed=0, schedule="active")
+        result = run_program(net, progs, seed=0)
         assert progs[0].executed_rounds == [5]
         assert progs[1].executed_rounds == [6]
         assert result.outputs == {0: 5, 1: 6}
 
     def test_identical_under_dense_schedule(self):
+        # The textbook loop runs every node every round, so it needs no
+        # wakeups; the per-node loop must match it on wakeups alone.
         net = topologies.path(3)
-        runs = {}
-        for schedule in ("active", "dense"):
+        runs = []
+        for run in (Engine.run, reference_run):
             progs = {
                 v: SilentCountdown(v, countdown=v + 1) for v in net.nodes()
             }
-            res = run_program(net, progs, seed=0, schedule=schedule)
-            runs[schedule] = (res.rounds, res.outputs, res.stats)
-        assert runs["active"] == runs["dense"]
+            res = run(Engine(net, progs, seed=0))
+            runs.append((res.rounds, res.outputs, res.stats))
+        assert runs[0] == runs[1]
 
     def test_past_round_rejected(self):
         class BadWaker(NodeProgram):

@@ -4,8 +4,8 @@ The :mod:`repro.serve` daemon relies on :class:`~repro.congest.engine.
 EngineStepper` to interleave many in-flight executions on one event
 loop.  That is only sound if stepping changes *nothing* observable:
 rounds, outputs, traffic statistics, and the recorder event stream must
-match :meth:`~repro.congest.engine.Engine.run` exactly, under both the
-dense and active schedules — including when several steppers advance in
+match :meth:`~repro.congest.engine.Engine.run` exactly, on both the bulk
+and the per-node loop — including when several steppers advance in
 interleaved order, which is precisely the daemon's execution shape.
 """
 
@@ -14,11 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest import topologies
-from repro.congest.algorithms.bfs import BFSEchoProgram
 from repro.congest.algorithms.leader import MaxIdFloodProgram
-from repro.congest.algorithms.multibfs import MultiSourceBFSProgram
 from repro.congest.engine import Engine
 from repro.obs import MemorySink, Recorder
+
+from .reference_loop import flood_family
 
 
 def _make_network(draw):
@@ -33,29 +33,6 @@ def _make_network(draw):
     if kind == "star":
         return topologies.star(draw(st.integers(3, 12)))
     return topologies.balanced_tree(2, draw(st.integers(1, 3)))
-
-
-def _make_programs(draw, net, family):
-    if family == "bfs":
-        root = draw(st.integers(0, net.n - 1))
-        return (
-            lambda: {v: BFSEchoProgram(v, root) for v in net.nodes()},
-            {},
-        )
-    if family == "multibfs":
-        count = draw(st.integers(1, min(3, net.n)))
-        sources = draw(
-            st.lists(st.integers(0, net.n - 1), min_size=count,
-                     max_size=count, unique=True)
-        )
-        return (
-            lambda: {v: MultiSourceBFSProgram(v, sources) for v in net.nodes()},
-            {"stop_on_quiescence": True},
-        )
-    return (
-        lambda: {v: MaxIdFloodProgram(v) for v in net.nodes()},
-        {"stop_on_quiescence": True},
-    )
 
 
 def _assert_identical(res_a, res_b):
@@ -75,14 +52,14 @@ class TestStepperIdentity:
         net = _make_network(data.draw)
         family = data.draw(st.sampled_from(["bfs", "multibfs", "leader"]))
         seed = data.draw(st.integers(0, 100))
-        schedule = data.draw(st.sampled_from(["active", "dense"]))
-        make, kwargs = _make_programs(data.draw, net, family)
+        per_node = data.draw(st.booleans())
+        make, kwargs = flood_family(data.draw, net, family)
 
         mono_sink, step_sink = MemorySink(), MemorySink()
-        mono = Engine(net, make(), seed=seed, schedule=schedule,
+        mono = Engine(net, make(per_node), seed=seed,
                       recorder=Recorder([mono_sink]), **kwargs).run()
 
-        stepper = Engine(net, make(), seed=seed, schedule=schedule,
+        stepper = Engine(net, make(per_node), seed=seed,
                          recorder=Recorder([step_sink]), **kwargs).stepper()
         steps = 0
         while stepper.step():
@@ -109,21 +86,17 @@ class TestStepperIdentity:
         net_b = _make_network(data.draw)
         seed_a = data.draw(st.integers(0, 50))
         seed_b = data.draw(st.integers(0, 50))
-        schedule = data.draw(st.sampled_from(["active", "dense"]))
-        make_a, kw_a = _make_programs(
+        per_node = data.draw(st.booleans())
+        make_a, kw_a = flood_family(
             data.draw, net_a, data.draw(st.sampled_from(["bfs", "leader"])))
-        make_b, kw_b = _make_programs(
+        make_b, kw_b = flood_family(
             data.draw, net_b, data.draw(st.sampled_from(["bfs", "leader"])))
 
-        serial_a = Engine(net_a, make_a(), seed=seed_a, schedule=schedule,
-                          **kw_a).run()
-        serial_b = Engine(net_b, make_b(), seed=seed_b, schedule=schedule,
-                          **kw_b).run()
+        serial_a = Engine(net_a, make_a(per_node), seed=seed_a, **kw_a).run()
+        serial_b = Engine(net_b, make_b(per_node), seed=seed_b, **kw_b).run()
 
-        sa = Engine(net_a, make_a(), seed=seed_a, schedule=schedule,
-                    **kw_a).stepper()
-        sb = Engine(net_b, make_b(), seed=seed_b, schedule=schedule,
-                    **kw_b).stepper()
+        sa = Engine(net_a, make_a(per_node), seed=seed_a, **kw_a).stepper()
+        sb = Engine(net_b, make_b(per_node), seed=seed_b, **kw_b).stepper()
         # Interleave with a data-drawn pattern until both finish.
         while not (sa.done and sb.done):
             pick_a = data.draw(st.booleans()) if not (sa.done or sb.done) \

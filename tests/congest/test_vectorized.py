@@ -1,10 +1,13 @@
-"""The vectorized (column-major) engine schedule: fast path and fallbacks.
+"""The engine's vectorized (column-major) bulk loop: fast path and fallbacks.
 
-``Engine(schedule="vectorized")``, the default, must be observationally
-identical to the per-node schedules on the audited program families, and
-must fall back — with a recorded reason, still producing identical
-results — on anything it cannot bulk-execute.  The property-based twin of
-this file is ``tests/property/test_prop_vectorized.py``.
+The bulk loop, which the engine tries first, must be observationally
+identical to the per-node loop and to the textbook reference loop on the
+audited program families, and must fall back — with a recorded reason,
+still producing identical results — on anything it cannot bulk-execute.
+The per-node loop is reached on an audited family through the per-node
+subclasses of ``reference_loop.py``, and on a tree transfer through its
+program dict.  The property-based twin of this file is
+``tests/property/test_prop_vectorized.py``.
 """
 
 import pytest
@@ -38,6 +41,13 @@ from repro.core.semigroup import (
 )
 from repro.obs import MemorySink, Recorder
 
+from .reference_loop import (
+    PerNodeBFS,
+    PerNodeMaxIdFlood,
+    PerNodeMultiBFS,
+    reference_run,
+)
+
 
 def _assert_identical(res_a, res_b):
     assert res_a.rounds == res_b.rounds
@@ -45,8 +55,8 @@ def _assert_identical(res_a, res_b):
     assert res_a.stats == res_b.stats
 
 
-def _run(net, programs, schedule, **kwargs):
-    engine = Engine(net, programs, seed=3, schedule=schedule, **kwargs)
+def _run(net, programs, **kwargs):
+    engine = Engine(net, programs, seed=3, **kwargs)
     return engine, engine.run()
 
 
@@ -56,24 +66,24 @@ def _upcast_arrays(net, tree, values, combine, domain):
     return Upcast(parent_array(tree, net.n), rows, combine, domain)
 
 
-def _upcast(net, tree, values, combine, domain, schedule, seed=None):
-    """``pipelined_upcast``'s result, on a pinned round loop: arrays on
-    the bulk loop, the per-node programs on the others."""
-    if schedule == "vectorized":
+def _upcast(net, tree, values, combine, domain, arrays, seed=None):
+    """``pipelined_upcast``'s result, given as arrays (the bulk loop) or
+    as its per-node programs (the per-node loop)."""
+    if arrays:
         programs = _upcast_arrays(net, tree, values, combine, domain)
     else:
         programs = build_upcast_programs(net, tree, values, combine, domain)
-    result = Engine(net, programs, seed=seed, schedule=schedule).run()
+    result = Engine(net, programs, seed=seed).run()
     return tuple(result.outputs[tree.root]), result.rounds
 
 
-def _downcast(net, tree, payload, domain, schedule, seed=None):
-    """``pipelined_downcast``'s result, on a pinned round loop."""
-    if schedule == "vectorized":
+def _downcast(net, tree, payload, domain, arrays, seed=None):
+    """``pipelined_downcast``'s result, given as arrays or as programs."""
+    if arrays:
         programs = Downcast(parent_array(tree, net.n), payload, domain)
     else:
         programs = build_downcast_programs(net, tree, payload, domain)
-    result = Engine(net, programs, seed=seed, schedule=schedule).run()
+    result = Engine(net, programs, seed=seed).run()
     return {v: tuple(result.outputs[v]) for v in net.nodes()}, result.rounds
 
 
@@ -101,7 +111,7 @@ class TestFastPath:
         _same_on_every_loop(lambda: topologies.grid(22, 22), "grid(22,22)"),
         _same_on_every_loop(lambda: topologies.star(500), "star(500)"),
         # Larger instances: the bulk loop must run them without falling
-        # back; the per-node loops are not run at this size.
+        # back; the other loops are not run at this size.
         _bulk_only(
             lambda: topologies.random_regular(2000, 4, seed=7),
             "random_regular(2000,4)",
@@ -113,24 +123,30 @@ class TestFastPath:
         self, build, check_identity
     ):
         net = build()
-        make = lambda: {v: BFSEchoProgram(v, 0) for v in net.nodes()}
-        engine, vec = _run(net, make(), "vectorized")
+        engine, vec = _run(net, {v: BFSEchoProgram(v, 0) for v in net.nodes()})
         assert engine.vectorized_fallback is None
         assert engine.vectorized_rounds == vec.rounds
         if check_identity:
-            for schedule in ("active", "dense"):
-                _, per_node = _run(net, make(), schedule)
-                _assert_identical(per_node, vec)
+            _, per_node = _run(net, {v: PerNodeBFS(v, 0) for v in net.nodes()})
+            _assert_identical(per_node, vec)
+            reference = reference_run(
+                Engine(net, {v: BFSEchoProgram(v, 0) for v in net.nodes()},
+                       seed=3)
+            )
+            _assert_identical(reference, vec)
 
     def test_multibfs_identical(self):
         net = topologies.random_regular(14, 3, seed=5)
         sources = [0, 7]
-        make = lambda: {
-            v: MultiSourceBFSProgram(v, sources) for v in net.nodes()
-        }
-        _, active = _run(net, make(), "active", stop_on_quiescence=True)
-        engine, vec = _run(net, make(), "vectorized", stop_on_quiescence=True)
-        _assert_identical(active, vec)
+        _, per_node = _run(
+            net, {v: PerNodeMultiBFS(v, sources) for v in net.nodes()},
+            stop_on_quiescence=True,
+        )
+        engine, vec = _run(
+            net, {v: MultiSourceBFSProgram(v, sources) for v in net.nodes()},
+            stop_on_quiescence=True,
+        )
+        _assert_identical(per_node, vec)
         assert engine.vectorized_fallback is None
         assert engine.vectorized_rounds == vec.rounds
 
@@ -140,18 +156,18 @@ class TestFastPath:
         # per-node ``Message.value`` of a one-field payload does.
         net = topologies.grid(3, 4)
         runs = []
-        for schedule in ("active", "vectorized"):
+        for program in (PerNodeMaxIdFlood, MaxIdFloodProgram):
             sink = MemorySink()
             engine = Engine(
                 net,
-                {v: MaxIdFloodProgram(v) for v in reversed(net.nodes())},
-                seed=3, schedule=schedule, stop_on_quiescence=True,
+                {v: program(v) for v in reversed(net.nodes())},
+                seed=3, stop_on_quiescence=True,
                 recorder=Recorder([sink]),
             )
             runs.append((engine, engine.run(), sink.events_of_kind("deliver")))
-        (_, active, active_events), (engine, vec, vec_events) = runs
-        _assert_identical(active, vec)
-        assert active_events == vec_events
+        (_, per_node, per_node_events), (engine, vec, vec_events) = runs
+        _assert_identical(per_node, vec)
+        assert per_node_events == vec_events
         assert all(type(e.value) is int for e in vec_events)
         assert engine.vectorized_fallback is None
         assert engine.vectorized_rounds == vec.rounds
@@ -159,19 +175,17 @@ class TestFastPath:
     def test_leader_flood_on_one_node_runs_no_round(self):
         net = topologies.path(1)
         engine, result = _run(
-            net, {0: MaxIdFloodProgram(0)}, "vectorized",
-            stop_on_quiescence=True,
+            net, {0: MaxIdFloodProgram(0)}, stop_on_quiescence=True,
         )
         assert (result.rounds, result.outputs) == (0, {0: 0})
         assert engine.vectorized_fallback is None
 
     def test_fast_path_never_builds_contexts(self):
-        # The whole point of the bulk schedule: no per-node Context objects
+        # The whole point of the bulk loop: no per-node Context objects
         # (or their RNG streams) are ever constructed.
         net = topologies.cycle(12)
         engine = Engine(
-            net, {v: BFSEchoProgram(v, 0) for v in net.nodes()},
-            seed=0, schedule="vectorized",
+            net, {v: BFSEchoProgram(v, 0) for v in net.nodes()}, seed=0,
         )
         engine.run()
         assert engine.vectorized_fallback is None
@@ -205,9 +219,9 @@ class TestFastPath:
                 expected ^= v & 3 if v < 3 else 0
         else:
             values = {v: [v] for v in net.nodes()}
-        active = _upcast(net, tree, values, combine, 1 << 16, "active")
-        vec = _upcast(net, tree, values, combine, 1 << 16, "vectorized")
-        assert active == vec
+        per_node = _upcast(net, tree, values, combine, 1 << 16, arrays=False)
+        vec = _upcast(net, tree, values, combine, 1 << 16, arrays=True)
+        assert per_node == vec
         assert vec[0] == (expected,)
 
     @pytest.mark.parametrize(
@@ -226,16 +240,16 @@ class TestFastPath:
         result = engine.run()
         assert engine.vectorized_fallback is None
         assert (tuple(result.outputs[tree.root]), result.rounds) == _upcast(
-            net, tree, values, combine, 1 << 8, "active"
+            net, tree, values, combine, 1 << 8, arrays=False
         )
 
     def test_downcast_identical(self):
         net = topologies.balanced_tree(2, 3)
         tree = bfs_with_echo(net, 0)
         payload = [5, 1, 4, 1]
-        active = _downcast(net, tree, payload, 8, "active")
-        vec = _downcast(net, tree, payload, 8, "vectorized")
-        assert active == vec
+        per_node = _downcast(net, tree, payload, 8, arrays=False)
+        vec = _downcast(net, tree, payload, 8, arrays=True)
+        assert per_node == vec
         assert all(got == tuple(payload) for got in vec[0].values())
 
     def test_aggregate_single_identical(self):
@@ -244,20 +258,19 @@ class TestFastPath:
         values = {v: v for v in net.nodes()}
         (combined,), rounds = _upcast(
             net, tree, {v: [x] for v, x in values.items()}, combine_sum,
-            1 << 12, "active",
+            1 << 12, arrays=False,
         )
-        active = (combined, rounds)
         vec = aggregate_single(net, tree, values, combine_sum, domain=1 << 12)
-        assert active == vec
+        assert (combined, rounds) == vec
 
 
 class TestFallbacks:
     """Unsupported shapes fall back per-node with identical results."""
 
     def _expect_fallback(self, net, make, reason, **kwargs):
-        _, active = _run(net, make(), "active", **kwargs)
-        engine, vec = _run(net, make(), "vectorized", **kwargs)
-        _assert_identical(active, vec)
+        reference = reference_run(Engine(net, make(), seed=3, **kwargs))
+        engine, vec = _run(net, make(), **kwargs)
+        _assert_identical(reference, vec)
         assert engine.vectorized_fallback == reason
         assert engine.vectorized_rounds == 0
         return engine
@@ -276,15 +289,13 @@ class TestFallbacks:
         )
 
     def test_mixed_program_types(self):
-        # A mixed dict is semantically broken under every schedule (the
+        # A mixed dict is semantically broken on every loop (the
         # families' wire formats differ), so only the audit verdict is
         # checked — not a run.
         net = topologies.cycle(6)
         programs = {v: BFSEchoProgram(v, 0) for v in net.nodes()}
         programs[5] = MaxIdFloodProgram(5)
-        vp, reason = build_vectorized(
-            Engine(net, programs, seed=0, schedule="vectorized")
-        )
+        vp, reason = build_vectorized(Engine(net, programs, seed=0))
         assert vp is None and reason == "mixed-program-types"
 
     def test_bfs_roots_disagree(self):
@@ -292,7 +303,6 @@ class TestFallbacks:
         engine, _ = _run(
             net,
             {v: BFSEchoProgram(v, root=v % 2) for v in net.nodes()},
-            "vectorized",
         )
         assert engine.vectorized_fallback == "bfs-roots-disagree"
         assert engine.vectorized_rounds == 0
@@ -304,8 +314,7 @@ class TestFallbacks:
             for v in net.nodes()
         }
         vp, reason = build_vectorized(
-            Engine(net, programs, seed=0, schedule="vectorized",
-                   stop_on_quiescence=True)
+            Engine(net, programs, seed=0, stop_on_quiescence=True)
         )
         assert vp is None and reason == "multibfs-sources-disagree"
 
@@ -315,11 +324,11 @@ class TestFallbacks:
         values = {v: [v % 7] for v in net.nodes()}
         anon = lambda a, b: max(a, b)  # noqa: E731 - deliberately unregistered
         transfer = _upcast_arrays(net, tree, values, anon, domain=8)
-        engine = Engine(net, transfer, seed=0, schedule="vectorized")
+        engine = Engine(net, transfer, seed=0)
         vec = engine.run()
         assert engine.vectorized_fallback == "upcast-combine-unregistered"
-        active = _upcast(net, tree, values, anon, 8, "active", seed=0)
-        assert (tuple(vec.outputs[tree.root]), vec.rounds) == active
+        per_node = _upcast(net, tree, values, anon, 8, arrays=False, seed=0)
+        assert (tuple(vec.outputs[tree.root]), vec.rounds) == per_node
 
     @pytest.mark.parametrize("parents,error", [
         # Node 2's parent is not its neighbour on the cycle: the per-node
@@ -343,8 +352,8 @@ class TestFallbacks:
             [-1 if p is None else p for p in parents], [[1]] * net.n,
             combine_sum, 8,
         )
-        for entry, schedule in ((programs, "active"), (transfer, "vectorized")):
-            engine = Engine(net, entry, schedule=schedule, max_rounds=40)
+        for entry in (programs, transfer):
+            engine = Engine(net, entry, max_rounds=40)
             with pytest.raises(error):
                 engine.run()
         assert engine.vectorized_fallback == "upcast-tree-malformed"
@@ -353,25 +362,23 @@ class TestFallbacks:
         from repro.faults import BernoulliLoss, FaultyEngine
 
         net = topologies.grid(3, 3)
-        make = lambda: {
-            v: BoundedMaxIdFloodProgram(v, horizon=net.n)
-            for v in net.nodes()
-        }
         runs = []
-        for schedule in ("active", "vectorized"):
+        for run in (reference_run, FaultyEngine.run):
             engine = FaultyEngine(
-                net, make(), fault_model=BernoulliLoss(0.2), fault_seed=4,
-                seed=4, schedule=schedule,
+                net,
+                {v: BoundedMaxIdFloodProgram(v, horizon=net.n)
+                 for v in net.nodes()},
+                fault_model=BernoulliLoss(0.2), fault_seed=4, seed=4,
             )
-            runs.append((engine, engine.run()))
-        (_, res_a), (b, res_b) = runs
-        _assert_identical(res_a, res_b)
-        assert b.vectorized_fallback == "fault-channel"
-        assert b.vectorized_rounds == 0
+            runs.append((engine, run(engine)))
+        (_, reference), (engine, result) = runs
+        _assert_identical(reference, result)
+        assert engine.vectorized_fallback == "fault-channel"
+        assert engine.vectorized_rounds == 0
 
 
 class TestDefaultSchedule:
-    """With no ``schedule`` argument the engine chooses its loop."""
+    """The engine chooses its loop from what it is given."""
 
     @pytest.mark.parametrize(
         "family", ["bfs-echo", "multibfs", "leader", "upcast", "downcast"]

@@ -6,12 +6,16 @@ round-limit outcome), the outputs and :class:`TrafficStats` of a finished
 run, the :class:`FaultStats` counters except ``attempted``, and a SHA-256
 of the trace's ``(round, src, dst, bits, repr(value), kind)`` tuples.  The
 grid crosses six channel models with no crash, a crash-stop and a
-crash-recovery, on both per-node schedules over three programs (one
-always active, two skippable), plus one resilient BFS per model and crash
-setting.  Equivalence tests compare schedules with each other, so a
-change to the fault RNG draw order that shifts every schedule alike
-passes them; this file does not.  Regenerate it only for a deliberate
-change of fault semantics, never to make this module pass.
+crash-recovery, on two loops over three programs (one always active, two
+skippable), plus one resilient BFS per model and crash setting.  The
+loops are the engine's own (``active``: a ``FaultyEngine`` always runs
+its per-node loop, which skips idle nodes) and the textbook loop of
+``tests/congest/reference_loop.py`` driving the same fault channel
+(``dense``: every live node steps every round); each case's entry is the
+same on both.  Equivalence tests compare loops with each other, so a
+change to the fault RNG draw order that shifts every loop alike passes
+them; this file does not.  Regenerate it only for a deliberate change of
+fault semantics, never to make this module pass.
 """
 
 import hashlib
@@ -43,6 +47,8 @@ from repro.faults import (
     ResilientProgram,
 )
 
+from ..congest.reference_loop import reference_run
+
 GOLDEN = Path(__file__).parent / "golden_faults.json"
 
 MODELS = {
@@ -73,10 +79,14 @@ FAMILIES = {
     ),
 }
 
+#: loop label -> how a case's engine runs: its own (per-node) loop, or
+#: the textbook loop over the same fault channel.
+LOOPS = {"active": FaultyEngine.run, "dense": reference_run}
+
 CASES = [
-    f"{family}/{model}/{crash}/{schedule}/{seed}"
-    for model, crash, schedule, (seed, family) in itertools.product(
-        MODELS, CRASHES, ("active", "dense"),
+    f"{family}/{model}/{crash}/{loop}/{seed}"
+    for model, crash, loop, (seed, family) in itertools.product(
+        MODELS, CRASHES, LOOPS,
         enumerate(("bounded-flood", "bfs-echo", "max-id-flood")),
     )
 ] + [
@@ -100,8 +110,8 @@ def _fault_counters(stats):
 
 
 def run_case(case):
-    """The frozen observables of one ``family/model/crash/schedule/seed``."""
-    family, model, crash, schedule, seed = case.split("/")
+    """The frozen observables of one ``family/model/crash/loop/seed``."""
+    family, model, crash, loop, seed = case.split("/")
     net = topologies.grid(4, 5)
     make, kwargs = FAMILIES[family]
     recorder, trace = traced_recorder()
@@ -112,12 +122,11 @@ def run_case(case):
         crash_schedule=CRASHES[crash]() if CRASHES[crash] else None,
         seed=int(seed),
         fault_seed=int(seed) + 1,
-        schedule=schedule,
         recorder=recorder,
         **kwargs,
     )
     try:
-        result = engine.run()
+        result = LOOPS[loop](engine)
         record = {
             "rounds": result.rounds,
             "outputs": repr(sorted(result.outputs.items())),

@@ -6,6 +6,8 @@ run with consistent span attribution — and with the null recorder the
 refactored emitters change nothing observable.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.congest import topologies
@@ -31,9 +33,11 @@ from repro.obs import (
 )
 from repro.queries.ledger import ParallelismViolation, QueryLedger
 
+from ..congest.reference_loop import PerNodeBFS
 
-def _bfs_programs(net):
-    return {v: BFSEchoProgram(v, 0) for v in net.nodes()}
+
+def _bfs_programs(net, program=BFSEchoProgram):
+    return {v: program(v, 0) for v in net.nodes()}
 
 
 class TestEngineEmission:
@@ -60,14 +64,18 @@ class TestEngineEmission:
         for r in sink.events_of_kind("round"):
             assert by_round.get(r.round_no, 0) == r.messages
 
-    @pytest.mark.parametrize("schedule", ["dense", "active"])
-    def test_null_recorder_run_identical_to_recorded(self, grid45, schedule):
-        """Recording must never change behaviour, on either schedule."""
+    @pytest.mark.parametrize(
+        "program", [BFSEchoProgram, PerNodeBFS], ids=["default", "active"]
+    )
+    def test_null_recorder_run_identical_to_recorded(self, grid45, program):
+        """Recording must never change behaviour, on either loop: the
+        engine's default pick for BFS (the bulk loop) or the per-node
+        active-set loop."""
         plain = Engine(
-            grid45, _bfs_programs(grid45), seed=2, schedule=schedule
+            grid45, _bfs_programs(grid45, program), seed=2
         ).run()
         recorded = Engine(
-            grid45, _bfs_programs(grid45), seed=2, schedule=schedule,
+            grid45, _bfs_programs(grid45, program), seed=2,
             recorder=Recorder([MemorySink()]),
         ).run()
         assert plain.rounds == recorded.rounds
@@ -77,15 +85,22 @@ class TestEngineEmission:
         assert plain.stats.per_round_messages == recorded.stats.per_round_messages
 
     def test_schedules_emit_identical_streams(self, grid45):
-        streams = {}
-        for schedule in ("dense", "active"):
+        """Both loops emit the same events; only the advisory round
+        ``mode`` names the loop."""
+        streams = []
+        for program in (BFSEchoProgram, PerNodeBFS):
             sink = MemorySink()
             Engine(
-                grid45, _bfs_programs(grid45), seed=3, schedule=schedule,
+                grid45, _bfs_programs(grid45, program), seed=3,
                 recorder=Recorder([sink]),
             ).run()
-            streams[schedule] = sink.events
-        assert streams["dense"] == streams["active"]
+            streams.append(sink.events)
+        bulk, per_node = streams
+        assert {e.mode for e in bulk if e.kind == "round"} == {"vectorized"}
+        assert [
+            dataclasses.replace(e, mode="") if e.kind == "round" else e
+            for e in bulk
+        ] == per_node
 
 
 class TestTracingShim:

@@ -1,11 +1,12 @@
-"""Property: the vectorized schedule is bit-identical to per-node runs.
+"""Property: the engine's bulk loop is bit-identical to its per-node loop.
 
-The column-major bulk loop (``Engine(schedule="vectorized")``) is an
+The column-major bulk loop, which the engine tries first, is an
 *oracle-checked optimization*: over random topologies, seeds, and program
-parameters it must reproduce the active-set schedule exactly — rounds,
-outputs, traffic statistics, observability events (delivery order
-included), and per-phase round-ledger charges.  ``mode`` on RoundEvents
-is the one sanctioned difference and is excluded by construction.
+parameters it must reproduce the per-node loop exactly — rounds, outputs,
+traffic statistics and observability events (delivery order included).
+The per-node side runs an audited family as its per-node subclass, and a
+tree transfer as its program dict.  ``mode`` on RoundEvents is the one
+sanctioned difference and is excluded by construction.
 """
 
 import dataclasses
@@ -22,9 +23,7 @@ from repro.congest.algorithms.aggregate import (
     build_upcast_programs,
     parent_array,
 )
-from repro.congest.algorithms.bfs import BFSEchoProgram, bfs_with_echo
-from repro.congest.algorithms.leader import MaxIdFloodProgram
-from repro.congest.algorithms.multibfs import MultiSourceBFSProgram
+from repro.congest.algorithms.bfs import bfs_with_echo
 from repro.congest.engine import Engine
 from repro.core.semigroup import (
     combine_max,
@@ -33,6 +32,8 @@ from repro.core.semigroup import (
     combine_xor,
 )
 from repro.obs import MemorySink, Recorder, install
+
+from ..congest.reference_loop import flood_family
 
 _SETTINGS = dict(
     max_examples=40, deadline=None,
@@ -52,29 +53,6 @@ def _make_network(draw):
     if kind == "star":
         return topologies.star(draw(st.integers(3, 20)))
     return topologies.balanced_tree(2, draw(st.integers(1, 3)))
-
-
-def _make_program_factory(draw, net, family):
-    if family == "bfs":
-        root = draw(st.integers(0, net.n - 1))
-        return (
-            lambda: {v: BFSEchoProgram(v, root) for v in net.nodes()},
-            {},
-        )
-    if family == "leader":
-        return (
-            lambda: {v: MaxIdFloodProgram(v) for v in net.nodes()},
-            {"stop_on_quiescence": True},
-        )
-    count = draw(st.integers(1, min(3, net.n)))
-    sources = draw(
-        st.lists(st.integers(0, net.n - 1), min_size=count,
-                 max_size=count, unique=True)
-    )
-    return (
-        lambda: {v: MultiSourceBFSProgram(v, sources) for v in net.nodes()},
-        {"stop_on_quiescence": True},
-    )
 
 
 def _assert_identical(res_a, res_b):
@@ -97,11 +75,11 @@ def _strip_mode(events):
 _DOMAIN = 1 << 13
 
 
-def _recorded(net, programs, schedule):
+def _recorded(net, programs):
     """A run's engine and result, with its deliver and round events."""
     sink = MemorySink()
     with install(Recorder([sink])):
-        engine = Engine(net, programs, schedule=schedule)
+        engine = Engine(net, programs)
         result = engine.run()
     rounds = _strip_mode(sink.events_of_kind("round"))
     return engine, result, sink.events_of_kind("deliver"), rounds
@@ -111,10 +89,10 @@ def _assert_transfer_identical(net, programs, transfer):
     """A tree transfer given as arrays matches its per-node programs on
     the per-node loop: rounds, outputs, stats and event streams, with
     every round on the bulk loop."""
-    _, active, *active_events = _recorded(net, programs, "active")
-    engine, vec, *vec_events = _recorded(net, transfer, "vectorized")
-    _assert_identical(active, vec)
-    assert active_events == vec_events
+    _, per_node, *per_node_events = _recorded(net, programs)
+    engine, vec, *vec_events = _recorded(net, transfer)
+    _assert_identical(per_node, vec)
+    assert per_node_events == vec_events
     assert engine.vectorized_fallback is None
     assert engine.vectorized_rounds == vec.rounds
 
@@ -126,13 +104,11 @@ class TestVectorizedEquivalence:
         net = _make_network(data.draw)
         family = data.draw(st.sampled_from(["bfs", "multibfs", "leader"]))
         seed = data.draw(st.integers(0, 100))
-        make, kwargs = _make_program_factory(data.draw, net, family)
-        active = Engine(
-            net, make(), seed=seed, schedule="active", **kwargs
-        ).run()
-        engine = Engine(net, make(), seed=seed, schedule="vectorized", **kwargs)
+        make, kwargs = flood_family(data.draw, net, family)
+        per_node = Engine(net, make(per_node=True), seed=seed, **kwargs).run()
+        engine = Engine(net, make(), seed=seed, **kwargs)
         vec = engine.run()
-        _assert_identical(active, vec)
+        _assert_identical(per_node, vec)
         # The audited families never fall back, and every round of a
         # fast-path run is a vectorized round.
         assert engine.vectorized_fallback is None
@@ -144,25 +120,23 @@ class TestVectorizedEquivalence:
         net = _make_network(data.draw)
         family = data.draw(st.sampled_from(["bfs", "multibfs", "leader"]))
         seed = data.draw(st.integers(0, 100))
-        make, kwargs = _make_program_factory(data.draw, net, family)
+        make, kwargs = flood_family(data.draw, net, family)
         streams = []
-        for schedule in ("active", "vectorized"):
+        for per_node in (True, False):
             sink = MemorySink()
             with install(Recorder([sink])):
-                Engine(
-                    net, make(), seed=seed, schedule=schedule, **kwargs
-                ).run()
+                Engine(net, make(per_node), seed=seed, **kwargs).run()
             streams.append(sink)
-        active_sink, vec_sink = streams
+        per_node_sink, vec_sink = streams
         # Deliveries: same events in the same canonical order.
         assert (
-            active_sink.events_of_kind("deliver")
+            per_node_sink.events_of_kind("deliver")
             == vec_sink.events_of_kind("deliver")
         )
         # Rounds: identical up to the advisory `mode` tag.
-        assert _strip_mode(active_sink.events_of_kind("round")) == _strip_mode(
-            vec_sink.events_of_kind("round")
-        )
+        assert _strip_mode(
+            per_node_sink.events_of_kind("round")
+        ) == _strip_mode(vec_sink.events_of_kind("round"))
         assert all(
             e.mode == "vectorized" for e in vec_sink.events_of_kind("round")
         )
@@ -225,12 +199,12 @@ class TestVectorizedEquivalence:
             )
 
 
-def _stepped(net, programs, schedule):
+def _stepped(net, programs):
     """How a run ends, the ``step()`` calls before that, and its deliver
     and round events: ``("ok", rounds, outputs, stats)`` or ``("error",
     type, message)``."""
     sink = MemorySink()
-    engine = Engine(net, programs, schedule=schedule, recorder=Recorder([sink]))
+    engine = Engine(net, programs, recorder=Recorder([sink]))
     stepper = engine.stepper()
     steps = 0
     try:
@@ -253,7 +227,7 @@ class TestArrayHandOff:
     @given(data=st.data())
     def test_array_entry_matches_programs(self, data):
         """A transfer handed to the engine as arrays, on the bulk loop,
-        matches its programs on the active loop: the same run, or the
+        matches its programs on the per-node loop: the same run, or the
         same domain error after the same steps and events.
 
         Small domains put the violations in random rounds: values fit
@@ -286,7 +260,7 @@ class TestArrayHandOff:
             programs = build_downcast_programs(
                 net, tree, rows[tree.root], domain
             )
-        _, expected = _stepped(net, programs, "active")
-        engine, got = _stepped(net, transfer, "vectorized")
+        _, expected = _stepped(net, programs)
+        engine, got = _stepped(net, transfer)
         assert got == expected
         assert engine.vectorized_fallback is None

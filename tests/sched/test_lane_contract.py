@@ -11,7 +11,7 @@ import pytest
 
 from repro.apps.sketches import AmplitudeSketch, SketchSpec
 from repro.core.operation import Operation
-from repro.sched import CoalescingScheduler, SketchScheduler
+from repro.sched import CoalescingScheduler, SketchScheduler, scheduler
 from repro.serve import build_profile
 
 P = 4
@@ -85,3 +85,34 @@ def test_batches_run_only_when_the_owner_asks(lane):
     assert sched.flush() == 0
     assert sched.physical_batches == 3
     assert set(sched._by_ticket) == {t.id for t in tickets}
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_draining_reads_each_submission_a_bounded_number_of_times(
+    n, monkeypatch
+):
+    """Draining N queued submissions costs O(N), not O(N) per batch.
+
+    A batch packs from the queue's head, so the submissions it finishes
+    leave from the head and no batch rescans the queue: the ``done``
+    reads while draining stay under three per submission (a batch of two
+    two-query submissions reads five), where a rescan after every batch
+    reads about N²/4.
+    """
+    reads = 0
+    done = scheduler._Submission.done
+
+    def counted(sub):
+        nonlocal reads
+        reads += 1
+        return done.fget(sub)
+
+    sched, op, _ = oracle_lane()
+    tickets = [sched.submit(op(i)) for i in range(n)]
+    monkeypatch.setattr(scheduler._Submission, "done", property(counted))
+    sched.drain()
+    assert sched.physical_batches == n // 2
+    assert 0 < reads <= 3 * n
+    monkeypatch.undo()
+    assert all(sched.done(t) for t in tickets)
+    assert sched.pending_queries == 0 and sched.pack_would_be_empty()
