@@ -17,8 +17,11 @@ write-path memo invalidation):
   tenants share batch capacity in proportion to their weights.
 * **Fill-or-flush** — a lane's scheduler only queues what it is fed;
   the daemon runs a batch as soon as a full width-``p`` batch is
-  pending, or after ``flush_after_ms`` of arrival silence with a
-  partial batch.  When a batch runs is the daemon's decision alone.
+  pending, or a partial batch once the oldest request the lane holds
+  has waited ``flush_after_ms`` since its admission (at once if it
+  already has), however steadily requests keep arriving.  The wait is
+  read off the event loop's clock.  When a batch runs is the daemon's
+  decision alone.
 * **Stepwise execution** — batches run through
   :meth:`~repro.sched.CoalescingScheduler.execute_batch_steps`, the
   generator that suspends after every engine round; the worker yields to
@@ -45,7 +48,6 @@ whole story of a serving session.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -117,8 +119,9 @@ class QueryService:
             ``name`` field is ignored).
         max_lanes: warm-pool bound (:class:`~repro.serve.pool.
             PreparedPool`).
-        flush_after_ms: arrival silence after which a partial batch
-            flushes anyway.
+        flush_after_ms: the longest a request waits for company: a
+            partial batch runs once the oldest request its lane holds
+            has waited this long since its admission.
         yield_every: engine rounds stepped between event-loop yields;
             lower = fairer interleaving, higher = less loop overhead.
         recorder: observability bus (defaults to the ambient recorder).
@@ -267,7 +270,7 @@ class QueryService:
         tstate.queries_admitted += operation.size
         loop = asyncio.get_running_loop()
         request = _Request(
-            operation, profile, loop.create_future(), time.monotonic(),
+            operation, profile, loop.create_future(), loop.time(),
         )
         tstate.queue.append(request)
         if self._recorder.active:
@@ -314,7 +317,8 @@ class QueryService:
         self, lane: Lane, state: _LaneState, ticket: Ticket, request: _Request
     ) -> None:
         values = lane.scheduler.take(ticket)
-        wait_ms = (time.monotonic() - request.submitted_at) * 1000.0
+        now = asyncio.get_running_loop().time()
+        wait_ms = (now - request.submitted_at) * 1000.0
         tenant = state.picker.get(request.tenant)
         tenant.completed += 1
         self.completed += 1
@@ -371,7 +375,8 @@ class QueryService:
 
     async def _worker(self, profile: str) -> None:
         state = self._lane_state[profile]
-        flush_now = False
+        loop = asyncio.get_running_loop()
+        flush_after_s = self.flush_after_ms / 1000.0
         while True:
             if (
                 self._draining and profile not in self.pool
@@ -385,24 +390,29 @@ class QueryService:
             self._feed(lane, state)
             pending = sched.pending_queries
             if pending >= sched.parallelism or (
-                pending > 0 and (flush_now or self._draining)
+                pending > 0 and self._draining
             ):
-                flush_now = False
                 await self._run_batch(lane, state)
                 continue
             if self._draining:
-                if pending > 0 or state.picker.backlog > 0:
-                    flush_now = True
-                    continue
                 return  # lane fully drained
-            timeout = (
-                self.flush_after_ms / 1000.0 if pending > 0 else None
-            )
+            timeout = None
+            if pending > 0:
+                # Fill-or-flush: a partial batch runs once its oldest
+                # request has waited flush_after_ms since admission.
+                oldest = min(
+                    request.submitted_at
+                    for _ticket, request in lane.in_flight.values()
+                )
+                timeout = oldest + flush_after_s - loop.time()
+                if timeout <= 0:
+                    await self._run_batch(lane, state)
+                    continue
             state.event.clear()
             try:
                 await asyncio.wait_for(state.event.wait(), timeout)
             except asyncio.TimeoutError:
-                flush_now = True  # fill-or-flush: run the partial batch
+                pass  # the deadline: the next pass runs the partial batch
 
     # -- shutdown --------------------------------------------------------
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import asyncio
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -274,11 +273,12 @@ async def _offer(
     """
     futures: List[asyncio.Future] = []
     rejected = 0
-    start = time.monotonic()
+    loop = asyncio.get_running_loop()  # the daemon's clock
+    start = loop.time()
     for arrival in arrivals:
         if time_scale > 0:
             target = start + arrival.at_s * time_scale
-            delay = target - time.monotonic()
+            delay = target - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
         else:
@@ -292,7 +292,7 @@ async def _offer(
     if drain:
         await service.drain(reason="close")
     results = await asyncio.gather(*futures, return_exceptions=True)
-    duration = time.monotonic() - start
+    duration = loop.time() - start
     latencies = [
         r.wait_ms for r in results if not isinstance(r, BaseException)
     ]

@@ -1,6 +1,7 @@
 """QueryService: admission, execution, drain, abort, life-cycle events."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -19,6 +20,8 @@ from repro.serve import (
     generate_arrivals,
     run_load,
 )
+
+from .loops import LOOP_FACTORIES, run_on
 
 NET, CFG = build_profile(rows=2, cols=2, k=8, parallelism=4)
 TRUTH = CFG.dist_input.aggregated()
@@ -122,6 +125,78 @@ class TestServing:
             await service.drain()
 
         asyncio.run(run())
+
+
+def _oracle_lane(service):
+    # p = 64: the ten one-query arrivals below never fill a batch.
+    net, cfg = build_profile(rows=2, cols=2, k=64, parallelism=64)
+    service.add_profile(net, cfg, name="wide")
+    return "wide", lambda j: Operation.query("t", [j])
+
+
+def _sketch_lane(service):
+    service.add_sketch_profile("sketch", build_sketch_profile())  # p = 64
+    return "sketch", lambda j: Operation.insert("t", [f"x{j}"])
+
+
+@pytest.mark.parametrize(
+    "loop_factory", list(LOOP_FACTORIES.values()), ids=list(LOOP_FACTORIES)
+)
+@pytest.mark.parametrize(
+    "lane", [_oracle_lane, _sketch_lane], ids=["oracle", "sketch"]
+)
+class TestFlushDeadline:
+    """A partial batch runs flush_after_ms after its oldest request's
+    admission, however steadily requests keep arriving.
+
+    The assertions read only the order in which the loop fires its
+    timers (a test sleep against the lane's deadline), never a
+    duration, so host speed cannot fail them.
+    """
+
+    FLUSH_MS = 50.0
+
+    def _service(self, lane):
+        service = make_service(flush_after_ms=self.FLUSH_MS)
+        return (service, *lane(service))
+
+    def test_a_steady_stream_does_not_hold_the_oldest_request(
+        self, lane, loop_factory
+    ):
+        service, profile, op = self._service(lane)
+
+        async def run():
+            futures = [service.submit(op(0), profile=profile)]
+            first_done = []
+            for j in range(1, 10):  # an arrival every flush_after_ms / 5
+                await asyncio.sleep(self.FLUSH_MS / 5 / 1000.0)
+                futures.append(service.submit(op(j), profile=profile))
+                first_done.append(futures[0].done())
+            await service.drain()
+            return first_done, await asyncio.gather(*futures)
+
+        first_done, results = run_on(loop_factory, run())
+        assert not first_done[0]  # when the second request is submitted
+        assert first_done[-1]  # when the tenth is
+        assert len(results) == 10
+        # Every wait is read off one clock: mixing the loop's with
+        # time.monotonic() would be 10^4 s off on the ahead loop.
+        assert all(0.0 <= r.wait_ms < 1e6 for r in results)
+
+    def test_the_wait_counts_from_admission(self, lane, loop_factory):
+        service, profile, op = self._service(lane)
+
+        async def run():
+            future = service.submit(op(0), profile=profile)
+            # Hold the loop past the deadline before the lane's worker
+            # has first seen the request.
+            time.sleep(1.5 * self.FLUSH_MS / 1000.0)
+            await asyncio.sleep(self.FLUSH_MS / 2 / 1000.0)
+            done = future.done()
+            await service.drain()
+            return done
+
+        assert run_on(loop_factory, run())
 
 
 class TestBackpressure:

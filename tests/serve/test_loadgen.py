@@ -14,6 +14,8 @@ from repro.serve import (
     run_load,
 )
 
+from .loops import LOOP_FACTORIES, run_on
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize(
@@ -101,6 +103,30 @@ class TestRunLoad:
         assert report.rejected == 0
         assert len(report.latencies_ms) == 40
         assert report.p99_ms >= report.p50_ms >= 0.0
+
+    @pytest.mark.parametrize(
+        "loop_factory", list(LOOP_FACTORIES.values()),
+        ids=list(LOOP_FACTORIES),
+    )
+    def test_paced_arrivals_keep_to_the_loop_clock(self, loop_factory):
+        net, cfg = build_profile(rows=2, cols=2, k=8, parallelism=4)
+        service = QueryService(
+            default_quota=TenantQuota("default", max_pending=1 << 12),
+            flush_after_ms=1.0,
+        )
+        service.add_profile(net, cfg)
+        spec = LoadSpec(clients=40, seed=5, rate_hz=2000.0, time_scale=1.0)
+        span = generate_arrivals(spec, 8)[-1].at_s * spec.time_scale
+
+        async def run():  # the guard reads the same clock as the pacing
+            return await asyncio.wait_for(run_load(service, spec), 10.0)
+
+        report = run_on(loop_factory, run())
+        assert report.completed == 40
+        # The last arrival waited for its time; on the ahead loop, a
+        # second clock would be 10^4 s off one way or the other.
+        assert span - 1e-6 <= report.duration_s < 1e3
+        assert all(0.0 <= ms < 1e6 for ms in report.latencies_ms)
 
     def test_backpressure_shows_up_as_rejections_not_failures(self):
         # Engine mode with yield_every=1: every in-flight batch suspends
