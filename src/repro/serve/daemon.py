@@ -272,7 +272,7 @@ class QueryService:
         request = _Request(
             operation, profile, loop.create_future(), loop.time(),
         )
-        tstate.queue.append(request)
+        state.picker.enqueue(tstate, request)
         if self._recorder.active:
             self._recorder.serve_request(tenant, operation.size, "accepted")
         self._ensure_worker(profile)

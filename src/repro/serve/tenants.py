@@ -11,7 +11,9 @@ value and advances that tenant's pass by its stride.  Over any busy
 interval each backlogged tenant is served in proportion to its weight, a
 starved tenant's pass falls behind and it catches up deterministically,
 and ties break by tenant name — no randomness, so a serving trace is
-exactly reproducible from the arrival order.
+exactly reproducible from the arrival order.  Idleness earns no credit:
+a tenant that joins, or whose queue refills from empty, resumes no
+earlier than the pass of the latest pick.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ class StridePicker:
 
     def __init__(self, tenants: Optional[Iterable[TenantState]] = None):
         self._tenants: Dict[str, TenantState] = {}
+        self._last_pass = 0.0  # the picked tenant's pass after the latest pick
         for tenant in tenants or ():
             self.add(tenant)
 
@@ -127,14 +130,20 @@ class StridePicker:
         name = tenant.quota.name
         if name in self._tenants:
             raise ValueError(f"duplicate tenant {name!r}")
-        # A joining tenant starts at the current minimum pass so it
-        # cannot monopolize the picker by arriving with pass 0 after
-        # everyone else accumulated strides.
-        floor = min(
-            (t.pass_value for t in self._tenants.values()), default=0.0
-        )
-        tenant.pass_value = max(tenant.pass_value, floor)
+        self._resume(tenant)
         self._tenants[name] = tenant
+
+    def enqueue(self, tenant: TenantState, request: object) -> None:
+        """Queue ``request`` on ``tenant``, resuming it if it was idle."""
+        if not tenant.queue:
+            self._resume(tenant)
+        tenant.queue.append(request)
+
+    def _resume(self, tenant: TenantState) -> None:
+        # A tenant back from idleness (or new) starts no earlier than the
+        # latest pick: a pass left behind while it had nothing queued
+        # would let it monopolize the picker until it caught up.
+        tenant.pass_value = max(tenant.pass_value, self._last_pass)
 
     def get(self, name: str) -> TenantState:
         return self._tenants[name]
@@ -166,4 +175,5 @@ class StridePicker:
             backlogged, key=lambda t: (t.pass_value, t.quota.name)
         )
         chosen.pass_value += chosen.stride
+        self._last_pass = chosen.pass_value
         return chosen

@@ -118,6 +118,41 @@ class TestStridePicker:
         # until it caught up with a's accumulated strides.
         assert late.pass_value == a.pass_value
 
+    @staticmethod
+    def _split(picker, picks):
+        counts = {}
+        for _ in range(picks):
+            chosen = picker.pick()
+            chosen.queue.popleft()
+            counts[chosen.quota.name] = counts.get(chosen.quota.name, 0) + 1
+        return counts
+
+    def test_tenant_back_from_idle_resumes_at_the_latest_pick(self):
+        a, b = _state("a"), _state("b")
+        picker = StridePicker([a, b])
+        picker.enqueue(a, "once")
+        assert picker.pick() is a
+        a.queue.popleft()  # a goes idle ...
+        for j in range(1200):
+            picker.enqueue(b, j)
+        assert self._split(picker, 1000) == {"b": 1000}  # ... for 1000 picks
+        for j in range(200):
+            picker.enqueue(a, j)  # refills from empty
+        # Resuming at its stale pass, a would take all 200 picks.
+        assert self._split(picker, 200) == {"a": 100, "b": 100}
+
+    def test_newcomer_beside_an_idle_tenant_cannot_monopolize(self):
+        idle, busy = _state("idle"), _state("busy")
+        picker = StridePicker([idle, busy])
+        for j in range(1200):
+            picker.enqueue(busy, j)
+        assert self._split(picker, 1000) == {"busy": 1000}
+        late = _state("late")
+        picker.add(late)  # joins while idle still sits at pass 0
+        for j in range(200):
+            picker.enqueue(late, j)
+        assert self._split(picker, 200) == {"busy": 100, "late": 100}
+
     def test_backlog_counts_queued_requests(self):
         a, b = _state("a"), _state("b")
         picker = StridePicker([a, b])
