@@ -28,7 +28,10 @@ deliver events), and both are held to the textbook loop kept in
   :mod:`repro.congest.algorithms.aggregate`): it runs with no per-node
   object at all, and the engine builds the per-node programs — and the
   per-node loop's order and always-awake tables — only if it falls
-  back; a dict of those programs runs per node.  The bulk loop holds
+  back; a dict of those programs runs per node.  A transfer's traffic
+  is fixed by its tree and vector length, so the bulk loop runs it
+  from the tree's cached schedule: one round per step, with no array
+  work unless the round is recorded.  The bulk loop holds
   messages to the per-node loop's rules: a family whose messages exceed
   the bandwidth never starts on it, and payload values are checked
   against their ``Field`` domains every round.  Its ``deliver`` events
@@ -476,6 +479,8 @@ class Engine:
         engine was given a tree transfer as arrays whose combine has a
         bulk port,
         and (c) that family's messages fit the network's bandwidth.
+        A tree transfer then runs off its schedule (:meth:`_transfer_steps`),
+        a flood family one ``step_all`` per round.
         Anything else silently falls back to the per-node loop (building
         a transfer's programs then), recording the reason on
         :attr:`vectorized_fallback` — results are bit-identical either
@@ -502,19 +507,18 @@ class Engine:
         if vp is None:
             result = yield from self._node_steps()
             return result
+        if self.transfer is not None:
+            result = yield from self._transfer_steps(vp)
+            return result
 
         stats = TrafficStats()
-        csr = vp.csr
-        one_field = len(vp.domains) == 1
-        n = network.n
-        # Program order per node: a transfer's is node order.
-        order_arr = np.arange(n, dtype=np.int64)
-        if self.transfer is None:
-            nodes = np.fromiter(
-                self._programs, dtype=np.int64, count=len(self._programs)
-            )
-            order_arr[nodes] = np.arange(nodes.shape[0])
-        active = np.ones(n, dtype=bool)
+        # Program order per node.
+        order_arr = np.arange(network.n, dtype=np.int64)
+        nodes = np.fromiter(
+            self._programs, dtype=np.int64, count=len(self._programs)
+        )
+        order_arr[nodes] = np.arange(nodes.shape[0])
+        active = np.ones(network.n, dtype=bool)
 
         # Round 0: local initialization, no communication charged.
         in_flight, halts = vp.start()
@@ -538,21 +542,7 @@ class Engine:
 
             bits = count * bits_per_message
             if self._recording:
-                # Deliver events in the canonical (program order, dst)
-                # order the per-node loops emit, each carrying what the
-                # per-node ``Message.value`` would: the bare int of a
-                # one-field payload, the pair of a two-field one.
-                src = csr.src[in_flight.edges]
-                dst = csr.indices[in_flight.edges]
-                a, b = in_flight.a, in_flight.b
-                for i in np.lexsort((dst, order_arr[src])):
-                    self.recorder.deliver(
-                        rounds,
-                        int(src[i]),
-                        int(dst[i]),
-                        bits_per_message,
-                        int(a[i]) if one_field else (int(a[i]), int(b[i])),
-                    )
+                self._record_deliveries(rounds, vp, in_flight, order_arr)
             stats.record_round(count, bits)
             if self._recording:
                 self.recorder.round(
@@ -573,6 +563,75 @@ class Engine:
         return RunResult(
             rounds=rounds, outputs=vp.outputs(rounds), stats=stats
         )
+
+    def _transfer_steps(self, vp) -> Iterator[int]:
+        """A tree transfer's rounds, read off its port's fixed schedule.
+
+        The port (:class:`~repro.congest.vectorized._TreeTransfer`) knows
+        every round's message count and halting nodes before round 0, so
+        a round does no array work: its messages are gathered only while
+        recording, for the deliver events, and in the port's
+        ``bad_round``, whose domain check raises the per-node loop's
+        ``ValueError`` after that round's events (at the first step,
+        before any event, when it is round 0).  ``RoundLimitExceeded``
+        comes at the step that would run round ``max_rounds + 1``, and
+        ``stop_on_quiescence`` ends the run at the first round that
+        sends nothing, as on the other loops.  A transfer's program
+        order is node order.
+        """
+        counts = vp.counts
+        last = len(counts)
+        if self.stop_on_quiescence and 0 in counts:
+            last = counts.index(0)
+        bits_per_message = vp.bits_per_message
+        bad_round = vp.bad_round
+        order = np.arange(self.network.n, dtype=np.int64)
+        if bad_round == 0:
+            vp.check_domains(vp.messages(0), order)
+        for rounds in range(1, last + 1):
+            if rounds > self.max_rounds:
+                raise RoundLimitExceeded(self.max_rounds)
+            if self._recording:
+                count = counts[rounds - 1]
+                self._record_deliveries(
+                    rounds, vp, vp.messages(rounds - 1), order
+                )
+                self.recorder.round(
+                    rounds, count, count * bits_per_message,
+                    mode="vectorized", model=self._model_token,
+                )
+            if rounds == bad_round:
+                vp.check_domains(vp.messages(rounds), order)
+            self.vectorized_rounds += 1
+            yield rounds
+
+        per_round = list(counts[:last])
+        messages = sum(per_round)
+        stats = TrafficStats(
+            messages, messages * bits_per_message, per_round,
+            [count * bits_per_message for count in per_round],
+        )
+        return RunResult(rounds=last, outputs=vp.outputs(last), stats=stats)
+
+    def _record_deliveries(self, rounds: int, vp, msgs, order) -> None:
+        """Emit a bulk round's deliver events in the canonical (program
+        order, dst) order the per-node loops emit, each carrying what the
+        per-node ``Message.value`` would: the bare int of a one-field
+        payload, the pair of a two-field one."""
+        csr = vp.csr
+        bits = vp.bits_per_message
+        one_field = len(vp.domains) == 1
+        src = csr.src[msgs.edges]
+        dst = csr.indices[msgs.edges]
+        a, b = msgs.a, msgs.b
+        for i in np.lexsort((dst, order[src])):
+            self.recorder.deliver(
+                rounds,
+                int(src[i]),
+                int(dst[i]),
+                bits,
+                int(a[i]) if one_field else (int(a[i]), int(b[i])),
+            )
 
     # ------------------------------------------------------------------
     # bookkeeping

@@ -26,18 +26,20 @@ the payload arity and ``bits_per_message``, and
 :meth:`VectorizedProgram.check_domains` holds every round's outgoing
 columns to them, raising the error ``Field`` raises on the per-node path.
 
-The pipelined tree transfers do no per-round array work at all.  Which
-node sends which coordinate in which round depends only on the BFS tree
-and the vector length (a node of height ``h`` sends coordinate ``i`` up
-in round ``h + i``, a node of depth ``d`` forwards it down in round
-``d + i``), so each tree's send schedule is computed once and cached per
-(topology, parent array).  What is sent is fixed before round 0 too: a
-node's upcast payload for coordinate ``i`` is its subtree's fold at
-``i``, and every downcast message carries the root's value.  So a
-transfer's port computes all its payloads at start, checks them against
-the domain once, and then reports each round's message count and
-halting nodes from two slices of the schedule; it gathers a round's
-messages only when the engine records them, or in the round that sends
+The pipelined tree transfers are not stepped at all.  Which node sends
+which coordinate in which round depends only on the BFS tree and the
+vector length (a node of height ``h`` sends coordinate ``i`` up in
+round ``h + i``, a node of depth ``d`` forwards it down in round
+``d + i``), so each tree's send schedule, a preorder of it, and per
+vector length each round's message count are computed once and cached
+per (topology, parent array).  What is sent is fixed before round 0
+too: a node's upcast payload for coordinate ``i`` is its subtree's fold
+at ``i`` (for a sum or an xor, a difference of two prefix folds over
+the preorder), and every downcast message carries the root's value.
+So a transfer's port computes all its payloads when it is built and
+checks them against the domain once, and the engine runs it from the
+cached counts, one round per step with no array work: it gathers a
+round's messages only when it records them, or in the round that sends
 an out-of-domain value, where the error is raised.  The transfers reach
 the bulk loop only as arrays (``Upcast``/``Downcast`` from
 :mod:`repro.congest.algorithms.aggregate`), which go straight to their
@@ -61,7 +63,7 @@ fault channel (:class:`repro.faults.FaultyEngine`; reason
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -139,28 +141,39 @@ def _node_out_edges(
     return np.repeat(csr.indptr[nodes], counts) + offsets
 
 
+@lru_cache(maxsize=4096)
+def _message_bits(domains: Tuple[int, ...]) -> int:
+    """What the per-node path charges for a payload of one ``Field`` per
+    domain, memoized (a tree transfer's port is built per run)."""
+    return payload_bits(tuple(Field(0, d) for d in domains))
+
+
 class VectorizedProgram:
     """Whole-network bulk executor for one audited program family.
 
-    The engine drives it exactly like its per-node round loop:
+    A flood port (BFS-with-echo, multi-source BFS, the max-id flood) is
+    stepped by the engine exactly like its per-node round loop:
 
-    * :meth:`start` is round 0 (``on_start`` for every node): returns the
+    * ``start()`` is round 0 (``on_start`` for every node): returns the
       initial in-flight traffic and the ids of the nodes that halted at
       start.
-    * :meth:`step_all` is one communication round for the whole network:
-      the engine passes the program's state arrays, the traffic delivered
-      this round, and the active (non-halted) node mask, and receives the
-      next round's traffic plus the ids of the *newly* halted nodes, each
-      node at most once per run (the engine adds their count to its
-      halted total).
-    * :meth:`outputs` assembles the per-node outputs after the run, as
-      plain Python objects bit-identical to the per-node ``ctx.output``.
+    * ``step_all(state, inbox, active_mask, round_no)`` is one
+      communication round for the whole network: the engine passes the
+      program's state arrays, the traffic delivered this round, and the
+      active (non-halted) node mask, and receives the next round's
+      traffic plus the ids of the *newly* halted nodes, each node at most
+      once per run (the engine adds their count to its halted total).
 
-    A round's traffic is an :class:`EdgeMessages`, or, from the tree
-    transfers, an object with the same length and columns whose columns
-    are gathered on first read; the engine reads them only to record
-    deliver events, and :meth:`check_domains` to hold them to their
-    domains.
+    A tree transfer's port is not stepped: its whole schedule is fixed
+    when it is built, and the engine runs it from that (see
+    :class:`_TreeTransfer`).  Every port has :meth:`outputs`, which
+    assembles the per-node outputs after the run, as plain Python
+    objects bit-identical to the per-node ``ctx.output``, and
+    :meth:`check_domains`.
+
+    A round's traffic is an :class:`EdgeMessages`; the engine reads its
+    columns only to record deliver events, and :meth:`check_domains` to
+    hold them to their domains.
 
     ``state`` is a dict of named numpy arrays — the column-major mirror
     of the per-node instance attributes; tests introspect it and the
@@ -177,20 +190,8 @@ class VectorizedProgram:
     def __init__(self, csr: CSRAdjacency, domains: Tuple[int, ...]):
         self.csr = csr
         self.domains = domains
-        self.bits_per_message = payload_bits(tuple(Field(0, d) for d in domains))
+        self.bits_per_message = _message_bits(domains)
         self.state: Dict[str, np.ndarray] = {}
-
-    def start(self) -> Tuple[EdgeMessages, np.ndarray]:
-        raise NotImplementedError
-
-    def step_all(
-        self,
-        state: Dict[str, np.ndarray],
-        inbox: EdgeMessages,
-        active_mask: np.ndarray,
-        round_no: int,
-    ) -> Tuple[EdgeMessages, np.ndarray]:
-        raise NotImplementedError
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
         raise NotImplementedError
@@ -515,11 +516,17 @@ class VectorizedMaxIdFlood(VectorizedProgram):
         return dict(enumerate(self.state["best"].tolist()))
 
 
-#: Entry bound of the tree-shape cache.  An entry is O(n) ints (its key
-#: included) whatever the vector length, and the transfers of one
-#: framework run, or of one serving lane's batches, all use one BFS tree,
-#: so a few dozen entries cover every tree a sweep or a daemon reuses.
+#: Entry bound of the tree-shape cache.  The transfers of one framework
+#: run, or of one serving lane's batches, all use one BFS tree, so a few
+#: dozen entries cover every tree a sweep or a daemon reuses.
 _TREE_SHAPE_ENTRIES = 32
+
+#: Vector lengths whose round counts each direction of a cached tree
+#: keeps, the oldest dropped first.  A serving lane at parallelism p
+#: distributes batches of 1 to p indices, and upcasts and uncomputes w
+#: words per value: 12 lengths down and 8 up on the 8x8 engine lane
+#: (p = 8, w = 2).
+_LENGTHS_PER_TREE = 16
 
 
 @dataclass(frozen=True)
@@ -528,20 +535,19 @@ class _Sends:
 
     The key is a node's height for the upcast and its depth for the
     downcast.  A node with key ``k`` sends coordinate ``i`` in round
-    ``k + i`` and halts in round ``k + length - 1`` (round 0 is
-    ``start``): a leaf's coordinates are ready at once, and an interior
+    ``k + i`` and halts in round ``k + length - 1`` (round 0 is the
+    start): a leaf's coordinates are ready at once, and an interior
     node's coordinate ``i`` is complete the round its last child's
     arrives; a child receives coordinate ``i`` the round after its
     parent sends it.
 
     ``edges`` holds this direction's tree edges sorted by their sender's
-    key (then edge id), with ``src``, ``dst`` and ``key`` aligned to it;
-    ``nodes`` holds every node sorted by key, and ``node_key`` is the
-    key per node.  ``edge_ptr[k]`` and ``node_ptr[k]`` are the first
-    positions whose key is at least ``k``, for ``k = 0 .. max + 1``, so
-    the senders of a key range, and the nodes of one key, are contiguous
-    slices.  The arrays are shared by every run over the tree and are
-    read-only.
+    key (then edge id), with ``src``, ``dst`` and ``key`` aligned to it,
+    and ``node_key`` is the key per node.  ``edge_ptr[k]`` is the first
+    position whose key is at least ``k``, for ``k = 0 .. max + 1``, so
+    the senders of a key range are one slice.  The arrays are shared by
+    every run over the tree and are read-only.  :meth:`counts` adds, per
+    vector length, how many messages each round of a transfer delivers.
     """
 
     edges: np.ndarray
@@ -549,9 +555,46 @@ class _Sends:
     dst: np.ndarray
     key: np.ndarray
     edge_ptr: List[int]
-    nodes: np.ndarray
-    node_ptr: List[int]
     node_key: np.ndarray
+    _counts: Dict[int, Tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def counts(self, length: int) -> Tuple[int, ...]:
+        """The messages delivered in each round ``1 .. R`` of a transfer
+        of ``length`` coordinates, where ``R`` is the tuple's length.
+
+        Round ``s`` sends on the edges whose key is ``s - length + 1 ..
+        s``, and those messages arrive in round ``s + 1``.  The run ends
+        in round ``max + length - 1``, when the node of the largest key
+        halts; with no coordinates every node halts at the start and no
+        round runs.
+        """
+        counts = self._counts.get(length)
+        if counts is None:
+            ptr = np.asarray(self.edge_ptr)
+            top = ptr.shape[0] - 1
+            sent = np.arange(top - 2 + length if length else 0)
+            counts = tuple((
+                ptr[np.minimum(sent + 1, top)]
+                - ptr[np.clip(sent - length + 1, 0, top)]
+            ).tolist())
+            if len(self._counts) >= _LENGTHS_PER_TREE:
+                del self._counts[next(iter(self._counts))]
+            self._counts[length] = counts
+        return counts
+
+
+@dataclass(frozen=True)
+class _TreeShape:
+    """A spanning tree's cached shape: its upcast and downcast
+    :class:`_Sends`, and a preorder in which every subtree is contiguous:
+    the subtree of ``preorder[j]`` is ``preorder[j:ends[j]]``."""
+
+    up: _Sends
+    down: _Sends
+    preorder: np.ndarray
+    ends: np.ndarray
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -565,22 +608,20 @@ def _sends(
     key = node_key[src]
     order = np.lexsort((edges, key))
     edges, src, dst, key = edges[order], src[order], dst[order], key[order]
-    nodes = np.argsort(node_key, kind="stable")
-    top = np.arange(int(node_key.max()) + 2)
-    _read_only(edges, src, dst, key, nodes, node_key)
+    _read_only(edges, src, dst, key, node_key)
     return _Sends(
         edges=edges, src=src, dst=dst, key=key,
-        edge_ptr=np.searchsorted(key, top).tolist(),
-        nodes=nodes,
-        node_ptr=np.searchsorted(node_key[nodes], top).tolist(),
+        edge_ptr=np.searchsorted(
+            key, np.arange(int(node_key.max()) + 2)
+        ).tolist(),
         node_key=node_key,
     )
 
 
 def _build_tree_shape(
     csr: CSRAdjacency, parent: np.ndarray
-) -> Optional[Tuple[_Sends, _Sends]]:
-    """The (upcast, downcast) sends of the tree ``parent`` spans.
+) -> Optional[_TreeShape]:
+    """The shape of the tree ``parent`` spans.
 
     None when ``parent`` is not a spanning tree of ``csr``'s network: not
     exactly one root, a parent that is not a neighbour, or a parent cycle
@@ -609,27 +650,42 @@ def _build_tree_shape(
         anc[live] = anc[anc[live]]
     else:
         return None
-    # Height, one depth level at a time from the deepest up.
+    # Height and subtree size, one depth level at a time from the
+    # deepest up.
     by_depth = np.argsort(depth, kind="stable")
     level_ptr = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))
     height = np.zeros(n, dtype=np.int64)
+    size = np.ones(n, dtype=np.int64)
     for d in range(int(depth.max()), 0, -1):
         level = by_depth[level_ptr[d]:level_ptr[d + 1]]
         np.maximum.at(height, parent[level], height[level] + 1)
+        np.add.at(size, parent[level], size[level])
+    # Preorder, children in node order.
+    children: List[List[int]] = [[] for _ in range(n)]
+    for v, p in zip(non_root.tolist(), parent[non_root].tolist()):
+        children[p].append(v)
+    order: List[int] = []
+    stack = [int(by_depth[0])]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    preorder = np.array(order, dtype=np.int64)
+    ends = np.arange(n) + size[preorder]
+    _read_only(preorder, ends)
     up_edges = parent_edge[non_root]
-    up = _sends(up_edges, non_root, parent[non_root], height)
-    down = _sends(csr.rev[up_edges], parent[non_root], non_root, depth)
-    return up, down
+    return _TreeShape(
+        up=_sends(up_edges, non_root, parent[non_root], height),
+        down=_sends(csr.rev[up_edges], parent[non_root], non_root, depth),
+        preorder=preorder,
+        ends=ends,
+    )
 
 
-_TREE_SHAPES: "OrderedDict[Tuple[str, bytes], Tuple[_Sends, _Sends]]" = (
-    OrderedDict()
-)
+_TREE_SHAPES: "OrderedDict[Tuple[str, bytes], _TreeShape]" = OrderedDict()
 
 
-def _tree_shape(
-    csr: CSRAdjacency, parent: np.ndarray
-) -> Optional[Tuple[_Sends, _Sends]]:
+def _tree_shape(csr: CSRAdjacency, parent: np.ndarray) -> Optional[_TreeShape]:
     """:func:`_build_tree_shape`, cached per (topology, parent array)."""
     key = (csr.fingerprint, parent.tobytes())
     shape = _TREE_SHAPES.get(key)
@@ -644,45 +700,6 @@ def _tree_shape(
     return shape
 
 
-class _ScheduledMessages:
-    """One round of a tree transfer's traffic, read off its schedule.
-
-    Its length comes from the schedule's pointers; its columns
-    (``edges``, ``a``, ``b``, as on :class:`EdgeMessages`) are gathered
-    on first read, which happens only when the engine records deliver
-    events, or in the round whose payloads break their domain.
-    """
-
-    __slots__ = ("round", "_port", "_lo", "_hi", "_msgs")
-
-    def __init__(self, port: "_TreeTransfer", round_no: int, lo: int, hi: int):
-        self.round = round_no
-        self._port = port
-        self._lo = lo
-        self._hi = hi
-        self._msgs: Optional[EdgeMessages] = None
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def _columns(self) -> EdgeMessages:
-        if self._msgs is None:
-            self._msgs = self._port._messages(self.round, self._lo, self._hi)
-        return self._msgs
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self._columns().edges
-
-    @property
-    def a(self) -> np.ndarray:
-        return self._columns().a
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._columns().b
-
-
 class _TreeTransfer(VectorizedProgram):
     """Shared structure of the pipelined tree transfers (up/downcast).
 
@@ -692,11 +709,14 @@ class _TreeTransfer(VectorizedProgram):
     before round 0: its subtree's fold up, the root's value down.  So a
     port computes every payload when it is built and finds the first
     round, if any, that sends a value outside its domain
-    (``_bad_round``).  A round then costs two slices of the tree's
-    cached schedule: its message count and its halting nodes.  Its
-    messages are gathered only on demand (:class:`_ScheduledMessages`),
-    and :meth:`check_domains` looks at them only in ``_bad_round``,
-    where it raises the per-node path's error after the same events.
+    (``bad_round``).  It is not stepped: the engine runs it off the
+    tree's cached schedule.  ``counts`` gives each round's message count,
+    and its length the run's rounds; :meth:`messages` gathers one
+    round's sends, which the engine reads only to record deliver events
+    and in ``bad_round``, where :meth:`check_domains` raises the per-node
+    path's error after the same events; :meth:`outputs` reads which
+    nodes had halted from their keys (all of them once the last round
+    is over).
 
     Nothing is ever sent to a halted node, so no delivery is filtered: a
     parent's height exceeds its child's, so it halts after the child's
@@ -716,17 +736,22 @@ class _TreeTransfer(VectorizedProgram):
     ):
         super().__init__(csr, (max(length, 1), domain))
         self.length = length
+        self.counts = sends.counts(length)
+        self.bad_round = bad_round
         self._sends = sends
-        self._bad_round = bad_round
 
     def _payload(self, src: np.ndarray, coord: np.ndarray) -> np.ndarray:
         """The values ``src[j]`` sends for ``coord[j]``."""
         raise NotImplementedError
 
-    def _messages(self, s: int, lo: int, hi: int) -> EdgeMessages:
-        if hi == lo:
-            return _empty_messages()
+    def messages(self, s: int) -> EdgeMessages:
+        """Round ``s``'s sends: keys ``s - length + 1 .. s``, each
+        sending coordinate ``s - key``."""
         sends = self._sends
+        ptr = sends.edge_ptr
+        top = len(ptr) - 1
+        lo = ptr[min(max(s - self.length + 1, 0), top)]
+        hi = ptr[min(s + 1, top)]
         coord = s - sends.key[lo:hi]
         return EdgeMessages(
             edges=sends.edges[lo:hi],
@@ -734,40 +759,10 @@ class _TreeTransfer(VectorizedProgram):
             b=self._payload(sends.src[lo:hi], coord),
         )
 
-    def _round(self, s: int) -> Tuple[_ScheduledMessages, np.ndarray]:
-        """Round ``s``'s messages and newly halted nodes.
 
-        Keys ``s - length + 1 .. s`` send, each coordinate ``s - key``;
-        key ``s - length + 1`` sends its last coordinate and halts.
-        """
-        sends, length = self._sends, self.length
-        top = len(sends.edge_ptr) - 1
-        first = min(max(s - length + 1, 0), top)
-        out = _ScheduledMessages(
-            self, s, sends.edge_ptr[first], sends.edge_ptr[min(s + 1, top)]
-        )
-        k = s - length + 1
-        if 0 <= k < top:
-            return out, sends.nodes[sends.node_ptr[k]:sends.node_ptr[k + 1]]
-        return out, _NO_NODES
-
-    def start(self) -> Tuple[_ScheduledMessages, np.ndarray]:
-        if self.length == 0:
-            return _ScheduledMessages(self, 0, 0, 0), np.arange(self.csr.n)
-        return self._round(0)
-
-    def step_all(self, state, inbox, active_mask, round_no):
-        return self._round(round_no)
-
-    def check_domains(self, msgs: _ScheduledMessages, order: np.ndarray) -> None:
-        if msgs.round == self._bad_round:
-            super().check_domains(msgs, order)
-
-    def _halted(self, rounds: int) -> np.ndarray:
-        """Which nodes had halted by the end of round ``rounds``."""
-        if self.length == 0:
-            return np.ones(self.csr.n, dtype=bool)
-        return self._sends.node_key + (self.length - 1) <= rounds
+#: The invertible combines of the table, each with the ufunc that takes a
+#: fold back out of a larger one.
+_INVERSES = {np.add: np.subtract, np.bitwise_xor: np.bitwise_xor}
 
 
 class VectorizedUpcast(_TreeTransfer):
@@ -776,22 +771,35 @@ class VectorizedUpcast(_TreeTransfer):
     The schedule is keyed by height: the leaves stream from round 0, and
     a node of height ``h`` sends coordinate ``i`` up in round ``h + i``,
     by then the fold of its subtree at ``i``.  Those folds are computed
-    at construction, one ``ufunc.at`` per height level over every
-    coordinate at once (a level's subtrees are complete once every lower
-    level has been added in); ``state["acc"]`` holds them.
+    at construction over every coordinate at once, into ``acc``.  A sum's
+    or an xor's is the difference of two prefix folds over the tree's
+    preorder, in which the subtree is one run; int64 arithmetic wraps, so
+    that is bit-identical to folding child by child.  Max, min, and and
+    or have no inverse: they fold one ``ufunc.at`` per height level (a
+    level's subtrees are complete once every lower level has been added
+    in).
     """
 
-    def __init__(self, csr, sends, root, values, domain, ufunc):
+    def __init__(self, csr, shape, values, domain, ufunc):
+        sends = shape.up
         length = values.shape[1]
-        acc = values.copy()
-        ptr = sends.edge_ptr
-        if length:
-            # ufunc.at is unordered, which is exact for the table's
-            # commutative and associative combines.
-            for h in range(len(ptr) - 1):
-                lo, hi = ptr[h], ptr[h + 1]
-                if hi > lo:
-                    ufunc.at(acc, sends.dst[lo:hi], acc[sends.src[lo:hi]])
+        inverse = _INVERSES.get(ufunc)
+        if inverse is not None and length:
+            pre = shape.preorder
+            prefix = np.zeros((pre.shape[0] + 1, length), dtype=np.int64)
+            ufunc.accumulate(values[pre], axis=0, out=prefix[1:])
+            acc = np.empty_like(values)
+            acc[pre] = inverse(prefix[shape.ends], prefix[:-1])
+        else:
+            acc = values.copy()
+            ptr = sends.edge_ptr
+            if length:
+                # ufunc.at is unordered, which is exact for the table's
+                # commutative and associative combines.
+                for h in range(len(ptr) - 1):
+                    lo, hi = ptr[h], ptr[h + 1]
+                    if hi > lo:
+                        ufunc.at(acc, sends.dst[lo:hi], acc[sends.src[lo:hi]])
         # Sender j's coordinate i goes out in round key[j] + i.  Viewed
         # as unsigned, a negative value is at least 2**63, past every
         # domain.
@@ -801,16 +809,17 @@ class VectorizedUpcast(_TreeTransfer):
             rows, cols = np.nonzero(sent >= domain)
             bad_round = int((sends.key[rows] + cols).min())
         super().__init__(csr, sends, length, domain, bad_round)
-        self.root = root
-        self.state = {"acc": acc}
+        self.root = int(shape.preorder[0])
+        self.acc = acc
 
     def _payload(self, src, coord):
-        return self.state["acc"][src, coord]
+        return self.acc[src, coord]
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
+        # The root, of the largest key, halts in the run's last round.
         result: Dict[int, Any] = dict.fromkeys(range(self.csr.n))
-        if self._halted(rounds)[self.root]:
-            result[self.root] = tuple(self.state["acc"][self.root].tolist())
+        if rounds >= len(self.counts):
+            result[self.root] = tuple(self.acc[self.root].tolist())
         return result
 
 
@@ -831,16 +840,18 @@ class VectorizedDowncast(_TreeTransfer):
             if bad.shape[0] and sends.key.shape[0] else None
         )
         super().__init__(csr, sends, values.shape[0], domain, bad_round)
-        self.state = {"values": values}
+        self.values = values
 
     def _payload(self, src, coord):
-        return self.state["values"][coord]
+        return self.values[coord]
 
     def outputs(self, rounds: int) -> Dict[int, Any]:
-        row = tuple(self.state["values"].tolist())
-        halted = self._halted(rounds)
-        if halted.all():
+        # Every node has halted once the run's last round is over; before
+        # that, a node of depth d halts in round d + length - 1.
+        row = tuple(self.values.tolist())
+        if rounds >= len(self.counts):
             return dict.fromkeys(range(self.csr.n), row)
+        halted = self._sends.node_key + (self.length - 1) <= rounds
         return {v: row if h else None for v, h in enumerate(halted.tolist())}
 
 
@@ -885,21 +896,18 @@ def _transfer_port(
     shape = _tree_shape(csr, transfer.parent)
     if shape is None:
         return None, f"{'upcast' if upcast else 'downcast'}-tree-malformed"
-    up, down = shape
     if not upcast:
         return (
-            VectorizedDowncast(csr, down, transfer.values, transfer.domain),
+            VectorizedDowncast(
+                csr, shape.down, transfer.values, transfer.domain
+            ),
             None,
         )
     ufunc = _combine_ufuncs().get(transfer.combine)
     if ufunc is None:
         return None, "upcast-combine-unregistered"
-    # The root is the one node of maximal height.
-    root = int(up.nodes[-1])
     return (
-        VectorizedUpcast(
-            csr, up, root, transfer.values, transfer.domain, ufunc
-        ),
+        VectorizedUpcast(csr, shape, transfer.values, transfer.domain, ufunc),
         None,
     )
 

@@ -252,6 +252,78 @@ class TestFastPath:
         assert per_node == vec
         assert all(got == tuple(payload) for got in vec[0].values())
 
+    @pytest.mark.parametrize("upcast", [True, False], ids=["upcast", "downcast"])
+    def test_round_limit_on_a_spanning_transfer(self, upcast):
+        # A spanning transfer of R rounds (R from the per-node loop) runs
+        # to completion at max_rounds = R and raises RoundLimitExceeded at
+        # the step that would run round R at max_rounds = R - 1, on both
+        # loops and on the bulk loop recorded or not.
+        net = topologies.grid(3, 4)
+        tree = bfs_with_echo(net, 0)
+        values = {v: [v % 5, v % 3, 1] for v in net.nodes()}
+        if upcast:
+            def programs():
+                return build_upcast_programs(
+                    net, tree, values, combine_sum, 1 << 8
+                )
+            arrays = _upcast_arrays(net, tree, values, combine_sum, 1 << 8)
+        else:
+            def programs():
+                return build_downcast_programs(net, tree, values[0], 1 << 8)
+            arrays = Downcast(parent_array(tree, net.n), values[0], 1 << 8)
+        limit = Engine(net, programs()).run().rounds
+        assert limit == 7
+        for max_rounds in (limit - 1, limit):
+            ends = []
+            for entry, recorder in (
+                (programs(), None),
+                (arrays, None),
+                (arrays, Recorder([MemorySink()])),
+            ):
+                engine = Engine(
+                    net, entry, max_rounds=max_rounds, recorder=recorder
+                )
+                stepper = engine.stepper()
+                steps = 0
+                try:
+                    while stepper.step():
+                        steps += 1
+                except RoundLimitExceeded:
+                    ends.append(("limit", steps))
+                else:
+                    ends.append(("done", steps, stepper.result.rounds))
+            expected = (
+                ("limit", limit - 1) if max_rounds < limit
+                else ("done", limit, limit)
+            )
+            assert ends == [expected] * 3
+
+    @pytest.mark.parametrize(
+        "stop_on_quiescence", [False, True], ids=["halting", "quiescence"]
+    )
+    def test_single_node_transfers(self, stop_on_quiescence):
+        # A lone root streams three coordinates to nobody: two rounds
+        # with no traffic, or none when the run may end at quiescence.
+        net = topologies.path(1)
+        tree = bfs_with_echo(net, 0)
+        for programs, arrays in (
+            (
+                build_upcast_programs(net, tree, {0: [1, 2, 3]}, combine_sum, 8),
+                _upcast_arrays(net, tree, {0: [1, 2, 3]}, combine_sum, 8),
+            ),
+            (
+                build_downcast_programs(net, tree, [1, 2, 3], 8),
+                Downcast(parent_array(tree, net.n), [1, 2, 3], 8),
+            ),
+        ):
+            per_node = Engine(
+                net, programs, stop_on_quiescence=stop_on_quiescence
+            ).run()
+            engine = Engine(net, arrays, stop_on_quiescence=stop_on_quiescence)
+            _assert_identical(per_node, engine.run())
+            assert per_node.rounds == (0 if stop_on_quiescence else 2)
+            assert engine.vectorized_fallback is None
+
     def test_aggregate_single_identical(self):
         net = topologies.star(9)
         tree = bfs_with_echo(net, 0)

@@ -6,7 +6,9 @@ parameters it must reproduce the per-node loop exactly — rounds, outputs,
 traffic statistics and observability events (delivery order included).
 The per-node side runs an audited family as its per-node subclass, and a
 tree transfer as its program dict.  ``mode`` on RoundEvents is the one
-sanctioned difference and is excluded by construction.
+sanctioned difference and is excluded by construction.  A tree transfer
+on the bulk loop also runs under the null recorder, as every served
+batch does, and must end the same way after the same steps.
 """
 
 import dataclasses
@@ -25,13 +27,10 @@ from repro.congest.algorithms.aggregate import (
 )
 from repro.congest.algorithms.bfs import bfs_with_echo
 from repro.congest.engine import Engine
-from repro.core.semigroup import (
-    combine_max,
-    combine_min,
-    combine_sum,
-    combine_xor,
-)
-from repro.obs import MemorySink, Recorder, install
+from repro.congest.errors import RoundLimitExceeded
+from repro.congest.vectorized import _combine_ufuncs
+from repro.core.semigroup import combine_sum
+from repro.obs import NULL_RECORDER, MemorySink, Recorder, install
 
 from ..congest.reference_loop import flood_family
 
@@ -75,6 +74,12 @@ def _strip_mode(events):
 _DOMAIN = 1 << 13
 
 
+def _combines():
+    """Every combine in the bulk loop's table: the builtins and the six
+    semigroup combines."""
+    return st.sampled_from(list(_combine_ufuncs()))
+
+
 def _recorded(net, programs):
     """A run's engine and result, with its deliver and round events."""
     sink = MemorySink()
@@ -88,13 +93,17 @@ def _recorded(net, programs):
 def _assert_transfer_identical(net, programs, transfer):
     """A tree transfer given as arrays matches its per-node programs on
     the per-node loop: rounds, outputs, stats and event streams, with
-    every round on the bulk loop."""
+    every round on the bulk loop, recorded or not."""
     _, per_node, *per_node_events = _recorded(net, programs)
     engine, vec, *vec_events = _recorded(net, transfer)
     _assert_identical(per_node, vec)
     assert per_node_events == vec_events
     assert engine.vectorized_fallback is None
     assert engine.vectorized_rounds == vec.rounds
+    silent_engine = Engine(net, transfer, recorder=NULL_RECORDER)
+    _assert_identical(per_node, silent_engine.run())
+    assert silent_engine.vectorized_fallback is None
+    assert silent_engine.vectorized_rounds == vec.rounds
 
 
 class TestVectorizedEquivalence:
@@ -149,9 +158,7 @@ class TestVectorizedEquivalence:
         tree = bfs_with_echo(net, root)
         # Up to 24 coordinates: an engine-mode serving batch upcasts 16.
         length = data.draw(st.integers(0, 24))
-        combine = data.draw(st.sampled_from(
-            [combine_sum, combine_max, combine_min, combine_xor]
-        ))
+        combine = data.draw(_combines())
         values = {
             v: [
                 data.draw(st.integers(0, 255)) for _ in range(length)
@@ -199,18 +206,19 @@ class TestVectorizedEquivalence:
             )
 
 
-def _stepped(net, programs):
-    """How a run ends, the ``step()`` calls before that, and its deliver
-    and round events: ``("ok", rounds, outputs, stats)`` or ``("error",
-    type, message)``."""
+def _stepped(net, programs, max_rounds, recorded=True):
+    """How a run ends, the ``step()`` calls before that, and (when
+    ``recorded``) its deliver and round events: ``("ok", rounds,
+    outputs, stats)`` or ``("error", type, message)``."""
     sink = MemorySink()
-    engine = Engine(net, programs, recorder=Recorder([sink]))
+    recorder = Recorder([sink]) if recorded else NULL_RECORDER
+    engine = Engine(net, programs, max_rounds=max_rounds, recorder=recorder)
     stepper = engine.stepper()
     steps = 0
     try:
         while stepper.step():
             steps += 1
-    except ValueError as err:
+    except (ValueError, RoundLimitExceeded) as err:
         end = ("error", type(err), str(err))
     else:
         result = stepper.result
@@ -228,11 +236,14 @@ class TestArrayHandOff:
     def test_array_entry_matches_programs(self, data):
         """A transfer handed to the engine as arrays, on the bulk loop,
         matches its programs on the per-node loop: the same run, or the
-        same domain error after the same steps and events.
+        same domain error or round limit after the same steps and
+        events.  Under the null recorder it ends the same way after the
+        same steps and bulk rounds.
 
         Small domains put the violations in random rounds: values fit
         their domain (below a drawn cap), but sums outgrow it, and one
-        drawn value (the root's, for a downcast) may not.
+        drawn value (the root's, for a downcast) may not.  A drawn round
+        budget cuts some runs short.
         """
         net = _make_network(data.draw)
         tree = bfs_with_echo(net, data.draw(st.integers(0, net.n - 1)))
@@ -247,10 +258,9 @@ class TestArrayHandOff:
             rows[v][i] = data.draw(st.sampled_from([-1, domain, 2 * domain]))
         parent = parent_array(tree, net.n)
         matrix = np.array(rows, dtype=np.int64).reshape(net.n, length)
+        max_rounds = data.draw(st.one_of(st.none(), st.integers(0, 40)))
         if upcast:
-            combine = data.draw(st.sampled_from(
-                [combine_sum, combine_max, combine_min, combine_xor]
-            ))
+            combine = data.draw(_combines())
             transfer = Upcast(parent, matrix, combine, domain)
             programs = build_upcast_programs(
                 net, tree, dict(enumerate(rows)), combine, domain
@@ -260,7 +270,13 @@ class TestArrayHandOff:
             programs = build_downcast_programs(
                 net, tree, rows[tree.root], domain
             )
-        _, expected = _stepped(net, programs)
-        engine, got = _stepped(net, transfer)
+        _, expected = _stepped(net, programs, max_rounds)
+        engine, got = _stepped(net, transfer, max_rounds)
         assert got == expected
         assert engine.vectorized_fallback is None
+        silent_engine, silent = _stepped(
+            net, transfer, max_rounds, recorded=False
+        )
+        assert silent[:2] == got[:2]
+        assert silent_engine.vectorized_fallback is None
+        assert silent_engine.vectorized_rounds == engine.vectorized_rounds
