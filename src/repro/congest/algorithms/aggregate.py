@@ -18,11 +18,13 @@ along every tree edge.
 Both run on the engine with real messages and return measured rounds,
 which benchmarks compare against the depth + t bound.
 
-Each transfer also exists as a *round generator* (:func:`upcast_steps`,
-:func:`downcast_steps`): one engine round per ``next()``, final value via
-``StopIteration``.  The blocking functions drive the same generators, so
-the stepwise path — which the :mod:`repro.serve` daemon interleaves on an
-event loop — is bit-identical to the monolithic one by construction.
+:func:`transfer_steps` runs one transfer one engine round per ``next()``
+and returns the engine's :class:`~repro.congest.engine.RunResult`: the
+framework's engine-mode batches step their three transfers through it,
+which is what lets the :mod:`repro.serve` daemon interleave them on an
+event loop.  It steps the engine's own round generator, as
+:meth:`Engine.run <repro.congest.engine.Engine.run>` does, so the stepped
+and blocking paths are bit-identical by construction.
 
 None of them builds node programs or chooses a round loop.  They hand
 the engine the transfer as arrays — an :class:`Upcast` (parent array,
@@ -46,20 +48,11 @@ from typing import (
 import numpy as np
 
 from ..encoding import Field
-from ..engine import Engine, RunResult
+from ..engine import Engine
 from ..messages import Inbox
 from ..network import Network
 from ..program import Context, NodeProgram
 from .bfs import BFSResult
-
-
-def drive(gen: Iterator) -> object:
-    """Drain a round generator and return its ``StopIteration`` value."""
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
 
 
 class UpcastProgram(NodeProgram):
@@ -338,32 +331,6 @@ def transfer_steps(
     return stepper.result
 
 
-def upcast_steps(
-    network: Network,
-    tree: Tree,
-    values: Union[Mapping[int, Sequence[int]], np.ndarray],
-    combine: Callable[[int, int], int],
-    domain: int,
-    seed: Optional[int] = None,
-) -> Iterator[int]:
-    """Stepwise convergecast: yields each engine round number as it runs.
-
-    ``values`` maps each node to its t-vector, or is the (n, t) int64
-    matrix of them.  The generator's return value is ``(combined vector
-    at the root, measured rounds)`` — the same tuple
-    :func:`pipelined_upcast` returns.  The engine runs it on its bulk
-    loop when ``combine`` is in the vectorized combine table, per node
-    otherwise; both are bit-identical.
-    """
-    parent, root = _parents(tree, network.n)
-    result: RunResult = yield from transfer_steps(
-        network,
-        Upcast(parent, _value_matrix(values, network.n), combine, domain),
-        seed,
-    )
-    return tuple(result.outputs[root]), result.rounds
-
-
 def pipelined_upcast(
     network: Network,
     tree: Tree,
@@ -374,29 +341,21 @@ def pipelined_upcast(
 ) -> Tuple[Tuple[int, ...], int]:
     """Coordinatewise ⊕ of per-node t-vectors, collected at the tree root.
 
+    ``values`` maps each node to its t-vector, or is the (n, t) int64
+    matrix of them.  The engine runs it on its bulk loop when ``combine``
+    is in the vectorized combine table, per node otherwise; both are
+    bit-identical.
+
     Returns:
         (combined vector at the root, measured rounds).
     """
-    return drive(upcast_steps(network, tree, values, combine, domain, seed=seed))
-
-
-def downcast_steps(
-    network: Network,
-    tree: Tree,
-    values: Union[Sequence[int], np.ndarray],
-    domain: int,
-    seed: Optional[int] = None,
-) -> Iterator[int]:
-    """Stepwise broadcast: yields each engine round number as it runs.
-
-    The generator's return value is ``(per-node received vectors,
-    measured rounds)`` — the same tuple :func:`pipelined_downcast` returns.
-    """
-    parent, _ = _parents(tree, network.n)
-    result: RunResult = yield from transfer_steps(
-        network, Downcast(parent, values, domain), seed
-    )
-    return result.outputs, result.rounds
+    parent, root = _parents(tree, network.n)
+    result = Engine(
+        network,
+        Upcast(parent, _value_matrix(values, network.n), combine, domain),
+        seed=seed,
+    ).run()
+    return tuple(result.outputs[root]), result.rounds
 
 
 def pipelined_downcast(
@@ -411,7 +370,9 @@ def pipelined_downcast(
     Returns:
         (per-node received vectors, measured rounds).
     """
-    return drive(downcast_steps(network, tree, values, domain, seed=seed))
+    parent, _ = _parents(tree, network.n)
+    result = Engine(network, Downcast(parent, values, domain), seed=seed).run()
+    return result.outputs, result.rounds
 
 
 def aggregate_single(

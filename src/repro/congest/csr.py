@@ -1,6 +1,6 @@
 """CSR adjacency: the column-major view of a :class:`Network`.
 
-The vectorized engine schedule (the engine's default) executes whole
+The engine's bulk loop (:mod:`repro.congest.vectorized`) executes whole
 rounds as numpy array operations.  Its substrate is the standard
 compressed-sparse-row adjacency: ``indices[indptr[v]:indptr[v+1]]`` are the
 (sorted) neighbors of ``v``, and every *directed* edge ``v -> u`` has an
@@ -16,8 +16,9 @@ adjacency dict, so it is cached two ways:
   guarded by a cheap ``(n, m, bandwidth)`` recheck, and
 * a bounded LRU keyed by the **topology fingerprint** (distinct Network
   objects with identical edge sets share one build — the same keying the
-  :class:`~repro.core.framework.PreparedCache` uses, which stores the CSR
-  on its :class:`~repro.core.framework.PreparedNetwork` entries).
+  :class:`~repro.core.framework.PreparedCache` uses; its
+  :meth:`~repro.core.framework.PreparedCache.invalidate` drops the
+  matching CSR entries too).
 
 The weak fast path deliberately does not recompute the fingerprint (that
 walk is as expensive as the build it would save); an in-place graph
@@ -169,15 +170,8 @@ class CSRCache:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def get(
-        self, network: Network, fingerprint: Optional[str] = None
-    ) -> CSRAdjacency:
-        """The CSR for ``network``, building (and caching) on miss.
-
-        ``fingerprint`` lets callers that already computed the topology
-        fingerprint (``PreparedCache.prepare`` does, for its own tripwire)
-        share it instead of paying the edge walk twice.
-        """
+    def get(self, network: Network) -> CSRAdjacency:
+        """The CSR for ``network``, building (and caching) on miss."""
         entry = self._weak.get(network)
         if entry is not None:
             n, m, bw, model_key, csr = entry
@@ -190,8 +184,7 @@ class CSRCache:
             # In-place mutation changed the shape (or the model was
             # swapped): drop the stale entry.
             del self._weak[network]
-        if fingerprint is None:
-            fingerprint = network.topology_fingerprint()
+        fingerprint = network.topology_fingerprint()
         csr = self._lru.get(fingerprint)
         if csr is not None:
             self._lru.move_to_end(fingerprint)
@@ -234,9 +227,9 @@ class CSRCache:
 _CSR_CACHE = CSRCache()
 
 
-def csr_for(network: Network, fingerprint: Optional[str] = None) -> CSRAdjacency:
+def csr_for(network: Network) -> CSRAdjacency:
     """The (cached) CSR adjacency of ``network``."""
-    return _CSR_CACHE.get(network, fingerprint=fingerprint)
+    return _CSR_CACHE.get(network)
 
 
 def invalidate_csr(network: Optional[Network] = None) -> None:

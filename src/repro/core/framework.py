@@ -43,10 +43,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..congest.algorithms.aggregate import (
-    downcast_steps,
-    drive,
+    Downcast,
+    Upcast,
     parent_array,
-    upcast_steps,
+    transfer_steps,
 )
 from ..congest.algorithms.bfs import BFSResult, bfs_with_echo
 from ..congest.algorithms.leader import elect_leader
@@ -101,6 +101,15 @@ class ValueComputer:
     def alpha(self, p: int) -> int:
         """The formula-mode α(p) charge."""
         raise NotImplementedError
+
+
+def drive(gen: Iterator) -> object:
+    """Drain a round generator and return its ``StopIteration`` value."""
+    while True:
+        try:
+            next(gen)
+        except StopIteration as stop:
+            return stop.value
 
 
 class CongestBatchOracle:
@@ -163,17 +172,17 @@ class CongestBatchOracle:
 
     def query_batch_steps(
         self, indices: Sequence[int], label: str = ""
-    ) -> Iterator[Tuple[str, int]]:
+    ) -> Iterator[int]:
         """Stepwise :meth:`query_batch`: one engine round per ``next()``.
 
-        Yields ``(phase, round_no)`` pairs — phase is ``distribute``,
-        ``convergecast``, or ``uncompute`` — while the real node programs
-        execute, and returns the batch values via ``StopIteration``.
-        Formula-mode batches have no engine rounds and return without
-        yielding.  :meth:`query_batch` drives this same generator, so the
-        stepwise path is bit-identical (values, charges, events) to the
-        blocking one; the :mod:`repro.serve` daemon interleaves many of
-        these generators on one event loop.
+        Yields the engine's round number after each round of the three
+        transfers (distribute, convergecast, uncompute) and returns the
+        batch values via ``StopIteration``.  Formula-mode batches have no
+        engine rounds and return without yielding.  :meth:`query_batch`
+        drives this same generator, so the stepwise path is bit-identical
+        (values, charges, events) to the blocking one; the
+        :mod:`repro.serve` daemon interleaves many of these generators on
+        one event loop.
         """
         indices = list(indices)
         for j in indices:
@@ -208,20 +217,41 @@ class CongestBatchOracle:
             self.rounds.charge("alpha", alpha_rounds)
         if self._parents is None:
             self._parents = parent_array(self.tree, self.network.n)
+        network, parents, seed = self.network, self._parents, self._seed
         # 1. distribute indices (downcast), then 4. its uncompute.
         with self.recorder.span("distribute"):
-            _, down_rounds = yield from _phase("distribute", downcast_steps(
-                self.network, self._parents, indices,
-                domain=max(self._k, 2), seed=self._seed,
-            ))
-            self.rounds.charge("index-distribute", down_rounds)
+            down = yield from transfer_steps(
+                network, Downcast(parents, indices, max(self._k, 2)), seed
+            )
+            self.rounds.charge("index-distribute", down.rounds)
+        if semigroup is None:
+            raise ValueError("engine mode requires a semigroup")
+        if semigroup.identity is None:
+            raise ValueError(
+                "engine-mode chunked streaming requires a monoid identity"
+            )
+        words = self.cost_model.words(semigroup.bits)
+        domain = max(semigroup.domain_size or (1 << semigroup.bits), 2)
+        matrix = self._batch_matrix(indices, words, semigroup.identity)
         # 2. chunked pipelined ⊕-convergecast of the p values, and
         # 3. the send-back-down uncompute pass.
-        values = yield from self._engine_aggregate_steps(indices, semigroup)
+        with self.recorder.span("convergecast"):
+            up = yield from transfer_steps(
+                network, Upcast(parents, matrix, semigroup.combine, domain), seed
+            )
+            self.rounds.charge("value-upcast", up.rounds)
+        combined = up.outputs[self.tree.root]
+        # Theorem 8's "sends the x^{(w)} back to the children, who
+        # uncompute it": a mirrored downcast of the same volume.
+        with self.recorder.span("uncompute"):
+            back = yield from transfer_steps(
+                network, Downcast(parents, combined, domain), seed
+            )
+            self.rounds.charge("value-uncompute", back.rounds)
         # Uncompute passes mirror the forward passes round-for-round.
         with self.recorder.span("uncompute"):
-            self.rounds.charge("index-uncompute", down_rounds)
-        return values
+            self.rounds.charge("index-uncompute", down.rounds)
+        return list(combined[words - 1::words])
 
     def query_superposed(self, label: str = "") -> None:
         """Meter one *superposed* batch (no concrete indices; DJ-style).
@@ -278,35 +308,6 @@ class CongestBatchOracle:
             return self._full[j]
         return self._cache[j]
 
-    def _engine_aggregate_steps(
-        self, indices: Sequence[int], semigroup: Optional[Semigroup]
-    ) -> Iterator[Tuple[str, int]]:
-        if semigroup is None:
-            raise ValueError("engine mode requires a semigroup")
-        if semigroup.identity is None:
-            raise ValueError(
-                "engine-mode chunked streaming requires a monoid identity"
-            )
-        words = self.cost_model.words(semigroup.bits)
-        identity = semigroup.identity
-        domain = max(semigroup.domain_size or (1 << semigroup.bits), 2)
-        matrix = self._batch_matrix(indices, words, identity)
-        with self.recorder.span("convergecast"):
-            combined, up_rounds = yield from _phase("convergecast", upcast_steps(
-                self.network, self._parents, matrix,
-                combine=semigroup.combine, domain=domain, seed=self._seed,
-            ))
-            self.rounds.charge("value-upcast", up_rounds)
-        # Theorem 8's "sends the x^{(w)} back to the children, who
-        # uncompute it": a mirrored downcast of the same volume.
-        with self.recorder.span("uncompute"):
-            _, down_rounds = yield from _phase("uncompute", downcast_steps(
-                self.network, self._parents, combined,
-                domain=domain, seed=self._seed,
-            ))
-            self.rounds.charge("value-uncompute", down_rounds)
-        return list(combined[words - 1::words])
-
     def _batch_matrix(
         self, indices: Sequence[int], words: int, identity: int
     ) -> np.ndarray:
@@ -337,16 +338,6 @@ class CongestBatchOracle:
                 per_node.get(v, identity) for v in range(n)
             ]
         return matrix
-
-
-def _phase(phase: str, steps: Iterator[int]) -> Iterator[Tuple[str, int]]:
-    """Tag each round of ``steps`` with ``phase``; return its value."""
-    while True:
-        try:
-            round_no = next(steps)
-        except StopIteration as stop:
-            return stop.value
-        yield phase, round_no
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,10 @@ class ServeRequestEvent(_Event):
     ``status`` is one of ``"accepted"`` (admitted to the tenant queue),
     ``"rejected"`` (quota exceeded or queue full — backpressure),
     ``"completed"`` (values delivered; ``wait_ms`` is submit-to-result
-    latency) or ``"abandoned"`` (daemon drained before execution).
+    latency), ``"failed"`` (accepted, then refused by its lane's
+    scheduler when fed: an index out of range, more than ``p`` indices,
+    a write on an oracle lane) or ``"abandoned"`` (daemon drained before
+    execution).
     """
 
     kind: ClassVar[str] = SERVE_REQUEST

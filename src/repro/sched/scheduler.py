@@ -52,6 +52,7 @@ from ..core.framework import (
     FrameworkConfig,
     PreparedNetwork,
     build_oracle,
+    drive,
     setup_network,
 )
 from ..core.operation import Operation
@@ -248,12 +249,7 @@ class LaneScheduler:
         Drives ``execute_batch_steps`` to completion, so the blocking and
         stepped paths run the same code.
         """
-        gen = self.execute_batch_steps()
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
+        return drive(self.execute_batch_steps())
 
     def drain(self) -> None:
         """Execute until nothing is pending."""
@@ -450,8 +446,8 @@ class CoalescingScheduler(LaneScheduler):
 
     # -- execution -------------------------------------------------------
 
-    def execute_batch_steps(self) -> Iterator[Tuple[str, int]]:
-        """One physical batch, yielding ``(phase, round)`` per engine round.
+    def execute_batch_steps(self) -> Iterator[int]:
+        """One physical batch, yielding the engine's round number per round.
 
         Packs one maximal FIFO batch and surrenders control after every
         engine round of the distribute/convergecast/uncompute passes.

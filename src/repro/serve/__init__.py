@@ -5,8 +5,11 @@ callers, sustained traffic, measured throughput and tail latency — not
 one blocking run at a time.  This package is that serving layer, built
 on two substrates the rest of the repository provides:
 
-* the **steppable engine** (:class:`repro.congest.engine.EngineStepper`
-  and the generator chain up through
+* the **steppable engine** (:class:`repro.congest.engine.EngineStepper`,
+  which :func:`repro.congest.algorithms.aggregate.transfer_steps` turns
+  into a generator of rounds; one frame per layer passes each round up
+  through :meth:`repro.core.framework.CongestBatchOracle.
+  query_batch_steps` and
   :meth:`repro.sched.CoalescingScheduler.execute_batch_steps`), which
   lets one asyncio loop interleave many in-flight batches round by
   round, bit-identically to the monolithic loop;

@@ -25,11 +25,16 @@ write-path memo invalidation):
 * **Stepwise execution** — batches run through
   :meth:`~repro.sched.CoalescingScheduler.execute_batch_steps`, the
   generator that suspends after every engine round; the worker yields to
-  the event loop every ``yield_every`` rounds, so many lanes (and every
-  client coroutine) interleave on one loop while a batch is in flight.
-  Bit-identity of this path to the blocking scheduler is pinned by
-  ``tests/congest/test_engine_step.py`` and
-  ``tests/property/test_prop_sched.py``.
+  the event loop every :data:`YIELD_EVERY` rounds, so many lanes (and
+  every client coroutine) interleave on one loop while a batch is in
+  flight.  Bit-identity of this path to the blocking scheduler is pinned
+  by ``tests/congest/test_engine_step.py`` and
+  ``tests/sched/test_scheduler.py::TestSteppedBatch``.
+* **Refusals counted** — a request its lane's scheduler refuses when fed
+  (an index out of range, more than ``p`` indices, a write on an oracle
+  lane) fails its future and is counted ``failed``, per tenant and in
+  :meth:`QueryService.report`, so every accepted request ends completed,
+  failed, abandoned or still pending.
 * **Results as futures** — :meth:`QueryService.submit` returns an
   ``asyncio.Future`` resolving to :class:`ServeResult`; memo hits
   resolve without touching the network.
@@ -63,6 +68,10 @@ from .tenants import AdmissionError, StridePicker, TenantQuota, TenantState
 __all__ = ["QueryService", "ServeResult", "ServiceClosed", "DEFAULT_PROFILE"]
 
 DEFAULT_PROFILE = "default"
+
+#: Engine rounds a lane steps between event-loop yields: fewer interleave
+#: lanes and clients more finely, more spend less on the loop.
+YIELD_EVERY = 8
 
 
 class ServiceClosed(Exception):
@@ -122,8 +131,6 @@ class QueryService:
         flush_after_ms: the longest a request waits for company: a
             partial batch runs once the oldest request its lane holds
             has waited this long since its admission.
-        yield_every: engine rounds stepped between event-loop yields;
-            lower = fairer interleaving, higher = less loop overhead.
         recorder: observability bus (defaults to the ambient recorder).
         memo: forwarded to each lane's scheduler — ``True`` (default)
             for a private result memo, ``False`` to disable, or a shared
@@ -136,14 +143,11 @@ class QueryService:
         default_quota: Optional[TenantQuota] = None,
         max_lanes: int = 8,
         flush_after_ms: float = 5.0,
-        yield_every: int = 8,
         recorder: Optional[Recorder] = None,
         memo: Any = True,
     ):
         if flush_after_ms < 0:
             raise ValueError("flush_after_ms must be >= 0")
-        if yield_every < 1:
-            raise ValueError("yield_every must be >= 1")
         self._recorder = (
             recorder if recorder is not None else current_recorder()
         )
@@ -155,13 +159,13 @@ class QueryService:
             max_lanes=max_lanes, recorder=self._recorder, memo=memo
         )
         self.flush_after_ms = flush_after_ms
-        self.yield_every = yield_every
         self._lane_state: Dict[str, _LaneState] = {}
         self._workers: Dict[str, asyncio.Task] = {}
         self._draining = False
         self._drained: Optional[asyncio.Future] = None
         self._drain_reason = "close"
         self.completed = 0
+        self.failed = 0
         self._flushed_during_drain = 0
         self.abandoned = 0
 
@@ -307,6 +311,12 @@ class QueryService:
             except Exception as exc:  # bad indices, width violation, ...
                 if not request.future.done():
                     request.future.set_exception(exc)
+                tenant.failed += 1
+                self.failed += 1
+                if self._recorder.active:
+                    self._recorder.serve_request(
+                        request.tenant, request.op.size, "failed"
+                    )
                 continue
             if sched.done(ticket):  # memo hit: zero rounds, resolve now
                 self._complete(lane, state, ticket, request)
@@ -350,7 +360,7 @@ class QueryService:
                 size = stop.value
                 break
             rounds += 1
-            if rounds % self.yield_every == 0:
+            if rounds % YIELD_EVERY == 0:
                 await asyncio.sleep(0)
         # Formula-mode batches never suspend above; still yield once per
         # batch so a flood of requests cannot starve client coroutines.
@@ -453,12 +463,14 @@ class QueryService:
         abandoned = 0
         # An evicted lane was idle, so only warm lanes hold work in flight.
         for lane in self.pool.lanes():
+            picker = self._lane_state[lane.name].picker
             for _ticket, request in lane.in_flight.values():
                 if not request.future.done():
                     request.future.set_exception(
                         ServiceClosed(f"service aborted ({reason})")
                     )
-                    abandoned += 1
+                picker.get(request.tenant).abandoned += 1
+                abandoned += 1
             lane.in_flight.clear()
         for state in self._lane_state.values():
             for tenant in state.picker.states():
@@ -486,15 +498,17 @@ class QueryService:
                 agg = tenants.setdefault(
                     t.quota.name,
                     {"accepted": 0, "rejected": 0, "completed": 0,
-                     "abandoned": 0, "pending": 0},
+                     "failed": 0, "abandoned": 0, "pending": 0},
                 )
                 agg["accepted"] += t.accepted
                 agg["rejected"] += t.rejected
                 agg["completed"] += t.completed
+                agg["failed"] += t.failed
                 agg["abandoned"] += t.abandoned
                 agg["pending"] += len(t.queue)
         return {
             "completed": self.completed,
+            "failed": self.failed,
             "abandoned": self.abandoned,
             "draining": self._draining,
             "tenants": tenants,

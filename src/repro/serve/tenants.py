@@ -90,6 +90,7 @@ class TenantState:
     accepted: int = 0
     rejected: int = 0
     completed: int = 0
+    failed: int = 0
     abandoned: int = 0
 
     @property

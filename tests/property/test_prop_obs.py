@@ -79,7 +79,7 @@ BY_TYPE = {
     ServeRequestEvent: st.builds(
         ServeRequestEvent, tenant=names, queries=counts,
         status=st.sampled_from(
-            ["accepted", "rejected", "completed", "abandoned"]
+            ["accepted", "rejected", "completed", "failed", "abandoned"]
         ),
         wait_ms=whole_floats, span=names,
     ),

@@ -172,6 +172,63 @@ class TestAccounting:
         assert sched.physical_batches == 0
 
 
+class TestSteppedBatch:
+    """Stepping ``execute_batch_steps`` is ``flush`` with a suspension
+    after each engine round: the serving daemon's lanes step it."""
+
+    @staticmethod
+    def submit_all(sched):
+        return [
+            sched.submit(Operation.query(
+                f"c{i % 3}", [(5 * i + j) % K for j in range(3)]
+            ))
+            for i in range(6)
+        ]
+
+    def test_engine_batch_yields_each_transfer_round(self, network, config):
+        config = config.replace(mode="engine")
+        stepped = CoalescingScheduler(network, config, memo=False)
+        flushed = CoalescingScheduler(network, config, memo=False)
+        tickets = self.submit_all(stepped)
+        twins = self.submit_all(flushed)
+        sizes = []
+        while not stepped.pack_would_be_empty():
+            before = len(stepped.rounds.charges)
+            gen = stepped.execute_batch_steps()
+            yielded = []
+            while True:
+                try:
+                    yielded.append(next(gen))
+                except StopIteration as stop:
+                    sizes.append(stop.value)
+                    break
+            assert sizes[-1] == flushed.flush()
+            charged = dict(stepped.rounds.charges[before:])
+            transfers = [
+                charged[phase] for phase in
+                ("index-distribute", "value-upcast", "value-uncompute")
+            ]
+            assert min(transfers) > 0
+            # Each yield is the round just run by its transfer's engine.
+            assert yielded == [
+                r for rounds in transfers for r in range(1, rounds + 1)
+            ]
+        assert sizes == [8, 8, 2]
+        assert stepped.physical_batches == flushed.physical_batches == 3
+        assert stepped.rounds.by_phase() == flushed.rounds.by_phase()
+        assert [stepped.take(t) for t in tickets] == [
+            flushed.take(t) for t in twins
+        ]
+
+    def test_formula_batch_yields_nothing(self, network, config):
+        sched = CoalescingScheduler(network, config, memo=False)
+        self.submit_all(sched)
+        gen = sched.execute_batch_steps()
+        with pytest.raises(StopIteration) as stop:
+            next(gen)
+        assert stop.value.value == 8
+
+
 class TestCallerOracle:
     def test_adapter_runs_query_batches(self, network, config):
         sched = CoalescingScheduler(network, config, memo=False)

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from repro.obs import MemorySink, Recorder
+from repro.obs import MemorySink, MetricsSink, Recorder
 from repro.obs.events import SERVE_BATCH, SERVE_DRAIN, SERVE_REQUEST
 from repro.core.operation import Operation
+from repro.queries.ledger import ParallelismViolation
 from repro.sched import CoalescingScheduler
 from repro.serve import (
     AdmissionError,
@@ -309,6 +310,23 @@ class TestShutdown:
         assert drains[0].reason == "test-abort"
         assert drains[0].abandoned == 3
 
+    def test_abort_counts_requests_in_flight_per_tenant(self):
+        async def run():
+            service = make_service(flush_after_ms=60_000.0)
+            futures = [
+                service.submit(Operation.query("t", [j])) for j in range(3)
+            ]
+            for _ in range(3):  # the worker feeds all three to the lane
+                await asyncio.sleep(0)
+            assert len(service.pool.acquire("default").in_flight) == 3
+            await service.abort()
+            await asyncio.gather(*futures, return_exceptions=True)
+            return service.report()
+
+        report = asyncio.run(run())
+        assert report["abandoned"] == 3
+        assert report["tenants"]["t"]["abandoned"] == 3
+
 
 class TestEviction:
     """A profile outlives its lane: an evicted lane is rebuilt on demand."""
@@ -547,6 +565,39 @@ class TestReport:
         assert report["tenants"]["t"]["pending"] == 0
         assert report["lanes"]["default"]["in_flight"] == 0
         assert report["pool"]["lanes"] == 1
+
+    def test_requests_the_lane_refuses_are_counted_failed(self):
+        # Admission checks only the tenant's queue and quota; the lane's
+        # scheduler refuses the last three when fed.
+        metrics = MetricsSink()
+
+        async def run():
+            service = make_service(metrics)
+            futures = [
+                service.submit(op) for op in (
+                    Operation.query("t", [1, 2]),
+                    Operation.query("t", [99]),
+                    Operation.query("t", [0, 1, 2, 3, 4]),
+                    Operation.insert("t", ["x"]),
+                )
+            ]
+            await service.drain()
+            results = await asyncio.gather(*futures, return_exceptions=True)
+            return service.report(), results
+
+        report, results = asyncio.run(run())
+        assert results[0].values == [TRUTH[1], TRUTH[2]]
+        assert [type(r) for r in results[1:]] == [
+            IndexError, ParallelismViolation, ValueError,
+        ]
+        tenant = report["tenants"]["t"]
+        assert tenant["accepted"] == 4
+        assert (tenant["completed"], tenant["failed"]) == (1, 3)
+        assert tenant["abandoned"] == tenant["pending"] == 0
+        assert (report["completed"], report["failed"]) == (1, 3)
+        assert metrics.serve_requests == {
+            "accepted": 4, "completed": 1, "failed": 3,
+        }
 
 
 class TestRecorders:

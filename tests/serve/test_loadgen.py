@@ -129,16 +129,15 @@ class TestRunLoad:
         assert all(0.0 <= ms < 1e6 for ms in report.latencies_ms)
 
     def test_backpressure_shows_up_as_rejections_not_failures(self):
-        # Engine mode with yield_every=1: every in-flight batch suspends
-        # per round, so the submission flood outpaces the lane and the
-        # bounded tenant queue must reject.
+        # Engine mode: an in-flight batch yields to the loop every
+        # YIELD_EVERY rounds, so the submission flood outpaces the lane
+        # and the bounded tenant queue must reject.
         net, cfg = build_profile(
             rows=2, cols=2, k=8, parallelism=4, mode="engine"
         )
         service = QueryService(
             default_quota=TenantQuota("default", max_pending=2),
             flush_after_ms=1.0,
-            yield_every=1,
         )
         service.add_profile(net, cfg)
         spec = LoadSpec(clients=60, tenants=1, seed=5)
