@@ -22,7 +22,8 @@ which benchmarks compare against the depth + t bound.
 and returns the engine's :class:`~repro.congest.engine.RunResult`: the
 framework's engine-mode batches step their three transfers through it,
 which is what lets the :mod:`repro.serve` daemon interleave them on an
-event loop.  It steps the engine's own round generator, as
+event loop.  It drives the engine's
+:class:`~repro.congest.engine.EngineStepper`, as
 :meth:`Engine.run <repro.congest.engine.Engine.run>` does, so the stepped
 and blocking paths are bit-identical by construction.
 

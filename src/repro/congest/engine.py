@@ -26,9 +26,8 @@ deliver events), and both are held to the textbook loop kept in
   the bulk loop only as arrays, in place of a program dict (an
   ``Upcast`` or ``Downcast`` from
   :mod:`repro.congest.algorithms.aggregate`): it runs with no per-node
-  object at all, and the engine builds the per-node programs — and the
-  per-node loop's order and always-awake tables — only if it falls
-  back; a dict of those programs runs per node.  A transfer's traffic
+  object at all, and the engine builds the per-node programs only if it
+  falls back; a dict of those programs runs per node.  A transfer's traffic
   is fixed by its tree and vector length, so the bulk loop runs it
   from the tree's cached schedule: one round per step, with no array
   work unless the round is recorded.  The bulk loop holds
@@ -51,16 +50,20 @@ deliver events), and both are held to the textbook loop kept in
   ``always_active = False``; everything else runs every round
   automatically.  On flooding/pipelining workloads where most nodes are
   silent most rounds this removes the per-round O(n) scan entirely.
+  The loop builds its order and always-awake tables, its inbox buffer
+  and its halted count when it starts, so an engine that runs in bulk
+  never pays for them.
 
 Round accounting and CONGEST semantics are unchanged by the choice: a
 skipped node is exactly a node whose execution would have been a no-op.
 
-Both loops are written as *round generators* (:meth:`Engine.steps`): each
-``next()`` executes exactly one communication round and the generator's
-return value is the :class:`RunResult`.  :meth:`Engine.run` simply drives
-the generator to exhaustion, so the monolithic and stepwise paths are the
-same code — bit-identity between ``run()`` and an :class:`EngineStepper`
-is structural, and the hypothesis pinning in
+Every loop is written as a *round generator*: each ``next()`` executes
+exactly one communication round and the generator's return value is the
+:class:`RunResult`.  An :class:`EngineStepper` chooses the run's loop at
+its first step and then resumes that one generator per round;
+:meth:`Engine.run` simply drives a stepper to exhaustion, so the
+monolithic and stepwise paths are the same code — bit-identity between
+``run()`` and a stepper is structural, and the hypothesis pinning in
 ``tests/congest/test_engine_step.py`` re-proves it end to end.  The
 stepper is what lets one event loop interleave many in-flight executions
 (the :mod:`repro.serve` daemon) and is the seam for live tracing and
@@ -223,36 +226,15 @@ class Engine:
         #: build is bit-identical to the historical eager one.
         self._seed = seed
         self._contexts: Optional[Dict[int, Context]] = None
-        #: Number of halted nodes, so :meth:`_all_halted` is O(1) instead
-        #: of an O(n) per-round scan.
-        self._halted_count = 0
-        #: Program order of each node; the per-node loop sorts its
-        #: candidate set by this so message ordering (and hence results)
-        #: match running every node every round exactly.  Built by the
-        #: per-node loop, which alone reads it.
-        self._order: Dict[int, int] = {}
-        #: Insertion-ordered set of non-halted nodes whose programs are
-        #: ``always_active``, so execute every round; pruned on halt.
-        #: Built by the per-node loop.
-        self._always_on: Dict[int, None] = {}
         #: Communication-model seam, cached once: the token stamped on
         #: round events ("" for the default CONGEST model, so default
-        #: traces stay byte-identical), and the optional per-round
-        #: routing biller (CONGEST-CLIQUE charges logical links routed
-        #: over the physical graph; CONGEST/LOCAL attach none and the
-        #: hot loops pay a single ``is not None`` check).
+        #: traces stay byte-identical).
         self._model_token = network.model.event_token
-        self._router = network.model.router(network)
-        #: Reusable inbox buffer: node -> list of this round's deliveries.
-        #: Lists are cleared and reused round to round (dict churn was a
-        #: measurable cost at large n); an Inbox is only valid during the
-        #: round it was handed to ``on_round``.
-        self._inbox_buf: Dict[int, List[Message]] = {}
-        self._inbox_touched: List[int] = []
-        #: Re-entrancy latch: True while a :meth:`steps` generator is live.
+        #: Run-once latch: True from a stepper's construction until its
+        #: run finishes (see :class:`EngineStepper`).
         self._running = False
-        #: The finished run's result; a later :meth:`steps` returns it
-        #: without executing anything.
+        #: The finished run's result; a later stepper returns it without
+        #: executing anything.
         self._result: Optional[RunResult] = None
         #: The fault channel messages and nodes pass through, or None for
         #: a perfect network (see :class:`repro.faults.FaultyEngine`).
@@ -297,36 +279,50 @@ class Engine:
         """Execute until every node halts; return outputs and statistics."""
         return self.stepper().run_to_completion()
 
-    def steps(self) -> Iterator[int]:
-        """The round generator behind both :meth:`run` and the stepper.
-
-        Each ``next()`` executes exactly one communication round (the
-        first also runs every program's round-0 ``on_start``) and yields
-        the round number just completed; the generator's ``return`` value
-        (``StopIteration.value``) is the :class:`RunResult`.  Contexts
-        mutate as rounds execute, so a second generator may only be
-        created once the first has finished; it then returns the finished
-        result without executing a round or emitting an event.
-        Interleaving two live generators over one engine would corrupt the
-        round state and is rejected.
-        """
-        if self._running:
-            raise RuntimeError(
-                "engine already mid-run; build a fresh Engine per execution"
-            )
-        self._running = True
-        return self._finishing()
-
-    def _finishing(self) -> Iterator[int]:
-        """Run the round loop once, keep its result, clear the latch."""
-        if self._result is None:
-            self._result = yield from self._vectorized_steps()
-        self._running = False
-        return self._result
-
     def stepper(self) -> "EngineStepper":
         """A re-entrant handle that advances this engine one round at a time."""
         return EngineStepper(self)
+
+    def _choose_loop(self) -> Iterator[int]:
+        """This run's round generator, on the bulk loop when it can.
+
+        The bulk loop engages only when (a) the model has a CSR port,
+        (b) the engine has no fault channel (the channel must see every
+        message and node individually), (c) the program dict is one of
+        the three audited homogeneous families, or the engine was given a
+        tree transfer as arrays whose combine has a bulk port, and (d)
+        that family's messages fit the network's bandwidth.  A tree
+        transfer then runs off its schedule (:meth:`_transfer_steps`), a
+        flood family one ``step_all`` per round (:meth:`_flood_steps`).
+        Anything else falls back to the per-node loop
+        (:meth:`_node_steps`, building a transfer's programs then),
+        recording the reason on :attr:`vectorized_fallback` — results
+        are bit-identical either way, only wall time differs.  Under (d)
+        the per-node loop then raises
+        :class:`~repro.congest.errors.MessageTooLargeError` at the first
+        send, as it always has.
+        """
+        vp = None
+        network = self.network
+        if not network.model.csr_port:
+            # The bulk loop assumes physical-edge delivery with uniform
+            # per-message bits; models that route over logical links
+            # (CLIQUE) or meter differently (LOCAL's unbounded messages)
+            # take the per-node path.
+            self.vectorized_fallback = f"model-{network.model.name}-lacks-csr-port"
+        elif self._channel is not None:
+            self.vectorized_fallback = "fault-channel"
+        else:
+            from .vectorized import build_vectorized
+
+            vp, self.vectorized_fallback = build_vectorized(self)
+            if vp is not None and vp.bits_per_message > network.bandwidth:
+                vp, self.vectorized_fallback = None, "message-exceeds-bandwidth"
+        if vp is None:
+            return self._node_steps()
+        if self.transfer is not None:
+            return self._transfer_steps(vp)
+        return self._flood_steps(vp)
 
     # ------------------------------------------------------------------
     # per-node loop
@@ -347,21 +343,40 @@ class Engine:
 
         Nodes run in program order, so the in-flight message order — and
         therefore every downstream observation — is bit-identical to
-        running every node every round.
+        running every node every round.  Everything this loop alone reads
+        (the order and always-awake tables, the inbox buffer, the routing
+        biller, the halted count) is built here, when it starts.
         """
+        network = self.network
         stats = TrafficStats()
         in_flight: List[Message] = []
         contexts = self.contexts
         programs = self.programs
-        order = self._order = {v: i for i, v in enumerate(programs)}
-        always_on = self._always_on = {
+        channel = self._channel
+        #: The model's per-round routing biller (CONGEST-CLIQUE charges
+        #: logical links routed over the physical graph; CONGEST/LOCAL
+        #: attach none and the loop pays a single ``is not None`` check).
+        router = network.model.router(network)
+        #: Program order of each node: a round's deliveries and execution
+        #: set are sorted by it, so message ordering (and hence results)
+        #: match running every node every round exactly.
+        order = {v: i for i, v in enumerate(programs)}
+        #: Insertion-ordered set of non-halted nodes whose programs are
+        #: ``always_active``, so execute every round; pruned on halt.
+        always_on = {
             v: None
             for v, p in programs.items()
             if getattr(p, "always_active", True)
         }
-        inbox_buf = self._inbox_buf
-        touched = self._inbox_touched
-        channel = self._channel
+        #: Halted nodes, counted as they halt: the termination test is
+        #: O(1), not an O(n) per-round scan.
+        halted = 0
+        #: Reusable inbox buffer: node -> list of this round's deliveries.
+        #: Lists are cleared and reused round to round (dict churn was a
+        #: measurable cost at large n); an Inbox is only valid during the
+        #: round it was handed to ``on_round``.
+        inbox_buf: Dict[int, List[Message]] = {}
+        touched: List[int] = []
         #: nodes that sent last round ("pending sends" — may be mid-stream)
         carry: set = set()
         #: (due_round, node) min-heap of requested wakeups
@@ -372,7 +387,8 @@ class Engine:
             ctx = contexts[v]
             program.on_start(ctx)
             if ctx.halted:
-                self._note_halt(v)
+                halted += 1
+                always_on.pop(v, None)
             if ctx._outbox:
                 in_flight.extend(ctx._drain_outbox(0))
                 if not ctx.halted:
@@ -383,10 +399,12 @@ class Engine:
 
         rounds = 0
         while True:
-            if (
-                not in_flight
-                and (channel is None or not channel.pending())
-                and (self._all_halted() or self.stop_on_quiescence)
+            if not in_flight and (channel is None or not channel.pending()) and (
+                halted >= network.n
+                # Crash-stopped nodes never halt on their own; the channel
+                # counts them as (involuntarily) finished.
+                or (channel is not None and channel.crash_stopped(contexts))
+                or self.stop_on_quiescence
             ):
                 break
             if rounds >= self.max_rounds:
@@ -403,7 +421,17 @@ class Engine:
             if channel is not None:
                 channel.begin_round(rounds)
                 delivered = channel.transmit(in_flight, rounds)
-            self._canonicalize(delivered)
+            # Canonical (sender, dst) order: senders already appear in
+            # program order (each node's sends are appended as it
+            # executes); the stable sort also orders each sender's block
+            # by destination, the order the bulk loop produces natively.
+            # It follows the channel's ``transmit``, so fault models draw
+            # their per-message randomness in send order, and is stable,
+            # so a delayed message released this round still lands ahead
+            # of a fresh same-edge one.  Inbox contents are unchanged;
+            # only the deliver-event order both loops share is fixed.
+            if len(delivered) > 1:
+                delivered.sort(key=lambda m: (order[m.src], m.dst))
             bits = 0
             for msg in delivered:
                 dst = msg.dst
@@ -415,8 +443,8 @@ class Engine:
                 lst.append(msg)
                 bits += msg.bits
                 self._on_deliver(msg, rounds)
-            if self._router is not None:
-                bits += self._router.extra_bits(delivered)
+            if router is not None:
+                bits += router.extra_bits(delivered)
             stats.record_round(len(delivered), bits)
             if self._recording:
                 self.recorder.round(
@@ -453,7 +481,8 @@ class Engine:
                 program = programs[v]
                 program.on_round(ctx, Inbox._wrap(msgs) if msgs else _EMPTY_INBOX)
                 if ctx.halted:
-                    self._note_halt(v)
+                    halted += 1
+                    always_on.pop(v, None)
                 if ctx._outbox:
                     in_flight.extend(ctx._drain_outbox(rounds))
                     if not ctx.halted:
@@ -463,54 +492,18 @@ class Engine:
                     heapq.heappush(wake_heap, (max(wake, rounds + 1), v))
             yield rounds
 
-        outputs = {v: contexts[v].output for v in self.network.nodes()}
+        outputs = {v: contexts[v].output for v in network.nodes()}
         return RunResult(rounds=rounds, outputs=outputs, stats=stats)
 
     # ------------------------------------------------------------------
-    # vectorized loop (column-major fast path)
+    # bulk loops (column-major fast path, see :mod:`.vectorized`)
     # ------------------------------------------------------------------
 
-    def _vectorized_steps(self) -> Iterator[int]:
-        """Whole-network rounds as array ops (see :mod:`.vectorized`).
-
-        Engages only when (a) the engine has no fault channel (the channel
-        must see every message and node individually), (b) the program
-        dict is one of the three audited homogeneous families, or the
-        engine was given a tree transfer as arrays whose combine has a
-        bulk port,
-        and (c) that family's messages fit the network's bandwidth.
-        A tree transfer then runs off its schedule (:meth:`_transfer_steps`),
-        a flood family one ``step_all`` per round.
-        Anything else silently falls back to the per-node loop (building
-        a transfer's programs then), recording the reason on
-        :attr:`vectorized_fallback` — results are bit-identical either
-        way, only wall time differs.  Under (c) the per-node loop then
-        raises :class:`~repro.congest.errors.MessageTooLargeError` at the
-        first send, as it always has.
-        """
-        vp = None
+    def _flood_steps(self, vp) -> Iterator[int]:
+        """A flood family's rounds, one ``step_all`` over the whole
+        network per round; its halts update the ``active`` mask and a
+        halted count in bulk."""
         network = self.network
-        if not network.model.csr_port:
-            # The bulk loop assumes physical-edge delivery with uniform
-            # per-message bits; models that route over logical links
-            # (CLIQUE) or meter differently (LOCAL's unbounded messages)
-            # take the per-node path.
-            self.vectorized_fallback = f"model-{network.model.name}-lacks-csr-port"
-        elif self._channel is not None:
-            self.vectorized_fallback = "fault-channel"
-        else:
-            from .vectorized import build_vectorized
-
-            vp, self.vectorized_fallback = build_vectorized(self)
-            if vp is not None and vp.bits_per_message > network.bandwidth:
-                vp, self.vectorized_fallback = None, "message-exceeds-bandwidth"
-        if vp is None:
-            result = yield from self._node_steps()
-            return result
-        if self.transfer is not None:
-            result = yield from self._transfer_steps(vp)
-            return result
-
         stats = TrafficStats()
         # Program order per node.
         order_arr = np.arange(network.n, dtype=np.int64)
@@ -523,8 +516,8 @@ class Engine:
         # Round 0: local initialization, no communication charged.
         in_flight, halts = vp.start()
         vp.check_domains(in_flight, order_arr)
-        if halts.shape[0]:
-            self._halted_count += halts.shape[0]
+        halted = halts.shape[0]
+        if halted:
             active[halts] = False
 
         bits_per_message = vp.bits_per_message
@@ -533,7 +526,7 @@ class Engine:
         while True:
             count = len(in_flight)
             if count == 0 and (
-                self._all_halted() or self.stop_on_quiescence
+                halted >= network.n or self.stop_on_quiescence
             ):
                 break
             if rounds >= self.max_rounds:
@@ -553,9 +546,7 @@ class Engine:
             in_flight, halts = step_all(vp.state, in_flight, active, rounds)
             check_domains(in_flight, order_arr)
             if halts.shape[0]:
-                # A round's halts as one count: the bulk loop never reads
-                # the per-node always-awake set ``_note_halt`` prunes.
-                self._halted_count += halts.shape[0]
+                halted += halts.shape[0]
                 active[halts] = False
             self.vectorized_rounds += 1
             yield rounds
@@ -634,46 +625,6 @@ class Engine:
             )
 
     # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-
-    def _canonicalize(self, delivered: List[Message]) -> None:
-        """Sort a round's deliveries into canonical (sender, dst) order.
-
-        Senders already appear in program order (each node's sends are
-        appended as it executes); the stable sort additionally orders
-        each sender's block by destination, which is the order the
-        vectorized loop produces natively.  Applied *after* the fault
-        channel's ``transmit`` so fault models consume their per-message
-        randomness in unsorted send order (streams stay compatible),
-        and stably, so a delayed message released this round still lands
-        ahead of a fresh same-edge one.  Per-node inbox contents are
-        unchanged (at most one message per (src, dst) pair per round per
-        channel event); only the deliver-event order both loops share is
-        fixed.
-        """
-        if len(delivered) > 1:
-            order = self._order
-            delivered.sort(key=lambda m: (order[m.src], m.dst))
-
-    def _note_halt(self, v: int) -> None:
-        """Record that node ``v`` halted (keeps :meth:`_all_halted` O(1))."""
-        self._halted_count += 1
-        self._always_on.pop(v, None)
-
-    def _all_halted(self) -> bool:
-        # network.n, not len(self.contexts): every node has a program
-        # (validated at construction), and touching ``contexts`` here
-        # would force the lazy per-node build the vectorized path avoids.
-        if self._halted_count >= self.network.n:
-            return True
-        # Crash-stopped nodes never halt on their own; the channel counts
-        # them as (involuntarily) finished.
-        return self._channel is not None and self._channel.crash_stopped(
-            self.contexts
-        )
-
-    # ------------------------------------------------------------------
     # observation seam
     # ------------------------------------------------------------------
 
@@ -691,13 +642,26 @@ class Engine:
 class EngineStepper:
     """Re-entrant, one-round-at-a-time driver over an :class:`Engine`.
 
-    The stepper owns the engine's round generator; every :meth:`step`
-    executes exactly one communication round.  Because :meth:`Engine.run`
-    drives the *same* generator, a stepped execution is bit-identical to a
-    monolithic one — rounds, outputs, traffic statistics, and every
-    recorder event, in the same order.  Many steppers over *different*
-    engines interleave freely (no shared mutable state), which is what the
-    :mod:`repro.serve` event loop relies on.
+    An engine runs once.  The stepper takes the engine's run-once latch
+    when it is built (a second stepper, or :meth:`Engine.run`, raises
+    while the first is mid-run: the round state would be corrupted).
+    Its first :meth:`step` chooses the engine's round loop — setting
+    :attr:`Engine.vectorized_fallback`, and building a transfer's bulk
+    port — and every step resumes that loop's round generator directly,
+    executing exactly one communication round (the first also runs every
+    program's round-0 ``on_start``).  When the generator returns, the
+    stepper keeps its :class:`RunResult` on the engine and releases the
+    latch: a later stepper, or :meth:`Engine.run`, returns that result
+    without executing a round or emitting an event.  A loop that raised
+    leaves the engine latched, and its stepper's later steps return
+    False.
+
+    :meth:`Engine.run` drives a stepper too, so a stepped execution is
+    bit-identical to a monolithic one — rounds, outputs, traffic
+    statistics, and every recorder event, in the same order.  Many
+    steppers over *different* engines interleave freely (no shared
+    mutable state), which is what the :mod:`repro.serve` event loop
+    relies on.
 
     Typical use::
 
@@ -708,9 +672,16 @@ class EngineStepper:
     """
 
     def __init__(self, engine: Engine):
+        if engine._running:
+            raise RuntimeError(
+                "engine already mid-run; build a fresh Engine per execution"
+            )
         self.engine = engine
-        self._gen = engine.steps()
-        self._result: Optional[RunResult] = None
+        self._result: Optional[RunResult] = engine._result
+        if self._result is None:
+            engine._running = True
+        #: The engine's round generator, chosen at the first step.
+        self._gen: Optional[Iterator[int]] = None
         #: Rounds executed so far (mirrors the engine's round counter).
         self.rounds = 0
 
@@ -734,11 +705,18 @@ class EngineStepper:
         """
         if self._result is not None:
             return False
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = self.engine._choose_loop()
         try:
-            self.rounds = next(self._gen)
+            self.rounds = next(gen)
             return True
         except StopIteration as stop:
-            self._result = stop.value
+            # A generator that raised at an earlier step stops with no
+            # value: the run never finished, so the engine stays latched.
+            if stop.value is not None:
+                self._result = self.engine._result = stop.value
+                self.engine._running = False
             return False
 
     def run_to_completion(self) -> RunResult:

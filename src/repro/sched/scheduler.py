@@ -130,13 +130,16 @@ class SchedulerReport:
 class LaneScheduler:
     """The ticket book the oracle and sketch lane schedulers share.
 
-    A subclass keeps ``submit``, which files each submission with
-    :meth:`_book` (queued, or already answered from the memo), and
-    ``execute_batch_steps``, a generator that runs one FIFO batch of the
-    queue and returns its size; it keeps ``account`` and ``report`` too.
-    Everything else lives here, once: ticket numbering, the ticket reads,
-    and the queue's running ``pending_queries`` count.  A batch runs only
-    when the owner asks — :meth:`flush`, :meth:`drain`,
+    A subclass keeps ``submit``, which files each submission (a
+    :class:`_Work`) with :meth:`_book` (queued, or already answered from
+    the memo), and ``execute_batch_steps``, a generator that runs one
+    FIFO batch of the queue and returns its size; it keeps ``account``
+    and ``report`` too.  Everything else lives here, once: ticket
+    numbering, the ticket reads, the queue's running ``pending_queries``
+    count, and what a batch that raises leaves behind (:meth:`_fail`):
+    the work it had in flight finishes with its exception, which reading
+    those tickets raises, while the batch's caller sees it raise too.  A
+    batch runs only when the owner asks — :meth:`flush`, :meth:`drain`,
     ``execute_batch_steps`` — or when :meth:`result`/:meth:`take` reads a
     ticket still pending; ``submit`` never runs one.
 
@@ -206,8 +209,24 @@ class LaneScheduler:
             self._pending_queries += sub.ticket.size
         return sub.ticket
 
+    def _fail(self, subs: List["_Work"], exc: Exception) -> None:
+        """Finish ``subs``, in flight when their batch raised ``exc``.
+
+        Each is done, with ``exc`` as what reading its ticket raises, and
+        leaves the pending count and the queue (the work a batch holds
+        is a prefix of it).
+        """
+        for sub in subs:
+            self._pending_queries -= sub.remaining
+            sub.remaining = 0
+            sub.error = exc
+        queue = self._queue
+        while queue and queue[0].done:
+            queue.popleft()
+
     def done(self, ticket: Ticket) -> bool:
-        """True when the submission's values are ready (no execution).
+        """True when the submission's values are ready (no execution),
+        or its batch raised.
 
         Raises ``KeyError`` for an unknown ticket or a released one (see
         :meth:`take`).
@@ -221,15 +240,14 @@ class LaneScheduler:
         """The submission's values, forcing execution if still pending.
 
         Idempotent until the ticket is released by :meth:`take`; from
-        then on it raises ``KeyError``, as for an unknown ticket.
+        then on it raises ``KeyError``, as for an unknown ticket.  A
+        submission whose batch raised raises that exception instead; a
+        batch this read runs that raises without holding the submission
+        fails only its own work.
         """
-        sub = self._by_ticket.get(ticket.id)
-        if sub is None:
-            raise KeyError(f"unknown ticket {ticket.id}")
-        # FIFO packing puts this submission's indices ahead of anything
-        # submitted later, so a bounded number of flushes completes it.
-        while not sub.done:
-            self.flush()
+        sub = self._finished(ticket)
+        if sub.error is not None:
+            raise sub.error
         return list(sub.values)
 
     def take(self, ticket: Ticket) -> List[Any]:
@@ -237,11 +255,31 @@ class LaneScheduler:
 
         The scheduler forgets the submission, so an owner that reads
         each result once (the serving daemon, :class:`CallerOracle`)
-        leaves no finished work behind however long it runs.
+        leaves no finished work behind however long it runs; a failed
+        submission is released before its exception is raised.
         """
-        values = self.result(ticket)
+        sub = self._finished(ticket)
         del self._by_ticket[ticket.id]
-        return values
+        if sub.error is not None:
+            raise sub.error
+        return list(sub.values)
+
+    def _finished(self, ticket: Ticket) -> "_Work":
+        """The ticket's submission, once done, running batches until then."""
+        sub = self._by_ticket.get(ticket.id)
+        if sub is None:
+            raise KeyError(f"unknown ticket {ticket.id}")
+        # FIFO packing puts this submission's work ahead of anything
+        # submitted later, so a bounded number of flushes completes it:
+        # a batch that raises still finishes the work it held.
+        while not sub.done:
+            try:
+                self.flush()
+            except Exception:
+                # Each ticket that batch held carries the exception, so
+                # this read raises it only if ``sub`` was among them.
+                pass
+        return sub
 
     def flush(self) -> int:
         """Execute one physical batch now; returns its size (0 if idle).
@@ -261,24 +299,35 @@ class LaneScheduler:
         return not self._queue
 
 
-class _Submission:
-    """One in-flight query set and its per-index completion state."""
+class _Work:
+    """One submission as the ticket book sees it; each lane's subclass
+    sets these slots.
 
-    __slots__ = (
-        "ticket", "indices", "label", "values", "remaining", "cursor",
-    )
+    ``ticket`` and ``values``; ``remaining``, its payload not yet
+    executed (0 once it is done); and ``error``, the exception its batch
+    raised if that batch failed, else None.
+    """
 
-    def __init__(self, ticket: Ticket, indices: List[int], label: str):
-        self.ticket = ticket
-        self.indices = indices
-        self.label = label
-        self.values: List[Any] = [None] * len(indices)
-        self.remaining = len(indices)
-        self.cursor = 0  # next index position not yet packed into a batch
+    __slots__ = ("ticket", "values", "remaining", "error")
 
     @property
     def done(self) -> bool:
         return self.remaining == 0
+
+
+class _Submission(_Work):
+    """One in-flight query set and its per-index completion state."""
+
+    __slots__ = ("indices", "label", "cursor")
+
+    def __init__(self, ticket: Ticket, indices: List[int], label: str):
+        self.ticket = ticket
+        self.values: List[Any] = [None] * len(indices)
+        self.remaining = len(indices)
+        self.error: Optional[Exception] = None
+        self.indices = indices
+        self.label = label
+        self.cursor = 0  # next index position not yet packed into a batch
 
 
 def _proportional_shares(total: int, counts: Dict[str, int]) -> Dict[str, int]:
@@ -446,6 +495,12 @@ class CoalescingScheduler(LaneScheduler):
 
     # -- execution -------------------------------------------------------
 
+    def _attribute(self, phase: str, delta: int, counts: Dict[str, int]) -> None:
+        """Charge a batch's ``delta`` rounds to its callers, in proportion
+        to their query ``counts``."""
+        for caller, share in _proportional_shares(delta, counts).items():
+            self._accounts[caller].rounds.charge(phase, share)
+
     def execute_batch_steps(self) -> Iterator[int]:
         """One physical batch, yielding the engine's round number per round.
 
@@ -457,7 +512,9 @@ class CoalescingScheduler(LaneScheduler):
         lanes step it to interleave many in-flight batches on one event
         loop.  In formula mode there are no engine rounds, so the
         generator returns without yielding.  Returns the batch size via
-        ``StopIteration.value`` (0 if the queue was empty).
+        ``StopIteration.value`` (0 if the queue was empty).  A batch that
+        raises fails every submission it packed with its exception, and
+        attributes the rounds it charged, before the exception leaves.
         """
         p = self.config.parallelism
         batch_indices: List[int] = []
@@ -482,25 +539,32 @@ class CoalescingScheduler(LaneScheduler):
         # run would.
         label = members[0].label if len(members) == 1 else "coalesced"
 
+        # Per-caller query counts, and the phase key their shares charge.
+        counts: Dict[str, int] = {}
+        for sub, _pos in slots:
+            caller = sub.ticket.caller
+            counts[caller] = counts.get(caller, 0) + 1
+        phase = f"batch:{label or 'query'}" if len(members) == 1 else "coalesced"
+
         before = self._rounds.total
-        values = yield from self._oracle.query_batch_steps(
-            batch_indices, label=label
-        )
+        try:
+            values = yield from self._oracle.query_batch_steps(
+                batch_indices, label=label
+            )
+        except Exception as exc:
+            # Every packed submission fails with the batch; the rounds it
+            # charged before raising are still its callers'.
+            delta = self._rounds.total - before
+            if delta:
+                self._attribute(phase, delta, counts)
+            self._fail(members, exc)
+            raise
         delta = self._rounds.total - before
 
         for (sub, pos), value in zip(slots, values):
             sub.values[pos] = value
             sub.remaining -= 1
-
-        counts: Dict[str, int] = {}
-        for sub, _pos in slots:
-            caller = sub.ticket.caller
-            counts[caller] = counts.get(caller, 0) + 1
-        for caller, share in _proportional_shares(delta, counts).items():
-            self._accounts[caller].rounds.charge(
-                f"batch:{label or 'query'}" if len(members) == 1
-                else "coalesced", share,
-            )
+        self._attribute(phase, delta, counts)
 
         completed = [s for s in members if s.done]
         for sub in completed:

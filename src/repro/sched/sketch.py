@@ -23,9 +23,11 @@ the scheduling problem in two ways:
   plans and computed once per submission — and the fast path at submit
   time only fires when *zero writes are pending* (a queued insert will
   execute before the query, so the memo's present answer would be the
-  query's stale past).  One bounded memo may be shared with oracle
-  lanes: it indexes entries by fingerprint, so an insert's invalidation
-  touches only this sketch's entries.
+  query's stale past).  Submit computes those tokens for inserts too,
+  which is how it refuses an operation holding an item the sketch
+  cannot encode before queueing it.  One bounded memo may be shared
+  with oracle lanes: it indexes entries by fingerprint, so an insert's
+  invalidation touches only this sketch's entries.
 
 Like ``CoalescingScheduler``, the scheduler is a
 :class:`~repro.sched.scheduler.LaneScheduler`: the two share one ticket
@@ -47,7 +49,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from ..apps.sketches import AmplitudeSketch
 from ..core.operation import Operation
 from ..obs.recorder import Recorder
-from .scheduler import LaneScheduler, Ticket
+from .scheduler import LaneScheduler, Ticket, _Work
 
 __all__ = ["SketchCallerAccount", "SketchReport", "SketchScheduler"]
 
@@ -79,22 +81,22 @@ class SketchReport:
     attributed_rounds: int  # always 0: sketch ops are round-free
 
 
-class _SketchSubmission:
+class _SketchSubmission(_Work):
     """One in-flight operation and its completion state.
 
-    ``tokens`` holds a query's memo address, its items' tokens, once the
-    first memo lookup has computed them; the later lookup and the store
-    reuse it.
+    ``tokens`` holds its items' tokens, computed at submit: a query's
+    memo address, which its lookups and its store reuse.
     """
 
-    __slots__ = ("ticket", "op", "values", "done", "tokens")
+    __slots__ = ("op", "tokens")
 
-    def __init__(self, ticket: Ticket, op: Operation):
+    def __init__(self, ticket: Ticket, op: Operation, tokens: List[int]):
         self.ticket = ticket
-        self.op = op
         self.values: List[Any] = []
-        self.done = False
-        self.tokens: Optional[List[int]] = None
+        self.remaining = ticket.size
+        self.error: Optional[Exception] = None
+        self.op = op
+        self.tokens = tokens
 
 
 class SketchScheduler(LaneScheduler):
@@ -150,10 +152,15 @@ class SketchScheduler(LaneScheduler):
                 "sketch lanes take item payloads; oracle index reads go "
                 "to CoalescingScheduler"
             )
+        # Raises TypeError for an item the sketch cannot encode, before
+        # anything is booked: queued, it would fail every later batch.
+        token = self.sketch.item_token
+        tokens = [token(x) for x in operation.items]
         acct = self.account(operation.caller)
         acct.submissions += 1
         sub = _SketchSubmission(
-            self._new_ticket(operation.caller, operation.size), operation
+            self._new_ticket(operation.caller, operation.size), operation,
+            tokens,
         )
         if (
             not operation.is_write
@@ -166,7 +173,7 @@ class SketchScheduler(LaneScheduler):
             cached = self._try_memo(sub)
             if cached is not None:
                 sub.values = cached
-                sub.done = True
+                sub.remaining = 0
                 acct.memo_hits += 1
                 return self._book(sub, queued=False)
         if operation.is_write:
@@ -196,17 +203,10 @@ class SketchScheduler(LaneScheduler):
 
     # -- internals -------------------------------------------------------
 
-    def _tokens(self, sub: _SketchSubmission) -> List[int]:
-        """The query's memo address, computed once per submission."""
-        if sub.tokens is None:
-            token = self.sketch.item_token
-            sub.tokens = [token(x) for x in sub.op.items]
-        return sub.tokens
-
     def _try_memo(self, sub: _SketchSubmission) -> Optional[List[Any]]:
         """Memo lookup for a query; counts the hit/miss and emits."""
         assert self._memo is not None
-        tokens = self._tokens(sub)
+        tokens = sub.tokens
         cached = self._memo.lookup(self._fingerprint, tokens)
         if cached is None:
             self.memo_misses += 1
@@ -251,11 +251,9 @@ class SketchScheduler(LaneScheduler):
             else:
                 sub.values = [self.sketch.query(y) for y in op.items]
                 if self._memo is not None:
-                    self._memo.store(
-                        self._fingerprint, self._tokens(sub), sub.values
-                    )
+                    self._memo.store(self._fingerprint, sub.tokens, sub.values)
             acct.query_items += len(op.items)
-        sub.done = True
+        sub.remaining = 0
 
     def execute_batch_steps(self) -> Iterator[Any]:
         """Apply one FIFO batch of up to ``parallelism`` payload items.
@@ -264,7 +262,9 @@ class SketchScheduler(LaneScheduler):
         always at least one.  Declared a generator for interface parity
         with the oracle scheduler's stepwise batches; sketch operations
         are local and round-free, so it returns the batch size without
-        ever yielding (exactly like an oracle lane in formula mode).
+        ever yielding (exactly like an oracle lane in formula mode).  An
+        operation that raises fails with its exception, which then
+        leaves the batch; the operations after it stay queued.
         """
         if not self._queue:
             return 0
@@ -276,9 +276,13 @@ class SketchScheduler(LaneScheduler):
             taken.append(sub)
             size += sub.op.size
         for sub in taken:
-            self._apply(sub)
+            try:
+                self._apply(sub)
+            except Exception as exc:
+                self._fail([sub], exc)
+                raise
             self._queue.popleft()
-        self._pending_queries -= size
+            self._pending_queries -= sub.ticket.size
         self.physical_batches += 1
         return size
         yield  # pragma: no cover — generator marker, interface parity

@@ -30,11 +30,13 @@ write-path memo invalidation):
   flight.  Bit-identity of this path to the blocking scheduler is pinned
   by ``tests/congest/test_engine_step.py`` and
   ``tests/sched/test_scheduler.py::TestSteppedBatch``.
-* **Refusals counted** — a request its lane's scheduler refuses when fed
+* **Failures counted** — a request its lane's scheduler refuses when fed
   (an index out of range, more than ``p`` indices, a write on an oracle
-  lane) fails its future and is counted ``failed``, per tenant and in
-  :meth:`QueryService.report`, so every accepted request ends completed,
-  failed, abandoned or still pending.
+  lane, an item a sketch cannot encode), or whose batch raises, fails
+  its future with that exception and is counted ``failed``, per tenant
+  and in :meth:`QueryService.report`, so every accepted request ends
+  completed, failed, abandoned or still pending.  A batch that raises
+  does not stop its lane: the worker goes on serving.
 * **Results as futures** — :meth:`QueryService.submit` returns an
   ``asyncio.Future`` resolving to :class:`ServeResult`; memo hits
   resolve without touching the network.
@@ -309,27 +311,36 @@ class QueryService:
             try:
                 ticket = sched.submit(request.op)
             except Exception as exc:  # bad indices, width violation, ...
-                if not request.future.done():
-                    request.future.set_exception(exc)
-                tenant.failed += 1
-                self.failed += 1
-                if self._recorder.active:
-                    self._recorder.serve_request(
-                        request.tenant, request.op.size, "failed"
-                    )
+                self._fail(tenant, request, exc)
                 continue
             if sched.done(ticket):  # memo hit: zero rounds, resolve now
                 self._complete(lane, state, ticket, request)
             else:
                 lane.in_flight[ticket.id] = (ticket, request)
 
+    def _fail(
+        self, tenant: TenantState, request: _Request, exc: Exception
+    ) -> None:
+        if not request.future.done():
+            request.future.set_exception(exc)
+        tenant.failed += 1
+        self.failed += 1
+        if self._recorder.active:
+            self._recorder.serve_request(
+                request.tenant, request.op.size, "failed"
+            )
+
     def _complete(
         self, lane: Lane, state: _LaneState, ticket: Ticket, request: _Request
     ) -> None:
-        values = lane.scheduler.take(ticket)
+        tenant = state.picker.get(request.tenant)
+        try:
+            values = lane.scheduler.take(ticket)
+        except Exception as exc:  # the request's batch raised
+            self._fail(tenant, request, exc)
+            return
         now = asyncio.get_running_loop().time()
         wait_ms = (now - request.submitted_at) * 1000.0
-        tenant = state.picker.get(request.tenant)
         tenant.completed += 1
         self.completed += 1
         if self._draining:
@@ -348,7 +359,11 @@ class QueryService:
             )
 
     async def _run_batch(self, lane: Lane, state: _LaneState) -> int:
-        """Step one physical batch to completion, yielding between rounds."""
+        """Step one physical batch to completion, yielding between rounds.
+
+        A batch that raises is over: the scheduler has failed the work
+        it held, whose requests fail below with its exception.
+        """
         sched = lane.scheduler
         before = sched.rounds.total
         gen = sched.execute_batch_steps()
@@ -358,6 +373,9 @@ class QueryService:
                 next(gen)
             except StopIteration as stop:
                 size = stop.value
+                break
+            except Exception:
+                size = 0
                 break
             rounds += 1
             if rounds % YIELD_EVERY == 0:

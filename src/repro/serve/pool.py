@@ -140,14 +140,13 @@ class PreparedPool:
         name: str,
         sketch: AmplitudeSketch,
         parallelism: int = 64,
-        memo: Any = None,
     ) -> Lane:
-        """Register a *pinned* sketch lane serving ``sketch``.
+        """Register a *pinned* sketch lane serving ``sketch``, under the
+        pool's memo policy.
 
         Re-adding a warm name returns the existing lane (the sketch
         argument must then be the same object — a lane's sketch is
         authoritative and cannot be swapped out from under its memo).
-        ``memo=None`` inherits the pool's memo policy.
         """
         lane = self._lanes.get(name)
         if lane is not None:
@@ -159,8 +158,7 @@ class PreparedPool:
             self._evict_if_over()
             return lane
         scheduler = SketchScheduler(
-            sketch, parallelism=parallelism,
-            memo=self.memo if memo is None else memo,
+            sketch, parallelism=parallelism, memo=self.memo,
             recorder=self._recorder.fork(),
         )
         lane = Lane(name=name, scheduler=scheduler, pinned=True)

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from repro.congest import topologies
 from repro.congest.algorithms.leader import MaxIdFloodProgram
-from repro.congest.engine import Engine
+from repro.congest.engine import Engine, EngineStepper
+from repro.congest.errors import RoundLimitExceeded
+from repro.faults import FaultyEngine
 from repro.obs import MemorySink, Recorder
 
-from .reference_loop import flood_family
+from .reference_loop import PerNodeMaxIdFlood, flood_family
 
 
 def _make_network(draw):
@@ -139,8 +141,41 @@ class TestStepperContract:
         stepper = engine.stepper()
         assert stepper.step()
         with pytest.raises(RuntimeError, match="mid-run"):
-            engine.steps()
+            engine.stepper()
+        with pytest.raises(RuntimeError, match="mid-run"):
+            EngineStepper(engine)
         with pytest.raises(RuntimeError, match="mid-run"):
             engine.run()
         # The original stepper is unaffected and finishes cleanly.
         assert stepper.run_to_completion().rounds >= 1
+
+    @pytest.mark.parametrize("program", [MaxIdFloodProgram, PerNodeMaxIdFlood])
+    def test_loop_that_raised_stays_latched(self, program):
+        """A run that raised never finished: its engine stays mid-run."""
+        net = topologies.path(6)
+        engine = Engine(
+            net, {v: program(v) for v in net.nodes()},
+            stop_on_quiescence=True, max_rounds=2,
+        )
+        stepper = engine.stepper()
+        assert stepper.step() and stepper.step()
+        with pytest.raises(RoundLimitExceeded):
+            stepper.step()
+        assert stepper.step() is False
+        assert not stepper.done
+        with pytest.raises(RuntimeError, match="mid-run"):
+            engine.stepper()
+        with pytest.raises(RuntimeError, match="mid-run"):
+            engine.run()
+
+    def test_loop_is_chosen_at_the_first_step(self):
+        """Building a stepper chooses nothing; its first step does."""
+        net = topologies.path(4)
+        engine = FaultyEngine(
+            net, {v: MaxIdFloodProgram(v) for v in net.nodes()},
+            stop_on_quiescence=True,
+        )
+        stepper = engine.stepper()
+        assert engine.vectorized_fallback is None
+        assert stepper.step()
+        assert engine.vectorized_fallback == "fault-channel"

@@ -1,6 +1,8 @@
 """CoalescingScheduler: packing, fairness, exact accounting."""
 
+import contextlib
 import random
+import signal
 
 import pytest
 
@@ -227,6 +229,105 @@ class TestSteppedBatch:
         with pytest.raises(StopIteration) as stop:
             next(gen)
         assert stop.value.value == 8
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail, rather than hang, a block that would spin forever."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _overflowing_lane():
+    """An engine-mode grid(2, 2) lane, k = 8, p = 4, over sum[0, 2]:
+    every node holds 1 at index 1, so a batch reading it sums 4, outside
+    the domain, and raises from its upcast; index 0 sums 0."""
+    net = topologies.grid(2, 2)
+    vectors = {v: [0, 1] + [0] * 6 for v in net.nodes()}
+    config = FrameworkConfig(
+        parallelism=4, dist_input=DistributedInput(vectors, sum_semigroup(2)),
+        mode="engine", seed=0, leader=0,
+    )
+    return CoalescingScheduler(net, config, memo=False)
+
+
+class TestRaisingBatch:
+    """A batch that raises fails the work it packed, and only that."""
+
+    def test_its_submission_fails_with_the_exception(self):
+        sched = _overflowing_lane()
+        ok = sched.submit(Operation.query("a", [0]))
+        assert sched.flush() == 1
+        rounds_ok = sched.report().physical_query_rounds
+        bad = sched.submit(Operation.query("b", [1]))
+        with pytest.raises(ValueError, match="outside domain") as raised:
+            sched.flush()
+        with _time_limit(5):
+            assert sched.done(bad)
+            for read in (sched.result, sched.result, sched.take):
+                with pytest.raises(ValueError) as again:
+                    read(bad)
+                assert again.value is raised.value
+        with pytest.raises(KeyError, match="unknown ticket"):
+            sched.done(bad)  # take released it
+        assert sched.pending_queries == 0
+        assert sched.pack_would_be_empty()
+        report = sched.report()
+        # The rounds the batch charged before raising are b's.
+        assert report.physical_query_rounds > rounds_ok
+        assert report.attributed_rounds == report.physical_query_rounds
+        assert sched.account("b").attributed_rounds == (
+            report.physical_query_rounds - rounds_ok
+        )
+        assert sched.physical_batches == 1
+        # The lane keeps serving.
+        assert sched.take(ok) == [0]
+        later = sched.submit(Operation.query("c", [0]))
+        with _time_limit(5):
+            assert sched.take(later) == [0]
+        assert sched.physical_batches == 2
+
+    def test_every_packed_submission_fails_and_the_rest_stay_queued(self):
+        sched = _overflowing_lane()
+        first = sched.submit(Operation.query("a", [0, 0, 0]))
+        # Packed one index of three: all three leave the queue with it.
+        split = sched.submit(Operation.query("b", [1, 0, 0]))
+        queued = sched.submit(Operation.query("c", [0, 0]))
+        assert sched.pending_queries == 8
+        with pytest.raises(ValueError, match="outside domain"):
+            sched.flush()
+        assert sched.done(first) and sched.done(split)
+        assert not sched.done(queued)
+        assert sched.pending_queries == 2
+        with _time_limit(5):
+            for ticket in (first, split):
+                with pytest.raises(ValueError, match="outside domain"):
+                    sched.result(ticket)
+            assert sched.result(queued) == [0, 0]
+        assert sched.pending_queries == 0
+        report = sched.report()
+        assert report.attributed_rounds == report.physical_query_rounds
+
+    def test_a_read_is_not_failed_by_a_batch_without_its_ticket(self):
+        sched = _overflowing_lane()
+        bad = sched.submit(Operation.query("a", [1, 0, 0, 0]))
+        later = sched.submit(Operation.query("b", [0]))
+        with _time_limit(5):
+            # Runs a's failing batch, then b's.
+            assert sched.take(later) == [0]
+            with pytest.raises(ValueError, match="outside domain"):
+                sched.take(bad)
+        assert sched.physical_batches == 1
+        assert sched.pack_would_be_empty()
 
 
 class TestCallerOracle:

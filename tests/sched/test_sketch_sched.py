@@ -48,6 +48,26 @@ class TestSubmit:
                     read(t)
         assert sched._by_ticket == {}
 
+    @pytest.mark.parametrize("memo", [True, False])
+    @pytest.mark.parametrize("kind", ["insert", "query"])
+    def test_item_the_sketch_cannot_encode_is_refused(self, kind, memo):
+        """Refused at submit, like an out-of-range oracle index: queued,
+        it would fail every later batch after applying the items ahead."""
+        sched = make_sched(memo=memo)
+        make = Operation.insert if kind == "insert" else Operation.sketch_query
+        with pytest.raises(TypeError, match="unsupported sketch item"):
+            sched.submit(make("t", ["a", [1, 2]]))
+        assert sched.pack_would_be_empty()
+        assert sched.pending_queries == 0
+        assert sched.report().submissions == 0
+        ack = sched.submit(Operation.insert("t", ["b"]))
+        assert sched.flush() == 1
+        assert sched.take(ack) == [True]
+        assert sched.sketch.inserts == 1
+        assert sched.sketch.query("a") == pytest.approx(
+            sched.sketch.baseline_overlap("a")
+        )
+
 
 class TestFIFO:
     def test_query_after_insert_sees_the_write(self):

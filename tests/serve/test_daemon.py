@@ -5,9 +5,12 @@ import time
 
 import pytest
 
+from repro.congest import topologies
 from repro.obs import MemorySink, MetricsSink, Recorder
 from repro.obs.events import SERVE_BATCH, SERVE_DRAIN, SERVE_REQUEST
+from repro.core.framework import DistributedInput, FrameworkConfig
 from repro.core.operation import Operation
+from repro.core.semigroup import Semigroup, combine_max, sum_semigroup
 from repro.queries.ledger import ParallelismViolation
 from repro.sched import CoalescingScheduler
 from repro.serve import (
@@ -598,6 +601,75 @@ class TestReport:
         assert metrics.serve_requests == {
             "accepted": 4, "completed": 1, "failed": 3,
         }
+
+
+def _engine_profile(semigroup):
+    """An engine-mode grid(2, 2) profile, k = 8, p = 4, whose nodes hold
+    0 at index 0 and 1 at index 1 (so index 1 sums to 4)."""
+    net = topologies.grid(2, 2)
+    vectors = {v: [0, 1] + [0] * 6 for v in net.nodes()}
+    return net, FrameworkConfig(
+        parallelism=4, dist_input=DistributedInput(vectors, semigroup),
+        mode="engine", seed=0, leader=0,
+    )
+
+
+class TestRaisingBatch:
+    """A batch that raises fails its requests and leaves its lane serving."""
+
+    @staticmethod
+    def serve(profile, follow_up):
+        metrics = MetricsSink()
+
+        async def run():
+            service = make_service(metrics)
+            service.add_profile(*profile, name="lane")
+            bad = service.submit(Operation.query("t", [1]), profile="lane")
+            failure = await asyncio.wait_for(
+                asyncio.gather(bad, return_exceptions=True), timeout=5.0
+            )
+            later = None
+            if follow_up:
+                later = await asyncio.wait_for(
+                    service.submit(Operation.query("t", [0]), profile="lane"),
+                    timeout=5.0,
+                )
+            await asyncio.wait_for(service.drain(), timeout=5.0)
+            return failure[0], later, service.report()
+
+        return (*asyncio.run(run()), metrics)
+
+    def test_value_outside_the_domain(self):
+        failure, later, report, metrics = self.serve(
+            _engine_profile(sum_semigroup(2)), follow_up=True
+        )
+        assert isinstance(failure, ValueError)
+        assert "outside domain" in str(failure)
+        assert later.values == [0]  # the lane's worker kept serving
+        tenant = report["tenants"]["t"]
+        assert tenant["accepted"] == 2
+        assert (tenant["completed"], tenant["failed"]) == (1, 1)
+        assert tenant["abandoned"] == tenant["pending"] == 0
+        assert (report["completed"], report["failed"]) == (1, 1)
+        lane = report["lanes"]["lane"]
+        assert lane["pending_queries"] == lane["in_flight"] == 0
+        assert lane["report"]["attributed_rounds"] == (
+            lane["report"]["physical_query_rounds"]
+        )
+        assert metrics.serve_requests == {
+            "accepted": 2, "completed": 1, "failed": 1,
+        }
+
+    def test_semigroup_without_identity(self):
+        semigroup = Semigroup(name="max-no-id", combine=combine_max, bits=3)
+        failure, _later, report, metrics = self.serve(
+            _engine_profile(semigroup), follow_up=False
+        )
+        assert isinstance(failure, ValueError)
+        assert "monoid identity" in str(failure)
+        assert (report["completed"], report["failed"]) == (0, 1)
+        assert report["tenants"]["t"]["failed"] == 1
+        assert metrics.serve_requests == {"accepted": 1, "failed": 1}
 
 
 class TestRecorders:

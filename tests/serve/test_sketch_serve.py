@@ -109,6 +109,31 @@ class TestDaemonSketchProfile:
         assert fresh.values == [pytest.approx(1.0)]
         assert report.memo_invalidations >= 1
 
+    def test_item_the_sketch_cannot_encode_fails_its_request(self):
+        async def drive():
+            service = make_service()
+            sketch = make_sketch()
+            service.add_sketch_profile("sk", sketch)
+            bad = service.submit(
+                Operation.insert("t", ["a", [1, 2]]), profile="sk"
+            )
+            failure = await asyncio.wait_for(
+                asyncio.gather(bad, return_exceptions=True), timeout=5.0
+            )
+            ack = await asyncio.wait_for(
+                service.submit(Operation.insert("t", ["b"]), profile="sk"),
+                timeout=5.0,
+            )
+            await asyncio.wait_for(service.drain(), timeout=5.0)
+            return failure[0], ack, sketch, service.report()
+
+        failure, ack, sketch, report = asyncio.run(drive())
+        assert isinstance(failure, TypeError)
+        assert ack.values == [True]
+        assert sketch.inserts == 1  # only "b": "a" never reached the sketch
+        assert (report["completed"], report["failed"]) == (1, 1)
+        assert report["tenants"]["t"]["failed"] == 1
+
 
 class TestOperationLoad:
     def test_arrivals_are_deterministic_and_mixed(self):
