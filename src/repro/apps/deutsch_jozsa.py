@@ -45,13 +45,8 @@ class DJResult:
 
 
 def aggregated_input(inputs: Dict[int, List[int]]) -> List[int]:
-    """x = ⊕_v x^{(v)}, the promise string."""
-    k = len(next(iter(inputs.values())))
-    out = [0] * k
-    for vec in inputs.values():
-        for i, bit in enumerate(vec):
-            out[i] ^= bit
-    return out
+    """x = ⊕_v x^{(v)}, the promise string, through the framework's fold."""
+    return DistributedInput(dict(inputs), xor_semigroup(1)).aggregated()
 
 
 def solve_distributed_dj(

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..congest.network import Network
 from ..core.cost import CostModel
 from ..core.framework import (
@@ -49,12 +51,19 @@ class MeetingResult:
 
 
 def _totals(calendars: Dict[int, List[int]]) -> List[int]:
-    k = len(next(iter(calendars.values())))
-    totals = [0] * k
-    for vec in calendars.values():
-        for i, bit in enumerate(vec):
-            totals[i] += bit
-    return totals
+    """Per-slot availability Σ_v x^{(v)}_i, through the framework's fold."""
+    return DistributedInput(
+        dict(calendars), sum_semigroup(len(calendars))
+    ).aggregated()
+
+
+def _is_bit_vector(vec) -> bool:
+    """Is every entry equal to 0 or 1 (as ``bit in (0, 1)`` decides)?"""
+    try:
+        bits = np.asarray(vec if isinstance(vec, np.ndarray) else list(vec))
+    except ValueError:  # ragged: some entry is itself a sequence
+        return False
+    return bits.ndim == 1 and bool(((bits == 0) | (bits == 1)).all())
 
 
 def schedule_meeting(
@@ -76,7 +85,7 @@ def schedule_meeting(
     for v in network.nodes():
         if v not in calendars:
             raise ValueError(f"node {v} has no calendar")
-        if any(bit not in (0, 1) for bit in calendars[v]):
+        if not _is_bit_vector(calendars[v]):
             raise ValueError("calendars must be 0/1 vectors")
     p = parallelism if parallelism is not None else max(network.diameter, 1)
     dist_input = DistributedInput(dict(calendars), sum_semigroup(network.n))

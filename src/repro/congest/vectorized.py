@@ -209,7 +209,8 @@ class VectorizedProgram:
         """
         if not len(msgs):
             return
-        checks = list(zip((msgs.a, msgs.b), self.domains))
+        # A one-domain port (the max-id flood) has no second column.
+        checks = list(zip((msgs.a, msgs.b), self.domains, strict=False))
         # One pass per int64 column: viewed as unsigned, a negative value
         # is at least 2**63, past every domain.
         if all(col.view(np.uint64).max() < d for col, d in checks):
@@ -662,7 +663,7 @@ def _build_tree_shape(
         np.add.at(size, parent[level], size[level])
     # Preorder, children in node order.
     children: List[List[int]] = [[] for _ in range(n)]
-    for v, p in zip(non_root.tolist(), parent[non_root].tolist()):
+    for v, p in zip(non_root.tolist(), parent[non_root].tolist(), strict=True):
         children[p].append(v)
     order: List[int] = []
     stack = [int(by_depth[0])]
@@ -856,18 +857,20 @@ class VectorizedDowncast(_TreeTransfer):
 
 
 # ----------------------------------------------------------------------
-# combine table (for the tree transfers)
+# combine table (for the tree transfers and the ground-truth fold)
 # ----------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _combine_ufuncs() -> Dict[Callable[[int, int], int], np.ufunc]:
+def combine_ufuncs() -> Dict[Callable[[int, int], int], np.ufunc]:
     """Scalar combine callable -> its bulk ufunc, keyed by identity.
 
     Built on first use because :mod:`repro.core` imports this package.
     Every entry is commutative and associative, as ``ufunc.at`` (which
     applies same-target updates in unspecified order) requires; a tree
     transfer with any other combine falls back to the per-node loop.
+    :meth:`repro.core.framework.DistributedInput.aggregated` folds the
+    ground truth with the same table.
     """
     from ..core import semigroup as sg
 
@@ -903,7 +906,7 @@ def _transfer_port(
             ),
             None,
         )
-    ufunc = _combine_ufuncs().get(transfer.combine)
+    ufunc = combine_ufuncs().get(transfer.combine)
     if ufunc is None:
         return None, "upcast-combine-unregistered"
     return (

@@ -52,6 +52,7 @@ from ..congest.algorithms.bfs import BFSResult, bfs_with_echo
 from ..congest.algorithms.leader import elect_leader
 from ..congest.csr import invalidate_csr
 from ..congest.network import Network
+from ..congest.vectorized import combine_ufuncs
 from ..obs.recorder import Recorder, current_recorder
 from ..queries.ledger import QueryLedger
 from .cost import CostModel, RoundLedger
@@ -74,13 +75,59 @@ class DistributedInput:
             raise ValueError("input vectors must be non-empty")
 
     def aggregated(self) -> List[int]:
-        """⊕_v x^{(v)}, the effective input string (ground truth)."""
-        nodes = sorted(self.vectors)
-        out = list(self.vectors[nodes[0]])
-        for v in nodes[1:]:
-            vec = self.vectors[v]
-            out = [self.semigroup.combine(a, b) for a, b in zip(out, vec)]
+        """⊕_v x^{(v)}, the effective input string (ground truth).
+
+        Folds one node's row at a time into a single int64 accumulator
+        with the combine's ufunc, from the table the bulk tree transfers
+        use (:func:`repro.congest.vectorized.combine_ufuncs`), and returns
+        Python ints.  It never holds an n × k matrix.  Values are read as
+        the integers they denote, so a narrow numpy scalar type does not
+        wrap and a numpy bool adds as 0 or 1.
+
+        The scalar fold runs instead for a combine outside that table, and
+        for values int64 cannot hold exactly: a row that does not convert
+        to a signed integer array (floats, objects, ints past int64,
+        uint64), or a sum whose partial totals could leave int64.
+        """
+        rows = [self.vectors[v] for v in sorted(self.vectors)]
+        ufunc = combine_ufuncs().get(self.semigroup.combine)
+        folded = _int64_fold(ufunc, rows) if ufunc is not None else None
+        if folded is not None:
+            return folded
+        out = list(rows[0])
+        for vec in rows[1:]:
+            out = [
+                self.semigroup.combine(a, b)
+                for a, b in zip(out, vec, strict=True)
+            ]
         return out
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_fold(ufunc: np.ufunc, rows: Sequence) -> Optional[List[int]]:
+    """``ufunc`` folded over ``rows`` in int64, or None if not exact."""
+    acc = None
+    high = low = 0
+    for vec in rows:
+        row = np.asarray(vec)
+        kind = row.dtype.kind
+        if row.ndim != 1 or not (
+            kind in "bi" or (kind == "u" and row.dtype.itemsize < 8)
+        ):
+            return None
+        if ufunc is np.add and row.size:
+            # Bounds on every partial sum, in any order.
+            high += max(int(row.max()), 0)
+            low += min(int(row.min()), 0)
+            if high > _INT64.max or low < _INT64.min:
+                return None
+        if acc is None:
+            acc = row.astype(np.int64)
+        else:
+            ufunc(acc, row, out=acc)
+    return acc.tolist()
 
 
 class ValueComputer:

@@ -25,6 +25,11 @@ class E07Result:
     crossover_k: Optional[int]
 
 
+def _calendars(net, k, rng):
+    """Each node is free in each of the k slots with probability 1/2."""
+    return {v: rng.random(k) < 0.5 for v in net.nodes()}
+
+
 def run(quick: bool = True, seed: int = 0) -> E07Result:
     """Run the experiment sweep; quick mode keeps it under a minute."""
     distance = 6
@@ -45,10 +50,7 @@ def run(quick: bool = True, seed: int = 0) -> E07Result:
         c_rounds = None
         for trial in range(trials):
             rng = np.random.default_rng(seed + trial)
-            cal = {
-                v: [int(rng.random() < 0.5) for _ in range(k)]
-                for v in net.nodes()
-            }
+            cal = _calendars(net, k, rng)
             res = schedule_meeting(net, cal, seed=seed + trial)
             q_total += res.rounds
             correct += res.correct_against(cal)
@@ -75,7 +77,7 @@ def run(quick: bool = True, seed: int = 0) -> E07Result:
     for d in [2, 8, 32]:
         net_d = topologies.path_with_endpoints(d)
         rng = np.random.default_rng(seed)
-        cal = {v: [int(rng.random() < 0.5) for _ in range(k)] for v in net_d.nodes()}
+        cal = _calendars(net_d, k, rng)
         res = schedule_meeting(net_d, cal, seed=seed)
         c_rounds = classical_meeting(net_d, cal, seed=seed)[2]
         table.add_row(k, d, res.rounds, quantum_round_bound(k, d, net_d.n),

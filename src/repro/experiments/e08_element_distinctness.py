@@ -33,13 +33,11 @@ MAX_VALUE = 10**6
 
 
 def _planted(net, k, rng):
-    vectors = {v: [0] * k for v in net.nodes()}
-    base = list(rng.choice(MAX_VALUE - 1, size=k, replace=False))
+    base = rng.choice(MAX_VALUE - 1, size=k, replace=False)
     i, j = rng.choice(k, size=2, replace=False)
     base[j] = base[i]
-    for idx, value in enumerate(base):
-        vectors[int(rng.integers(0, net.n))][idx] = value
-    return vectors
+    owners = rng.integers(0, net.n, size=k)
+    return {v: np.where(owners == v, base, 0).tolist() for v in net.nodes()}
 
 
 def run(quick: bool = True, seed: int = 0) -> E08Result:

@@ -28,14 +28,19 @@ class E09Result:
 
 
 def _promise_inputs(net, k, rng, balanced):
-    inputs = {
-        v: [int(b) for b in rng.integers(0, 2, size=k)] for v in net.nodes()
-    }
-    xor = [0] * k
-    for vec in inputs.values():
-        xor = [a ^ b for a, b in zip(xor, vec)]
-    target = ([1] * (k // 2) + [0] * (k // 2)) if balanced else [0] * k
-    inputs[0] = [a ^ b ^ c for a, b, c in zip(inputs[0], xor, target)]
+    # Each node's draw becomes a list at once, except node 0's, which
+    # takes the xor that makes the promise hold: only it and the xor are
+    # held as arrays.
+    inputs = {}
+    xor = np.zeros(k, dtype=np.int64)
+    for v in net.nodes():
+        bits = rng.integers(0, 2, size=k)
+        xor ^= bits
+        inputs[v] = bits if v == 0 else bits.tolist()
+    if balanced:
+        xor[: k // 2] ^= 1
+    xor ^= inputs[0]
+    inputs[0] = xor.tolist()
     return inputs
 
 

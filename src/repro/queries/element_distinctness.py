@@ -23,6 +23,7 @@ being reported.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +69,7 @@ def expected_batches(k: int, p: int) -> float:
 
 def _collision_in(indices: Sequence[int], values: Sequence) -> Optional[Tuple[int, int]]:
     seen: Dict[object, int] = {}
-    for i, v in zip(indices, values):
+    for i, v in zip(indices, values, strict=True):
         if v in seen and seen[v] != i:
             return (min(seen[v], i), max(seen[v], i))
         seen[v] = i
@@ -149,24 +150,37 @@ def find_collision(
     for chunk_start in range(0, z, p):
         chunk = subset[chunk_start : chunk_start + p]
         values = oracle.query_batch(chunk, label="ed-setup")
-        register.update(zip(chunk, values))
+        register.update(zip(chunk, values, strict=True))
+    held = np.zeros(k, dtype=bool)
+    held[subset] = True
+    # How often each value is held, and how many values are held twice:
+    # the register holds a collision exactly when ``repeats`` > 0.
+    counts = Counter(register.values())
+    repeats = sum(c > 1 for c in counts.values())
 
-    pair = _collision_in(list(register), list(register.values()))
+    pair = _collision_in(list(register), list(register.values())) if repeats else None
     steps = 0
     while pair is None and steps < update_steps:
         steps += 1
         # Update U: p replacements = one parallel query (paper, Lemma 5).
         inside = list(register)
-        outside = [i for i in range(k) if i not in register]
+        outside = np.flatnonzero(~held)
         leave = rng.choice(len(inside), size=min(p, len(outside)), replace=False)
         enter = rng.choice(len(outside), size=min(p, len(outside)), replace=False)
-        enter_ids = [outside[i] for i in enter]
+        enter_ids = outside[enter].tolist()
         values = oracle.query_batch(enter_ids, label="ed-update")
-        for slot, new_id, value in zip(leave, enter_ids, values):
-            register.pop(inside[slot])
+        for slot, new_id, value in zip(leave, enter_ids, values, strict=True):
+            old_id = inside[slot]
+            held[old_id], held[new_id] = False, True
+            old_value = register.pop(old_id)
+            counts[old_value] -= 1
+            repeats -= counts[old_value] == 1
             register[new_id] = value
+            counts[value] += 1
+            repeats += counts[value] == 2
         # Check C: free, the register values are held classically.
-        pair = _collision_in(list(register), list(register.values()))
+        if repeats:
+            pair = _collision_in(list(register), list(register.values()))
 
     if pair is not None:
         return CollisionOutcome(

@@ -86,8 +86,8 @@ def _sample_marked_subset(
     Approximates the conditional distribution of a uniformly random marked
     subset: one uniformly random marked index plus p−1 others.
     """
-    anchor = int(rng.choice(list(marked)))
-    others = [i for i in range(k) if i != anchor]
+    anchor = int(rng.choice(marked))
+    others = np.delete(np.arange(k), anchor)
     rest = list(rng.choice(others, size=min(p, k) - 1, replace=False))
     subset = rest + [anchor]
     rng.shuffle(subset)
@@ -141,7 +141,9 @@ def find_one(
         else:
             subset = _sample_subset(rng, k, p)
         values = oracle.query_batch(subset, label="grover-verify")
-        hits = [(i, v) for i, v in zip(subset, values) if predicate(v)]
+        hits = [
+            (i, v) for i, v in zip(subset, values, strict=True) if predicate(v)
+        ]
         if hits:
             i, v = hits[int(rng.integers(0, len(hits)))]
             return SearchOutcome(i, v, oracle.ledger.batches - start)

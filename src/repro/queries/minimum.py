@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -76,13 +76,13 @@ def find_minimum(
     best_index, best_value = subset[best_pos], values[best_pos]
     updates = 0
 
-    truth = list(oracle.peek_all())
+    keys = _Keys([key(v) for v in oracle.peek_all()])
     budget = math.ceil(BUDGET_FACTOR * expected_batches(k, p, multiplicity)) + 5
     m = 1.0
     m_cap = 2.0 * math.sqrt(k / p) + 1.0
     while oracle.ledger.batches - start < budget:
-        marked = [i for i in range(k) if key(truth[i]) < key(best_value)]
-        if not marked:
+        marked = keys.below(key(best_value))
+        if not len(marked):
             # The threshold is already the minimum; remaining budget would
             # be spent confirming.  A real run cannot know this, so we
             # keep paying search costs until a confirmation cutoff — the
@@ -151,3 +151,53 @@ class _NegatedKey:
 
     def __call__(self, v):
         return -float(v)
+
+
+#: Ints and floats below this magnitude convert to float64 exactly, so
+#: numpy compares any mix of them exactly.
+_EXACT = 2**53
+
+
+class _Keys:
+    """One call's keys, applied once, with an exact "which are below" scan.
+
+    :meth:`below` is one array comparison when every finite key is an int
+    or a float of magnitude under 2**53, as is the threshold.  Otherwise
+    (ints beyond that mixed with floats, keys that are not numbers) it
+    scans the keys one by one, as the comparison ``key < threshold``
+    itself would.  Either way it returns the ascending indices of the keys
+    below the threshold.
+    """
+
+    def __init__(self, keys: list):
+        self.keys = keys
+        self.array = _key_array(keys)
+
+    def below(self, threshold) -> Sequence[int]:
+        if self.array is not None and _exact(threshold):
+            return np.flatnonzero(self.array < threshold)
+        return [i for i, v in enumerate(self.keys) if v < threshold]
+
+
+def _key_array(keys: list) -> Optional[np.ndarray]:
+    """``keys`` as an array that compares exactly, or None."""
+    try:
+        array = np.asarray(keys)
+    except (TypeError, ValueError):  # ragged: keys of unequal shapes
+        return None
+    if array.ndim != 1 or array.dtype.kind not in "biuf":
+        return None
+    finite = array[np.isfinite(array)] if array.dtype.kind == "f" else array
+    if finite.size and not (-_EXACT < finite.min() and finite.max() < _EXACT):
+        return None
+    return array
+
+
+def _exact(threshold) -> bool:
+    """Does ``threshold`` compare exactly against a :class:`_Keys` array?"""
+    if isinstance(threshold, (float, np.floating)):
+        return not math.isfinite(threshold) or abs(threshold) < _EXACT
+    return (
+        isinstance(threshold, (int, np.integer))
+        and -_EXACT < threshold < _EXACT
+    )

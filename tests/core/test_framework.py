@@ -1,5 +1,7 @@
 """Tests for the Theorem 8 / Corollary 9 framework runner."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.cost import CostModel
@@ -11,6 +13,7 @@ from repro.core.framework import (
 )
 from repro.core.semigroup import max_semigroup, sum_semigroup, xor_semigroup
 from repro.queries import minimum as parallel_minimum
+from repro.serve.session import build_profile
 
 
 def sum_input(net, k, rng):
@@ -42,6 +45,24 @@ class TestDistributedInput:
         vectors = {v: [v & 1, 1] for v in path8.nodes()}
         di = DistributedInput(vectors, xor_semigroup(1))
         assert di.aggregated() == [0, 0]
+
+    def test_fold_holds_no_n_by_k_matrix(self):
+        """The fold's peak heap stays far below one n × k int64 matrix.
+
+        At k = 2**15 on the 16-node serving profile that matrix is 4 MiB;
+        the row-at-a-time fold holds an accumulator, one row and the
+        result list.  numpy reports its buffers to tracemalloc.
+        """
+        _, cfg = build_profile(k=2**15)
+        di = cfg.dist_input
+        tracemalloc.start()
+        try:
+            truth = di.aggregated()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(truth) == 2**15
+        assert peak < 1.5 * 2**20, f"fold peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestOracleSemantics:

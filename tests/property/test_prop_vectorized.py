@@ -28,7 +28,7 @@ from repro.congest.algorithms.aggregate import (
 from repro.congest.algorithms.bfs import bfs_with_echo
 from repro.congest.engine import Engine
 from repro.congest.errors import RoundLimitExceeded
-from repro.congest.vectorized import _combine_ufuncs
+from repro.congest.vectorized import combine_ufuncs
 from repro.core.semigroup import combine_sum
 from repro.obs import NULL_RECORDER, MemorySink, Recorder, install
 
@@ -77,7 +77,7 @@ _DOMAIN = 1 << 13
 def _combines():
     """Every combine in the bulk loop's table: the builtins and the six
     semigroup combines."""
-    return st.sampled_from(list(_combine_ufuncs()))
+    return st.sampled_from(list(combine_ufuncs()))
 
 
 def _recorded(net, programs):

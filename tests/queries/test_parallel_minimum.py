@@ -1,7 +1,10 @@
 """Tests for Lemma 3: parallel minimum/maximum finding."""
 
+import math
+
 import numpy as np
 
+from repro.queries import minimum
 from repro.queries.ledger import QueryLedger
 from repro.queries.minimum import expected_batches, find_maximum, find_minimum
 from repro.queries.oracle import StringOracle
@@ -96,3 +99,27 @@ class TestFindMaximum:
         values = list(range(1024, 0, -1))
         out = find_minimum(oracle_for(values, 32), rng)
         assert out.threshold_updates >= 1
+
+
+class TestKeyScan:
+    """The marked set is one array comparison exactly when it is exact."""
+
+    def test_numeric_keys_compare_as_an_array(self):
+        for keys in ([3, 1.5, math.inf, np.int64(2)], [-(2**53) + 1, 2**53 - 1],
+                     [True, 0], [-math.inf, math.nan]):
+            assert minimum._Keys(keys).array is not None, keys
+
+    def test_other_keys_scan_one_by_one(self):
+        for keys in ([2**60, 1.0], [2**53, 0], [2**70], [(1, 2), (0, 3)],
+                     ["a", "b"], [None, 1]):
+            assert minimum._Keys(keys).array is None, keys
+
+    def test_either_way_the_ascending_indices_below(self):
+        exact = minimum._Keys([5, 1, 4, 1.5, math.inf])
+        inexact = minimum._Keys([5, 1, 4, 1.5, 2**60])
+        for keys in (exact, inexact):
+            assert list(keys.below(4)) == [1, 3]
+            assert list(keys.below(1)) == []
+        # A threshold past 2**53 falls back to the scalar comparison.
+        assert list(exact.below(2**60)) == [0, 1, 2, 3]
+        assert list(exact.below(math.inf)) == [0, 1, 2, 3]
