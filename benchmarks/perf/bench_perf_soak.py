@@ -63,7 +63,7 @@ def _serve_burst():
 
     results = asyncio.run(run())
     truth = cfg.dist_input.aggregated()
-    for op, res in zip(ops, results):
+    for op, res in zip(ops, results, strict=True):
         assert res.values == [truth[j] for j in op.indices], op
     return stamps
 

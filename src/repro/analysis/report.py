@@ -44,10 +44,10 @@ class ExperimentTable:
             for i in range(len(header))
         ]
         lines = [f"== {self.experiment_id}: {self.title} =="]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths, strict=True)))
         lines.append("  ".join("-" * w for w in widths))
         for row in body:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths, strict=True)))
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)

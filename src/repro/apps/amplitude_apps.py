@@ -89,7 +89,8 @@ def amplify(
     theta = math.asin(math.sqrt(p))
     iterations = max(0, int(math.floor(math.pi / (4 * theta))))
     p_amp = theoretical_amplified_probability(p, iterations)
-    repetitions = max(1, math.ceil(math.log(1.0 / delta) / max(-math.log(max(1 - p_amp, 1e-12)), 1e-12)))
+    log_miss = max(-math.log(max(1 - p_amp, 1e-12)), 1e-12)
+    repetitions = max(1, math.ceil(math.log(1.0 / delta) / log_miss))
     repetitions = min(repetitions, math.ceil(3 * math.log(1.0 / delta)) + 1)
 
     per_attempt = subroutine.rounds + iterations * iterate_rounds(network, subroutine) + 2 * d

@@ -154,7 +154,8 @@ def schedule_weighted_meeting(
 
 def quantum_round_bound(k: int, diameter: int, n: int) -> float:
     """The Lemma 10 bound (√(kD) + D)·⌈log k/log n⌉, hidden constant = 1."""
-    cm = CostModel(n=n, diameter=max(diameter, 1), word_bits=max(1, math.ceil(math.log2(max(n, 2)))))
+    word_bits = max(1, math.ceil(math.log2(max(n, 2))))
+    cm = CostModel(n=n, diameter=max(diameter, 1), word_bits=word_bits)
     return (math.sqrt(k * cm.diameter) + cm.diameter) * cm.index_words(k)
 
 

@@ -389,7 +389,7 @@ class _ExactState:
         """
         probe = self.sv.copy()
         buckets = touched.tolist()
-        for j, phase in zip(buckets, ref.tolist()):
+        for j, phase in zip(buckets, ref.tolist(), strict=True):
             probe.apply(gates.rz(-phase), [j])
             probe.apply(gates.H, [j])
         marg = probe.marginal_probabilities(buckets)
@@ -714,7 +714,7 @@ class QSimHash(AmplitudeSketch):
     def hamming(a: Sequence[int], b: Sequence[int]) -> int:
         if len(a) != len(b):
             raise ValueError("signature lengths differ")
-        return sum(1 for x, y in zip(a, b) if x != y)
+        return sum(1 for x, y in zip(a, b, strict=True) if x != y)
 
     def similarity(self, other: "QSimHash") -> float:
         """1 − normalized Hamming distance between sign signatures."""

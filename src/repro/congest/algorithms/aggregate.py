@@ -265,7 +265,7 @@ class Upcast:
                 v, None if p < 0 else p, kids[v], row, self.combine,
                 self.domain, length,
             )
-            for v, (p, row) in enumerate(zip(parent, self.values.tolist()))
+            for v, (p, row) in enumerate(zip(parent, self.values.tolist(), strict=True))
         }
 
 

@@ -37,8 +37,9 @@ A model pins down four things, each consumed by a different layer:
    LOCAL deliver over physical edges and need none).
 
 Identity plumbing: :attr:`CommModel.cache_key` feeds the network
-topology fingerprint and the CSR cache keys, so two models over the
-same graph never share cached state; :attr:`CommModel.event_token`
+topology fingerprint, which keys the setup cache, the result memo and
+the transfers' tree shapes, so two models over the same graph never
+share cached state; :attr:`CommModel.event_token`
 stamps observability round/charge events (empty for the default CONGEST
 model, keeping pre-refactor trace streams byte-identical).
 """
@@ -291,7 +292,7 @@ class CongestCliqueModel(CommModel):
 
     @property
     def cache_key(self) -> str:
-        """Distinct from CONGEST so cached CSR/setup state never mixes."""
+        """Distinct from CONGEST so cached setup and memo state never mixes."""
         return self.name
 
 

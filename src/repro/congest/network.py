@@ -4,15 +4,18 @@ A :class:`Network` pins down everything the model needs about the
 communication graph: the node set (integers ``0..n-1``), adjacency, the
 per-edge per-round bandwidth in bits, and cached graph metrics (diameter,
 eccentricities) used both by algorithms that are allowed to know them and
-by tests/benchmarks that compare measured behaviour against theory.
+by tests/benchmarks that compare measured behaviour against theory.  As in
+the paper's model, the graph is fixed: a network freezes it at
+construction, so everything derived from it is computed once per object.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -23,9 +26,11 @@ from .models import (
     DEFAULT_LOG_FACTOR,
     DEFAULT_TAG_BITS,
     CommModel,
-    CongestModel,
     resolve_model,
 )
+
+if TYPE_CHECKING:
+    from .csr import CSRAdjacency
 
 __all__ = [
     "Network",
@@ -50,28 +55,25 @@ class Network:
     The default is the classical CONGEST model, byte-for-byte the
     behavior this class had before models existed.
 
+    The graph is frozen at construction (``nx.freeze``, in place): the
+    adjacency snapshot, :meth:`topology_fingerprint`, :attr:`csr` and the
+    graph metrics are each computed once per object and never go stale.
+    To study a variant topology, edit ``net.graph.copy()`` and build a new
+    network from it.
+
     Args:
         graph: a connected undirected networkx graph whose nodes are the
             integers ``0..n-1`` (use :func:`repro.congest.topologies`
-            generators, or :meth:`Network.from_edges`).
-        bandwidth: legacy shim — per-edge per-round message size limit in
-            bits under the default CONGEST model.  ``Network(g, bandwidth=b)``
-            is exactly ``Network(g, comm_model=CongestModel(bandwidth=b))``;
-            new code should pass ``comm_model=``.  Mutually exclusive with
-            ``comm_model``.
+            generators, or :meth:`Network.from_edges`).  Frozen in place.
         comm_model: a :class:`~repro.congest.models.CommModel` instance or
             registered model name (``"congest"``, ``"congest-clique"``,
             ``"local"``).  Defaults to ``CongestModel()``:
             ``DEFAULT_LOG_FACTOR * ceil(log2 n) + DEFAULT_TAG_BITS`` bits
-            per physical edge per round.
+            per physical edge per round; pass
+            ``CongestModel(bandwidth=b)`` for an explicit per-edge cap.
     """
 
-    def __init__(
-        self,
-        graph: nx.Graph,
-        bandwidth: int | None = None,
-        comm_model: "CommModel | str | None" = None,
-    ):
+    def __init__(self, graph: nx.Graph, comm_model: "CommModel | str | None" = None):
         if graph.number_of_nodes() == 0:
             raise CongestError("network must have at least one node")
         expected = set(range(graph.number_of_nodes()))
@@ -82,19 +84,9 @@ class Network:
             )
         if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
             raise CongestError("CONGEST networks must be connected")
-        self.graph = graph
+        self.graph = nx.freeze(graph)
         self.n = graph.number_of_nodes()
         self.m = graph.number_of_edges()
-        if bandwidth is not None:
-            if comm_model is not None:
-                raise CongestError(
-                    "pass either bandwidth= (legacy CONGEST shorthand) or "
-                    "comm_model=, not both; use "
-                    "CongestModel(bandwidth=...) to set both at once"
-                )
-            # Legacy shim: Network(g, bandwidth=b) predates the model
-            # layer and means "CONGEST with an explicit per-edge cap".
-            comm_model = CongestModel(bandwidth=bandwidth)
         self.model: CommModel = resolve_model(comm_model)
         self.bandwidth: Optional[int] = self.model.resolve_bandwidth(self.n)
         if self.bandwidth is not None and self.bandwidth < 1:
@@ -111,9 +103,7 @@ class Network:
 
     @staticmethod
     def from_edges(
-        edges: Iterable[Tuple[int, int]],
-        bandwidth: int | None = None,
-        comm_model: "CommModel | str | None" = None,
+        edges: Iterable[Tuple[int, int]], comm_model: "CommModel | str | None" = None
     ) -> "Network":
         """Build a network from an edge list over integer nodes.
 
@@ -122,11 +112,7 @@ class Network:
         g = nx.Graph()
         g.add_edges_from(edges)
         mapping = {v: i for i, v in enumerate(sorted(g.nodes()))}
-        return Network(
-            nx.relabel_nodes(g, mapping),
-            bandwidth=bandwidth,
-            comm_model=comm_model,
-        )
+        return Network(nx.relabel_nodes(g, mapping), comm_model=comm_model)
 
     #: Structural hint consumed by the CSR builder: ``True`` only on
     #: :class:`CompleteNetwork`, whose adjacency admits a closed-form
@@ -190,9 +176,7 @@ class Network:
         """
         if self.n == 1:
             return {0: 0}
-        from .csr import csr_for  # csr.py imports this module
-
-        csr = csr_for(self)
+        csr = self.csr
         n = self.n
         # Connected with n > 1, so every node has an edge: no empty
         # segment, which reduceat would not reduce to zero.
@@ -246,29 +230,40 @@ class Network:
     def topology_fingerprint(self) -> str:
         """Content hash of the structure: node count, bandwidth, edge set.
 
-        Deliberately *not* cached: the whole point is to detect in-place
-        graph mutation, so every call re-reads the live edge set.  Two
-        networks with the same structure hash identically regardless of
-        object identity; one network mutated in place stops matching its
-        own earlier fingerprint.  Used by
-        :func:`repro.core.framework.prepare_network` as a staleness
-        tripwire and by the :mod:`repro.sched` result memo as part of its
-        content address.
+        Two networks with the same structure hash identically regardless
+        of object identity, so :func:`repro.core.framework.prepare_network`
+        shares one setup phase between them, and the :mod:`repro.sched`
+        result memo uses it as part of its content address.  Hashed once
+        per object: the graph is frozen.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         h = hashlib.blake2b(digest_size=16)
         h.update(f"n={self.n};bw={self.bandwidth};".encode())
         # Non-default communication models contribute a token so the
         # same physical graph under two models never shares prepared
-        # state, CSR entries, or memo addresses.  The default CONGEST
+        # state, transfer tree shapes, or memo addresses.  The default CONGEST
         # model contributes nothing, keeping pre-model fingerprints
         # byte-identical (they key persisted memo/checkpoint state).
         if self.model.event_token:
             h.update(f"model={self.model.cache_key};".encode())
-        for u, v in sorted(
-            (u, v) if u <= v else (v, u) for u, v in self.graph.edges()
-        ):
-            h.update(f"{u},{v};".encode())
+        for u, higher in self._sorted_edges():
+            h.update("".join(f"{u},{v};" for v in higher).encode())
         return h.hexdigest()
+
+    def _sorted_edges(self) -> Iterator[Tuple[int, Sequence[int]]]:
+        """The edge set in fingerprint order: each ``u`` with its ``v >= u``."""
+        for u, nbrs in self._adj.items():
+            yield u, nbrs[bisect.bisect_left(nbrs, u):]
+
+    @cached_property
+    def csr(self) -> "CSRAdjacency":
+        """The CSR adjacency arrays the bulk loop runs on, built once."""
+        from .csr import build_csr  # csr.py imports this module
+
+        return build_csr(self)
 
     @cached_property
     def log_n_bits(self) -> int:
@@ -308,31 +303,14 @@ class CompleteNetwork(Network):
     Behavioral contract: observationally identical to
     ``Network(nx.complete_graph(n), ...)`` — same neighbors, degrees,
     metrics, and a byte-identical :meth:`topology_fingerprint` — so
-    fast-built and nx-built K_n share prepared/CSR/memo cache entries.
-    The fingerprint *is* cached here (unlike the base class, which
-    recomputes to catch in-place graph mutation): a CompleteNetwork has
-    no caller-supplied graph to mutate, and its lazily-built one is a
-    derived view, not the source of truth.
+    fast-built and nx-built K_n share prepared setup and memo entries.
     """
 
     is_complete = True
 
-    def __init__(
-        self,
-        n: int,
-        bandwidth: int | None = None,
-        comm_model: "CommModel | str | None" = None,
-    ):
+    def __init__(self, n: int, comm_model: "CommModel | str | None" = None):
         if n < 1:
             raise CongestError("network must have at least one node")
-        if bandwidth is not None:
-            if comm_model is not None:
-                raise CongestError(
-                    "pass either bandwidth= (legacy CONGEST shorthand) or "
-                    "comm_model=, not both; use "
-                    "CongestModel(bandwidth=...) to set both at once"
-                )
-            comm_model = CongestModel(bandwidth=bandwidth)
         self.n = n
         self.m = n * (n - 1) // 2
         self.model = resolve_model(comm_model)
@@ -342,12 +320,11 @@ class CompleteNetwork(Network):
                 f"bandwidth must be positive, got {self.bandwidth}"
             )
         self._adj_lazy: Dict[int, Tuple[int, ...]] = {}
-        self._fingerprint: Optional[str] = None
 
     @cached_property
     def graph(self) -> nx.Graph:
-        """The networkx view, materialized only if someone asks for it."""
-        return nx.complete_graph(self.n)
+        """The (frozen) networkx view, materialized only if asked for."""
+        return nx.freeze(nx.complete_graph(self.n))
 
     @property
     def _adj(self) -> Dict[int, Tuple[int, ...]]:
@@ -391,23 +368,10 @@ class CompleteNetwork(Network):
         dist[source] = 0
         return dist
 
-    def topology_fingerprint(self) -> str:
-        """Byte-identical to the nx-built K_n's fingerprint, cached.
-
-        Caching is safe here (and only here): the structure is a pure
-        function of ``n``, so there is no in-place mutation to detect.
-        """
-        if self._fingerprint is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(f"n={self.n};bw={self.bandwidth};".encode())
-            if self.model.event_token:
-                h.update(f"model={self.model.cache_key};".encode())
-            for u in range(self.n):
-                h.update(
-                    "".join(f"{u},{v};" for v in range(u + 1, self.n)).encode()
-                )
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
+    def _sorted_edges(self) -> Iterator[Tuple[int, Sequence[int]]]:
+        """The nx-built K_n's fingerprint order, without its tuples."""
+        for u in range(self.n):
+            yield u, range(u + 1, self.n)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         model = f", model={self.model.name}" if self.model.event_token else ""

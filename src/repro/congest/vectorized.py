@@ -73,7 +73,7 @@ from .algorithms.bfs import ECHO, NACK, TOKEN, TOKEN_NACK, BFSEchoProgram
 from .algorithms.aggregate import Upcast
 from .algorithms.leader import MaxIdFloodProgram
 from .algorithms.multibfs import MultiSourceBFSProgram
-from .csr import CSRAdjacency, csr_for
+from .csr import CSRAdjacency
 from .encoding import Field, payload_bits
 
 #: Sentinel for "no distance known yet" in multi-source BFS state; larger
@@ -925,7 +925,7 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
     """
     network = engine.network
     if engine.transfer is not None:
-        return _transfer_port(csr_for(network), engine.transfer)
+        return _transfer_port(network.csr, engine.transfer)
     programs = engine.programs
     first = programs[next(iter(programs))]
     kinds = {type(p) for p in programs.values()}
@@ -934,7 +934,7 @@ def build_vectorized(engine) -> Tuple[Optional[VectorizedProgram], Optional[str]
     kind = kinds.pop()
     if kind not in (BFSEchoProgram, MultiSourceBFSProgram, MaxIdFloodProgram):
         return None, f"unsupported-program-{kind.__name__}"
-    csr = csr_for(network)
+    csr = network.csr
 
     if kind is MaxIdFloodProgram:
         best = np.fromiter(

@@ -18,9 +18,7 @@ from .framework import (
     FrameworkRun,
     PreparedCache,
     PreparedNetwork,
-    StalePreparedNetworkError,
     ValueComputer,
-    invalidate_prepared,
     prepare_network,
     prepared_cache_stats,
     run_framework,
@@ -54,9 +52,7 @@ __all__ = [
     "FrameworkRun",
     "PreparedCache",
     "PreparedNetwork",
-    "StalePreparedNetworkError",
     "ValueComputer",
-    "invalidate_prepared",
     "prepare_network",
     "prepared_cache_stats",
     "run_framework",

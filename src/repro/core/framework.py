@@ -35,7 +35,6 @@ runs unchanged over the network.
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -50,7 +49,6 @@ from ..congest.algorithms.aggregate import (
 )
 from ..congest.algorithms.bfs import BFSResult, bfs_with_echo
 from ..congest.algorithms.leader import elect_leader
-from ..congest.csr import invalidate_csr
 from ..congest.network import Network
 from ..congest.vectorized import combine_ufuncs
 from ..obs.recorder import Recorder, current_recorder
@@ -467,25 +465,12 @@ class PreparedNetwork:
     election_rounds: Optional[int]  # None when the leader was designated
     tree: BFSResult
     seed: Optional[int]
-    #: Topology fingerprint of the network the tree was built on (the
-    #: staleness tripwire); None for hand-built PreparedNetworks.
-    topology_fingerprint: Optional[str] = None
 
     def charge_setup(self, rounds: RoundLedger) -> None:
         """Replay the setup charges exactly as a fresh run would."""
         if self.election_rounds is not None:
             rounds.charge("setup:leader-election", self.election_rounds)
         rounds.charge("setup:bfs-tree", self.tree.rounds)
-
-
-class StalePreparedNetworkError(RuntimeError):
-    """A cached PreparedNetwork no longer matches its network's topology.
-
-    Raised by :func:`prepare_network` when the fingerprint recorded at
-    cache-fill time differs from the network's current edge set — i.e.
-    the graph was mutated in place without :func:`invalidate_prepared`.
-    Before this tripwire existed the stale BFS tree was silently reused.
-    """
 
 
 #: Default entry bound of the process-wide setup cache.  Generous for
@@ -509,15 +494,9 @@ class PreparedCache:
     and only ever costs wall-time: a re-prepared setup is bit-identical
     to the evicted one, and charges are replayed identically either way.
     ``hits``/``misses``/``evictions`` counters feed
-    :func:`prepared_cache_stats` and the daemon's pool report.
-
-    The staleness tripwire survives the fingerprint keying: a weak side
-    table remembers which fingerprint each *Network object* was last
-    prepared with under each ``(seed, leader)``; preparing the same
-    object after an in-place graph mutation raises
-    :class:`StalePreparedNetworkError` instead of silently rebuilding,
-    because an in-place mutation is almost always an accounting bug in
-    the caller (see :func:`invalidate_prepared`).
+    :func:`prepared_cache_stats` and the daemon's pool report.  An entry
+    never goes stale: a network's graph is frozen, so its fingerprint
+    names one edge set for good.
     """
 
     def __init__(self, max_entries: Optional[int] = DEFAULT_PREPARED_CACHE_ENTRIES):
@@ -525,9 +504,6 @@ class PreparedCache:
             raise ValueError("max_entries must be positive when set")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple, PreparedNetwork]" = OrderedDict()
-        self._seen: "weakref.WeakKeyDictionary[Network, Dict[Tuple, str]]" = (
-            weakref.WeakKeyDictionary()
-        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -542,17 +518,7 @@ class PreparedCache:
         leader: Optional[int] = None,
     ) -> PreparedNetwork:
         """Fetch the cached setup phase for ``network``, building on miss."""
-        fingerprint = network.topology_fingerprint()
-        seen = self._seen.get(network)
-        key = (seed, leader)
-        if seen is not None and seen.get(key) not in (None, fingerprint):
-            raise StalePreparedNetworkError(
-                f"network {network!r} was mutated in place after its setup "
-                f"phase was cached (fingerprint {seen[key]} -> "
-                f"{fingerprint}); call repro.core.framework."
-                f"invalidate_prepared(network) after mutating a topology"
-            )
-        cache_key = (fingerprint, seed, leader)
+        cache_key = (network.topology_fingerprint(), seed, leader)
         prepared = self._entries.get(cache_key)
         if prepared is not None:
             self._entries.move_to_end(cache_key)
@@ -572,7 +538,6 @@ class PreparedCache:
                 election_rounds=election_rounds,
                 tree=tree,
                 seed=seed,
-                topology_fingerprint=fingerprint,
             )
             self._entries[cache_key] = prepared
             if (
@@ -581,34 +546,7 @@ class PreparedCache:
             ):
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        if seen is None:
-            seen = {}
-            self._seen[network] = seen
-        seen[key] = fingerprint
         return prepared
-
-    def invalidate(self, network: Optional[Network] = None) -> None:
-        """Drop cached setup state — for one network, or all of it.
-
-        Also drops the matching CSR adjacency entries: both caches key on
-        the topology fingerprint, so a mutation that stales one stales
-        the other.
-        """
-        if network is None:
-            self._entries.clear()
-            # WeakKeyDictionary.clear() while other threads hold refs is
-            # fine; the tripwire table is advisory state only.
-            self._seen = weakref.WeakKeyDictionary()
-            invalidate_csr(None)
-            return
-        seen = self._seen.pop(network, None)
-        stale = set(seen.values()) if seen else set()
-        stale.add(network.topology_fingerprint())
-        for cache_key in [
-            k for k in self._entries if k[0] in stale
-        ]:
-            del self._entries[cache_key]
-        invalidate_csr(network)
 
     def stats(self) -> Dict[str, Optional[int]]:
         """Counters for observability: size, bound, hits/misses/evictions."""
@@ -635,21 +573,9 @@ def prepare_network(
     The process-wide :class:`PreparedCache` is keyed by ``(topology
     fingerprint, seed, leader)``: the setup protocols are deterministic
     in those inputs, so the cached tree is bit-identical to a recomputed
-    one.  Mutating a network's graph in place without
-    :func:`invalidate_prepared` raises
-    :class:`StalePreparedNetworkError` on the next lookup — the cached
-    tree describes an edge set that no longer exists.
+    one.
     """
     return _PREPARED.prepare(network, seed=seed, leader=leader)
-
-
-def invalidate_prepared(network: Optional[Network] = None) -> None:
-    """Drop cached setup state — for one network, or all of them.
-
-    Call this after mutating a network's graph in place; otherwise cached
-    BFS trees would describe the old topology.
-    """
-    _PREPARED.invalidate(network)
 
 
 def prepared_cache_stats() -> Dict[str, Optional[int]]:
@@ -664,8 +590,7 @@ def setup_network(
 
     Shared by :func:`run_framework` and the :mod:`repro.sched` scheduler
     so both charge setup identically: the process-wide cache runs the
-    election and BFS on a miss.  Call :func:`invalidate_prepared` first
-    to recompute it.
+    election and BFS on a miss.
     """
     prepared = prepare_network(network, seed=config.seed, leader=config.leader)
     prepared.charge_setup(rounds)

@@ -51,10 +51,10 @@ def run(quick: bool = True, seed: int = 0) -> E21Result:
     # is the polynomial exponent (at these n the raw fit drifts ≈ +0.2).
     logs = [math.ceil(math.log2(max(n, 2))) for n in ns]
     q_fit = fit_power_law(
-        ns, [d.quantum_rounds / lg for d, lg in zip(duels, logs)]
+        ns, [d.quantum_rounds / lg for d, lg in zip(duels, logs, strict=True)]
     )
     c_fit = fit_power_law(
-        ns, [d.classical_rounds / lg for d, lg in zip(duels, logs)]
+        ns, [d.classical_rounds / lg for d, lg in zip(duels, logs, strict=True)]
     )
     validated = [d for d in duels if d.correct is not None]
     all_ok = bool(validated) and all(d.correct for d in validated)

@@ -139,7 +139,8 @@ def run(quick: bool = True, seed: int = 0) -> E23Result:
         )
 
     levels = [alphas[m] for m in ladder]
-    non_increasing = all(a >= b for a, b in zip(levels, levels[1:]))
+    # Consecutive pairs: the shifted copy is one shorter.
+    non_increasing = all(a >= b for a, b in zip(levels, levels[1:], strict=False))
     shrinks = levels[-1] < levels[0]
     table.add_note(
         f"alpha ladder {['%.4f' % a for a in levels]}: "

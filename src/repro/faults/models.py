@@ -347,7 +347,7 @@ class CompositeFaults(ChannelFaultModel):
         children = np.random.SeedSequence(
             entropy=resolved.entropy, spawn_key=resolved.spawn_key
         ).spawn(len(self.models))
-        for model, child in zip(self.models, children):
+        for model, child in zip(self.models, children, strict=True):
             model.bind(child)
 
     def on_round(self, round_no):

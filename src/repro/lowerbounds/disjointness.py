@@ -34,10 +34,10 @@ class DisjointnessInstance:
 
     @property
     def intersecting(self) -> bool:
-        return any(a and b for a, b in zip(self.x, self.y))
+        return any(a and b for a, b in zip(self.x, self.y, strict=True))
 
     def intersection(self) -> List[int]:
-        return [i for i, (a, b) in enumerate(zip(self.x, self.y)) if a and b]
+        return [i for i, (a, b) in enumerate(zip(self.x, self.y, strict=True)) if a and b]
 
 
 def random_instance(

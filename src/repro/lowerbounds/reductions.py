@@ -157,7 +157,7 @@ def build_dj_gadget(
     """Build the Theorem 18 path gadget from a two-party DJ input pair."""
     if len(x) != len(y):
         raise ValueError("halves must have equal length")
-    xor = [a ^ b for a, b in zip(x, y)]
+    xor = [a ^ b for a, b in zip(x, y, strict=True)]
     total = sum(xor)
     if total not in (0, len(xor)) and 2 * total != len(xor):
         raise ValueError("x ⊕ y violates the DJ promise")

@@ -247,7 +247,7 @@ def distributed_grover_exact(
     for vec in inputs.values():
         if len(vec) != k:
             raise ValueError("all nodes must hold length-k inputs")
-        aggregated = [a ^ b for a, b in zip(aggregated, vec)]
+        aggregated = [a ^ b for a, b in zip(aggregated, vec, strict=True)]
     marked = {j for j, bit in enumerate(aggregated) if bit}
 
     registers = DistributedRegisters.all_zero(network.n, q)

@@ -192,7 +192,13 @@ def find_collision(
     truth_pair = _true_collision(oracle, rng)
     if truth_pair is not None and rng.random() < success_probability:
         i, j = truth_pair
-        values = oracle.query_batch([i, j], label="ed-verify")
+        # At most p queries per batch: at p = 1 the pair takes two.
+        chunks = [[i, j]] if p > 1 else [[i], [j]]
+        values = [
+            value
+            for chunk in chunks
+            for value in oracle.query_batch(chunk, label="ed-verify")
+        ]
         if values[0] == values[1]:
             return CollisionOutcome(
                 (i, j), values[0], oracle.ledger.batches - start, steps, False

@@ -100,7 +100,7 @@ class MaskedOracle:
         raw = self.base.query_batch(indices, label=label)
         return [
             self.mask_value if i in self.masked else v
-            for i, v in zip(indices, raw)
+            for i, v in zip(indices, raw, strict=True)
         ]
 
     def peek_all(self) -> Sequence:

@@ -155,7 +155,7 @@ class ResultMemo:
                 f"{len(indices)} indices but {len(values)} values"
             )
         key = self._key(fingerprint, indices)
-        self._entries[key] = dict(zip(indices, values))
+        self._entries[key] = dict(zip(indices, values, strict=True))
         self._entries.move_to_end(key)
         self._keys_by_fingerprint.setdefault(fingerprint, set()).add(key)
         if (

@@ -561,7 +561,7 @@ class CoalescingScheduler(LaneScheduler):
             raise
         delta = self._rounds.total - before
 
-        for (sub, pos), value in zip(slots, values):
+        for (sub, pos), value in zip(slots, values, strict=True):
             sub.values[pos] = value
             sub.remaining -= 1
         self._attribute(phase, delta, counts)

@@ -20,8 +20,8 @@ def balanced_inputs(net, k, rng):
     xor = aggregated_input(inputs)
     # Repair node 0 so the aggregate is exactly balanced.
     target = [1] * (k // 2) + [0] * (k // 2)
-    fix = [a ^ b for a, b in zip(xor, target)]
-    inputs[0] = [a ^ b for a, b in zip(inputs[0], fix)]
+    fix = [a ^ b for a, b in zip(xor, target, strict=True)]
+    inputs[0] = [a ^ b for a, b in zip(inputs[0], fix, strict=True)]
     return inputs
 
 
@@ -29,8 +29,8 @@ def constant_inputs(net, k, rng, ones=False):
     inputs = {v: [int(b) for b in rng.integers(0, 2, size=k)] for v in net.nodes()}
     xor = aggregated_input(inputs)
     target = [1 if ones else 0] * k
-    fix = [a ^ b for a, b in zip(xor, target)]
-    inputs[0] = [a ^ b for a, b in zip(inputs[0], fix)]
+    fix = [a ^ b for a, b in zip(xor, target, strict=True)]
+    inputs[0] = [a ^ b for a, b in zip(inputs[0], fix, strict=True)]
     return inputs
 
 

@@ -83,6 +83,22 @@ class TestBetweenNodes:
             hits += result.pair == (2, 11)
         assert hits >= 7
 
+    def test_parallelism_one_on_a_complete_graph(self):
+        """Regression: at p = D = 1 the walk's verify step used to query
+        its pair as one batch of two and raise ParallelismViolation."""
+        net = topologies.complete(6)
+        values = {v: v for v in net.nodes()}
+        values[5] = 0
+        hits = 0
+        for seed in range(40):
+            result = distinctness_between_nodes(
+                net, values, max_value=10, seed=seed
+            )
+            assert result.run.query_ledger.parallelism == 1
+            assert result.pair in (None, (0, 5))
+            hits += result.pair == (0, 5)
+        assert hits >= 27  # the 2/3 guarantee
+
     def test_distinct_values_reported_distinct(self):
         net = topologies.grid(3, 3)
         values = {v: 50 + 3 * v for v in net.nodes()}

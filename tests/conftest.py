@@ -6,6 +6,24 @@ import numpy as np
 import pytest
 
 from repro.congest import topologies
+from repro.core import framework
+
+
+@pytest.fixture
+def cold_setup(monkeypatch):
+    """Give the test a fresh process-wide setup cache.
+
+    The fixture's value installs another fresh cache when called and
+    returns it, for a test that needs setup to run cold more than once.
+    """
+
+    def fresh() -> framework.PreparedCache:
+        cache = framework.PreparedCache()
+        monkeypatch.setattr(framework, "_PREPARED", cache)
+        return cache
+
+    fresh()
+    return fresh
 
 
 @pytest.fixture

@@ -1,16 +1,27 @@
-"""CSR adjacency arrays and their two-level cache (PR 7)."""
+"""CSR adjacency arrays, built once per network (``Network.csr``)."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.congest import topologies
-from repro.congest.csr import (
-    CSRCache,
-    build_csr,
-    csr_cache_stats,
-    csr_for,
-    invalidate_csr,
+from repro.congest import csr as csr_module
+from repro.congest.csr import build_csr
+from repro.congest.network import Network
+from repro.core import Operation
+from repro.core.framework import (
+    DistributedInput,
+    FrameworkConfig,
+    prepare_network,
+    run_framework,
 )
+from repro.core.semigroup import sum_semigroup
+from repro.sched import CoalescingScheduler
+
+
+def _assert_same_arrays(a, b):
+    for name in ("indptr", "indices", "src", "rev"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestBuildCSR:
@@ -51,202 +62,108 @@ class TestBuildCSR:
         assert csr.fingerprint == net.topology_fingerprint()
 
 
-class TestCSRCache:
-    def test_same_object_hits_weak_path(self):
-        cache = CSRCache()
-        net = topologies.grid(3, 3)
-        a = cache.get(net)
-        b = cache.get(net)
-        assert a is b
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
+class TestNetworkCSR:
+    """Each network builds its CSR once; equal topologies build equal ones."""
 
-    def test_identical_topology_shares_one_build(self):
-        cache = CSRCache()
-        a = cache.get(topologies.cycle(9))
-        b = cache.get(topologies.cycle(9))  # distinct Network object
-        assert a is b
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["hits"] == 1
-
-    def test_eviction_is_lru_and_counted(self):
-        cache = CSRCache(max_entries=2)
-        n1, n2, n3 = (
-            topologies.cycle(5), topologies.cycle(6), topologies.cycle(7)
-        )
-        cache.get(n1)
-        cache.get(n2)
-        cache.get(n3)  # evicts n1's fingerprint (oldest)
-        assert cache.stats()["evictions"] == 1
-        assert len(cache) == 2
-        # n1's fingerprint was evicted: a fresh cycle(5) object is a miss,
-        # while n3's entry is still live for a fresh cycle(7) object.
-        misses = cache.stats()["misses"]
-        cache.get(topologies.cycle(5))
-        assert cache.stats()["misses"] == misses + 1
-        cache.get(topologies.cycle(7))
-        assert cache.stats()["misses"] == misses + 2 - 1
-
-    def test_invalidate_single_network(self):
-        cache = CSRCache()
-        net = topologies.grid(2, 4)
-        cache.get(net)
-        cache.invalidate(net)
-        assert len(cache) == 0
-        misses = cache.stats()["misses"]
-        cache.get(net)
-        assert cache.stats()["misses"] == misses + 1
-
-    def test_invalidate_all(self):
-        cache = CSRCache()
-        cache.get(topologies.cycle(4))
-        cache.get(topologies.cycle(5))
-        cache.invalidate()
-        assert len(cache) == 0
+    def test_equal_twin_has_equal_fingerprint_and_csr(self):
+        net, twin = topologies.cycle(9), topologies.cycle(9)
+        assert twin is not net
+        assert net.topology_fingerprint() == twin.topology_fingerprint()
+        assert net.csr is not twin.csr  # one build per object
+        _assert_same_arrays(net.csr, twin.csr)
+        assert net.csr.fingerprint == twin.csr.fingerprint
 
     def test_same_shape_different_topology_not_conflated(self):
-        from repro.congest.network import Network
-
-        cache = CSRCache()
         ring = topologies.cycle(6)
-        # Same (n, m, bandwidth) as a 6-cycle, different edge set: the
-        # fingerprint keying must give each topology its own arrays.
+        # Same (n, m, bandwidth) as a 6-cycle, different edge set: each
+        # topology has its own fingerprint and its own arrays.
         tadpole = Network.from_edges(
             [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]
         )
         assert (ring.n, ring.m, ring.bandwidth) == (
             tadpole.n, tadpole.m, tadpole.bandwidth
         )
-        a = cache.get(ring)
-        b = cache.get(tadpole)
-        assert a is not b
-        assert cache.stats()["misses"] == 2
+        assert ring.topology_fingerprint() != tadpole.topology_fingerprint()
+        b = tadpole.csr
         assert tuple(b.indices[b.indptr[2]:b.indptr[3]]) == (0, 1, 3)
+        assert not np.array_equal(ring.csr.indices, b.indices)
 
-    def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            CSRCache(max_entries=0)
+    def test_complete_network_analytic_build_matches_nx_build(self):
+        fast = topologies.complete(12)
+        # The nx-built K_12 fingerprints identically, and its generic
+        # build gives the analytic build's arrays.
+        ref = Network(nx.complete_graph(12))
+        assert fast.topology_fingerprint() == ref.topology_fingerprint()
+        _assert_same_arrays(fast.csr, ref.csr)
+        assert fast.csr.fingerprint == ref.csr.fingerprint
 
 
 class TestModelKeying:
-    """PR 8: the communication model is part of both cache keys."""
+    """The communication model is part of the fingerprint the CSR carries."""
 
     def test_same_topology_different_model_not_conflated(self):
-        from repro.congest.network import Network
-
-        cache = CSRCache()
-        import networkx as nx
-
         g = nx.path_graph(6)
         congest = Network(g)
-        local = Network(g, comm_model="local")
-        a = cache.get(congest)
-        b = cache.get(local)
-        # Same edges, but the fingerprints (and so the entries) differ:
-        # a LOCAL network must never satisfy a CONGEST lookup, whose
-        # arrays could outlive a later bandwidth-dependent consumer.
-        assert cache.stats()["misses"] == 2
-        assert np.array_equal(a.indices, b.indices)
-        assert a.fingerprint != b.fingerprint
+        clique = Network(g, comm_model="congest-clique")
+        # Same edges, but the fingerprints differ: a CONGEST-CLIQUE
+        # network must never share setup or memo entries with a CONGEST
+        # one, and its CSR says which model it was built for.
+        assert congest.topology_fingerprint() != clique.topology_fingerprint()
+        assert clique.csr.fingerprint == clique.topology_fingerprint()
+        assert congest.csr.fingerprint == congest.topology_fingerprint()
+        _assert_same_arrays(congest.csr, clique.csr)
 
-    def test_weak_path_rechecks_model(self):
-        cache = CSRCache()
-        clique = topologies.clique(7)
-        a = cache.get(clique)
-        assert cache.get(clique) is a
-        assert cache.stats()["hits"] == 1
 
-    def test_model_entries_participate_in_lru_eviction(self):
-        import networkx as nx
+class TestOncePerObject:
+    def test_every_layer_reads_one_fingerprint_and_one_csr(
+        self, monkeypatch, cold_setup
+    ):
+        net = topologies.grid(3, 4)
+        hashes, builds = [], []
+        sorted_edges = Network._sorted_edges
+        build = csr_module.build_csr
 
-        from repro.congest.network import Network
+        def counting_sorted_edges(self):
+            hashes.append(self)
+            return sorted_edges(self)
 
-        cache = CSRCache(max_entries=2)
-        g = nx.cycle_graph(8)
-        variants = [
-            Network(g),
-            Network(g, comm_model="local"),
-            Network(g, comm_model="congest-clique"),
+        def counting_build(network):
+            builds.append(network)
+            return build(network)
+
+        monkeypatch.setattr(Network, "_sorted_edges", counting_sorted_edges)
+        monkeypatch.setattr(csr_module, "build_csr", counting_build)
+
+        vectors = {v: [(v + j) % 4 for j in range(6)] for v in net.nodes()}
+        config = FrameworkConfig(
+            parallelism=2,
+            dist_input=DistributedInput(vectors, sum_semigroup(64)),
+            mode="engine",
+            seed=3,
+        )
+        prepare_network(net, seed=3)
+        run_framework(
+            net, lambda oracle, _rng: oracle.query_batch([0, 5]), config=config
+        )
+        sched = CoalescingScheduler(net, config)
+        ticket = sched.submit(Operation.query("c", [1, 2]))
+        sched.flush()
+        assert sched.take(ticket) == [
+            sum(vectors[v][j] for v in net.nodes()) for j in (1, 2)
         ]
-        for net in variants:
-            cache.get(net)
-        assert cache.stats()["evictions"] == 1
-        # The default-model entry (oldest) was evicted; re-reading it
-        # through a *fresh* equivalent object is a miss, while the
-        # clique entry is still warm.
-        misses = cache.stats()["misses"]
-        cache.get(Network(nx.cycle_graph(8)))
-        assert cache.stats()["misses"] == misses + 1
-        cache.get(Network(nx.cycle_graph(8), comm_model="congest-clique"))
-        assert cache.stats()["misses"] == misses + 1
-
-    def test_complete_network_analytic_build_shares_cache_entry(self):
-        import networkx as nx
-
-        from repro.congest.network import Network
-
-        cache = CSRCache()
-        fast = topologies.complete(12)
-        via_fast = cache.get(fast)
-        # The nx-built K_12 fingerprints identically, so the analytic
-        # arrays satisfy its lookup without a second build.
-        via_ref = cache.get(Network(nx.complete_graph(12)))
-        assert via_ref is via_fast
-        assert cache.stats()["misses"] == 1
-
-
-class TestModuleLevelCache:
-    def test_csr_for_and_invalidate(self):
-        invalidate_csr()
-        net = topologies.grid(3, 3)
-        a = csr_for(net)
-        assert csr_for(net) is a
-        invalidate_csr(net)
-        stats = csr_cache_stats()
-        assert stats["entries"] == 0
+        assert net.eccentricities[0] == net.diameter == 5
+        assert hashes == [net]
+        assert builds == [net]
+        assert net.csr is net.csr
 
 
 class TestPreparedNetworkIntegration:
-    def test_prepare_leaves_csr_cached(self):
-        from repro.core.framework import invalidate_prepared, prepare_network
-
-        invalidate_prepared()
+    def test_prepare_leaves_csr_cached(self, cold_setup):
         net = topologies.grid(3, 4)
+        assert "csr" not in vars(net)
         prepare_network(net, seed=0)
         # Setup's own election and BFS ran on the bulk loop, which left
-        # the topology's CSR in the engine's cache.
-        before = csr_cache_stats()
-        csr = csr_for(net)
-        after = csr_cache_stats()
+        # the network's CSR on the object.
+        csr = vars(net)["csr"]
+        assert net.csr is csr
         assert csr.fingerprint == net.topology_fingerprint()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-        invalidate_prepared()
-
-    def test_invalidate_prepared_cascades_to_csr(self):
-        from repro.core.framework import invalidate_prepared, prepare_network
-
-        invalidate_prepared()
-        net = topologies.cycle(8)
-        prepare_network(net, seed=0)
-        assert csr_cache_stats()["entries"] >= 1
-        invalidate_prepared(net)
-        assert csr_cache_stats()["entries"] == 0
-
-    def test_stale_tripwire_still_fires_with_csr_cache(self):
-        from repro.core.framework import (
-            StalePreparedNetworkError,
-            invalidate_prepared,
-            prepare_network,
-        )
-
-        invalidate_prepared()
-        net = topologies.cycle(8)
-        prepare_network(net, seed=0)
-        # Degree-preserving in-place rewiring: same (n, m, bandwidth), so
-        # only the fingerprint tripwire can catch it.
-        net.graph.remove_edge(0, 1)
-        net.graph.add_edge(0, 4)
-        with pytest.raises(StalePreparedNetworkError):
-            prepare_network(net, seed=0)
-        invalidate_prepared()

@@ -19,6 +19,7 @@ from repro.congest.algorithms.leader import MaxIdFloodProgram
 from repro.congest.encoding import Field
 from repro.congest.engine import Engine, run_program
 from repro.congest.errors import BandwidthExceeded, MessageTooLargeError
+from repro.congest.models import CongestModel
 from repro.congest.network import Network
 from repro.congest.program import IdleProgram, NodeProgram
 from repro.core.semigroup import combine_sum
@@ -120,7 +121,8 @@ class TestFailureInjection:
         the bulk loop."""
         import networkx as nx
 
-        net = Network(nx.path_graph(6), bandwidth=2)  # too small for (tag, dist)
+        # Too small for (tag, dist).
+        net = Network(nx.path_graph(6), comm_model=CongestModel(bandwidth=2))
 
         def make(cls):
             return {v: cls(v, 0) for v in net.nodes()}
@@ -146,7 +148,7 @@ class TestFailureInjection:
         two-field families: ``Field(id, 6)`` is 3 bits."""
         import networkx as nx
 
-        net = Network(nx.path_graph(6), bandwidth=2)
+        net = Network(nx.path_graph(6), comm_model=CongestModel(bandwidth=2))
 
         def make(cls):
             return {v: cls(v) for v in net.nodes()}
@@ -167,7 +169,7 @@ class TestFailureInjection:
         import networkx as nx
 
         tree = bfs_with_echo(Network(nx.path_graph(6)), 0)
-        net = Network(nx.path_graph(6), bandwidth=2)
+        net = Network(nx.path_graph(6), comm_model=CongestModel(bandwidth=2))
         values = {v: [1] for v in net.nodes()}
         make = partial(build_upcast_programs, net, tree, values, combine_sum, 8)
         transfer = Upcast(

@@ -83,10 +83,6 @@ class TestPeersAndBandwidth:
         )
         assert net.bandwidth == 5
 
-    def test_bandwidth_and_model_are_mutually_exclusive(self):
-        with pytest.raises(CongestError, match="not both"):
-            Network(nx.path_graph(4), bandwidth=8, comm_model="local")
-
 
 class TestAdmission:
     def test_congest_rejects_non_neighbor(self):

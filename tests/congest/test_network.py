@@ -10,6 +10,7 @@ import pytest
 
 from repro.congest import topologies
 from repro.congest.errors import CongestError
+from repro.congest.models import CongestModel
 from repro.congest.network import Network
 
 
@@ -30,7 +31,7 @@ class TestConstruction:
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(CongestError):
-            Network(nx.path_graph(3), bandwidth=0)
+            Network(nx.path_graph(3), comm_model=CongestModel(bandwidth=0))
 
     def test_single_node(self):
         net = Network(nx.Graph([(0, 0)]).subgraph([0])) if False else None

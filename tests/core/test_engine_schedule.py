@@ -13,7 +13,6 @@ from repro.congest import topologies
 from repro.core.framework import (
     DistributedInput,
     FrameworkConfig,
-    invalidate_prepared,
     prepare_network,
     run_framework,
 )
@@ -76,8 +75,9 @@ class TestValidation:
 
 class TestEquivalence:
     @pytest.mark.parametrize("mode", ["formula", "engine"])
-    def test_vectorized_run_is_bit_identical(self, network, di, mode):
-        invalidate_prepared()
+    def test_vectorized_run_is_bit_identical(
+        self, network, di, mode, cold_setup
+    ):
         config = FrameworkConfig(
             parallelism=3, dist_input=di, seed=1, mode=mode,
         )
@@ -85,12 +85,10 @@ class TestEquivalence:
         assert (
             run.result, run.total_rounds, run.rounds.by_phase(), run.batches
         ) == PINNED[mode]
-        invalidate_prepared()
 
     def test_engine_batches_run_every_round_on_the_bulk_loop(
-        self, network, di
+        self, network, di, cold_setup
     ):
-        invalidate_prepared()
         # Warm the setup cache so only the batches' protocols emit rounds.
         prepare_network(network, seed=1)
         sink = MetricsSink()
@@ -107,4 +105,3 @@ class TestEquivalence:
         )
         assert engine_rounds == 44
         assert sink.vectorized_rounds == engine_rounds
-        invalidate_prepared()

@@ -2,14 +2,15 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.congest import topologies
+from repro.congest.network import Network
 from repro.core.framework import (
     DistributedInput,
     FrameworkConfig,
     PreparedCache,
-    invalidate_prepared,
     prepare_network,
     prepared_cache_stats,
     run_framework,
@@ -18,14 +19,12 @@ from repro.core.semigroup import sum_semigroup
 
 
 @pytest.fixture
-def case():
+def case(cold_setup):
     net = topologies.random_regular(20, 4, seed=2)
     rnd = random.Random(1)
     vectors = {v: [rnd.randint(0, 3) for _ in range(6)] for v in net.nodes()}
     di = DistributedInput(vectors=vectors, semigroup=sum_semigroup(100))
-    invalidate_prepared()
-    yield net, di
-    invalidate_prepared()
+    return net, di
 
 
 def algorithm(oracle, _rng):
@@ -48,25 +47,6 @@ class TestPrepareNetwork:
         assert designated.leader == 5
         assert designated.election_rounds is None
         assert by_seed[1].election_rounds is not None
-
-    def test_invalidate_single_network(self, case):
-        net, _ = case
-        before = prepare_network(net, seed=7)
-        invalidate_prepared(net)
-        after = prepare_network(net, seed=7)
-        assert before is not after
-        # Deterministic setup: the recomputed tree matches the dropped one.
-        assert before.leader == after.leader
-        assert before.tree.parent == after.tree.parent
-
-    def test_invalidate_all(self, case):
-        net, _ = case
-        other = topologies.grid(3, 3)
-        a = prepare_network(net, seed=1)
-        b = prepare_network(other, seed=1)
-        invalidate_prepared()
-        assert prepare_network(net, seed=1) is not a
-        assert prepare_network(other, seed=1) is not b
 
     def test_equal_topologies_share_an_entry(self, case):
         """Fingerprint keying: two Network objects, one cached setup.
@@ -111,19 +91,6 @@ class TestPreparedCacheLRU:
         assert cache.prepare(n1, seed=0) is p1
         assert cache.hits == 2
 
-    def test_invalidate_single_hits_eviction_path(self):
-        """invalidate(network) drops exactly that topology's entries."""
-        cache = PreparedCache(max_entries=8)
-        n1, n2 = self._nets(2)
-        a = cache.prepare(n1, seed=0)
-        b = cache.prepare(n1, seed=1)
-        c = cache.prepare(n2, seed=0)
-        cache.invalidate(n1)
-        assert len(cache) == 1
-        assert cache.prepare(n2, seed=0) is c  # untouched entry survives
-        assert cache.prepare(n1, seed=0) is not a
-        assert cache.prepare(n1, seed=1) is not b
-
     def test_unbounded_when_none(self):
         cache = PreparedCache(max_entries=None)
         for net in self._nets(5):
@@ -141,7 +108,6 @@ class TestRunFrameworkCaching:
         net, di = case
         cfg = FrameworkConfig(parallelism=3, dist_input=di, mode=mode,
                               seed=9)
-        invalidate_prepared(net)
         runs = [
             run_framework(net, algorithm, config=cfg),  # recomputes setup
             run_framework(net, algorithm, config=cfg),  # hits the cache
@@ -157,8 +123,7 @@ class TestRunFrameworkCaching:
             assert run.rounds.charges == baseline.rounds.charges
 
     def test_reuse_setup_field_is_gone(self):
-        # Every run goes through the cache; to recompute setup,
-        # invalidate it.
+        # Every run goes through the cache, whose entries never go stale.
         with pytest.raises(TypeError, match="reuse_setup"):
             FrameworkConfig(parallelism=1, reuse_setup=False)
 
@@ -171,3 +136,18 @@ class TestRunFrameworkCaching:
         assert "setup:leader-election" not in phases
         assert "setup:bfs-tree" in phases
         assert run.leader == 4
+
+
+class TestFrozenTopology:
+    def test_mutation_cannot_poison_shared_setup(self, cold_setup):
+        # A prepared network's graph refuses edits, so no stale tree or
+        # CSR can be filed under another topology's fingerprint.
+        path = topologies.path(6)
+        prepare_network(path, seed=0, leader=0)
+        with pytest.raises(nx.NetworkXError):
+            path.graph.add_edge(0, 5)
+        assert path.m == 5 and path.neighbors(0) == (1,)
+        cycle = Network(nx.cycle_graph(6))
+        assert cycle.csr.degree(0) == 2
+        assert cycle.diameter == 3
+        assert prepare_network(cycle, seed=0, leader=0).tree.eccentricity == 3

@@ -1,11 +1,14 @@
 """Tests for the reliable-link resilience layer under injected faults."""
 
+import networkx as nx
 import pytest
 
 from repro.congest import topologies
 from repro.congest.algorithms.bfs import bfs_with_echo
 from repro.congest.encoding import Field
 from repro.congest.errors import CongestError
+from repro.congest.models import CongestModel
+from repro.congest.network import Network
 from repro.faults import (
     BernoulliLoss,
     BitCorruption,
@@ -151,7 +154,7 @@ class TestResilientConvergecast:
         # silent without ever advertising the halt, so slower neighbors
         # opened a new virtual round toward a departed peer and stalled
         # at the round limit.
-        net = topologies.path(3, bandwidth=48)
+        net = Network(nx.path_graph(3), comm_model=CongestModel(bandwidth=48))
         tree = bfs_with_echo(net, 0, seed=0)
         values = {v: v % 16 for v in net.nodes()}
         for fault_seed in (1, 11, 15, 17, 28):

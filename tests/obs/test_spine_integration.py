@@ -18,7 +18,6 @@ from repro.core.cost import RoundLedger
 from repro.core.framework import (
     DistributedInput,
     FrameworkConfig,
-    invalidate_prepared,
     run_framework,
 )
 from repro.core.semigroup import min_semigroup
@@ -205,7 +204,7 @@ class TestUnifiedStream:
         assert metrics.total_faults == len(sink.events_of_kind("fault")) > 0
         assert metrics.engine_rounds > 0 and metrics.messages > 0
 
-    def test_framework_result_unchanged_by_recording(self, grid45):
+    def test_framework_result_unchanged_by_recording(self, grid45, cold_setup):
         vectors = {v: [v + j for j in range(4)] for v in grid45.nodes()}
 
         def algorithm(oracle, _rng):
@@ -213,7 +212,7 @@ class TestUnifiedStream:
 
         def once(recorder):
             di = DistributedInput(vectors, min_semigroup(64))
-            invalidate_prepared(grid45)  # setup runs under the recorder too
+            cold_setup()  # setup runs under the recorder too
             with install(recorder):
                 return run_framework(grid45, algorithm, config=FrameworkConfig(
                     parallelism=4, dist_input=di, mode="engine", seed=9,

@@ -130,9 +130,9 @@ class TestTheorem17Exact:
                   for v in net.nodes()}
         xor = [0] * k
         for vec in inputs.values():
-            xor = [a ^ b for a, b in zip(xor, vec)]
+            xor = [a ^ b for a, b in zip(xor, vec, strict=True)]
         target = [1, 1, 0, 0]
-        inputs[0] = [a ^ b ^ c for a, b, c in zip(inputs[0], xor, target)]
+        inputs[0] = [a ^ b ^ c for a, b, c in zip(inputs[0], xor, target, strict=True)]
         out = distributed_deutsch_jozsa_exact(net, tree, inputs)
         assert not out.constant
         assert out.leader_zero_probability == pytest.approx(0.0, abs=1e-12)

@@ -1,7 +1,9 @@
 """The element-by-element ground-truth scans, kept as test-only oracles.
 
 Each function is the scalar code that the array scans replaced, copied
-unchanged: the n × k fold through ``combine``, Dürr–Høyer's marked-set
+unchanged but for ``strict=True`` on its zips and ``find_collision``'s
+verify step, which re-checks its pair in batches of at most p as the code
+under test does: the n × k fold through ``combine``, Dürr–Høyer's marked-set
 scan with its key applied per element and iteration, the marked-subset
 sampler's ``others`` list, the element-distinctness walk's ``outside``
 list and full register scan per step, and the per-element input draws
@@ -41,7 +43,7 @@ def aggregated(vectors, semigroup) -> List[int]:
     out = list(vectors[nodes[0]])
     for v in nodes[1:]:
         vec = vectors[v]
-        out = [semigroup.combine(a, b) for a, b in zip(out, vec)]  # noqa: B905
+        out = [semigroup.combine(a, b) for a, b in zip(out, vec, strict=True)]
     return out
 
 
@@ -194,7 +196,7 @@ def find_collision(
     for chunk_start in range(0, z, p):
         chunk = subset[chunk_start : chunk_start + p]
         values = oracle.query_batch(chunk, label="ed-setup")
-        register.update(zip(chunk, values))  # noqa: B905
+        register.update(zip(chunk, values, strict=True))
 
     pair = _collision_in(list(register), list(register.values()))
     steps = 0
@@ -207,7 +209,7 @@ def find_collision(
         enter = rng.choice(len(outside), size=min(p, len(outside)), replace=False)
         enter_ids = [outside[i] for i in enter]
         values = oracle.query_batch(enter_ids, label="ed-update")
-        for slot, new_id, value in zip(leave, enter_ids, values):  # noqa: B905
+        for slot, new_id, value in zip(leave, enter_ids, values, strict=True):
             register.pop(inside[slot])
             register[new_id] = value
         # Check C: free, the register values are held classically.
@@ -223,7 +225,13 @@ def find_collision(
     truth_pair = _true_collision(oracle, rng)
     if truth_pair is not None and rng.random() < success_probability:
         i, j = truth_pair
-        values = oracle.query_batch([i, j], label="ed-verify")
+        # At most p queries per batch: at p = 1 the pair takes two.
+        chunks = [[i, j]] if p > 1 else [[i], [j]]
+        values = [
+            value
+            for chunk in chunks
+            for value in oracle.query_batch(chunk, label="ed-verify")
+        ]
         if values[0] == values[1]:
             return CollisionOutcome(
                 (i, j), values[0], oracle.ledger.batches - start, steps, False
@@ -287,7 +295,7 @@ def _promise_inputs(net, k, rng, balanced):
     }
     xor = [0] * k
     for vec in inputs.values():
-        xor = [a ^ b for a, b in zip(xor, vec)]  # noqa: B905
+        xor = [a ^ b for a, b in zip(xor, vec, strict=True)]
     target = ([1] * (k // 2) + [0] * (k // 2)) if balanced else [0] * k
-    inputs[0] = [a ^ b ^ c for a, b, c in zip(inputs[0], xor, target)]  # noqa: B905
+    inputs[0] = [a ^ b ^ c for a, b, c in zip(inputs[0], xor, target, strict=True)]
     return inputs

@@ -109,6 +109,16 @@ class TestFindCollision:
             assert out.batches_used <= 25
         assert hits >= 14
 
+    def test_verify_step_stays_within_parallelism_one(self):
+        """Regression: when the walk misses, the emulated pair is re-checked
+        in batches of at most p, not as one batch of two."""
+        oracle = StringOracle([0, 0, 2, 3, 4], QueryLedger(1))
+        out = find_collision(oracle, np.random.default_rng(145135))
+        assert out.pair == (0, 1) and out.value == 0
+        assert not out.found_classically
+        assert oracle.ledger.signature()[-2:] == ((1, "ed-verify"),) * 2
+        assert all(r.size == 1 for r in oracle.ledger.records)
+
     def test_batch_usage_tracks_bound(self):
         totals = {}
         for k, p in [(512, 8), (4096, 8)]:

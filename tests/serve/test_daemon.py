@@ -61,7 +61,7 @@ class TestServing:
             return requests, await asyncio.gather(*futures)
 
         requests, results = asyncio.run(run())
-        for (tenant, idx), res in zip(requests, results):
+        for (tenant, idx), res in zip(requests, results, strict=True):
             assert res.values == [TRUTH[j] for j in idx]
             assert res.tenant == tenant
             assert res.profile == "default"
